@@ -12,7 +12,6 @@ from .lattice import (
     cross,
     det_n,
     dot,
-    polygon_area,
     shoelace,
     signed_simplex_volume,
 )
@@ -54,7 +53,6 @@ from .valuation import (
     graded_semigroup,
     semigroup_level_hull,
     trivialization_polytope,
-    value,
 )
 from .milnor_k import (
     MonomialFn,

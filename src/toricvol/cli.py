@@ -20,9 +20,8 @@ from .divisors import (
     divisor_polytope,
     generation_violations,
     ampleness_violations,
-    cartier_data,
 )
-from .fan import fan_violations, hirzebruch_fan, standard_decomposition, validate_fan
+from .fan import FanValidationError, hirzebruch_fan, standard_decomposition, validate_fan
 from .lattice import Polygon, dot
 from .valuation import TFlag, check_flag, trivialization_polytope
 from .volume import VolumeReport, okounkov_volume_report
@@ -100,7 +99,7 @@ def instance_json(doc: InstanceDocument) -> str:
     return json.dumps(out, separators=(",", ":"))
 
 
-def frac(q: Fraction | None) -> str:
+def frac(q: Fraction | int | None) -> str:
     return "-" if q is None else str(Fraction(q))
 
 
@@ -109,13 +108,14 @@ def frac(q: Fraction | None) -> str:
 
 def _build(doc: InstanceDocument, out) -> TorusDivisor | None:
     """Validate the fan; on failure print violations and return None."""
-    violations = fan_violations(doc.rays)
-    if violations:
+    try:
+        fan = validate_fan(doc.rays)
+    except FanValidationError as e:
         print("fan: invalid", file=out)
-        for v in violations:
+        for v in e.violations:
             print(f"  {v}", file=out)
         return None
-    return divisor(validate_fan(doc.rays), doc.divisor)
+    return divisor(fan, doc.divisor)
 
 
 def cmd_check(args, out=None) -> int:
@@ -132,12 +132,12 @@ def cmd_check(args, out=None) -> int:
     gen = generation_violations(D)
     print(f"globally generated: {'true' if not gen else 'false'}", file=out)
     for j, i in gen:
-        h = cartier_data(D)[j]
+        h = D.cocycle[j]
         print(f"  cone {j}: <{h}, ray {i}> = {dot(h, D.fan.rays[i])} < {-D.coeffs[i]}", file=out)
     amp = ampleness_violations(D)
     print(f"ample: {'true' if not amp else 'false'}", file=out)
     for j, i in amp:
-        h = cartier_data(D)[j]
+        h = D.cocycle[j]
         slack = dot(h, D.fan.rays[i]) + D.coeffs[i]
         print(f"  cone {j} vs ray {i}: slack {slack} (need > 0)", file=out)
     return 0 if not amp else 1
@@ -176,7 +176,7 @@ def _report_dict(report: VolumeReport) -> dict:
                     "sections": list(t.sections_used),
                     "matrix": [list(t.matrix[0]), list(t.matrix[1])],
                     "signed_volume": frac(t.signed_volume),
-                    "residue_degree": t.residue_degree,
+                    "residue_degree": 1,  # every flag point is a rational point
                 }
                 for t in c.terms
             ],
@@ -233,7 +233,7 @@ def cmd_report(args, out=None) -> int:
         print("area,dsq,simplex_sum,symbol_sum,triv_area,agree", file=out)
         print(",".join([
             frac(report.area_polytope),
-            "-" if report.self_intersection is None else str(report.self_intersection),
+            frac(report.self_intersection),
             frac(report.simplex_sum),
             frac(report.symbol_sum_half),
             frac(report.lhs_trivialization_area),
@@ -290,7 +290,7 @@ def cmd_sweep(args, out=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     variant = args.decomposition or "default"
-    rows = []
+    lines = ["l,a,b,area,dsq,simplex_sum,symbol_sum,agree"]
     all_agree = True
     for l in ls:
         fan = hirzebruch_fan(l)
@@ -303,14 +303,11 @@ def cmd_sweep(args, out=None) -> int:
             for extra in extras:
                 b = l * a + extra
                 report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
-                agree = report.agree
-                all_agree = all_agree and agree
-                rows.append((l, a, b, frac(report.area_polytope),
-                             report.self_intersection, frac(report.simplex_sum),
-                             frac(report.symbol_sum_half), "true" if agree else "false"))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = ["l,a,b,area,dsq,simplex_sum,symbol_sum,agree"]
-    lines += [f"{l},{a},{b},{ar},{dsq},{ss},{ys},{ag}" for l, a, b, ar, dsq, ss, ys, ag in rows]
+                all_agree = all_agree and report.agree
+                lines.append(",".join([
+                    str(l), str(a), str(b), frac(report.area_polytope),
+                    frac(report.self_intersection), frac(report.simplex_sum),
+                    frac(report.symbol_sum_half), "true" if report.agree else "false"]))
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

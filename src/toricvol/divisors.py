@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import index
 
 from .fan import Fan2D, chart_dual_basis
-from .lattice import Polygon, Vec, convex_hull_2d, dot
+from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
@@ -35,7 +36,10 @@ class NotAmple(ValueError):
 
 @dataclass(frozen=True)
 class TorusDivisor:
-    """Integer coefficient per ray: the divisor sum(d_i * D_i)."""
+    """Integer coefficient per ray: the divisor sum(d_i * D_i).
+
+    Derived data is computed on first use and cached: write-once, deterministic.
+    """
 
     fan: Fan2D
     coeffs: tuple[int, ...]
@@ -45,21 +49,43 @@ class TorusDivisor:
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for {self.fan.n_rays} rays")
 
+    @cached_property
+    def cocycle(self) -> Cocycle:
+        """Local equation h_j per cone: h_j = -d_j*m - d_{j+1}*m' in the dual basis."""
+        fan = self.fan
+        n = fan.n_rays
+        out = []
+        for j in range(n):
+            m, mp = chart_dual_basis(fan, j)
+            dj, dk = self.coeffs[j], self.coeffs[(j + 1) % n]
+            out.append((-dj * m[0] - dk * mp[0], -dj * m[1] - dk * mp[1]))
+        return tuple(out)
+
+    @cached_property
+    def curve_degrees(self) -> tuple[int, ...]:
+        """D.D_i = d_{i-1} + d_{i+1} - a_i*d_i with a_i = cross(r_{i-1}, r_{i+1}).
+
+        By the toric Kleiman criterion D is ample iff every degree is
+        positive, and globally generated (nef) iff every degree is >= 0.
+        """
+        rays, d = self.fan.rays, self.coeffs
+        n = len(rays)
+        return tuple(d[i - 1] + d[(i + 1) % n] - cross(rays[i - 1], rays[(i + 1) % n]) * d[i]
+                     for i in range(n))
+
+    @cached_property
+    def min_curve_degree(self) -> int:
+        """Smallest curve degree: the positivity verdict in O(1) once cached."""
+        return min(self.curve_degrees)
+
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
     return TorusDivisor(fan, tuple(index(c) for c in coeffs))
 
 
 def cartier_data(D: TorusDivisor) -> Cocycle:
-    """Local equation h_j per cone: h_j = -d_j*m - d_{j+1}*m' in the dual basis."""
-    fan = D.fan
-    n = fan.n_rays
-    out = []
-    for j in range(n):
-        m, mp = chart_dual_basis(fan, j)
-        dj, dk = D.coeffs[j], D.coeffs[(j + 1) % n]
-        out.append((-dj * m[0] - dk * mp[0], -dj * m[1] - dk * mp[1]))
-    return tuple(out)
+    """Local equation h_j per cone (the divisor's cached cocycle)."""
+    return D.cocycle
 
 
 def cech_cocycle(cocycle: Cocycle, a: int, b: int) -> Vec:
@@ -69,39 +95,28 @@ def cech_cocycle(cocycle: Cocycle, a: int, b: int) -> Vec:
 
 
 def generation_violations(D: TorusDivisor) -> list[tuple[int, int]]:
-    """(cone, ray) pairs where the cone's local equation breaks the ray inequality."""
-    fan = D.fan
-    h = cartier_data(D)
-    out = []
-    for j in range(fan.n_rays):
-        for i, ray in enumerate(fan.rays):
-            if dot(h[j], ray) < -D.coeffs[i]:
-                out.append((j, i))
-    return out
+    """(cone, ray) witnesses (i-1, i+1), one per curve D_i of negative degree.
+
+    As r_{i-1} + r_{i+1} = a_i*r_i, that pair's slack is exactly D.D_i.
+    """
+    n = D.fan.n_rays
+    deg = D.curve_degrees
+    return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] < 0]
 
 
 def is_globally_generated(D: TorusDivisor) -> bool:
-    return not generation_violations(D)
+    return D.min_curve_degree >= 0
 
 
 def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
-    """(cone, ray) pairs with non-strict inequality at a ray off the cone."""
-    fan = D.fan
-    n = fan.n_rays
-    h = cartier_data(D)
-    out = []
-    for j in range(n):
-        faces = {j, (j + 1) % n}
-        for i, ray in enumerate(fan.rays):
-            if i in faces:
-                continue
-            if dot(h[j], ray) <= -D.coeffs[i]:
-                out.append((j, i))
-    return out
+    """Witnesses as in ``generation_violations``, one per curve of degree <= 0."""
+    n = D.fan.n_rays
+    deg = D.curve_degrees
+    return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
 
 
 def is_ample(D: TorusDivisor) -> bool:
-    return not ampleness_violations(D)
+    return D.min_curve_degree > 0
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:
@@ -113,7 +128,7 @@ def divisor_polytope(D: TorusDivisor) -> Polygon:
     bad = generation_violations(D)
     if bad:
         raise NotGloballyGenerated(*bad[0])
-    return convex_hull_2d(cartier_data(D))
+    return convex_hull_2d(D.cocycle)
 
 
 def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
@@ -126,7 +141,7 @@ def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     fan = D.fan
-    h = cartier_data(D)
+    h = D.cocycle
     xs = [m * e[0] for e in h]
     ys = [m * e[1] for e in h]
     rays = fan.rays

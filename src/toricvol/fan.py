@@ -104,8 +104,6 @@ class Fan2D:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    n_cones = n_rays
-
     def cone(self, j: int) -> tuple[Vec, Vec]:
         """The two spanning rays of maximal cone j, in counterclockwise order."""
         n = len(self.rays)
@@ -114,10 +112,11 @@ class Fan2D:
 
 def validate_fan(rays: Sequence[Sequence[int]]) -> Fan2D:
     """Build a Fan2D, raising FanValidationError with the full violation list."""
-    violations = fan_violations(rays)
-    if violations:
-        raise FanValidationError(violations)
-    return Fan2D(tuple(tuple(index(c) for c in r) for r in rays))
+    try:
+        rays = tuple(tuple(index(c) for c in r) for r in rays)
+    except TypeError:
+        pass  # left as given: Fan2D's own scan reports the offending ray
+    return Fan2D(tuple(rays))
 
 
 def hirzebruch_fan(l: int) -> Fan2D:
@@ -183,9 +182,6 @@ class OrbitDecomposition:
             if j not in (i, (i - 1) % n):
                 raise ValueError(
                     f"ray {i} assigned to cone {j}, which does not have it as a face")
-
-    def cone_owner(self, j: int) -> int:
-        return j % self.fan.n_rays
 
 
 def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecomposition:

@@ -145,8 +145,3 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
         hull = [pts[0], pts[-1]]
         return Polygon(tuple(hull), Fraction(0))
     return Polygon(tuple(hull), shoelace(hull))
-
-
-def polygon_area(p: Polygon) -> Fraction:
-    """Nonnegative area of a Polygon (the cached exact shoelace value)."""
-    return p.area

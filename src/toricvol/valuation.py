@@ -89,10 +89,6 @@ def flag_uniformizers(fan: Fan2D, flag: TFlag) -> tuple[Vec, Vec]:
     return mp, m
 
 
-def value(w: Rank2Valuation, exponent: Vec) -> tuple[int, int]:
-    return w.value(exponent)
-
-
 def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     """Hull of the flag valuations of the local equations of the divisor.
 

@@ -22,12 +22,12 @@ from .divisors import (
     NotAmple,
     TorusDivisor,
     ampleness_violations,
-    cartier_data,
     divisor_polytope,
     generation_violations,
+    is_ample,
 )
 from .fan import OrbitDecomposition, standard_decomposition
-from .lattice import cross, polygon_area
+from .lattice import cross
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, enumerate_tflags, flag_valuation, trivialization_polytope
 
@@ -35,7 +35,6 @@ __all__ = [
     "SimplexTerm",
     "FlagContribution",
     "VolumeReport",
-    "enumerate_tflags",
     "flag_contribution",
     "simplex_sum_volume",
     "self_intersection_classical",
@@ -57,7 +56,6 @@ class SimplexTerm:
     sections_used: tuple[int, int]
     matrix: tuple[tuple[int, int], tuple[int, int]]
     signed_volume: Fraction
-    residue_degree: int = 1
 
 
 @dataclass(frozen=True)
@@ -100,31 +98,28 @@ def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> 
     """
     if dec.fan != D.fan:
         raise ValueError("decomposition belongs to a different fan")
-    bad = ampleness_violations(D)
-    if bad:
-        raise NotAmple(f"divisor is not ample (first witness: cone {bad[0][0]}, ray {bad[0][1]})")
-    fan = D.fan
-    cocycle = cartier_data(D)
-    w = flag_valuation(fan, flag)
+    if not is_ample(D):
+        j, i = ampleness_violations(D)[0]
+        raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
+    w = flag_valuation(D.fan, flag)
     alphas = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
-    vectors = [w.value(cocycle[a]) for a in alphas]
+    vectors = [w.value(D.cocycle[a]) for a in alphas]
     terms = []
-    subtotal = Fraction(0)
+    twice = 0
     for omitted in range(3):
         kept = [m for m in range(3) if m != omitted]
         c0, c1 = vectors[kept[0]], vectors[kept[1]]
         matrix = ((c0[0], c1[0]), (c0[1], c1[1]))
-        det = matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-        vol = Fraction((-1) ** omitted * det, 2)
+        det = (-1) ** omitted * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
         terms.append(SimplexTerm(
             flag=flag,
             omitted=omitted,
             sections_used=(alphas[kept[0]], alphas[kept[1]]),
             matrix=matrix,
-            signed_volume=vol,
+            signed_volume=Fraction(det, 2),
         ))
-        subtotal += vol
-    return FlagContribution(flag, subtotal, tuple(terms))
+        twice += det
+    return FlagContribution(flag, Fraction(twice, 2), tuple(terms))
 
 
 def simplex_sum_volume(D: TorusDivisor, dec: OrbitDecomposition) -> Fraction:
@@ -175,12 +170,12 @@ def okounkov_volume_report(
             display_flag=display_flag, per_flag=(), agree=False,
             diagnostics=tuple(diags),
         )
-    area = polygon_area(divisor_polytope(D))
+    area = divisor_polytope(D).area
     dsq = self_intersection_classical(D)
     per_flag = tuple(flag_contribution(D, f, dec) for f in enumerate_tflags(D.fan))
     simplex_sum = sum((c.subtotal for c in per_flag), Fraction(0))
     symbol_sum = intersection_number_via_symbols(D, dec)
-    triv_area = polygon_area(trivialization_polytope(D, display_flag))
+    triv_area = trivialization_polytope(D, display_flag).area
     values = (area, Fraction(dsq, 2), simplex_sum, Fraction(symbol_sum, 2), triv_area)
     return VolumeReport(
         ample=True,

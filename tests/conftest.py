@@ -1,4 +1,5 @@
-"""Shared deterministic samplers for fan and divisor instances."""
+"""Shared deterministic samplers for fan and divisor instances, and the
+pairwise positivity scan kept as a reference for the curve-degree test."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ from fractions import Fraction
 from toricvol import (
     MonomialFn,
     TorusDivisor,
+    cartier_data,
     divisor,
+    dot,
     enumerate_tflags,
     is_ample,
     projective_plane_fan,
@@ -43,6 +46,57 @@ def random_ample_instance(rng: random.Random, max_subdivisions: int = 5) -> Toru
         D = sample_ample_divisor(rng, fan)
         if D is not None:
             return D
+
+
+def deep_ample_instance(rng: random.Random, n: int) -> TorusDivisor:
+    """An ample divisor on a fan with n rays, by repeated star subdivision of P^2.
+
+    Each step inserts u+v into a random cone (u, v) and replaces D by
+    k*pi^*D - E for the smallest k in {1, 2} that is ample. pi^*D gives the
+    new ray d_u + d_v and E is the new ray's curve. k = 2 always works: E
+    has degree 1, its two neighbours lose 1 from k times a positive degree,
+    and every other degree is scaled by k. These fans are out of reach of
+    ``random_ample_instance``, whose small coefficients stop being ample
+    after a few blowups of one point.
+    """
+    fan = projective_plane_fan()
+    d = [0, 0, 0]
+    while sum(d) <= 0:
+        d = [rng.randint(0, 3) for _ in range(3)]
+    while fan.n_rays < n:
+        j = rng.randrange(fan.n_rays)
+        dw = d[j] + d[(j + 1) % len(d)]
+        fan = star_subdivide(fan, j)
+        for k in (1, 2):
+            new_d = [k * x for x in d[:j + 1]] + [k * dw - 1] + [k * x for x in d[j + 1:]]
+            if is_ample(divisor(fan, new_d)):
+                break
+        else:
+            raise AssertionError("k = 2 must give an ample divisor")
+        d = new_d
+    return divisor(fan, d)
+
+
+def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
+    """Reference positivity scan over every (cone, ray) pair, O(n^2).
+
+    strict=False: pairs where the cone's local equation h_j breaks the
+    inequality <h_j, ray_i> >= -d_i (D is globally generated iff none).
+    strict=True: pairs with a ray off the cone where <h_j, ray_i> > -d_i
+    fails (D is ample iff none).
+    """
+    fan = D.fan
+    n = fan.n_rays
+    h = cartier_data(D)
+    out = []
+    for j in range(n):
+        for i, ray in enumerate(fan.rays):
+            slack = dot(h[j], ray) + D.coeffs[i]
+            if strict and i not in (j, (j + 1) % n) and slack <= 0:
+                out.append((j, i))
+            elif not strict and slack < 0:
+                out.append((j, i))
+    return out
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

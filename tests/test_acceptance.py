@@ -25,7 +25,6 @@ from toricvol import (
     iterated_boundary,
     monomial,
     okounkov_volume_report,
-    polygon_area,
     self_intersection_classical,
     semigroup_level_hull,
     simplex_sum_volume,
@@ -141,7 +140,7 @@ def test_criterion_5_decomposition_and_flag_independence():
         rng = random.Random(777)
         for _ in range(100):
             D = random_ample_instance(rng, max_subdivisions=5)
-            area = polygon_area(divisor_polytope(D))
+            area = divisor_polytope(D).area
             half_dsq = Fraction(self_intersection_classical(D), 2)
             assert area == half_dsq, D
             totals = {
@@ -153,7 +152,7 @@ def test_criterion_5_decomposition_and_flag_independence():
                 dec = standard_decomposition(D.fan, v)
                 assert Fraction(intersection_number_via_symbols(D, dec), 2) == area, D
             flag_areas = {
-                polygon_area(trivialization_polytope(D, flag))
+                trivialization_polytope(D, flag).area
                 for flag in enumerate_tflags(D.fan)
             }
             assert flag_areas == {area}, D

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 
@@ -10,7 +12,8 @@ from toricvol.cli import (
     parse_instance,
     polytope_svg,
 )
-from toricvol import divisor, hirzebruch_fan
+from toricvol import cross, divisor, hirzebruch_fan
+from conftest import random_smooth_fan
 
 
 HIRZ_112 = '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0]}'
@@ -89,6 +92,39 @@ class TestCheckCommand:
         assert "globally generated: true" in out
         assert "slack 0" in out
 
+    def test_slack_lines_print_curve_degrees(self, tmp_path, capsys):
+        # each failing curve D_i gets one line, (cone i-1 vs ray i+1), whose
+        # slack is the degree d_{i-1} + d_{i+1} - cross(r_{i-1}, r_{i+1}) * d_i
+        rng = random.Random(67)
+        for _ in range(30):
+            fan = random_smooth_fan(rng)
+            rays, n = fan.rays, fan.n_rays
+            d = [rng.randint(-3, 4) for _ in range(n)]
+            degrees = [d[i - 1] + d[(i + 1) % n] - cross(rays[i - 1], rays[(i + 1) % n]) * d[i]
+                       for i in range(n)]
+            doc = json.dumps({"rays": [list(r) for r in rays], "divisor": d})
+            rc = main(["check", write(tmp_path, doc)])
+            lines = re.findall(r"cone (\d+) vs ray (\d+): slack (-?\d+)", capsys.readouterr().out)
+            got = {int(i): int(slack) for _, i, slack in lines}
+            assert [((int(j) + 2) % n) for j, _, _ in lines] == [int(i) for _, i, _ in lines]
+            assert got == {(i + 1) % n: x for i, x in enumerate(degrees) if x <= 0}
+            assert rc == (1 if got else 0)
+
+    def test_fan_validated_once_per_report(self, tmp_path, capsys, monkeypatch):
+        import toricvol.fan as fan_module
+
+        calls = []
+        real = fan_module.fan_violations
+
+        def counting(rays):
+            calls.append(rays)
+            return real(rays)
+
+        monkeypatch.setattr(fan_module, "fan_violations", counting)
+        assert main(["report", write(tmp_path, HIRZ_112)]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
 
 class TestReportCommand:
     def test_text_report(self, tmp_path, capsys):
@@ -152,6 +188,14 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "l,a,b,area,dsq,simplex_sum,symbol_sum,agree"
         assert lines[1] == "1,1,2,3/2,3,3/2,3/2,true"
+
+    def test_non_ample_row_uses_dash(self, capsys):
+        assert main(["sweep", "--l", "1", "--a", "1", "--b-extra", "0..1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "l,a,b,area,dsq,simplex_sum,symbol_sum,agree",
+            "1,1,1,-,-,-,-,false",
+            "1,1,2,3/2,3,3/2,3/2,true",
+        ]
 
     def test_grid_rows_sorted_and_agreeing(self, tmp_path):
         out = str(tmp_path / "sweep.csv")

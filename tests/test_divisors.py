@@ -5,6 +5,7 @@ import pytest
 
 from toricvol import (
     NotGloballyGenerated,
+    ampleness_violations,
     cartier_data,
     cech_cocycle,
     divisor,
@@ -14,11 +15,16 @@ from toricvol import (
     hirzebruch_fan,
     is_ample,
     is_globally_generated,
-    polygon_area,
     scaled_section_hull,
     section_lattice_points,
 )
-from conftest import hirzebruch_grid, random_ample_instance
+from conftest import (
+    deep_ample_instance,
+    hirzebruch_grid,
+    pairwise_violations,
+    random_ample_instance,
+    random_smooth_fan,
+)
 
 
 def ruled_divisor(l, a, b):
@@ -106,6 +112,59 @@ class TestPositivity:
             assert is_globally_generated(D)
 
 
+class TestCurveDegreeCriterion:
+    """The O(n) curve-degree gate against the pairwise reference scan."""
+
+    @staticmethod
+    def mismatches(D) -> int:
+        gen = pairwise_violations(D, strict=False)
+        amp = pairwise_violations(D, strict=True)
+        gen_w, amp_w = generation_violations(D), ampleness_violations(D)
+        ok = (is_globally_generated(D) is (not gen) and is_ample(D) is (not amp)
+              and bool(gen_w) is bool(gen) and bool(amp_w) is bool(amp)
+              and set(gen_w) <= set(gen) and set(amp_w) <= set(amp))
+        return 0 if ok else 1
+
+    def test_random_fans_match_pairwise_oracle(self):
+        rng = random.Random(53)
+        bad = 0
+        verdicts = set()
+        for _ in range(2000):
+            fan = random_smooth_fan(rng)
+            D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+            bad += self.mismatches(D)
+            verdicts.add((is_ample(D), is_globally_generated(D)))
+        assert bad == 0
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_deep_fans_match_pairwise_oracle(self):
+        rng = random.Random(59)
+        bad = 0
+        verdicts = set()
+        for _ in range(200):
+            D = deep_ample_instance(rng, rng.randint(8, 64))
+            assert is_ample(D)
+            bad += self.mismatches(D)
+            d = list(D.coeffs)
+            for _ in range(rng.randint(1, 3)):
+                d[rng.randrange(len(d))] += rng.choice((-2, -1, 1, 2))
+            perturbed = divisor(D.fan, d)
+            bad += self.mismatches(perturbed)
+            verdicts.add((is_ample(perturbed), is_globally_generated(perturbed)))
+        assert bad == 0
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_witness_slack_is_curve_degree(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            fan = random_smooth_fan(rng)
+            D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+            h, n = cartier_data(D), fan.n_rays
+            for j, i in ampleness_violations(D):
+                assert i == (j + 2) % n
+                assert dot(h[j], fan.rays[i]) + D.coeffs[i] == D.curve_degrees[(j + 1) % n] <= 0
+
+
 class TestDivisorPolytope:
     def test_worked_instance(self):
         p = divisor_polytope(ruled_divisor(1, 1, 2))
@@ -118,9 +177,9 @@ class TestDivisorPolytope:
         assert p.area == 0
 
     def test_area_closed_form(self):
-        assert polygon_area(divisor_polytope(ruled_divisor(2, 1, 3))) == 2
+        assert divisor_polytope(ruled_divisor(2, 1, 3)).area == 2
         for l, a, b in hirzebruch_grid():
-            assert polygon_area(divisor_polytope(ruled_divisor(l, a, b))) \
+            assert divisor_polytope(ruled_divisor(l, a, b)).area \
                 == Fraction(2 * a * b - l * a * a, 2)
 
     def test_rejects_non_generated_with_witness(self):

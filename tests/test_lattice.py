@@ -9,7 +9,6 @@ from toricvol import (
     convex_hull_2d,
     cross,
     det_n,
-    polygon_area,
     signed_simplex_volume,
 )
 
@@ -153,15 +152,15 @@ class TestConvexHull:
 class TestPolygonArea:
     def test_divisor_polytope_instance(self):
         p = convex_hull_2d([(0, 0), (2, 0), (1, -1), (0, -1)])
-        assert polygon_area(p) == Fraction(3, 2)
+        assert p.area == Fraction(3, 2)
 
     def test_unit_square(self):
-        assert polygon_area(convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1)])) == 1
+        assert convex_hull_2d([(0, 0), (1, 0), (1, 1), (0, 1)]).area == 1
 
     def test_second_instance(self):
         # vertices of the (l,a,b) = (2,1,3) divisor polytope
         p = convex_hull_2d([(0, 0), (3, 0), (1, -1), (0, -1)])
-        assert polygon_area(p) == 2
+        assert p.area == 2
 
     def test_polygon_invariant_violations(self):
         with pytest.raises(ValueError):

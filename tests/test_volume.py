@@ -12,13 +12,12 @@ from toricvol import (
     flag_contribution,
     hirzebruch_fan,
     okounkov_volume_report,
-    polygon_area,
     projective_plane_fan,
     self_intersection_classical,
     simplex_sum_volume,
     standard_decomposition,
 )
-from conftest import random_ample_instance
+from conftest import deep_ample_instance, random_ample_instance
 
 
 def ruled_divisor(l, a, b):
@@ -81,7 +80,6 @@ class TestFlagContribution:
                     det = (t.matrix[0][0] * t.matrix[1][1]
                            - t.matrix[0][1] * t.matrix[1][0])
                     assert t.signed_volume == (-1) ** t.omitted * Fraction(det, 2)
-                    assert t.residue_degree == 1
 
     def test_rejects_non_ample(self):
         D = ruled_divisor(1, 1, 1)
@@ -141,4 +139,12 @@ class TestVolumeReport:
             D = random_ample_instance(rng)
             report = okounkov_volume_report(D)
             assert report.agree
-            assert report.area_polytope == polygon_area(divisor_polytope(D))
+            assert report.area_polytope == divisor_polytope(D).area
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_deep_fans_agree(self, n):
+        D = deep_ample_instance(random.Random(n), n)
+        dsq = sum(d * x for d, x in zip(D.coeffs, D.curve_degrees))
+        report = okounkov_volume_report(D)
+        assert report.agree and report.self_intersection == dsq
+        assert report.values == (Fraction(dsq, 2),) * 5
