@@ -9,6 +9,7 @@ input and usage errors. Rationals are always printed as exact p/q strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -290,30 +291,31 @@ def cmd_sweep(args, out=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     variant = args.decomposition or "default"
-    lines = ["l,a,b,area,dsq,simplex_sum,symbol_sum,agree"]
-    all_agree = True
-    for l in ls:
-        fan = hirzebruch_fan(l)
-        try:
+    try:
+        # every F_l has four rays, so a variant that fits the first fits all
+        standard_decomposition(hirzebruch_fan(ls.start), variant)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    # rows go out as they are computed; the file is line buffered so each
+    # finished row is on disk before the next report starts
+    with (open(args.csv, "w", encoding="utf-8", buffering=1) if args.csv
+          else contextlib.nullcontext(out)) as fh:
+        print("l,a,b,area,dsq,simplex_sum,symbol_sum,agree", file=fh)
+        all_agree = True
+        for l in ls:
+            fan = hirzebruch_fan(l)
             dec = standard_decomposition(fan, variant)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        for a in As:
-            for extra in extras:
-                b = l * a + extra
-                report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
-                all_agree = all_agree and report.agree
-                lines.append(",".join([
-                    str(l), str(a), str(b), frac(report.area_polytope),
-                    frac(report.self_intersection), frac(report.simplex_sum),
-                    frac(report.symbol_sum_half), "true" if report.agree else "false"]))
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+            for a in As:
+                for extra in extras:
+                    b = l * a + extra
+                    report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
+                    all_agree = all_agree and report.agree
+                    print(",".join([
+                        str(l), str(a), str(b), frac(report.area_polytope),
+                        frac(report.self_intersection), frac(report.simplex_sum),
+                        frac(report.symbol_sum_half), "true" if report.agree else "false"]),
+                        file=fh)
     return 0 if all_agree else 1
 
 

@@ -11,12 +11,11 @@ is f_ab = h_b - h_a in exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import index
 
 from .fan import Fan2D, chart_dual_basis
-from .lattice import Polygon, Vec, convex_hull_2d, cross
+from .lattice import Polygon, Vec, convex_hull_2d, cross, scaled_hull
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
@@ -134,23 +133,31 @@ def divisor_polytope(D: TorusDivisor) -> Polygon:
 def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
     """All characters h with <h, ray_i> >= -m*d_i for every ray, sorted.
 
-    These are the lattice points of m times the divisor polytope. Candidates
-    come from the integer bounding box of the scaled cocycle characters,
-    which contains the polytope for any divisor on a complete fan.
+    These are the lattice points of m times the divisor polytope, which lies
+    in the bounding box of the scaled cocycle characters for any divisor on a
+    complete fan. Each column x of that box is cut to the rows [lo, hi]
+    allowed by every ray inequality x*r0 + y*r1 >= -m*d (exact floor and
+    ceiling division), so the scan costs O(width*n + points).
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    fan = D.fan
     h = D.cocycle
     xs = [m * e[0] for e in h]
     ys = [m * e[1] for e in h]
-    rays = fan.rays
-    bounds = [-m * d for d in D.coeffs]
+    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
     out = []
     for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if all(x * r[0] + y * r[1] >= b for r, b in zip(rays, bounds)):
-                out.append((x, y))
+        lo, hi = min(ys), max(ys)
+        for r0, r1, b in rows:
+            slack = x * r0 - b  # the inequality reads y*r1 >= -slack
+            if r1 > 0:
+                lo = max(lo, -(slack // r1))
+            elif r1 < 0:
+                hi = min(hi, slack // -r1)
+            elif slack < 0:
+                break  # the ray is horizontal and cuts off the whole column
+        else:
+            out.extend((x, y) for y in range(lo, hi + 1))
     return out
 
 
@@ -159,5 +166,4 @@ def scaled_section_hull(D: TorusDivisor, m: int) -> Polygon:
     pts = section_lattice_points(D, m)
     if not pts:
         raise ValueError(f"no sections at level {m}")
-    s = Fraction(1, m)
-    return convex_hull_2d([(s * x, s * y) for x, y in pts])
+    return scaled_hull(pts, m)

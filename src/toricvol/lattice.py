@@ -2,7 +2,9 @@
 
 Everything works over Python ints and ``fractions.Fraction``; there is no
 floating point anywhere in this package. Vectors and points are plain tuples,
-polygons are immutable and carry their exact shoelace area.
+polygons are immutable and carry their exact shoelace area. Convex hulls run
+over the coordinates as given, ints staying ints, and only the hull vertices
+become ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -109,39 +111,50 @@ class Polygon:
             raise ValueError(f"cached area {self.area} != shoelace area {computed}")
 
 
-def _as_point(p: Sequence) -> Point:
+def _coords(p: Sequence) -> tuple:
+    """A plane point with int coordinates kept and any other coordinate made a Fraction."""
     if len(p) != 2:
         raise ValueError(f"not a plane point: {p!r}")
-    return (Fraction(p[0]), Fraction(p[1]))
+    x, y = p
+    return (x if type(x) is int else Fraction(x), y if type(y) is int else Fraction(y))
 
 
 def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
-    """Convex hull by monotone chain over exact rationals.
+    """Convex hull by monotone chain over the exact coordinates as given.
 
-    Collinear boundary points are dropped, so the vertex list is minimal.
+    Int coordinates stay ints through the chain; only the hull vertices are
+    promoted to Fraction pairs. Collinear boundary points are dropped, so the
+    vertex list is minimal.
     """
-    pts = sorted({_as_point(p) for p in points})
+    pts = sorted({_coords(p) for p in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
-    if len(pts) == 1:
-        return Polygon((pts[0],), Fraction(0))
 
-    def turn(o: Point, a: Point, b: Point) -> Fraction:
+    def turn(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    def chain(seq: list[Point]) -> list[Point]:
-        out: list[Point] = []
+    def chain(seq: list) -> list:
+        out: list = []
         for p in seq:
             while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
     if len(hull) < 3:
-        # all points collinear: keep the two extremes
-        hull = [pts[0], pts[-1]]
-        return Polygon(tuple(hull), Fraction(0))
-    return Polygon(tuple(hull), shoelace(hull))
+        # all points collinear: keep the two extremes, or the single point
+        hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
+    vertices = tuple((Fraction(x), Fraction(y)) for x, y in hull)
+    return Polygon(vertices, shoelace(vertices))
+
+
+def scaled_hull(points: Iterable[Sequence], m: int) -> Polygon:
+    """Convex hull of the points scaled by 1/m, for a positive integer m.
+
+    The hull is taken of the points as given and only its vertices are
+    scaled: a positive scaling keeps the counterclockwise order and the
+    minimal vertex set, and scales the area by 1/m^2.
+    """
+    hull = convex_hull_2d(points)
+    return Polygon(tuple((x / m, y / m) for x, y in hull.vertices), hull.area / (m * m))

@@ -14,7 +14,6 @@ every computation is canonical and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import (
     NotGloballyGenerated,
@@ -24,7 +23,7 @@ from .divisors import (
     section_lattice_points,
 )
 from .fan import Fan2D, chart_dual_basis
-from .lattice import Polygon, Vec, convex_hull_2d, cross, dot
+from .lattice import Polygon, Vec, convex_hull_2d, cross, dot, scaled_hull
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,7 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     if m < 1:
         raise ValueError("level must be positive")
     w = flag_valuation(D.fan, flag)
-    s = Fraction(1, m)
     pts = [w.value(e) for e in section_lattice_points(D, m)]
     if not pts:
         raise ValueError(f"no sections at level {m}")
-    return convex_hull_2d([(s * a, s * b) for a, b in pts])
+    return scaled_hull(pts, m)

@@ -1,11 +1,16 @@
-"""Shared deterministic samplers for fan and divisor instances, and the
-pairwise positivity scan kept as a reference for the curve-degree test."""
+"""Shared deterministic samplers for fan and divisor instances, the
+deterministic hypothesis profile, and the reference implementations the
+faster library code is checked against: the pairwise positivity scan, the
+all-Fraction convex hull and the bounding-box section scan."""
 
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from toricvol import (
     MonomialFn,
+    Polygon,
     TorusDivisor,
     cartier_data,
     divisor,
@@ -13,8 +18,14 @@ from toricvol import (
     enumerate_tflags,
     is_ample,
     projective_plane_fan,
+    shoelace,
     star_subdivide,
 )
+
+# Same examples on every run, so a tier-1 failure reproduces exactly.
+settings.register_profile("deterministic", derandomize=True, max_examples=100,
+                          deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 5):
@@ -97,6 +108,43 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
             elif not strict and slack < 0:
                 out.append((j, i))
     return out
+
+
+def fraction_hull(points) -> Polygon:
+    """Reference convex hull: every point is promoted to a Fraction pair first."""
+    pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
+    if not pts:
+        raise ValueError("convex hull of an empty point set")
+    if len(pts) == 1:
+        return Polygon((pts[0],), Fraction(0))
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    if len(hull) < 3:
+        return Polygon((pts[0], pts[-1]), Fraction(0))
+    return Polygon(tuple(hull), shoelace(hull))
+
+
+def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
+    """Reference section scan: every point of the bounding box of the scaled
+    cocycle characters tested against every ray inequality, O(box * n)."""
+    h = cartier_data(D)
+    xs = [m * e[0] for e in h]
+    ys = [m * e[1] for e in h]
+    bounds = [-m * d for d in D.coeffs]
+    return [(x, y)
+            for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
+            if all(x * r[0] + y * r[1] >= b for r, b in zip(D.fan.rays, bounds))]
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

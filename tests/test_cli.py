@@ -220,6 +220,38 @@ class TestSweepCommand:
         path = write(tmp_path, HIRZ_112)
         assert main(["--decomposition", "generic-at=9", "report", path]) == 2
 
+    def test_unknown_variant_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["--decomposition", "bogus", "sweep", "--l", "1..2", "--a", "1",
+                     "--b-extra", "1", "--csv", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_rows_stream_as_computed(self, tmp_path, capsys, monkeypatch, to_file):
+        # when a report starts, every earlier row must already be written
+        import toricvol.cli as cli
+
+        real = cli.okounkov_volume_report
+        path = tmp_path / "sweep.csv"
+        written = []
+
+        def spy(D, dec=None):
+            written.append(path.read_text() if to_file else capsys.readouterr().out)
+            return real(D, dec)
+
+        monkeypatch.setattr(cli, "okounkov_volume_report", spy)
+        argv = ["sweep", "--l", "1..2", "--a", "1", "--b-extra", "1..2"]
+        assert main(argv + (["--csv", str(path)] if to_file else [])) == 0
+        if to_file:
+            rows = path.read_text().splitlines(keepends=True)
+            # the file holds everything so far; stdout is drained at each read
+            assert written == ["".join(rows[:k + 1]) for k in range(4)]
+        else:
+            rows = "".join(written + [capsys.readouterr().out]).splitlines(keepends=True)
+            assert written == rows[:4]
+        assert len(rows) == 5
+
     def test_deterministic_output(self, capsys):
         main(["sweep", "--l", "1..2", "--a", "1", "--b-extra", "1..3"])
         first = capsys.readouterr().out

@@ -15,10 +15,12 @@ from toricvol import (
     hirzebruch_fan,
     is_ample,
     is_globally_generated,
+    projective_plane_fan,
     scaled_section_hull,
     section_lattice_points,
 )
 from conftest import (
+    box_section_points,
     deep_ample_instance,
     hirzebruch_grid,
     pairwise_violations,
@@ -233,6 +235,54 @@ class TestSectionLatticePoints:
                       for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
                       if all(x * r[0] + y * r[1] >= b for r, b in zip(rays, bounds))]
             assert section_lattice_points(D, m) == oracle
+
+    # The row-bounded scan must return exactly the bounding-box scan's list,
+    # order included, on every kind of divisor.
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_row_scan_matches_box_scan_on_deep_fans(self, n):
+        # Deep ample divisors past n = 8 have boxes of 10^4..10^12 points, so
+        # the fans also carry small ones: the nef divisor whose polytope is a
+        # random small polygon Q, and that divisor perturbed by -1..1 per ray
+        # (not nef, columns of the box left empty).
+        rng = random.Random(n)
+        for _ in range(2):
+            D = deep_ample_instance(rng, n)
+            q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            nef = [-min(dot(p, r) for p in q) for r in D.fan.rays]
+            cases = [divisor(D.fan, nef),
+                     divisor(D.fan, [d + rng.randint(-1, 1) for d in nef])]
+            if n == 8:
+                cases.append(D)
+            for E in cases:
+                for m in (1, 2, 3):
+                    assert section_lattice_points(E, m) == box_section_points(E, m)
+
+    def test_row_scan_matches_box_scan_on_hirzebruch_grid(self):
+        for l, a, b in hirzebruch_grid():
+            D = ruled_divisor(l, a, b)
+            for m in range(1, 6):
+                assert section_lattice_points(D, m) == box_section_points(D, m)
+
+    def test_row_scan_matches_box_scan_on_non_nef_divisors(self):
+        rng = random.Random(19)
+        seen = 0
+        while seen < 40:
+            fan = random_smooth_fan(rng)
+            D = divisor(fan, [rng.randint(-3, 4) for _ in range(fan.n_rays)])
+            if is_globally_generated(D):
+                continue
+            seen += 1
+            for m in (1, 2, 3):
+                assert section_lattice_points(D, m) == box_section_points(D, m)
+
+    def test_empty_level(self):
+        # -H on P^2 and -D_2 on F_l have no sections at any level
+        for D in (divisor(projective_plane_fan(), (-1, 0, 0)), ruled_divisor(2, 0, -1)):
+            for m in (1, 2, 3):
+                assert section_lattice_points(D, m) == box_section_points(D, m) == []
+                with pytest.raises(ValueError):
+                    scaled_section_hull(D, m)
 
     def test_scaled_hull_reproduces_polytope(self):
         for l, a, b in [(1, 1, 2), (2, 1, 3), (3, 2, 7), (1, 4, 9)]:

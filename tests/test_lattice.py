@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricvol import (
     Polygon,
@@ -11,6 +12,8 @@ from toricvol import (
     det_n,
     signed_simplex_volume,
 )
+from toricvol.lattice import scaled_hull
+from conftest import fraction_hull
 
 
 def det_cofactor(m):
@@ -147,6 +150,54 @@ class TestConvexHull:
             image = [(m[0][0] * x + m[0][1] * y + tx, m[1][0] * x + m[1][1] * y + ty)
                      for x, y in pts]
             assert convex_hull_2d(image).area == base
+
+
+def assert_matches_fraction_hull(points):
+    got, want = convex_hull_2d(points), fraction_hull(points)
+    assert got.vertices == want.vertices
+    assert got.area == want.area
+    assert all(type(c) is Fraction for v in got.vertices for c in v)
+
+
+small = st.integers(-6, 6)
+near_2_64 = st.one_of(st.integers(2**64 - 20, 2**64 + 20), st.integers(-2**64 - 20, -2**64 + 20))
+
+
+class TestConvexHullAgainstFractionHull:
+    # the all-Fraction monotone chain in conftest is the reference
+
+    @given(st.lists(st.tuples(small, small), min_size=1, max_size=30)
+           .map(lambda pts: pts + pts[::3]))
+    def test_integer_points_with_duplicates(self, points):
+        assert_matches_fraction_hull(points)
+
+    @given(st.tuples(small, small), st.tuples(small, small),
+           st.lists(st.integers(-10, 10), min_size=1, max_size=12))
+    def test_collinear(self, base, step, ts):
+        assert_matches_fraction_hull([(base[0] + t * step[0], base[1] + t * step[1]) for t in ts])
+
+    @given(st.tuples(small, small), st.integers(1, 5))
+    def test_single_point(self, p, copies):
+        assert_matches_fraction_hull([p] * copies)
+
+    @given(st.lists(st.tuples(near_2_64, near_2_64), min_size=1, max_size=20))
+    def test_coordinates_near_2_to_the_64(self, points):
+        assert_matches_fraction_hull(points)
+
+    @given(st.lists(st.tuples(*[st.one_of(small, st.builds(Fraction, small, st.integers(1, 5)))] * 2),
+                    min_size=1, max_size=20))
+    def test_mixed_int_and_fraction(self, points):
+        assert_matches_fraction_hull(points)
+
+    @given(st.lists(st.tuples(small, small), min_size=1, max_size=30), st.integers(1, 6))
+    def test_scaled_hull_is_hull_of_scaled_points(self, points, m):
+        got = scaled_hull(points, m)
+        want = fraction_hull([(Fraction(x, m), Fraction(y, m)) for x, y in points])
+        assert (got.vertices, got.area) == (want.vertices, want.area)
+
+    def test_rejects_non_plane_point(self):
+        with pytest.raises(ValueError):
+            convex_hull_2d([(0, 0), (1, 2, 3)])
 
 
 class TestPolygonArea:

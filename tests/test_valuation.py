@@ -128,6 +128,12 @@ class TestGradedSemigroup:
                 for m in range(1, 6):
                     assert set(semigroup_level_hull(D, flag, m).vertices) == target
 
+    def test_level_hull_rejects_empty_level(self):
+        D = divisor(projective_plane_fan(), (-1, 0, 0))
+        for flag in enumerate_tflags(D.fan):
+            with pytest.raises(ValueError):
+                semigroup_level_hull(D, flag, 2)
+
     def test_enumerate_tflags_counts(self):
         assert len(enumerate_tflags(hirzebruch_fan(1))) == 8
         p2 = projective_plane_fan()
