@@ -10,10 +10,8 @@ from .lattice import (
     Polygon,
     convex_hull_2d,
     cross,
-    det_n,
     dot,
     shoelace,
-    signed_simplex_volume,
 )
 from .fan import (
     Fan2D,
@@ -33,14 +31,12 @@ from .divisors import (
     NotGloballyGenerated,
     TorusDivisor,
     ampleness_violations,
-    cartier_data,
     cech_cocycle,
     divisor,
     divisor_polytope,
     generation_violations,
     is_ample,
     is_globally_generated,
-    scaled_section_hull,
     section_lattice_points,
 )
 from .valuation import (
@@ -48,7 +44,6 @@ from .valuation import (
     TFlag,
     check_flag,
     enumerate_tflags,
-    flag_uniformizers,
     flag_valuation,
     graded_semigroup,
     semigroup_level_hull,
@@ -60,11 +55,9 @@ from .milnor_k import (
     SymbolK2,
     cocycle_expansion,
     det_formula_check,
-    flag_chart,
     intersection_number_via_symbols,
     iterated_boundary,
     monomial,
-    ray_valuation,
     specialization,
     symbol,
     tame_boundary,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisors import (
+    NotGloballyGenerated,
     TorusDivisor,
     divisor,
     divisor_polytope,
@@ -29,7 +30,7 @@ from .volume import VolumeReport, okounkov_volume_report
 
 
 class DocumentError(ValueError):
-    """Ill-formed instance document (wrong JSON, wrong field shapes)."""
+    """Ill-formed input: a document, argument or path a command cannot use (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ def parse_instance(text: str) -> InstanceDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     for key in ("rays", "divisor"):
@@ -88,7 +91,25 @@ def load_instance(path: str) -> InstanceDocument:
             text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_instance(text)
+
+
+@contextlib.contextmanager
+def _output(path: str | None, out, **kwargs):
+    """The text file at path, or out when path is None.
+
+    A failure to open, write or close the file raises DocumentError.
+    """
+    if path is None:
+        yield out
+        return
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as e:
+        raise DocumentError(f"cannot write {path}: {e.strerror}") from None
 
 
 def instance_json(doc: InstanceDocument) -> str:
@@ -121,12 +142,7 @@ def _build(doc: InstanceDocument, out) -> TorusDivisor | None:
 
 def cmd_check(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        doc = load_instance(args.path)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    D = _build(doc, out)
+    D = _build(load_instance(args.path), out)
     if D is None:
         return 1
     print(f"fan: valid ({D.fan.n_rays} rays)", file=out)
@@ -211,12 +227,8 @@ def _print_text_report(report: VolumeReport, out) -> None:
 
 def cmd_report(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        doc = load_instance(args.path)
-        display = _parse_flag(args.flag) if args.flag else (doc.flag or TFlag(0, 0))
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    doc = load_instance(args.path)
+    display = _parse_flag(args.flag) if args.flag else (doc.flag or TFlag(0, 0))
     D = _build(doc, out)
     if D is None:
         return 1
@@ -225,8 +237,7 @@ def cmd_report(args, out=None) -> int:
         dec = standard_decomposition(D.fan, variant)
         check_flag(D.fan, display)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise DocumentError(str(e)) from None
     report = okounkov_volume_report(D, dec, display)
     if args.format == "json":
         print(json.dumps(_report_dict(report), indent=2), file=out)
@@ -250,16 +261,11 @@ def cmd_report(args, out=None) -> int:
 def cmd_hirzebruch(args, out=None) -> int:
     out = out or sys.stdout
     if args.l < 1:
-        print("error: --l must be >= 1", file=sys.stderr)
-        return 2
+        raise DocumentError("--l must be >= 1")
     fan = hirzebruch_fan(args.l)
     doc = InstanceDocument(rays=fan.rays, divisor=(0, args.a, args.b, 0))
-    text = instance_json(doc)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text, file=out)
+    with _output(args.emit, out) as fh:
+        print(instance_json(doc), file=fh)
     return 0
 
 
@@ -281,26 +287,20 @@ def _parse_range(text: str) -> range:
 
 def cmd_sweep(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        ls = _parse_range(args.l)
-        As = _parse_range(args.a)
-        extras = _parse_range(args.b_extra)
-        if ls.start < 1:
-            raise DocumentError("--l values must be >= 1")
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ls = _parse_range(args.l)
+    As = _parse_range(args.a)
+    extras = _parse_range(args.b_extra)
+    if ls.start < 1:
+        raise DocumentError("--l values must be >= 1")
     variant = args.decomposition or "default"
     try:
         # every F_l has four rays, so a variant that fits the first fits all
         standard_decomposition(hirzebruch_fan(ls.start), variant)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise DocumentError(str(e)) from None
     # rows go out as they are computed; the file is line buffered so each
     # finished row is on disk before the next report starts
-    with (open(args.csv, "w", encoding="utf-8", buffering=1) if args.csv
-          else contextlib.nullcontext(out)) as fh:
+    with _output(args.csv, out, buffering=1) as fh:
         print("l,a,b,area,dsq,simplex_sum,symbol_sum,agree", file=fh)
         all_agree = True
         for l in ls:
@@ -368,24 +368,23 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
 
 def cmd_polytope(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        doc = load_instance(args.path)
-        flag = _parse_flag(args.flag) if args.flag else doc.flag
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    doc = load_instance(args.path)
+    flag = _parse_flag(args.flag) if args.flag else doc.flag
     D = _build(doc, out)
     if D is None:
         return 1
-    try:
-        if flag is not None:
+    if flag is not None:
+        try:
             check_flag(D.fan, flag)
+        except ValueError as e:
+            raise DocumentError(str(e)) from None
+    try:
         svg = polytope_svg(D, flag)
-    except ValueError as e:
+    except NotGloballyGenerated as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(svg + "\n")
+    with _output(args.svg, out) as fh:
+        print(svg, file=fh)
     return 0
 
 
@@ -438,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DocumentError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

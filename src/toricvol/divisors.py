@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import index
 
 from .fan import Fan2D, chart_dual_basis
-from .lattice import Polygon, Vec, convex_hull_2d, cross, scaled_hull
+from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
@@ -80,11 +80,6 @@ class TorusDivisor:
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
     return TorusDivisor(fan, tuple(index(c) for c in coeffs))
-
-
-def cartier_data(D: TorusDivisor) -> Cocycle:
-    """Local equation h_j per cone (the divisor's cached cocycle)."""
-    return D.cocycle
 
 
 def cech_cocycle(cocycle: Cocycle, a: int, b: int) -> Vec:
@@ -160,10 +155,3 @@ def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
             out.extend((x, y) for y in range(lo, hi + 1))
     return out
 
-
-def scaled_section_hull(D: TorusDivisor, m: int) -> Polygon:
-    """Convex hull of the level-m section characters, scaled back by 1/m."""
-    pts = section_lattice_points(D, m)
-    if not pts:
-        raise ValueError(f"no sections at level {m}")
-    return scaled_hull(pts, m)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
-from operator import index
+from math import gcd
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
@@ -33,53 +32,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(abs(c) for c in v)) == 1
-
-
-def det_n(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix.
-
-    Fraction-free Bareiss elimination: every intermediate division is exact,
-    so arbitrary-precision entries are handled without rounding.
-    """
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError(f"matrix is not square: {n} rows, a row of length {len(row)}")
-    a = [[index(x) for x in row] for row in matrix]  # rejects non-integer entries
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def signed_simplex_volume(columns: Sequence[Sequence[int]]) -> Fraction:
-    """Signed volume of the n-simplex spanned by the given vectors and 0.
-
-    The i-th input vector becomes the i-th *column* of the matrix, so row
-    ``l`` holds the l-th coordinate of every vector; the result is
-    det/n!. Orientation-sensitive: swapping two vectors flips the sign.
-    """
-    n = len(columns)
-    for col in columns:
-        if len(col) != n:
-            raise ValueError(f"need {n} vectors of length {n}, got one of length {len(col)}")
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    return Fraction(det_n(matrix), factorial(n))
 
 
 def shoelace(vertices: Sequence[Point]) -> Fraction:

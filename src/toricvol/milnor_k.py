@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .divisors import TorusDivisor, cartier_data, cech_cocycle, Cocycle
+from .divisors import TorusDivisor, cech_cocycle, Cocycle
 from .fan import Fan2D, OrbitDecomposition
 from .lattice import Vec, dot
-from .valuation import TFlag, enumerate_tflags, flag_uniformizers, flag_valuation
+from .valuation import Rank2Valuation, TFlag, enumerate_tflags, flag_valuation
 
 
 @dataclass(frozen=True)
@@ -108,44 +108,22 @@ def symbol(f: MonomialFn, g: MonomialFn) -> SymbolK2:
     return SymbolK2.of((1, (f, g)))
 
 
-@dataclass(frozen=True)
-class FlagChart:
-    """A flag together with its chart data, in exponent form."""
-
-    flag: TFlag
-    first_ray: Vec   # curve ray, order of vanishing along the flag curve
-    second_ray: Vec  # other cone ray, order in t of a reduced monomial
-    pi1: MonomialFn  # dual-basis local equation of the curve
-    pi2: MonomialFn  # dual-basis monomial restricting to the residue coordinate t
-
-
-def flag_chart(fan: Fan2D, flag: TFlag) -> FlagChart:
-    w = flag_valuation(fan, flag)
-    p1, p2 = flag_uniformizers(fan, flag)
-    return FlagChart(flag, w.first_ray, w.second_ray, monomial(p1), monomial(p2))
-
-
-def ray_valuation(ray: Vec, f: MonomialFn) -> int:
-    """Order of vanishing of a monomial along the ray's divisor (coefficients are units)."""
-    return dot(f.exponent, ray)
-
-
-def _reduce(chart: FlagChart, f: MonomialFn) -> ResidueElement:
+def _reduce(w: Rank2Valuation, f: MonomialFn) -> ResidueElement:
     # rewrite a monomial of curve-valuation zero in the residue coordinate
-    v = dot(f.exponent, chart.first_ray)
+    v, t = w.value(f.exponent)
     if v != 0:
         raise ValueError(f"cannot reduce: curve valuation is {v}, not 0")
-    return ResidueElement(f.coeff, dot(f.exponent, chart.second_ray))
+    return ResidueElement(f.coeff, t)
 
 
 def tame_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
     """First boundary along the flag curve, term by term."""
-    chart = flag_chart(fan, flag)
+    w = flag_valuation(fan, flag)
     out = []
     for mult, (f, g) in S.terms:
-        vf = dot(f.exponent, chart.first_ray)
-        vg = dot(g.exponent, chart.first_ray)
-        res = _reduce(chart, (g ** vf) * (f ** (-vg)))
+        vf = dot(f.exponent, w.first_ray)
+        vg = dot(g.exponent, w.first_ray)
+        res = _reduce(w, (g ** vf) * (f ** (-vg)))
         if vf * vg % 2:
             res = ResidueElement(-res.coeff, res.exponent)
         out.append((mult, res))
@@ -159,12 +137,12 @@ def iterated_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> int:
 
 def specialization(fan: Fan2D, flag: TFlag, pi: MonomialFn, f: MonomialFn) -> ResidueElement:
     """Uniformizer-dependent reduction f |-> red(f * pi^-v(f))."""
-    chart = flag_chart(fan, flag)
-    v_pi = dot(pi.exponent, chart.first_ray)
+    w = flag_valuation(fan, flag)
+    v_pi = dot(pi.exponent, w.first_ray)
     if v_pi != 1:
         raise ValueError(f"not a uniformizer: curve valuation {v_pi}, need 1")
-    vf = dot(f.exponent, chart.first_ray)
-    return _reduce(chart, f * (pi ** (-vf)))
+    vf = dot(f.exponent, w.first_ray)
+    return _reduce(w, f * (pi ** (-vf)))
 
 
 def valuation_via_symbols(
@@ -178,13 +156,13 @@ def valuation_via_symbols(
     uniformizer gives the (different) rank-2 valuation it induces, while
     2x2 determinants of such vectors stay uniformizer-independent.
     """
-    chart = flag_chart(fan, flag)
+    w = flag_valuation(fan, flag)
     if pi1 is None:
-        pi1 = chart.pi1
-    v_pi = dot(pi1.exponent, chart.first_ray)
+        pi1 = monomial(w.pi1)
+    v_pi = dot(pi1.exponent, w.first_ray)
     if v_pi != 1:
         raise ValueError(f"not a uniformizer: curve valuation {v_pi}, need 1")
-    first = dot(f.exponent, chart.first_ray)
+    first = dot(f.exponent, w.first_ray)
     second = iterated_boundary(fan, flag, SymbolK2.of((1, (pi1, f))))
     return (first, second)
 
@@ -227,7 +205,7 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     fan = D.fan
     if dec.fan != fan:
         raise ValueError("decomposition belongs to a different fan")
-    cocycle = cartier_data(D)
+    cocycle = D.cocycle
     a0 = dec.generic_owner
     total = 0
     for flag in enumerate_tflags(fan):

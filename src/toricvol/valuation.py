@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .divisors import (
     NotGloballyGenerated,
     TorusDivisor,
-    cartier_data,
     generation_violations,
     section_lattice_points,
 )
@@ -55,8 +54,17 @@ def enumerate_tflags(fan: Fan2D) -> list[TFlag]:
 
 @dataclass(frozen=True)
 class Rank2Valuation:
+    """A flag's chart: its two rays in flag order and the dual-basis uniformizers.
+
+    pi1 cuts out the flag curve in the chart; pi2 restricts to the
+    coordinate of the curve in which the flag point is the origin. Both are
+    exponent vectors, dual to (first_ray, second_ray).
+    """
+
     first_ray: Vec   # the flag divisor's ray; first valuation component
     second_ray: Vec  # the other generator of the flag's cone
+    pi1: Vec         # exponent of the dual-basis local equation of the curve
+    pi2: Vec         # exponent of the dual-basis residue coordinate t
 
     def __post_init__(self):
         if cross(self.first_ray, self.second_ray) not in (1, -1):
@@ -67,25 +75,13 @@ class Rank2Valuation:
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
+    """The flag's chart, the one place that puts a flag's rays in order."""
     check_flag(fan, flag)
     u, v = fan.cone(flag.cone)
-    n = fan.n_rays
-    if flag.ray == flag.cone % n:
-        return Rank2Valuation(u, v)
-    return Rank2Valuation(v, u)
-
-
-def flag_uniformizers(fan: Fan2D, flag: TFlag) -> tuple[Vec, Vec]:
-    """Exponents of the chart's dual-basis uniformizers (pi1, pi2).
-
-    pi1 cuts out the flag curve in the chart; pi2 restricts to the
-    coordinate of the curve in which the flag point is the origin.
-    """
-    check_flag(fan, flag)
     m, mp = chart_dual_basis(fan, flag.cone)
-    if flag.ray == flag.cone % fan.n_rays:
-        return m, mp
-    return mp, m
+    if flag.ray == flag.cone:
+        return Rank2Valuation(u, v, m, mp)
+    return Rank2Valuation(v, u, mp, m)
 
 
 def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
@@ -101,7 +97,7 @@ def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     if bad:
         raise NotGloballyGenerated(*bad[0])
     w = flag_valuation(D.fan, flag)
-    return convex_hull_2d([w.value(h) for h in cartier_data(D)])
+    return convex_hull_2d([w.value(h) for h in D.cocycle])
 
 
 def graded_semigroup(

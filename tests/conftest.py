@@ -12,7 +12,6 @@ from toricvol import (
     MonomialFn,
     Polygon,
     TorusDivisor,
-    cartier_data,
     divisor,
     dot,
     enumerate_tflags,
@@ -98,7 +97,7 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
     """
     fan = D.fan
     n = fan.n_rays
-    h = cartier_data(D)
+    h = D.cocycle
     out = []
     for j in range(n):
         for i, ray in enumerate(fan.rays):
@@ -138,7 +137,7 @@ def fraction_hull(points) -> Polygon:
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     """Reference section scan: every point of the bounding box of the scaled
     cocycle characters tested against every ray inequality, O(box * n)."""
-    h = cartier_data(D)
+    h = D.cocycle
     xs = [m * e[0] for e in h]
     ys = [m * e[1] for e in h]
     bounds = [-m * d for d in D.coeffs]

@@ -11,15 +11,14 @@ from fractions import Fraction
 
 from toricvol import (
     TFlag,
-    cartier_data,
     cech_cocycle,
     cocycle_expansion,
     det_formula_check,
     divisor,
     divisor_polytope,
     enumerate_tflags,
-    flag_chart,
     flag_contribution,
+    flag_valuation,
     hirzebruch_fan,
     intersection_number_via_symbols,
     iterated_boundary,
@@ -104,8 +103,8 @@ def test_criterion_3_determinant_formula_property():
         for _ in range(100):
             fan = rng.choice(fans)
             flag = random_flag(rng, fan)
-            chart = flag_chart(fan, flag)
-            twist = (chart.pi1 * (chart.pi2 ** rng.randint(-3, 3))) \
+            w = flag_valuation(fan, flag)
+            twist = (monomial(w.pi1) * (monomial(w.pi2) ** rng.randint(-3, 3))) \
                 * monomial((0, 0), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             f, g = random_monomial(rng), random_monomial(rng)
             w_f = valuation_via_symbols(fan, flag, f, pi1=twist)
@@ -117,7 +116,7 @@ def test_criterion_3_determinant_formula_property():
 def test_criterion_4_cocycle_expansion_identity():
     with criterion(4, "transition symbol equals alternating expansion, 8 flags x 64 triples"):
         D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
-        h = cartier_data(D)
+        h = D.cocycle
         n = D.fan.n_rays
         checked = 0
         for flag in enumerate_tflags(D.fan):

@@ -1,22 +1,37 @@
+import contextlib
+import io
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from toricvol.cli import (
+    DocumentError,
     InstanceDocument,
     TFlag,
     instance_json,
+    load_instance,
     main,
     parse_instance,
     polytope_svg,
 )
-from toricvol import cross, divisor, hirzebruch_fan
+from toricvol import cross, divisor, hirzebruch_fan, projective_plane_fan, star_subdivide
 from conftest import random_smooth_fan
 
 
 HIRZ_112 = '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0]}'
+
+
+# an output path that cannot be opened, and one that opens but cannot be written
+UNWRITABLE = pytest.mark.parametrize("where, strerror", [
+    (lambda tmp: tmp / "missing" / "x", "No such file or directory"),
+    pytest.param(lambda tmp: Path("/dev/full"), "No space left on device",
+                 marks=pytest.mark.skipif(not Path("/dev/full").exists(),
+                                          reason="needs the /dev/full device")),
+], ids=["missing-dir", "full-device"])
 
 
 def write(tmp_path, text, name="inst.json"):
@@ -51,6 +66,11 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             parse_instance(text)
 
+    def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "[" * 100_000 + "]" * 100_000)
+        assert main(["report", path]) == 2
+        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
 
 class TestHirzebruchCommand:
     def test_byte_exact_serialization(self, capsys):
@@ -71,6 +91,12 @@ class TestHirzebruchCommand:
 
     def test_rejects_bad_parameter(self):
         assert main(["hirzebruch", "--l", "0", "--a", "1", "--b", "2"]) == 2
+
+    @UNWRITABLE
+    def test_unwritable_emit_path_is_input_error(self, tmp_path, capsys, where, strerror):
+        path = where(tmp_path)
+        assert main(["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: {strerror}\n"
 
 
 class TestCheckCommand:
@@ -175,6 +201,15 @@ class TestReportCommand:
         assert main(["report", path, "--flag", "0,1"]) == 2
         assert main(["report", path, "--flag", "zzz"]) == 2
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(DocumentError, match="not UTF-8"):
+            load_instance(str(path))
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot read {path}: ")
+
     def test_document_flag_used_as_default(self, tmp_path, capsys):
         doc = '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0],"flag":{"ray":2,"cone":1}}'
         path = write(tmp_path, doc)
@@ -210,6 +245,14 @@ class TestSweepCommand:
             assert b == [int(r[2]) for r in rows if (int(r[0]), int(r[1])) == (l, a)][
                 (b - l * a) - 1]
         assert all(r[7] == "true" for r in rows)
+
+    @UNWRITABLE
+    def test_unwritable_csv_path_is_input_error(self, tmp_path, capsys, where, strerror):
+        path = where(tmp_path)
+        assert main(["sweep", "--l", "1", "--a", "1", "--b-extra", "1", "--csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no header on stdout, before the error or instead of the file
+        assert captured.err == f"error: cannot write {path}: {strerror}\n"
 
     def test_empty_range_rejected(self):
         assert main(["sweep", "--l", "2..1", "--a", "1", "--b-extra", "1"]) == 2
@@ -304,7 +347,92 @@ class TestPolytopeCommand:
         out = str(tmp_path / "p.svg")
         assert main(["polytope", path, "--svg", out]) == 1
 
+    def test_bad_flag_is_input_error(self, tmp_path):
+        path = write(tmp_path, HIRZ_112)
+        out = tmp_path / "p.svg"
+        assert main(["polytope", path, "--svg", str(out), "--flag", "0,1"]) == 2
+        assert main(["polytope", path, "--svg", str(out), "--flag", "9,9"]) == 2
+        flagged = write(tmp_path, HIRZ_112[:-1] + ',"flag":{"ray":0,"cone":2}}', "flagged.json")
+        assert main(["polytope", flagged, "--svg", str(out)]) == 2
+        assert not out.exists()
+
+    @UNWRITABLE
+    def test_unwritable_svg_path_is_input_error(self, tmp_path, capsys, where, strerror):
+        path = where(tmp_path)
+        assert main(["polytope", write(tmp_path, HIRZ_112), "--svg", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: {strerror}\n"
+
     def test_svg_helper_direct(self):
         D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
         svg = polytope_svg(D, TFlag(2, 1))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+
+# ------------------------------------------------------- exit-code contract
+
+_VARIANTS = st.sampled_from(["default", "successor", "generic-at=0", "generic-at=2",
+                             "generic-at=-1", "generic-at=9", "generic-at=x", "bogus"])
+_SMALL = st.integers(-50, 50)
+
+
+@st.composite
+def _instance_documents(draw):
+    """A small smooth fan (sometimes with one ray replaced), coefficients with
+    |d| <= 50, and an optional flag and decomposition variant, in range or not."""
+    fan = projective_plane_fan()
+    for k in draw(st.lists(st.integers(0, 20), max_size=4)):
+        fan = star_subdivide(fan, k % fan.n_rays)
+    rays = [list(r) for r in fan.rays]
+    if draw(st.booleans()):
+        rays[draw(st.integers(0, len(rays) - 1))] = [draw(st.integers(-3, 3)),
+                                                      draw(st.integers(-3, 3))]
+    doc = {"rays": rays, "divisor": draw(st.lists(_SMALL, min_size=len(rays),
+                                                  max_size=len(rays)))}
+    if draw(st.booleans()):
+        doc["flag"] = {"ray": draw(st.integers(-1, 9)), "cone": draw(st.integers(-1, 9))}
+    if draw(st.booleans()):
+        doc["decomposition_variant"] = draw(_VARIANTS)
+    return json.dumps(doc).encode()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["rays", "divisor", "flag", "ray", "cone", "decomposition_variant"])
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+_DOCUMENTS = st.one_of(
+    _instance_documents(),
+    _JSON.map(lambda x: json.dumps(x).encode()),
+    st.binary(max_size=12),  # mostly neither UTF-8 nor JSON
+)
+_FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
+    lambda t: f"{t[0]},{t[1]}") | st.text(max_size=4)
+
+
+class TestExitContract:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("contract")
+
+    @given(doc=_DOCUMENTS, flag=_FLAGS, variant=st.none() | _VARIANTS)
+    @example(doc=b"\xff\xfe", flag=None, variant=None)
+    def test_every_document_exits_0_1_or_2(self, workdir, doc, flag, variant):
+        path = workdir / "doc.json"
+        path.write_bytes(doc)
+        svg = workdir / "out.svg"
+        pre = ["--decomposition", variant] if variant is not None else []
+        post = ["--flag", flag] if flag is not None else []
+        runs = [["check", str(path)]]
+        runs += [["report", str(path), "--format", f, *post] for f in ("text", "json", "csv")]
+        runs += [["polytope", str(path), "--svg", str(svg), *post]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = main(pre + argv)
+                except SystemExit as e:  # argparse rejects the argv itself
+                    rc = e.code
+            assert rc in (0, 1, 2), argv

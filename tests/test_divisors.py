@@ -6,7 +6,6 @@ import pytest
 from toricvol import (
     NotGloballyGenerated,
     ampleness_violations,
-    cartier_data,
     cech_cocycle,
     divisor,
     divisor_polytope,
@@ -16,7 +15,6 @@ from toricvol import (
     is_ample,
     is_globally_generated,
     projective_plane_fan,
-    scaled_section_hull,
     section_lattice_points,
 )
 from conftest import (
@@ -37,17 +35,17 @@ class TestCartierData:
     def test_symbolic_family(self):
         # h = [y^-a, x^(b-la) y^-a, x^b, 1] in cone order
         for l, a, b in [(1, 1, 2), (2, 3, 8), (4, 5, 23)]:
-            h = cartier_data(ruled_divisor(l, a, b))
+            h = ruled_divisor(l, a, b).cocycle
             assert h == ((0, -a), (b - l * a, -a), (b, 0), (0, 0))
 
     def test_zero_divisor(self):
-        assert cartier_data(ruled_divisor(3, 0, 0)) == ((0, 0),) * 4
+        assert ruled_divisor(3, 0, 0).cocycle == ((0, 0),) * 4
 
     def test_defining_pairings_hold_everywhere(self):
         rng = random.Random(31)
         for _ in range(25):
             D = random_ample_instance(rng)
-            h = cartier_data(D)
+            h = D.cocycle
             n = D.fan.n_rays
             for j in range(n):
                 assert dot(h[j], D.fan.rays[j]) == -D.coeffs[j]
@@ -57,12 +55,12 @@ class TestCartierData:
 class TestCechCocycle:
     def test_worked_quotients(self):
         a, b, l = 3, 7, 1
-        h = cartier_data(ruled_divisor(l, a, b))
+        h = ruled_divisor(l, a, b).cocycle
         assert cech_cocycle(h, 0, 2) == (b, a)          # h4/h0 = x^b y^a
         assert cech_cocycle(h, 2, 1) == (-l * a, -a)    # h2/h4 = x^-la y^-a
 
     def test_diagonal_trivial(self):
-        h = cartier_data(ruled_divisor(2, 1, 3))
+        h = ruled_divisor(2, 1, 3).cocycle
         for j in range(4):
             assert cech_cocycle(h, j, j) == (0, 0)
 
@@ -70,7 +68,7 @@ class TestCechCocycle:
         rng = random.Random(37)
         for _ in range(10):
             D = random_ample_instance(rng)
-            h = cartier_data(D)
+            h = D.cocycle
             n = D.fan.n_rays
             for a in range(n):
                 for b in range(n):
@@ -103,7 +101,7 @@ class TestPositivity:
         bad = generation_violations(ruled_divisor(1, 1, 0))
         assert bad
         D = ruled_divisor(1, 1, 0)
-        h = cartier_data(D)
+        h = D.cocycle
         for j, i in bad:
             assert dot(h[j], D.fan.rays[i]) < -D.coeffs[i]
 
@@ -161,7 +159,7 @@ class TestCurveDegreeCriterion:
         for _ in range(200):
             fan = random_smooth_fan(rng)
             D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
-            h, n = cartier_data(D), fan.n_rays
+            h, n = D.cocycle, fan.n_rays
             for j, i in ampleness_violations(D):
                 assert i == (j + 2) % n
                 assert dot(h[j], fan.rays[i]) + D.coeffs[i] == D.curve_degrees[(j + 1) % n] <= 0
@@ -281,12 +279,3 @@ class TestSectionLatticePoints:
         for D in (divisor(projective_plane_fan(), (-1, 0, 0)), ruled_divisor(2, 0, -1)):
             for m in (1, 2, 3):
                 assert section_lattice_points(D, m) == box_section_points(D, m) == []
-                with pytest.raises(ValueError):
-                    scaled_section_hull(D, m)
-
-    def test_scaled_hull_reproduces_polytope(self):
-        for l, a, b in [(1, 1, 2), (2, 1, 3), (3, 2, 7), (1, 4, 9)]:
-            D = ruled_divisor(l, a, b)
-            target = set(divisor_polytope(D).vertices)
-            for m in range(1, 6):
-                assert set(scaled_section_hull(D, m).vertices) == target

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +8,6 @@ from toricvol import (
     Polygon,
     convex_hull_2d,
     cross,
-    det_n,
-    signed_simplex_volume,
 )
 from toricvol.lattice import scaled_hull
 from conftest import fraction_hull
@@ -42,58 +39,6 @@ class TestCross:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             cross((1, 0, 0), (0, 1, 0))
-
-
-class TestDetN:
-    def test_2x2_values(self):
-        a, b, l = 3, 7, 2
-        assert det_n([[-b, -b], [0, -a]]) == a * b
-        assert det_n([[-l * a, -b], [-a, -a]]) == l * a * a - a * b
-
-    def test_identity_3x3(self):
-        assert det_n([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            det_n([[1, 2, 3], [4, 5, 6]])
-
-    def test_against_cofactor_oracle(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.choice([2, 3])
-            m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-            assert det_n(m) == det_cofactor(m)
-
-    def test_zero_pivot_path(self):
-        m = [[0, 2, 1], [3, 0, 0], [1, 1, 1]]
-        assert det_n(m) == det_cofactor(m)
-
-
-class TestSignedSimplexVolume:
-    def test_unit_simplex(self):
-        assert signed_simplex_volume([(1, 0), (0, 1)]) == Fraction(1, 2)
-
-    def test_orientation_reversal(self):
-        assert signed_simplex_volume([(0, 1), (1, 0)]) == Fraction(-1, 2)
-
-    def test_worked_value(self):
-        a, b = 4, 9
-        assert signed_simplex_volume([(-b, 0), (-b, -a)]) == Fraction(a * b, 2)
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            signed_simplex_volume([(1, 0, 0), (0, 1, 0)])
-
-    def test_permutation_sign(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = rng.choice([2, 3])
-            cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
-            base = signed_simplex_volume(cols)
-            for perm in permutations(range(n)):
-                sign = det_cofactor([[1 if perm[i] == j else 0 for j in range(n)]
-                                     for i in range(n)])
-                assert signed_simplex_volume([cols[i] for i in perm]) == sign * base
 
 
 class TestConvexHull:

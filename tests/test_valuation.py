@@ -9,7 +9,6 @@ from toricvol import (
     divisor,
     divisor_polytope,
     enumerate_tflags,
-    flag_uniformizers,
     flag_valuation,
     graded_semigroup,
     hirzebruch_fan,
@@ -44,8 +43,10 @@ class TestFlagValuation:
     def test_uniformizers_dual_to_flag_order(self):
         fan = hirzebruch_fan(1)
         # chart of cone 1 is k[x y, x^-1]; the curve of ray 2 is cut by x^-1
-        assert flag_uniformizers(fan, TFlag(2, 1)) == ((-1, 0), (1, 1))
-        assert flag_uniformizers(fan, TFlag(1, 1)) == ((1, 1), (-1, 0))
+        w = flag_valuation(fan, TFlag(2, 1))
+        assert (w.pi1, w.pi2) == ((-1, 0), (1, 1))
+        w = flag_valuation(fan, TFlag(1, 1))
+        assert (w.pi1, w.pi2) == ((1, 1), (-1, 0))
 
 
 class TestValue:
