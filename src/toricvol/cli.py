@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .divisors import (
 from .fan import FanValidationError, hirzebruch_fan, standard_decomposition, validate_fan
 from .lattice import Polygon, dot
 from .valuation import TFlag, check_flag, trivialization_polytope
-from .volume import VolumeReport, okounkov_volume_report
+from .volume import FlagContribution, SimplexTerm, VolumeReport, okounkov_volume_report
 
 
 class DocumentError(ValueError):
@@ -169,6 +170,7 @@ def _parse_flag(text: str) -> TFlag:
 
 
 def _report_dict(report: VolumeReport) -> dict:
+    """The report's JSON fields, without the per-flag data (see _report_json)."""
     out: dict = {"ample": report.ample, "agree": report.agree}
     if not report.ample:
         out["diagnostics"] = list(report.diagnostics)
@@ -183,24 +185,46 @@ def _report_dict(report: VolumeReport) -> dict:
     out["self_intersection"] = report.self_intersection
     out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
     out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
-    out["per_flag"] = [
-        {
-            "flag": [c.flag.ray, c.flag.cone],
-            "subtotal": frac(c.subtotal),
-            "terms": [
-                {
-                    "omitted": t.omitted,
-                    "sections": list(t.sections_used),
-                    "matrix": [list(t.matrix[0]), list(t.matrix[1])],
-                    "signed_volume": frac(t.signed_volume),
-                    "residue_degree": 1,  # every flag point is a rational point
-                }
-                for t in c.terms
-            ],
-        }
-        for c in report.per_flag
-    ]
     return out
+
+
+def _term_json(t: SimplexTerm) -> str:
+    (a, b), (c, d) = t.matrix
+    s0, s1 = t.sections_used
+    # every flag point is a rational point, so each residue degree is 1
+    return (f'        {{\n'
+            f'          "omitted": {t.omitted},\n'
+            f'          "sections": [\n            {s0},\n            {s1}\n          ],\n'
+            f'          "matrix": [\n'
+            f'            [\n              {a},\n              {b}\n            ],\n'
+            f'            [\n              {c},\n              {d}\n            ]\n'
+            f'          ],\n'
+            f'          "signed_volume": "{t.signed_volume!s}",\n'
+            f'          "residue_degree": 1\n'
+            f'        }}')
+
+
+def _flag_json(c: FlagContribution) -> str:
+    terms = ",\n".join(map(_term_json, c.terms))
+    return (f'    {{\n'
+            f'      "flag": [\n        {c.flag.ray},\n        {c.flag.cone}\n      ],\n'
+            f'      "subtotal": "{c.subtotal!s}",\n'
+            f'      "terms": [\n{terms}\n      ]\n'
+            f'    }}')
+
+
+def _report_json(report: VolumeReport) -> str:
+    """The report as json.dumps(..., indent=2) lays it out, byte for byte.
+
+    The small head goes through json.dumps; the per-flag blocks, where every
+    leaf is an int or a p/q string, are written from templates and spliced
+    in before the closing brace.
+    """
+    head = json.dumps(_report_dict(report), indent=2)
+    if not report.ample:
+        return head
+    flags = ",\n".join(map(_flag_json, report.per_flag))
+    return f'{head[:-2]},\n  "per_flag": [\n{flags}\n  ]\n}}'
 
 
 def _print_text_report(report: VolumeReport, out) -> None:
@@ -240,7 +264,7 @@ def cmd_report(args, out=None) -> int:
         raise DocumentError(str(e)) from None
     report = okounkov_volume_report(D, dec, display)
     if args.format == "json":
-        print(json.dumps(_report_dict(report), indent=2), file=out)
+        print(_report_json(report), file=out)
     elif args.format == "csv":
         print("area,dsq,simplex_sum,symbol_sum,triv_area,agree", file=out)
         print(",".join([
@@ -445,7 +469,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone; send what is still buffered to
+        # devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
@@ -35,14 +36,18 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 def shoelace(vertices: Sequence[Point]) -> Fraction:
-    """Signed shoelace area of a vertex cycle (positive when counterclockwise)."""
+    """Signed shoelace area of a vertex cycle (positive when counterclockwise).
+
+    The vertices are put over their common denominator L, the signed sum is
+    taken over ints and divided once, by 2*L^2.
+    """
     if len(vertices) < 3:
         return Fraction(0)
-    twice = Fraction(0)
-    for i, (x0, y0) in enumerate(vertices):
-        x1, y1 = vertices[(i + 1) % len(vertices)]
-        twice += x0 * y1 - x1 * y0
-    return twice / 2
+    L = lcm(*(c.denominator for p in vertices for c in p))
+    xs = [x.numerator * (L // x.denominator) for x, _ in vertices]
+    ys = [y.numerator * (L // y.denominator) for _, y in vertices]
+    twice = sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
+    return Fraction(twice, 2 * L * L)
 
 
 @dataclass(frozen=True)

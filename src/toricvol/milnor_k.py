@@ -116,9 +116,7 @@ def _reduce(w: Rank2Valuation, f: MonomialFn) -> ResidueElement:
     return ResidueElement(f.coeff, t)
 
 
-def tame_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
-    """First boundary along the flag curve, term by term."""
-    w = flag_valuation(fan, flag)
+def _tame_boundary(w: Rank2Valuation, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
     out = []
     for mult, (f, g) in S.terms:
         vf = dot(f.exponent, w.first_ray)
@@ -130,9 +128,18 @@ def tame_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> list[tuple[int, Resid
     return out
 
 
+def _iterated_boundary(w: Rank2Valuation, S: SymbolK2) -> int:
+    return sum(mult * res.exponent for mult, res in _tame_boundary(w, S))
+
+
+def tame_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
+    """First boundary along the flag curve, term by term."""
+    return _tame_boundary(flag_valuation(fan, flag), S)
+
+
 def iterated_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> int:
     """Boundary along the curve followed by the order at the flag point."""
-    return sum(mult * res.exponent for mult, res in tame_boundary(fan, flag, S))
+    return _iterated_boundary(flag_valuation(fan, flag), S)
 
 
 def specialization(fan: Fan2D, flag: TFlag, pi: MonomialFn, f: MonomialFn) -> ResidueElement:
@@ -163,7 +170,7 @@ def valuation_via_symbols(
     if v_pi != 1:
         raise ValueError(f"not a uniformizer: curve valuation {v_pi}, need 1")
     first = dot(f.exponent, w.first_ray)
-    second = iterated_boundary(fan, flag, SymbolK2.of((1, (pi1, f))))
+    second = _iterated_boundary(w, SymbolK2.of((1, (pi1, f))))
     return (first, second)
 
 
@@ -173,7 +180,7 @@ def det_formula_check(fan: Fan2D, flag: TFlag, f: MonomialFn, g: MonomialFn) -> 
     wf = w.value(f.exponent)
     wg = w.value(g.exponent)
     det = wf[0] * wg[1] - wg[0] * wf[1]
-    return iterated_boundary(fan, flag, symbol(f, g)) == det
+    return _iterated_boundary(w, symbol(f, g)) == det
 
 
 def cocycle_expansion(cocycle: Cocycle, alphas: tuple[int, int, int]) -> SymbolK2:

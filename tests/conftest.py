@@ -1,7 +1,8 @@
 """Shared deterministic samplers for fan and divisor instances, the
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the pairwise positivity scan, the
-all-Fraction convex hull and the bounding-box section scan."""
+all-Fraction shoelace sum and convex hull, the bounding-box section scan
+and the dict the JSON report used to be dumped from."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from toricvol import (
     enumerate_tflags,
     is_ample,
     projective_plane_fan,
-    shoelace,
     star_subdivide,
 )
 
@@ -109,6 +109,17 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
     return out
 
 
+def fraction_shoelace(vertices) -> Fraction:
+    """Reference signed shoelace area: the sum is accumulated in Fractions."""
+    if len(vertices) < 3:
+        return Fraction(0)
+    twice = Fraction(0)
+    for i, (x0, y0) in enumerate(vertices):
+        x1, y1 = vertices[(i + 1) % len(vertices)]
+        twice += x0 * y1 - x1 * y0
+    return twice / 2
+
+
 def fraction_hull(points) -> Polygon:
     """Reference convex hull: every point is promoted to a Fraction pair first."""
     pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
@@ -131,7 +142,7 @@ def fraction_hull(points) -> Polygon:
     hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
     if len(hull) < 3:
         return Polygon((pts[0], pts[-1]), Fraction(0))
-    return Polygon(tuple(hull), shoelace(hull))
+    return Polygon(tuple(hull), fraction_shoelace(hull))
 
 
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
@@ -144,6 +155,47 @@ def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     return [(x, y)
             for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
             if all(x * r[0] + y * r[1] >= b for r, b in zip(D.fan.rays, bounds))]
+
+
+def _frac(q) -> str:
+    return "-" if q is None else str(Fraction(q))
+
+
+def report_dict(report) -> dict:
+    """Reference JSON report: the whole report as one dict for
+    json.dumps(..., indent=2), per-flag data included."""
+    out: dict = {"ample": report.ample, "agree": report.agree}
+    if not report.ample:
+        out["diagnostics"] = list(report.diagnostics)
+        return out
+    out["values"] = {
+        "area_polytope": _frac(report.area_polytope),
+        "half_self_intersection": _frac(report.half_self_intersection),
+        "simplex_sum": _frac(report.simplex_sum),
+        "symbol_sum_half": _frac(report.symbol_sum_half),
+        "trivialization_area": _frac(report.lhs_trivialization_area),
+    }
+    out["self_intersection"] = report.self_intersection
+    out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
+    out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
+    out["per_flag"] = [
+        {
+            "flag": [c.flag.ray, c.flag.cone],
+            "subtotal": _frac(c.subtotal),
+            "terms": [
+                {
+                    "omitted": t.omitted,
+                    "sections": list(t.sections_used),
+                    "matrix": [list(t.matrix[0]), list(t.matrix[1])],
+                    "signed_volume": _frac(t.signed_volume),
+                    "residue_degree": 1,
+                }
+                for t in c.terms
+            ],
+        }
+        for c in report.per_flag
+    ]
+    return out
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import toricvol
 from toricvol.cli import (
     DocumentError,
     InstanceDocument,
@@ -17,9 +21,19 @@ from toricvol.cli import (
     main,
     parse_instance,
     polytope_svg,
+    _report_json,
 )
-from toricvol import cross, divisor, hirzebruch_fan, projective_plane_fan, star_subdivide
-from conftest import random_smooth_fan
+from toricvol import (
+    cross,
+    divisor,
+    enumerate_tflags,
+    hirzebruch_fan,
+    okounkov_volume_report,
+    projective_plane_fan,
+    standard_decomposition,
+    star_subdivide,
+)
+from conftest import deep_ample_instance, hirzebruch_grid, random_smooth_fan, report_dict
 
 
 HIRZ_112 = '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0]}'
@@ -51,6 +65,22 @@ class TestDocuments:
         doc = InstanceDocument(
             rays=((1, 0), (0, 1), (-1, -1)), divisor=(1, 0, 0),
             flag=TFlag(1, 0), decomposition_variant="successor")
+        assert parse_instance(instance_json(doc)) == doc
+
+    @given(data=st.data(), subdivisions=st.lists(st.integers(0, 30), max_size=6),
+           big=st.integers(0, 80), with_flag=st.booleans(),
+           variant=st.none() | st.sampled_from(["default", "successor", "generic-at=2"])
+           | st.text(max_size=6))
+    def test_round_trip_property(self, data, subdivisions, big, with_flag, variant):
+        fan = projective_plane_fan()
+        for k in subdivisions:
+            fan = star_subdivide(fan, k % fan.n_rays)
+        coeffs = st.integers(-2**big, 2**big)
+        doc = InstanceDocument(
+            rays=fan.rays,
+            divisor=tuple(data.draw(st.lists(coeffs, min_size=fan.n_rays, max_size=fan.n_rays))),
+            flag=data.draw(st.sampled_from(enumerate_tflags(fan))) if with_flag else None,
+            decomposition_variant=variant)
         assert parse_instance(instance_json(doc)) == doc
 
     @pytest.mark.parametrize("text", [
@@ -215,6 +245,75 @@ class TestReportCommand:
         path = write(tmp_path, doc)
         assert main(["report", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 2, "cone": 1}
+
+
+def assert_writer_matches_dict(report):
+    got, want = _report_json(report), json.dumps(report_dict(report), indent=2)
+    if got != want:
+        # name the first differing line: pytest's diff of two reports of
+        # thousands of lines takes seconds per failing example while shrinking
+        a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"JSON writer differs at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
+
+
+class TestJsonWriter:
+    # json.dumps over the whole report dict, kept in conftest, is the reference
+
+    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
+    def test_hirzebruch_grid(self, variant):
+        for l, a, b in hirzebruch_grid():
+            D = divisor(hirzebruch_fan(l), (0, a, b, 0))
+            dec = standard_decomposition(D.fan, variant)
+            for display in (TFlag(0, 0), TFlag(2, 1)):
+                assert_writer_matches_dict(okounkov_volume_report(D, dec, display))
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_deep_fans(self, n):
+        D = deep_ample_instance(random.Random(n), n)
+        report = okounkov_volume_report(D, standard_decomposition(D.fan, "successor"),
+                                        TFlag(n - 1, n - 2))
+        # the blocks cover odd subtotals p/2 and negative matrix entries
+        assert any(c.subtotal.denominator == 2 for c in report.per_flag)
+        assert any(x < 0 for c in report.per_flag for t in c.terms for row in t.matrix for x in row)
+        assert_writer_matches_dict(report)
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(3, 40),
+           shift=st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
+           variant=st.sampled_from(["default", "successor", "generic-at=1"]), data=st.data())
+    def test_deep_fan_property(self, seed, n, shift, variant, data):
+        D = deep_ample_instance(random.Random(seed), n)
+        # adding the principal divisor of a character keeps D ample and moves
+        # every local equation, so matrix entries take either sign
+        D = divisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
+                            for d, r in zip(D.coeffs, D.fan.rays)])
+        display = data.draw(st.sampled_from(enumerate_tflags(D.fan)))
+        assert_writer_matches_dict(
+            okounkov_volume_report(D, standard_decomposition(D.fan, variant), display))
+
+    def test_non_ample_report(self):
+        D = divisor(hirzebruch_fan(2), (0, 1, 2, 0))
+        report = okounkov_volume_report(D)
+        assert not report.ample
+        assert_writer_matches_dict(report)
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_exits_2_without_traceback(self, tmp_path):
+        # a 64-ray JSON report is about 150 KB, more than the pipe and stdio
+        # buffers hold, so the CLI is still writing when the reader goes away
+        D = deep_ample_instance(random.Random(64), 64)
+        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        src = str(Path(toricvol.__file__).parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "toricvol.cli", "report", path, "--format", "json"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestSweepCommand:

@@ -8,9 +8,10 @@ from toricvol import (
     Polygon,
     convex_hull_2d,
     cross,
+    shoelace,
 )
 from toricvol.lattice import scaled_hull
-from conftest import fraction_hull
+from conftest import fraction_hull, fraction_shoelace
 
 
 def det_cofactor(m):
@@ -143,6 +144,46 @@ class TestConvexHullAgainstFractionHull:
     def test_rejects_non_plane_point(self):
         with pytest.raises(ValueError):
             convex_hull_2d([(0, 0), (1, 2, 3)])
+
+
+fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+cycles = st.lists(st.tuples(small, small), max_size=12)
+
+
+def assert_matches_fraction_shoelace(vertices):
+    got, want = shoelace(vertices), fraction_shoelace(vertices)
+    assert got == want and type(got) is Fraction
+    assert shoelace(vertices[::-1]) == -want  # the clockwise cycle
+
+
+class TestShoelaceAgainstFractionShoelace:
+    # the shoelace sum accumulated in Fractions, in conftest, is the reference
+
+    @given(cycles)
+    def test_integer_vertices(self, vertices):
+        assert_matches_fraction_shoelace(vertices)
+
+    @given(st.lists(st.tuples(fraction, fraction), max_size=12))
+    def test_fraction_vertices_with_mixed_denominators(self, vertices):
+        assert_matches_fraction_shoelace(vertices)
+
+    @given(st.lists(st.tuples(*[st.one_of(small, fraction)] * 2), max_size=12))
+    def test_mixed_int_and_fraction(self, vertices):
+        assert_matches_fraction_shoelace(vertices)
+
+    @given(st.lists(st.tuples(*[st.one_of(near_2_64, st.builds(Fraction, near_2_64,
+                                                                st.integers(1, 2**20)))] * 2),
+                    max_size=12))
+    def test_coordinates_near_2_to_the_64(self, vertices):
+        assert_matches_fraction_shoelace(vertices)
+
+    @given(st.lists(st.tuples(fraction, fraction), max_size=2))
+    def test_fewer_than_three_vertices_is_zero(self, vertices):
+        assert shoelace(vertices) == fraction_shoelace(vertices) == 0
+
+    def test_clockwise_cycle_is_negative(self):
+        assert shoelace([(0, 0), (0, 1), (1, 0)]) == Fraction(-1, 2)
+        assert shoelace([(0, 0), (0, Fraction(1, 2)), (Fraction(1, 3), 0)]) == Fraction(-1, 12)
 
 
 class TestPolygonArea:

@@ -308,3 +308,33 @@ class TestIntersectionNumber:
             for variant in ("default", "successor", "generic-at=1", "generic-at=2"):
                 dec = standard_decomposition(D.fan, variant)
                 assert intersection_number_via_symbols(D, dec) == classical
+
+
+class TestOneChartPerCall:
+    # each call builds its flag's chart once and hands it to the boundary map
+
+    @pytest.fixture
+    def charts(self, monkeypatch):
+        import toricvol.milnor_k as milnor_k
+        calls = []
+
+        def spy(fan, flag):
+            calls.append(flag)
+            return flag_valuation(fan, flag)
+        monkeypatch.setattr(milnor_k, "flag_valuation", spy)
+        return calls
+
+    def test_valuation_via_symbols(self, charts):
+        fan = hirzebruch_fan(1)
+        assert valuation_via_symbols(fan, TFlag(2, 1), monomial((3, 0))) == (-3, 0)
+        assert charts == [TFlag(2, 1)]
+
+    def test_det_formula_check(self, charts):
+        fan = hirzebruch_fan(1)
+        assert det_formula_check(fan, TFlag(2, 1), monomial((3, -2)), monomial((1, 4)))
+        assert charts == [TFlag(2, 1)]
+
+    def test_route_4_builds_its_own_chart_per_flag(self, charts):
+        D = ruled_divisor(1, 1, 2)
+        assert intersection_number_via_symbols(D, standard_decomposition(D.fan)) == 3
+        assert charts == enumerate_tflags(D.fan)
