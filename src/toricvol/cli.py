@@ -27,11 +27,27 @@ from .divisors import (
 from .fan import FanValidationError, hirzebruch_fan, standard_decomposition, validate_fan
 from .lattice import Polygon, dot
 from .valuation import TFlag, check_flag, trivialization_polytope
-from .volume import FlagContribution, SimplexTerm, VolumeReport, okounkov_volume_report
+from .volume import FlagContribution, VolumeReport, okounkov_volume_report
 
 
 class DocumentError(ValueError):
     """Ill-formed input: a document, argument or path a command cannot use (exit 2)."""
+
+
+# The largest integers a report prints are the per-flag determinants. With
+# every ray coordinate and coefficient below 10**k, a dual-basis entry is below
+# 10**k, a local equation's entries below 2*10**(2k), a valuation component
+# below 4*10**(3k) and a determinant below 32*10**(6k): at most 6k + 2 digits.
+# Inputs of at most INPUT_DIGITS digits keep every printed integer within the
+# interpreter's limit on int-to-str conversion (4300 digits unless lowered;
+# 0 means no limit, and then the default bound is kept).
+INPUT_DIGITS = ((sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - 2) // 6
+_INPUT_BOUND = 10 ** INPUT_DIGITS
+
+
+def _check_input_size(values) -> None:
+    if any(abs(v) >= _INPUT_BOUND for v in values):
+        raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits")
 
 
 @dataclass(frozen=True)
@@ -49,6 +65,8 @@ def parse_instance(text: str) -> InstanceDocument:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
     for key in ("rays", "divisor"):
@@ -65,6 +83,7 @@ def parse_instance(text: str) -> InstanceDocument:
     coeffs = raw["divisor"]
     if not isinstance(coeffs, list) or not all(is_int(c) for c in coeffs):
         raise DocumentError("field 'divisor' must be a list of integers")
+    _check_input_size([*coeffs, *(c for r in rays for c in r)])
     if len(coeffs) != len(rays):
         raise DocumentError(
             f"field 'divisor' has {len(coeffs)} entries for {len(rays)} rays")
@@ -126,6 +145,13 @@ def frac(q: Fraction | int | None) -> str:
     return "-" if q is None else str(Fraction(q))
 
 
+def half(x: int | None) -> str:
+    """x/2 as frac(Fraction(x, 2)) writes it, made from the int."""
+    if x is None:
+        return "-"
+    return str(x // 2) if x % 2 == 0 else f"{x}/2"
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -177,9 +203,9 @@ def _report_dict(report: VolumeReport) -> dict:
         return out
     out["values"] = {
         "area_polytope": frac(report.area_polytope),
-        "half_self_intersection": frac(report.half_self_intersection),
+        "half_self_intersection": half(report.self_intersection),
         "simplex_sum": frac(report.simplex_sum),
-        "symbol_sum_half": frac(report.symbol_sum_half),
+        "symbol_sum_half": half(report.symbol_intersection),
         "trivialization_area": frac(report.lhs_trivialization_area),
     }
     out["self_intersection"] = report.self_intersection
@@ -188,29 +214,34 @@ def _report_dict(report: VolumeReport) -> dict:
     return out
 
 
-def _term_json(t: SimplexTerm) -> str:
-    (a, b), (c, d) = t.matrix
-    s0, s1 = t.sections_used
-    # every flag point is a rational point, so each residue degree is 1
-    return (f'        {{\n'
-            f'          "omitted": {t.omitted},\n'
-            f'          "sections": [\n            {s0},\n            {s1}\n          ],\n'
-            f'          "matrix": [\n'
-            f'            [\n              {a},\n              {b}\n            ],\n'
-            f'            [\n              {c},\n              {d}\n            ]\n'
-            f'          ],\n'
-            f'          "signed_volume": "{t.signed_volume!s}",\n'
-            f'          "residue_degree": 1\n'
-            f'        }}')
-
-
 def _flag_json(c: FlagContribution) -> str:
-    terms = ",\n".join(map(_term_json, c.terms))
-    return (f'    {{\n'
-            f'      "flag": [\n        {c.flag.ray},\n        {c.flag.cone}\n      ],\n'
-            f'      "subtotal": "{c.subtotal!s}",\n'
-            f'      "terms": [\n{terms}\n      ]\n'
-            f'    }}')
+    """One per-flag block, laid out as json.dumps(..., indent=2) lays it out.
+
+    Term k omits the k-th chart and vector; the matrix columns are the two
+    vectors kept. Every flag point is a rational point, so each residue
+    degree is 1.
+    """
+    (u0, u1), (v0, v1), (x0, x1) = c.vectors
+    a0, a1, a2 = c.charts
+    d0, d1, d2 = c.signed_dets
+    return (f'    {{\n      "flag": [\n        {c.flag.ray},\n        {c.flag.cone}\n      ],\n'
+            f'      "subtotal": "{half(c.twice)}",\n      "terms": [\n'
+            f'        {{\n          "omitted": 0,\n'
+            f'          "sections": [\n            {a1},\n            {a2}\n          ],\n'
+            f'          "matrix": [\n            [\n              {v0},\n              {x0}\n            ],\n'
+            f'            [\n              {v1},\n              {x1}\n            ]\n          ],\n'
+            f'          "signed_volume": "{half(d0)}",\n          "residue_degree": 1\n        }},\n'
+            f'        {{\n          "omitted": 1,\n'
+            f'          "sections": [\n            {a0},\n            {a2}\n          ],\n'
+            f'          "matrix": [\n            [\n              {u0},\n              {x0}\n            ],\n'
+            f'            [\n              {u1},\n              {x1}\n            ]\n          ],\n'
+            f'          "signed_volume": "{half(d1)}",\n          "residue_degree": 1\n        }},\n'
+            f'        {{\n          "omitted": 2,\n'
+            f'          "sections": [\n            {a0},\n            {a1}\n          ],\n'
+            f'          "matrix": [\n            [\n              {u0},\n              {v0}\n            ],\n'
+            f'            [\n              {u1},\n              {v1}\n            ]\n          ],\n'
+            f'          "signed_volume": "{half(d2)}",\n          "residue_degree": 1\n        }}\n'
+            f'      ]\n    }}')
 
 
 def _report_json(report: VolumeReport) -> str:
@@ -234,15 +265,15 @@ def _print_text_report(report: VolumeReport, out) -> None:
             print(f"  {d}", file=out)
         return
     print(f"area(P_D)              = {frac(report.area_polytope)}", file=out)
-    print(f"D.D / 2                = {frac(report.half_self_intersection)}   (D.D = {report.self_intersection})", file=out)
+    print(f"D.D / 2                = {half(report.self_intersection)}   (D.D = {report.self_intersection})", file=out)
     print(f"simplex sum            = {frac(report.simplex_sum)}", file=out)
-    print(f"symbol sum / 2         = {frac(report.symbol_sum_half)}", file=out)
+    print(f"symbol sum / 2         = {half(report.symbol_intersection)}", file=out)
     f = report.display_flag
     print(f"trivialization area    = {frac(report.lhs_trivialization_area)}   (flag ray {f.ray}, cone {f.cone})", file=out)
-    cf = [f"(ray {c.flag.ray}, cone {c.flag.cone})" for c in report.per_flag if c.subtotal != 0]
+    cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
     print(f"contributing flags     : {', '.join(cf) if cf else 'none'}", file=out)
     for c in report.per_flag:
-        print(f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {frac(c.subtotal)}", file=out)
+        print(f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {half(c.twice)}", file=out)
         for t in c.terms:
             print(f"    omit {t.omitted}: sections {t.sections_used} "
                   f"matrix {t.matrix} volume {frac(t.signed_volume)}", file=out)
@@ -271,7 +302,7 @@ def cmd_report(args, out=None) -> int:
             frac(report.area_polytope),
             frac(report.self_intersection),
             frac(report.simplex_sum),
-            frac(report.symbol_sum_half),
+            half(report.symbol_intersection),
             frac(report.lhs_trivialization_area),
             "true" if report.agree else "false",
         ]), file=out)
@@ -316,6 +347,10 @@ def cmd_sweep(args, out=None) -> int:
     extras = _parse_range(args.b_extra)
     if ls.start < 1:
         raise DocumentError("--l values must be >= 1")
+    # b = l*a + extra is bilinear, so its extremes over the grid are at the corners
+    _check_input_size([ls[-1], As[0], As[-1], *(l * a + e for l in (ls[0], ls[-1])
+                                                  for a in (As[0], As[-1])
+                                                  for e in (extras[0], extras[-1]))])
     variant = args.decomposition or "default"
     try:
         # every F_l has four rays, so a variant that fits the first fits all
@@ -338,7 +373,7 @@ def cmd_sweep(args, out=None) -> int:
                     print(",".join([
                         str(l), str(a), str(b), frac(report.area_polytope),
                         frac(report.self_intersection), frac(report.simplex_sum),
-                        frac(report.symbol_sum_half), "true" if report.agree else "false"]),
+                        half(report.symbol_intersection), "true" if report.agree else "false"]),
                         file=fh)
     return 0 if all_agree else 1
 

@@ -19,6 +19,9 @@ from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
+# Largest cocycle box section_lattice_points scans; its output can be as large.
+SECTION_SCAN_LIMIT = 10 ** 6
+
 
 class NotGloballyGenerated(ValueError):
     def __init__(self, cone: int, ray: int):
@@ -132,17 +135,23 @@ def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
     in the bounding box of the scaled cocycle characters for any divisor on a
     complete fan. Each column x of that box is cut to the rows [lo, hi]
     allowed by every ray inequality x*r0 + y*r1 >= -m*d (exact floor and
-    ceiling division), so the scan costs O(width*n + points).
+    ceiling division), so the scan costs O(width*n + points). A box of more
+    than SECTION_SCAN_LIMIT points raises ValueError before the scan.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     h = D.cocycle
     xs = [m * e[0] for e in h]
     ys = [m * e[1] for e in h]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    box = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if box > SECTION_SCAN_LIMIT:
+        raise ValueError(f"level {m} has a box of {box} candidate points, "
+                         f"more than the limit of {SECTION_SCAN_LIMIT}")
     rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
     out = []
-    for x in range(min(xs), max(xs) + 1):
-        lo, hi = min(ys), max(ys)
+    for x in range(x0, x1 + 1):
+        lo, hi = y0, y1
         for r0, r1, b in rows:
             slack = x * r0 - b  # the inequality reads y*r1 >= -slack
             if r1 > 0:

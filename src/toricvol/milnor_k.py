@@ -29,7 +29,7 @@ from operator import index
 
 from .divisors import TorusDivisor, cech_cocycle, Cocycle
 from .fan import Fan2D, OrbitDecomposition
-from .lattice import Vec, dot
+from .lattice import Vec, cross, dot
 from .valuation import Rank2Valuation, TFlag, enumerate_tflags, flag_valuation
 
 
@@ -37,7 +37,7 @@ from .valuation import Rank2Valuation, TFlag, enumerate_tflags, flag_valuation
 class MonomialFn:
     """Nonzero scalar times a character: c * x^e1 * y^e2."""
 
-    coeff: Fraction
+    coeff: int | Fraction
     exponent: Vec
 
     def __post_init__(self):
@@ -54,19 +54,28 @@ class MonomialFn:
                            self.exponent[1] + other.exponent[1]))
 
     def __pow__(self, k: int) -> "MonomialFn":
-        return MonomialFn(self.coeff ** k,
+        return MonomialFn(_power(self.coeff, k),
                           (k * self.exponent[0], k * self.exponent[1]))
 
 
+def _power(c, k: int):
+    # an int to a negative power is a float: +-1 stays an int, any other c goes exact
+    if k < 0 and type(c) is int:
+        return c ** (k % 2) if c in (1, -1) else Fraction(1, c) ** -k
+    return c ** k
+
+
 def monomial(exponent: Vec, coeff=1) -> MonomialFn:
-    return MonomialFn(Fraction(coeff), (index(exponent[0]), index(exponent[1])))
+    # an int coefficient stays an int, any other becomes a Fraction
+    return MonomialFn(coeff if type(coeff) is int else Fraction(coeff),
+                      (index(exponent[0]), index(exponent[1])))
 
 
 @dataclass(frozen=True)
 class ResidueElement:
     """Element c * t^k of the residue field of a flag curve."""
 
-    coeff: Fraction
+    coeff: int | Fraction
     exponent: int
 
     def __post_init__(self):
@@ -81,7 +90,7 @@ class ResidueElement:
         return ResidueElement(self.coeff * other.coeff, self.exponent + other.exponent)
 
     def __pow__(self, k: int) -> "ResidueElement":
-        return ResidueElement(self.coeff ** k, k * self.exponent)
+        return ResidueElement(_power(self.coeff, k), k * self.exponent)
 
 
 Term = tuple[int, tuple[MonomialFn, MonomialFn]]
@@ -177,10 +186,7 @@ def valuation_via_symbols(
 def det_formula_check(fan: Fan2D, flag: TFlag, f: MonomialFn, g: MonomialFn) -> bool:
     """Iterated boundary of {f, g} against the 2x2 valuation determinant."""
     w = flag_valuation(fan, flag)
-    wf = w.value(f.exponent)
-    wg = w.value(g.exponent)
-    det = wf[0] * wg[1] - wg[0] * wf[1]
-    return _iterated_boundary(w, symbol(f, g)) == det
+    return _iterated_boundary(w, symbol(f, g)) == cross(w.value(f.exponent), w.value(g.exponent))
 
 
 def cocycle_expansion(cocycle: Cocycle, alphas: tuple[int, int, int]) -> SymbolK2:
@@ -212,13 +218,10 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     fan = D.fan
     if dec.fan != fan:
         raise ValueError("decomposition belongs to a different fan")
-    cocycle = D.cocycle
-    a0 = dec.generic_owner
+    h, a0 = D.cocycle, dec.generic_owner
     total = 0
     for flag in enumerate_tflags(fan):
         a1 = dec.ray_owner[flag.ray]
-        a2 = flag.cone
-        f1 = monomial(cech_cocycle(cocycle, a0, a1))
-        f2 = monomial(cech_cocycle(cocycle, a1, a2))
-        total += iterated_boundary(fan, flag, symbol(f1, f2))
+        S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, flag.cone)))
+        total += iterated_boundary(fan, flag, S)
     return total

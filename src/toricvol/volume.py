@@ -18,16 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import (
-    NotAmple,
-    TorusDivisor,
-    ampleness_violations,
-    divisor_polytope,
-    generation_violations,
-    is_ample,
-)
+from .divisors import (NotAmple, TorusDivisor, ampleness_violations, divisor_polytope,
+                       generation_violations, is_ample)
 from .fan import OrbitDecomposition, standard_decomposition
-from .lattice import cross
+from .lattice import Vec, cross
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, enumerate_tflags, flag_valuation, trivialization_polytope
 
@@ -60,18 +54,37 @@ class SimplexTerm:
 
 @dataclass(frozen=True)
 class FlagContribution:
+    """One flag's share of route 3 in ints: the flag valuations ``vectors`` of
+    the local equations of the three ``charts`` (owners of the dense orbit,
+    the flag curve and the flag point) and ``twice``, the alternating sum of
+    their 2x2 determinants. ``subtotal`` and ``terms`` are derived on request."""
+
     flag: TFlag
-    subtotal: Fraction
-    terms: tuple[SimplexTerm, ...]
+    charts: tuple[int, int, int]
+    vectors: tuple[Vec, Vec, Vec]
+    twice: int
+
+    @property
+    def subtotal(self) -> Fraction:
+        return Fraction(self.twice, 2)
+
+    @property
+    def signed_dets(self) -> tuple[int, int, int]:
+        """(-1)^omitted times the determinant of the other two vectors, by omitted."""
+        return _signed_dets(*self.vectors)
+
+    @property
+    def terms(self) -> tuple[SimplexTerm, ...]:
+        return tuple(SimplexTerm(self.flag, omitted, (self.charts[a], self.charts[b]),
+                                 tuple(zip(self.vectors[a], self.vectors[b])), Fraction(det, 2))
+                     for omitted, ((a, b), det) in enumerate(zip(_KEPT, self.signed_dets)))
 
 
 @dataclass(frozen=True)
 class VolumeReport:
     ample: bool
     area_polytope: Fraction | None
-    half_self_intersection: Fraction | None
     simplex_sum: Fraction | None
-    symbol_sum_half: Fraction | None
     lhs_trivialization_area: Fraction | None
     self_intersection: int | None
     symbol_intersection: int | None
@@ -81,51 +94,49 @@ class VolumeReport:
     diagnostics: tuple[str, ...] = ()
 
     @property
+    def half_self_intersection(self) -> Fraction | None:
+        return None if self.self_intersection is None else Fraction(self.self_intersection, 2)
+
+    @property
+    def symbol_sum_half(self) -> Fraction | None:
+        return None if self.symbol_intersection is None else Fraction(self.symbol_intersection, 2)
+
+    @property
     def values(self) -> tuple[Fraction | None, ...]:
         return (self.area_polytope, self.half_self_intersection, self.simplex_sum,
                 self.symbol_sum_half, self.lhs_trivialization_area)
 
     @property
     def contributing_flags(self) -> tuple[TFlag, ...]:
-        return tuple(c.flag for c in self.per_flag if c.subtotal != 0)
+        return tuple(c.flag for c in self.per_flag if c.twice != 0)
+
+
+# positions of the two vectors a term keeps, by the omitted one
+_KEPT = ((1, 2), (0, 2), (0, 1))
+
+
+def _signed_dets(u: Vec, v: Vec, x: Vec) -> tuple[int, int, int]:
+    # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
+    return (v[0] * x[1] - x[0] * v[1], x[0] * u[1] - u[0] * x[1], u[0] * v[1] - v[0] * u[1])
 
 
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
-    """Alternating sum of three signed simplex volumes for one flag.
-
-    The three local equations are the ones of the charts owning the dense
-    orbit, the flag curve's orbit and the flag point, in that flag order.
-    """
+    """Route 3 at one flag: the three valuation vectors and twice the
+    alternating sum of their signed simplex volumes (see ``FlagContribution``)."""
     if dec.fan != D.fan:
         raise ValueError("decomposition belongs to a different fan")
     if not is_ample(D):
         j, i = ampleness_violations(D)[0]
         raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
     w = flag_valuation(D.fan, flag)
-    alphas = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
-    vectors = [w.value(D.cocycle[a]) for a in alphas]
-    terms = []
-    twice = 0
-    for omitted in range(3):
-        kept = [m for m in range(3) if m != omitted]
-        c0, c1 = vectors[kept[0]], vectors[kept[1]]
-        matrix = ((c0[0], c1[0]), (c0[1], c1[1]))
-        det = (-1) ** omitted * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
-        terms.append(SimplexTerm(
-            flag=flag,
-            omitted=omitted,
-            sections_used=(alphas[kept[0]], alphas[kept[1]]),
-            matrix=matrix,
-            signed_volume=Fraction(det, 2),
-        ))
-        twice += det
-    return FlagContribution(flag, Fraction(twice, 2), tuple(terms))
+    charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
+    vectors = tuple([w.value(D.cocycle[a]) for a in charts])
+    return FlagContribution(flag, charts, vectors, sum(_signed_dets(*vectors)))
 
 
 def simplex_sum_volume(D: TorusDivisor, dec: OrbitDecomposition) -> Fraction:
     """Total of the per-flag simplex contributions over all 2n flags."""
-    return sum((flag_contribution(D, f, dec).subtotal for f in enumerate_tflags(D.fan)),
-               Fraction(0))
+    return Fraction(sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan)), 2)
 
 
 def self_intersection_classical(D: TorusDivisor) -> int:
@@ -164,8 +175,7 @@ def okounkov_volume_report(
         for j, i in generation_violations(D):
             diags.append(f"not globally generated: cone {j} violates ray {i}")
         return VolumeReport(
-            ample=False, area_polytope=None, half_self_intersection=None,
-            simplex_sum=None, symbol_sum_half=None, lhs_trivialization_area=None,
+            ample=False, area_polytope=None, simplex_sum=None, lhs_trivialization_area=None,
             self_intersection=None, symbol_intersection=None,
             display_flag=display_flag, per_flag=(), agree=False,
             diagnostics=tuple(diags),
@@ -173,20 +183,17 @@ def okounkov_volume_report(
     area = divisor_polytope(D).area
     dsq = self_intersection_classical(D)
     per_flag = tuple(flag_contribution(D, f, dec) for f in enumerate_tflags(D.fan))
-    simplex_sum = sum((c.subtotal for c in per_flag), Fraction(0))
+    twice_simplex = sum(c.twice for c in per_flag)
     symbol_sum = intersection_number_via_symbols(D, dec)
     triv_area = trivialization_polytope(D, display_flag).area
-    values = (area, Fraction(dsq, 2), simplex_sum, Fraction(symbol_sum, 2), triv_area)
     return VolumeReport(
         ample=True,
         area_polytope=area,
-        half_self_intersection=Fraction(dsq, 2),
-        simplex_sum=simplex_sum,
-        symbol_sum_half=Fraction(symbol_sum, 2),
+        simplex_sum=Fraction(twice_simplex, 2),
         lhs_trivialization_area=triv_area,
         self_intersection=dsq,
         symbol_intersection=symbol_sum,
         display_flag=display_flag,
         per_flag=per_flag,
-        agree=all(v == values[0] for v in values),
+        agree=2 * area == 2 * triv_area == dsq == twice_simplex == symbol_sum,
     )

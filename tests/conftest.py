@@ -1,8 +1,9 @@
 """Shared deterministic samplers for fan and divisor instances, the
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the pairwise positivity scan, the
-all-Fraction shoelace sum and convex hull, the bounding-box section scan
-and the dict the JSON report used to be dumped from."""
+all-Fraction shoelace sum and convex hull, the bounding-box section scan,
+the dict the JSON report used to be dumped from and the per-flag simplex
+terms built as Fractions."""
 
 import random
 from fractions import Fraction
@@ -11,11 +12,15 @@ from hypothesis import settings
 
 from toricvol import (
     MonomialFn,
+    NotAmple,
     Polygon,
+    SimplexTerm,
     TorusDivisor,
+    ampleness_violations,
     divisor,
     dot,
     enumerate_tflags,
+    flag_valuation,
     is_ample,
     projective_plane_fan,
     star_subdivide,
@@ -196,6 +201,35 @@ def report_dict(report) -> dict:
         for c in report.per_flag
     ]
     return out
+
+
+def fraction_flag_contribution(D: TorusDivisor, flag, dec):
+    """Reference route 3 at one flag: a SimplexTerm with a Fraction volume per
+    omitted chart, and the Fraction subtotal. Returns (subtotal, terms)."""
+    if dec.fan != D.fan:
+        raise ValueError("decomposition belongs to a different fan")
+    if not is_ample(D):
+        j, i = ampleness_violations(D)[0]
+        raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
+    w = flag_valuation(D.fan, flag)
+    alphas = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
+    vectors = [w.value(D.cocycle[a]) for a in alphas]
+    terms = []
+    twice = 0
+    for omitted in range(3):
+        kept = [m for m in range(3) if m != omitted]
+        c0, c1 = vectors[kept[0]], vectors[kept[1]]
+        matrix = ((c0[0], c1[0]), (c0[1], c1[1]))
+        det = (-1) ** omitted * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
+        terms.append(SimplexTerm(
+            flag=flag,
+            omitted=omitted,
+            sections_used=(alphas[kept[0]], alphas[kept[1]]),
+            matrix=matrix,
+            signed_volume=Fraction(det, 2),
+        ))
+        twice += det
+    return Fraction(twice, 2), tuple(terms)
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import toricvol
 from toricvol.cli import (
+    INPUT_DIGITS,
     DocumentError,
     InstanceDocument,
     TFlag,
@@ -247,6 +248,94 @@ class TestReportCommand:
         assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 2, "cone": 1}
 
 
+class TestReportDisagreement:
+    # route 4 off by two: D.D = 3 but the symbol sum reads 5, so report must
+    # say so and exit 1 in every format
+
+    @pytest.fixture(autouse=True)
+    def broken_symbol_route(self, monkeypatch):
+        import toricvol.volume as volume
+        real = volume.intersection_number_via_symbols
+        monkeypatch.setattr(volume, "intersection_number_via_symbols",
+                            lambda D, dec: real(D, dec) + 2)
+
+    def run(self, tmp_path, capsys, fmt):
+        assert main(["report", write(tmp_path, HIRZ_112), "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and err == ""
+        return out
+
+    def test_text(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "text")
+        assert "symbol sum / 2         = 5/2\n" in out
+        assert out.endswith("agree: false\n")
+
+    def test_json(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "json")
+        assert '"agree": false' in out
+        data = json.loads(out)
+        assert data["agree"] is False and data["values"]["symbol_sum_half"] == "5/2"
+        assert data["values"]["half_self_intersection"] == "3/2"
+
+    def test_csv(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "csv")
+        assert out.splitlines()[1] == "3/2,3,3/2,5/2,3/2,false"
+
+
+class TestInputSize:
+    # the report's largest printed integers are the per-flag determinants;
+    # INPUT_DIGITS keeps them inside Python's int-to-str digit limit
+
+    @staticmethod
+    def document(l, coeffs):
+        # written by hand: json.dumps cannot write an int past the digit limit,
+        # so such a coefficient is passed in as its digit string
+        return f'{{"rays":[[1,0],[0,1],[-1,{l}],[0,-1]],"divisor":[{",".join(map(str, coeffs))}]}}'
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_document_at_the_bound_prints(self, tmp_path, capsys, fmt):
+        top = 10 ** INPUT_DIGITS - 1            # INPUT_DIGITS nines
+        l = 10 ** (INPUT_DIGITS - 1)            # INPUT_DIGITS digits
+        # F_l with D = (0, 9, top, 0): ample as top > 9*l; the second document
+        # adds the principal divisor of (top, 0), which moves top onto ray 0
+        for coeffs in ([0, 9, top, 0], [top, 9, 0, 0]):
+            path = write(tmp_path, self.document(l, coeffs))
+            assert main(["report", path, "--format", fmt]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and max(map(len, re.findall(r"\d+", out))) > INPUT_DIGITS
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("l, coeffs", [
+        (1, [0, 1, 10 ** INPUT_DIGITS, 0]),            # one digit past the bound
+        (10 ** INPUT_DIGITS, [0, 1, 2, 0]),            # a ray coordinate past it
+        (1, [0, 1, 2 * 10 ** 4000, 0]),                # D.D would have 8000 digits
+        (1, [0, 1, "1" + "0" * 4400, 0]),              # past the 4300-digit limit
+    ], ids=["coeff-past-bound", "ray-past-bound", "coeff-4000-digits", "coeff-4400-digits"])
+    def test_document_past_the_bound_is_input_error(self, tmp_path, capsys, fmt, l, coeffs):
+        path = write(tmp_path, self.document(l, coeffs))
+        assert main(["report", path, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: integer too large: more than {INPUT_DIGITS} digits\n"
+
+    def test_lowered_interpreter_limit_lowers_the_bound(self, tmp_path):
+        # under a 640-digit limit, 400-digit coefficients would give an
+        # 801-digit D.D that cannot be printed
+        path = write(tmp_path, self.document(1, [0, 10 ** 400, 3 * 10 ** 400, 0]))
+        src = str(Path(toricvol.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricvol.cli", "report", path, "--format", "csv"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: integer too large: more than 106 digits\n"
+
+    def test_sweep_past_the_bound_is_input_error(self, capsys):
+        assert main(["sweep", "--l", "2", "--a", "1", "--b-extra", str(10 ** INPUT_DIGITS)]) == 2
+        assert main(["sweep", "--l", "1", "--a", "9" * 4000, "--b-extra", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("error: integer too large") == 2
+
+
 def assert_writer_matches_dict(report):
     got, want = _report_json(report), json.dumps(report_dict(report), indent=2)
     if got != want:
@@ -335,7 +424,7 @@ class TestSweepCommand:
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--l", "1..2", "--a", "1..2", "--b-extra", "1..2",
                      "--csv", out]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert len(lines) == 9
         rows = [line.split(",") for line in lines[1:]]
         keys = [(int(r[0]), int(r[1]), int(r[2])) for r in rows]
@@ -422,7 +511,7 @@ class TestPolytopeCommand:
         path = write(tmp_path, HIRZ_112)
         out = str(tmp_path / "p.svg")
         assert main(["polytope", path, "--svg", out]) == 0
-        svg = open(out).read()
+        svg = Path(out).read_text()
         assert "<polygon" in svg and "area = 3/2" in svg
         # vertex (2, 0) lands at pixel (80, 0)
         assert "80,0" in svg or 'cx="80"' in svg
@@ -431,7 +520,7 @@ class TestPolytopeCommand:
         path = write(tmp_path, HIRZ_112)
         out = str(tmp_path / "p.svg")
         assert main(["polytope", path, "--svg", out, "--flag", "2,1"]) == 0
-        svg = open(out).read()
+        svg = Path(out).read_text()
         assert svg.count("<polygon") == 2
         assert "equal" in svg
 
@@ -439,7 +528,7 @@ class TestPolytopeCommand:
         path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,0,0,0]}')
         out = str(tmp_path / "p.svg")
         assert main(["polytope", path, "--svg", out]) == 0
-        assert "<circle" in open(out).read()
+        assert "<circle" in Path(out).read_text()
 
     def test_non_generated_divisor_errors(self, tmp_path):
         path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,0,0]}')
@@ -477,7 +566,8 @@ _SMALL = st.integers(-50, 50)
 @st.composite
 def _instance_documents(draw):
     """A small smooth fan (sometimes with one ray replaced), coefficients with
-    |d| <= 50, and an optional flag and decomposition variant, in range or not."""
+    |d| <= 50 and sometimes one of hundreds or thousands of digits, and an
+    optional flag and decomposition variant, in range or not."""
     fan = projective_plane_fan()
     for k in draw(st.lists(st.integers(0, 20), max_size=4)):
         fan = star_subdivide(fan, k % fan.n_rays)
@@ -491,7 +581,17 @@ def _instance_documents(draw):
         doc["flag"] = {"ray": draw(st.integers(-1, 9)), "cone": draw(st.integers(-1, 9))}
     if draw(st.booleans()):
         doc["decomposition_variant"] = draw(_VARIANTS)
-    return json.dumps(doc).encode()
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        # one coefficient near the input bound or past the 4300-digit limit on
+        # int-to-str conversion, spliced in as text (json.dumps cannot write it)
+        k = draw(st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4000, 4300, 4301, 4400]))
+        big = draw(st.sampled_from(["", "-"])) + draw(st.sampled_from("123456789")) + "0" * (k - 1)
+        i = draw(st.integers(0, len(rays) - 1))
+        coeffs = [str(d) for d in doc["divisor"]]
+        coeffs[i] = big
+        text = text.replace(json.dumps(doc["divisor"]), "[" + ", ".join(coeffs) + "]")
+    return text.encode()
 
 
 _JSON = st.recursive(

@@ -16,7 +16,10 @@ from toricvol import (
     is_globally_generated,
     projective_plane_fan,
     section_lattice_points,
+    semigroup_level_hull,
+    TFlag,
 )
+from toricvol import divisors
 from conftest import (
     box_section_points,
     deep_ample_instance,
@@ -205,6 +208,23 @@ class TestSectionLatticePoints:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             section_lattice_points(ruled_divisor(1, 1, 2), 0)
+
+    def test_size_guard_raises_before_the_scan(self):
+        # about 5*10**9 points: the guard must fire on the box size alone
+        D = ruled_divisor(1, 10**5, 10**5 + 5)
+        with pytest.raises(ValueError, match="candidate points"):
+            section_lattice_points(D)
+        with pytest.raises(ValueError, match="candidate points"):
+            semigroup_level_hull(D, TFlag(2, 1), 1)
+
+    def test_size_guard_boundary(self, monkeypatch):
+        # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
+        D = ruled_divisor(1, 1, 2)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 15)
+        assert len(section_lattice_points(D, 2)) == 12
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 14)
+        with pytest.raises(ValueError, match="15 candidate points"):
+            section_lattice_points(D, 2)
 
     def test_brute_force_oracle(self):
         # independent enumeration: every vertex of the feasible polygon is an

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricvol import (
     MonomialFn,
@@ -27,7 +28,7 @@ from toricvol import (
     tame_boundary,
     valuation_via_symbols,
 )
-from conftest import random_ample_instance, random_flag, random_monomial
+from conftest import deep_ample_instance, random_ample_instance, random_flag, random_monomial
 
 
 def ruled_divisor(l, a, b):
@@ -44,6 +45,47 @@ class TestMonomialFn:
         g = monomial((1, 1), -2)
         assert f * g == monomial((3, 0), -3)
         assert f ** -2 == monomial((-4, 2), Fraction(4, 9))
+
+
+_EXPONENTS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+_POWERS = st.integers(-7, 7)
+
+
+class TestIntCoefficients:
+    # route 4's monomials carry int coefficients; int ** k is a float for k < 0,
+    # so the powers must stay exact and agree with the Fraction-coefficient ones
+
+    @given(c=st.sampled_from([1, -1]), d=st.sampled_from([1, -1]), e=_EXPONENTS,
+           e2=_EXPONENTS, k=_POWERS, j=_POWERS)
+    def test_unit_coefficients_stay_ints(self, c, d, e, e2, k, j):
+        f, g = MonomialFn(c, e), MonomialFn(d, e2)
+        F, G = MonomialFn(Fraction(c), e), MonomialFn(Fraction(d), e2)
+        for got, want in [(f ** k, F ** k), (f * g, F * G), ((g ** j) * (f ** k), (G ** j) * (F ** k))]:
+            assert got == want and type(got.coeff) is int
+        r, R = ResidueElement(c, e[0]), ResidueElement(Fraction(c), e[0])
+        assert r ** k == R ** k and type((r ** k).coeff) is int
+
+    @given(c=st.integers(-9, 9).filter(bool), e=_EXPONENTS, k=_POWERS)
+    def test_other_int_coefficients_stay_exact(self, c, e, k):
+        got, want = MonomialFn(c, e) ** k, MonomialFn(Fraction(c), e) ** k
+        assert got == want and type(got.coeff) in (int, Fraction)
+        res = ResidueElement(c, e[0]) ** k
+        assert res == ResidueElement(Fraction(c), e[0]) ** k and type(res.coeff) in (int, Fraction)
+
+    def test_monomial_keeps_an_int_coefficient(self):
+        assert type(monomial((1, 2)).coeff) is int
+        assert type(monomial((1, 2), -3).coeff) is int
+        assert type(monomial((1, 2), Fraction(3, 1)).coeff) is Fraction
+
+    def test_route_4_residues_are_ints(self):
+        D = deep_ample_instance(random.Random(5), 16)
+        dec = standard_decomposition(D.fan, "successor")
+        h = D.cocycle
+        for flag in enumerate_tflags(D.fan):
+            a1 = dec.ray_owner[flag.ray]
+            S = symbol(monomial(cech_cocycle(h, dec.generic_owner, a1)),
+                       monomial(cech_cocycle(h, a1, flag.cone)))
+            assert all(type(res.coeff) is int for _, res in tame_boundary(D.fan, flag, S))
 
 
 class TestRayValuation:

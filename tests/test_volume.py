@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import toricvol.volume as volume
 from toricvol import (
     NotAmple,
     TFlag,
@@ -17,7 +19,12 @@ from toricvol import (
     simplex_sum_volume,
     standard_decomposition,
 )
-from conftest import deep_ample_instance, random_ample_instance
+from conftest import (
+    deep_ample_instance,
+    fraction_flag_contribution,
+    hirzebruch_grid,
+    random_ample_instance,
+)
 
 
 def ruled_divisor(l, a, b):
@@ -148,3 +155,95 @@ class TestVolumeReport:
         report = okounkov_volume_report(D)
         assert report.agree and report.self_intersection == dsq
         assert report.values == (Fraction(dsq, 2),) * 5
+
+
+def assert_matches_fraction_oracle(D, dec):
+    for flag in enumerate_tflags(D.fan):
+        c = flag_contribution(D, flag, dec)
+        subtotal, terms = fraction_flag_contribution(D, flag, dec)
+        assert type(c.twice) is int
+        assert c.subtotal == subtotal == Fraction(c.twice, 2)
+        assert c.terms == terms
+
+
+class TestAgainstFractionOracle:
+    # the Fraction/SimplexTerm flag contribution this int-first one replaced
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(3, 64), k=st.integers(0, 63),
+           variant=st.sampled_from(["default", "successor", "generic-at"]))
+    def test_deep_fans(self, seed, n, k, variant):
+        D = deep_ample_instance(random.Random(seed), n)
+        if variant == "generic-at":
+            variant = f"generic-at={k % n}"
+        assert_matches_fraction_oracle(D, standard_decomposition(D.fan, variant))
+
+    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
+    def test_hirzebruch_grid(self, variant):
+        for l, a, b in hirzebruch_grid():
+            D = ruled_divisor(l, a, b)
+            assert_matches_fraction_oracle(D, standard_decomposition(D.fan, variant))
+
+    def test_simplex_sum_is_half_the_int_total(self):
+        D = deep_ample_instance(random.Random(7), 32)
+        dec = standard_decomposition(D.fan)
+        twice = sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan))
+        assert simplex_sum_volume(D, dec) == Fraction(twice, 2)
+        assert twice == self_intersection_classical(D)
+
+
+class TestIntegerReport:
+    def test_integer_fields_and_half_views(self):
+        report = okounkov_volume_report(ruled_divisor(1, 1, 2))
+        assert (report.self_intersection, report.symbol_intersection) == (3, 3)
+        assert type(report.self_intersection) is int and type(report.symbol_intersection) is int
+        assert report.half_self_intersection == report.symbol_sum_half == Fraction(3, 2)
+        assert all(type(c.twice) is int for c in report.per_flag)
+
+    def test_non_ample_half_views_are_none(self):
+        report = okounkov_volume_report(ruled_divisor(1, 1, 1))
+        assert report.half_self_intersection is None and report.symbol_sum_half is None
+
+    @pytest.mark.parametrize("route", ["self_intersection_classical",
+                                       "intersection_number_via_symbols"])
+    @pytest.mark.parametrize("offset", [1, 2, -2])
+    def test_one_route_off_breaks_agreement(self, monkeypatch, route, offset):
+        real = getattr(volume, route)
+        monkeypatch.setattr(volume, route, lambda *args: real(*args) + offset)
+        report = okounkov_volume_report(ruled_divisor(2, 1, 3))
+        assert report.ample and not report.agree
+
+    def test_fraction_count_does_not_grow_with_n(self, monkeypatch):
+        assert count_fractions(monkeypatch, 16) == count_fractions(monkeypatch, 128) <= 8
+
+
+def count_fractions(monkeypatch, n: int) -> int:
+    """Fractions built by a report at n rays and its JSON rendering, outside the
+    hull vertex promotion (which builds a number that grows with the hull)."""
+    from toricvol import cli, divisors, valuation
+
+    real_new, real_hull = Fraction.__new__, divisors.convex_hull_2d
+    counts = {"report": 0, "hull": 0}
+    in_hull = []
+
+    def spy_new(cls, *args, **kwargs):
+        counts["hull" if in_hull else "report"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    def spy_hull(points):
+        in_hull.append(True)
+        try:
+            return real_hull(points)
+        finally:
+            in_hull.pop()
+
+    D = deep_ample_instance(random.Random(n), n)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy_new))
+    monkeypatch.setattr(divisors, "convex_hull_2d", spy_hull)
+    monkeypatch.setattr(valuation, "convex_hull_2d", spy_hull)
+    try:
+        report = okounkov_volume_report(D)
+        cli._report_json(report)
+    finally:
+        monkeypatch.undo()
+    assert report.agree and counts["hull"] > 0
+    return counts["report"]
