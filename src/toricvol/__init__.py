@@ -65,7 +65,6 @@ from .milnor_k import (
 )
 from .volume import (
     FlagContribution,
-    SimplexTerm,
     VolumeReport,
     flag_contribution,
     okounkov_volume_report,

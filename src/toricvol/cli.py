@@ -204,7 +204,7 @@ def _report_dict(report: VolumeReport) -> dict:
     out["values"] = {
         "area_polytope": frac(report.area_polytope),
         "half_self_intersection": half(report.self_intersection),
-        "simplex_sum": frac(report.simplex_sum),
+        "simplex_sum": half(report.simplex_twice),
         "symbol_sum_half": half(report.symbol_intersection),
         "trivialization_area": frac(report.lhs_trivialization_area),
     }
@@ -258,6 +258,18 @@ def _report_json(report: VolumeReport) -> str:
     return f'{head[:-2]},\n  "per_flag": [\n{flags}\n  ]\n}}'
 
 
+def _flag_text(c: FlagContribution) -> str:
+    """One flag's lines of the text report: its subtotal, then term k with the
+    k-th chart and vector omitted, as in _flag_json."""
+    (u0, u1), (v0, v1), (x0, x1) = c.vectors
+    a0, a1, a2 = c.charts
+    d0, d1, d2 = c.signed_dets
+    return (f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {half(c.twice)}\n"
+            f"    omit 0: sections ({a1}, {a2}) matrix (({v0}, {x0}), ({v1}, {x1})) volume {half(d0)}\n"
+            f"    omit 1: sections ({a0}, {a2}) matrix (({u0}, {x0}), ({u1}, {x1})) volume {half(d1)}\n"
+            f"    omit 2: sections ({a0}, {a1}) matrix (({u0}, {v0}), ({u1}, {v1})) volume {half(d2)}")
+
+
 def _print_text_report(report: VolumeReport, out) -> None:
     if not report.ample:
         print("ample: false", file=out)
@@ -266,28 +278,33 @@ def _print_text_report(report: VolumeReport, out) -> None:
         return
     print(f"area(P_D)              = {frac(report.area_polytope)}", file=out)
     print(f"D.D / 2                = {half(report.self_intersection)}   (D.D = {report.self_intersection})", file=out)
-    print(f"simplex sum            = {frac(report.simplex_sum)}", file=out)
+    print(f"simplex sum            = {half(report.simplex_twice)}", file=out)
     print(f"symbol sum / 2         = {half(report.symbol_intersection)}", file=out)
     f = report.display_flag
     print(f"trivialization area    = {frac(report.lhs_trivialization_area)}   (flag ray {f.ray}, cone {f.cone})", file=out)
     cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
     print(f"contributing flags     : {', '.join(cf) if cf else 'none'}", file=out)
     for c in report.per_flag:
-        print(f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {half(c.twice)}", file=out)
-        for t in c.terms:
-            print(f"    omit {t.omitted}: sections {t.sections_used} "
-                  f"matrix {t.matrix} volume {frac(t.signed_volume)}", file=out)
+        print(_flag_text(c), file=out)
     print(f"agree: {'true' if report.agree else 'false'}", file=out)
+
+
+def _csv_routes(report: VolumeReport) -> list[str]:
+    """The area, D.D, simplex sum and symbol sum / 2 columns of a CSV row."""
+    return [frac(report.area_polytope), frac(report.self_intersection),
+            half(report.simplex_twice), half(report.symbol_intersection)]
 
 
 def cmd_report(args, out=None) -> int:
     out = out or sys.stdout
     doc = load_instance(args.path)
-    display = _parse_flag(args.flag) if args.flag else (doc.flag or TFlag(0, 0))
+    display = _parse_flag(args.flag) if args.flag is not None else (doc.flag or TFlag(0, 0))
     D = _build(doc, out)
     if D is None:
         return 1
-    variant = args.decomposition or doc.decomposition_variant or "default"
+    variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
+    if variant is None:
+        variant = "default"
     try:
         dec = standard_decomposition(D.fan, variant)
         check_flag(D.fan, display)
@@ -298,14 +315,8 @@ def cmd_report(args, out=None) -> int:
         print(_report_json(report), file=out)
     elif args.format == "csv":
         print("area,dsq,simplex_sum,symbol_sum,triv_area,agree", file=out)
-        print(",".join([
-            frac(report.area_polytope),
-            frac(report.self_intersection),
-            frac(report.simplex_sum),
-            half(report.symbol_intersection),
-            frac(report.lhs_trivialization_area),
-            "true" if report.agree else "false",
-        ]), file=out)
+        print(",".join([*_csv_routes(report), frac(report.lhs_trivialization_area),
+                        "true" if report.agree else "false"]), file=out)
     else:
         _print_text_report(report, out)
     if not report.ample:
@@ -351,7 +362,7 @@ def cmd_sweep(args, out=None) -> int:
     _check_input_size([ls[-1], As[0], As[-1], *(l * a + e for l in (ls[0], ls[-1])
                                                   for a in (As[0], As[-1])
                                                   for e in (extras[0], extras[-1]))])
-    variant = args.decomposition or "default"
+    variant = "default" if args.decomposition is None else args.decomposition
     try:
         # every F_l has four rays, so a variant that fits the first fits all
         standard_decomposition(hirzebruch_fan(ls.start), variant)
@@ -370,11 +381,8 @@ def cmd_sweep(args, out=None) -> int:
                     b = l * a + extra
                     report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
                     all_agree = all_agree and report.agree
-                    print(",".join([
-                        str(l), str(a), str(b), frac(report.area_polytope),
-                        frac(report.self_intersection), frac(report.simplex_sum),
-                        half(report.symbol_intersection), "true" if report.agree else "false"]),
-                        file=fh)
+                    print(",".join([str(l), str(a), str(b), *_csv_routes(report),
+                                    "true" if report.agree else "false"]), file=fh)
     return 0 if all_agree else 1
 
 
@@ -428,7 +436,7 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
 def cmd_polytope(args, out=None) -> int:
     out = out or sys.stdout
     doc = load_instance(args.path)
-    flag = _parse_flag(args.flag) if args.flag else doc.flag
+    flag = _parse_flag(args.flag) if args.flag is not None else doc.flag
     D = _build(doc, out)
     if D is None:
         return 1

@@ -9,8 +9,9 @@ The four routes to the same number (after normalizing by the half factor):
   4. half the iterated-tame-boundary intersection number.
 
 A fifth value, the area of the trivialization polytope of a display flag,
-checks flag-independence of route 1. All values are exact rationals and the
-report's verdict is exact equality.
+checks flag-independence of route 1. Routes 2-4 are ints, each twice the
+volume, and the two areas are exact rationals. The report's verdict is exact
+equality at twice the volume; ``values`` is the one rational view of all five.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, enumerate_tflags, flag_valuation, trivialization_polytope
 
 __all__ = [
-    "SimplexTerm",
     "FlagContribution",
     "VolumeReport",
     "flag_contribution",
@@ -37,56 +37,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimplexTerm:
-    """One signed simplex in a flag's contribution.
-
-    ``matrix`` has the two valuation components as rows and the two retained
-    local equations as columns, in increasing position with the omitted one
-    skipped; ``signed_volume`` is (-1)^omitted * det/2.
-    """
-
-    flag: TFlag
-    omitted: int
-    sections_used: tuple[int, int]
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    signed_volume: Fraction
-
-
-@dataclass(frozen=True)
 class FlagContribution:
     """One flag's share of route 3 in ints: the flag valuations ``vectors`` of
     the local equations of the three ``charts`` (owners of the dense orbit,
-    the flag curve and the flag point) and ``twice``, the alternating sum of
-    their 2x2 determinants. ``subtotal`` and ``terms`` are derived on request."""
+    the flag curve and the flag point), ``signed_dets``, where entry k is
+    (-1)^k times the determinant of the two vectors other than the k-th, and
+    ``twice``, their sum."""
 
     flag: TFlag
     charts: tuple[int, int, int]
     vectors: tuple[Vec, Vec, Vec]
+    signed_dets: tuple[int, int, int]
     twice: int
-
-    @property
-    def subtotal(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    @property
-    def signed_dets(self) -> tuple[int, int, int]:
-        """(-1)^omitted times the determinant of the other two vectors, by omitted."""
-        return _signed_dets(*self.vectors)
-
-    @property
-    def terms(self) -> tuple[SimplexTerm, ...]:
-        return tuple(SimplexTerm(self.flag, omitted, (self.charts[a], self.charts[b]),
-                                 tuple(zip(self.vectors[a], self.vectors[b])), Fraction(det, 2))
-                     for omitted, ((a, b), det) in enumerate(zip(_KEPT, self.signed_dets)))
 
 
 @dataclass(frozen=True)
 class VolumeReport:
     ample: bool
     area_polytope: Fraction | None
-    simplex_sum: Fraction | None
     lhs_trivialization_area: Fraction | None
     self_intersection: int | None
+    simplex_twice: int | None
     symbol_intersection: int | None
     display_flag: TFlag | None
     per_flag: tuple[FlagContribution, ...]
@@ -94,30 +65,15 @@ class VolumeReport:
     diagnostics: tuple[str, ...] = ()
 
     @property
-    def half_self_intersection(self) -> Fraction | None:
-        return None if self.self_intersection is None else Fraction(self.self_intersection, 2)
-
-    @property
-    def symbol_sum_half(self) -> Fraction | None:
-        return None if self.symbol_intersection is None else Fraction(self.symbol_intersection, 2)
-
-    @property
     def values(self) -> tuple[Fraction | None, ...]:
-        return (self.area_polytope, self.half_self_intersection, self.simplex_sum,
-                self.symbol_sum_half, self.lhs_trivialization_area)
+        """The five volumes: the two areas and half of each int route."""
+        halves = [None if x is None else Fraction(x, 2)
+                  for x in (self.self_intersection, self.simplex_twice, self.symbol_intersection)]
+        return (self.area_polytope, *halves, self.lhs_trivialization_area)
 
     @property
     def contributing_flags(self) -> tuple[TFlag, ...]:
         return tuple(c.flag for c in self.per_flag if c.twice != 0)
-
-
-# positions of the two vectors a term keeps, by the omitted one
-_KEPT = ((1, 2), (0, 2), (0, 1))
-
-
-def _signed_dets(u: Vec, v: Vec, x: Vec) -> tuple[int, int, int]:
-    # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
-    return (v[0] * x[1] - x[0] * v[1], x[0] * u[1] - u[0] * x[1], u[0] * v[1] - v[0] * u[1])
 
 
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
@@ -130,8 +86,10 @@ def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> 
         raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
     w = flag_valuation(D.fan, flag)
     charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
-    vectors = tuple([w.value(D.cocycle[a]) for a in charts])
-    return FlagContribution(flag, charts, vectors, sum(_signed_dets(*vectors)))
+    u, v, x = vectors = tuple([w.value(D.cocycle[a]) for a in charts])
+    # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
+    dets = (v[0] * x[1] - x[0] * v[1], x[0] * u[1] - u[0] * x[1], u[0] * v[1] - v[0] * u[1])
+    return FlagContribution(flag, charts, vectors, dets, sum(dets))
 
 
 def simplex_sum_volume(D: TorusDivisor, dec: OrbitDecomposition) -> Fraction:
@@ -175,8 +133,8 @@ def okounkov_volume_report(
         for j, i in generation_violations(D):
             diags.append(f"not globally generated: cone {j} violates ray {i}")
         return VolumeReport(
-            ample=False, area_polytope=None, simplex_sum=None, lhs_trivialization_area=None,
-            self_intersection=None, symbol_intersection=None,
+            ample=False, area_polytope=None, lhs_trivialization_area=None,
+            self_intersection=None, simplex_twice=None, symbol_intersection=None,
             display_flag=display_flag, per_flag=(), agree=False,
             diagnostics=tuple(diags),
         )
@@ -189,9 +147,9 @@ def okounkov_volume_report(
     return VolumeReport(
         ample=True,
         area_polytope=area,
-        simplex_sum=Fraction(twice_simplex, 2),
         lhs_trivialization_area=triv_area,
         self_intersection=dsq,
+        simplex_twice=twice_simplex,
         symbol_intersection=symbol_sum,
         display_flag=display_flag,
         per_flag=per_flag,

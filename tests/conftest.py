@@ -2,10 +2,12 @@
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the pairwise positivity scan, the
 all-Fraction shoelace sum and convex hull, the bounding-box section scan,
-the dict the JSON report used to be dumped from and the per-flag simplex
-terms built as Fractions."""
+the per-flag simplex terms built as Fractions, and the report writers they
+feed: the dict the JSON report used to be dumped from and the text report
+printed term by term."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hypothesis import settings
@@ -14,7 +16,6 @@ from toricvol import (
     MonomialFn,
     NotAmple,
     Polygon,
-    SimplexTerm,
     TorusDivisor,
     ampleness_violations,
     divisor,
@@ -166,6 +167,55 @@ def _frac(q) -> str:
     return "-" if q is None else str(Fraction(q))
 
 
+@dataclass(frozen=True)
+class Term:
+    """One signed simplex of a flag's contribution: ``matrix`` has the two
+    valuation components as rows and the two kept local equations as
+    columns; ``signed_volume`` is (-1)^omitted * det/2."""
+
+    omitted: int
+    sections_used: tuple[int, int]
+    matrix: tuple[tuple[int, int], tuple[int, int]]
+    signed_volume: Fraction
+
+
+def fraction_terms(charts, vectors) -> tuple[Fraction, tuple[Term, ...]]:
+    """Reference per-flag layout: term k omits the k-th chart and vector and
+    keeps the other two in order. Returns (subtotal, terms) as Fractions."""
+    terms = []
+    twice = 0
+    for omitted in range(3):
+        kept = [m for m in range(3) if m != omitted]
+        c0, c1 = vectors[kept[0]], vectors[kept[1]]
+        matrix = ((c0[0], c1[0]), (c0[1], c1[1]))
+        det = (-1) ** omitted * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
+        terms.append(Term(
+            omitted=omitted,
+            sections_used=(charts[kept[0]], charts[kept[1]]),
+            matrix=matrix,
+            signed_volume=Fraction(det, 2),
+        ))
+        twice += det
+    return Fraction(twice, 2), tuple(terms)
+
+
+def fraction_flag_contribution(D: TorusDivisor, flag, dec):
+    """Reference route 3 at one flag, computed from D: (subtotal, terms) as in
+    ``fraction_terms``."""
+    if dec.fan != D.fan:
+        raise ValueError("decomposition belongs to a different fan")
+    if not is_ample(D):
+        j, i = ampleness_violations(D)[0]
+        raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
+    w = flag_valuation(D.fan, flag)
+    charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
+    return fraction_terms(charts, [w.value(D.cocycle[a]) for a in charts])
+
+
+VALUE_KEYS = ("area_polytope", "half_self_intersection", "simplex_sum",
+              "symbol_sum_half", "trivialization_area")
+
+
 def report_dict(report) -> dict:
     """Reference JSON report: the whole report as one dict for
     json.dumps(..., indent=2), per-flag data included."""
@@ -173,20 +223,16 @@ def report_dict(report) -> dict:
     if not report.ample:
         out["diagnostics"] = list(report.diagnostics)
         return out
-    out["values"] = {
-        "area_polytope": _frac(report.area_polytope),
-        "half_self_intersection": _frac(report.half_self_intersection),
-        "simplex_sum": _frac(report.simplex_sum),
-        "symbol_sum_half": _frac(report.symbol_sum_half),
-        "trivialization_area": _frac(report.lhs_trivialization_area),
-    }
+    out["values"] = dict(zip(VALUE_KEYS, map(_frac, report.values)))
     out["self_intersection"] = report.self_intersection
     out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
     out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
-    out["per_flag"] = [
-        {
+    out["per_flag"] = []
+    for c in report.per_flag:
+        subtotal, terms = fraction_terms(c.charts, c.vectors)
+        out["per_flag"].append({
             "flag": [c.flag.ray, c.flag.cone],
-            "subtotal": _frac(c.subtotal),
+            "subtotal": _frac(subtotal),
             "terms": [
                 {
                     "omitted": t.omitted,
@@ -195,41 +241,37 @@ def report_dict(report) -> dict:
                     "signed_volume": _frac(t.signed_volume),
                     "residue_degree": 1,
                 }
-                for t in c.terms
+                for t in terms
             ],
-        }
-        for c in report.per_flag
-    ]
+        })
     return out
 
 
-def fraction_flag_contribution(D: TorusDivisor, flag, dec):
-    """Reference route 3 at one flag: a SimplexTerm with a Fraction volume per
-    omitted chart, and the Fraction subtotal. Returns (subtotal, terms)."""
-    if dec.fan != D.fan:
-        raise ValueError("decomposition belongs to a different fan")
-    if not is_ample(D):
-        j, i = ampleness_violations(D)[0]
-        raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
-    w = flag_valuation(D.fan, flag)
-    alphas = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
-    vectors = [w.value(D.cocycle[a]) for a in alphas]
-    terms = []
-    twice = 0
-    for omitted in range(3):
-        kept = [m for m in range(3) if m != omitted]
-        c0, c1 = vectors[kept[0]], vectors[kept[1]]
-        matrix = ((c0[0], c1[0]), (c0[1], c1[1]))
-        det = (-1) ** omitted * (matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0])
-        terms.append(SimplexTerm(
-            flag=flag,
-            omitted=omitted,
-            sections_used=(alphas[kept[0]], alphas[kept[1]]),
-            matrix=matrix,
-            signed_volume=Fraction(det, 2),
-        ))
-        twice += det
-    return Fraction(twice, 2), tuple(terms)
+def report_text(report) -> str:
+    """Reference text report: the lines printed one by one, each term from
+    ``fraction_terms``."""
+    if not report.ample:
+        lines = ["ample: false", *(f"  {d}" for d in report.diagnostics)]
+        return "".join(f"{line}\n" for line in lines)
+    area, half_dsq, simplex, symbol_half, triv = map(_frac, report.values)
+    f = report.display_flag
+    cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
+    lines = [
+        f"area(P_D)              = {area}",
+        f"D.D / 2                = {half_dsq}   (D.D = {report.self_intersection})",
+        f"simplex sum            = {simplex}",
+        f"symbol sum / 2         = {symbol_half}",
+        f"trivialization area    = {triv}   (flag ray {f.ray}, cone {f.cone})",
+        f"contributing flags     : {', '.join(cf) if cf else 'none'}",
+    ]
+    for c in report.per_flag:
+        subtotal, terms = fraction_terms(c.charts, c.vectors)
+        lines.append(f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {_frac(subtotal)}")
+        for t in terms:
+            lines.append(f"    omit {t.omitted}: sections {t.sections_used} "
+                         f"matrix {t.matrix} volume {_frac(t.signed_volume)}")
+    lines.append(f"agree: {'true' if report.agree else 'false'}")
+    return "".join(f"{line}\n" for line in lines)
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

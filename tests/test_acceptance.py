@@ -75,19 +75,16 @@ def test_criterion_2_per_flag_regression():
     with criterion(2, "per-flag contributions on every grid instance"):
         for l, a, b, D in grid_instances():
             dec = standard_decomposition(D.fan)
+            # each flag's subtotal and signed volumes, doubled into ints
             first = flag_contribution(D, TFlag(2, 1), dec)
-            assert first.subtotal == Fraction(a * b - l * a * a, 2), (l, a, b)
-            assert [t.signed_volume for t in first.terms] == [
-                Fraction(a * b, 2),
-                -Fraction(l * a * a - a * b, 2),
-                -Fraction(a * b, 2),
-            ], (l, a, b)
+            assert first.twice == a * b - l * a * a, (l, a, b)
+            assert first.signed_dets == (a * b, -(l * a * a - a * b), -(a * b)), (l, a, b)
             second = flag_contribution(D, TFlag(3, 2), dec)
-            assert second.subtotal == Fraction(a * b, 2), (l, a, b)
+            assert second.twice == a * b, (l, a, b)
             for flag in enumerate_tflags(D.fan):
                 if flag in (TFlag(2, 1), TFlag(3, 2)):
                     continue
-                assert flag_contribution(D, flag, dec).subtotal == 0, (l, a, b, flag)
+                assert flag_contribution(D, flag, dec).twice == 0, (l, a, b, flag)
 
 
 def test_criterion_3_determinant_formula_property():

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import toricvol
 from toricvol.cli import (
@@ -22,6 +22,8 @@ from toricvol.cli import (
     main,
     parse_instance,
     polytope_svg,
+    _parse_range,
+    _print_text_report,
     _report_json,
 )
 from toricvol import (
@@ -34,7 +36,13 @@ from toricvol import (
     standard_decomposition,
     star_subdivide,
 )
-from conftest import deep_ample_instance, hirzebruch_grid, random_smooth_fan, report_dict
+from conftest import (
+    deep_ample_instance,
+    hirzebruch_grid,
+    random_smooth_fan,
+    report_dict,
+    report_text,
+)
 
 
 HIRZ_112 = '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0]}'
@@ -248,6 +256,32 @@ class TestReportCommand:
         assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 2, "cone": 1}
 
 
+class TestEmptyStrings:
+    # an empty flag or variant is malformed, not absent: it exits 2 like any
+    # other malformed one instead of falling back to the default
+
+    @pytest.mark.parametrize("argv, err", [
+        (["report", "{doc}", "--flag="], "flag must be 'ray,cone', got ''"),
+        (["polytope", "{doc}", "--svg", "{svg}", "--flag="], "flag must be 'ray,cone', got ''"),
+        (["--decomposition=", "report", "{doc}"], "unknown decomposition variant ''"),
+        (["--decomposition=", "sweep", "--l", "1", "--a", "1", "--b-extra", "1"],
+         "unknown decomposition variant ''"),
+        (["report", "{variant_doc}"], "unknown decomposition variant ''"),
+    ], ids=["report-flag", "polytope-flag", "report-variant", "sweep-variant", "document-variant"])
+    def test_empty_string_is_input_error(self, tmp_path, capsys, argv, err):
+        paths = {"doc": write(tmp_path, HIRZ_112), "svg": str(tmp_path / "p.svg"),
+                 "variant_doc": write(tmp_path, HIRZ_112[:-1] + ',"decomposition_variant":""}',
+                                      "variant.json")}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_null_document_flag_is_absent(self, tmp_path, capsys):
+        path = write(tmp_path, HIRZ_112[:-1] + ',"flag":null}')
+        assert main(["report", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 0, "cone": 0}
+
+
 class TestReportDisagreement:
     # route 4 off by two: D.D = 3 but the symbol sum reads 5, so report must
     # say so and exit 1 in every format
@@ -336,14 +370,63 @@ class TestInputSize:
         assert out == "" and err.count("error: integer too large") == 2
 
 
-def assert_writer_matches_dict(report):
-    got, want = _report_json(report), json.dumps(report_dict(report), indent=2)
+def assert_same_report(writer, got, want):
     if got != want:
         # name the first differing line: pytest's diff of two reports of
         # thousands of lines takes seconds per failing example while shrinking
         a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
         i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-        pytest.fail(f"JSON writer differs at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
+        pytest.fail(f"{writer} writer differs at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}")
+
+
+def assert_writer_matches_dict(report):
+    assert_same_report("JSON", _report_json(report), json.dumps(report_dict(report), indent=2))
+
+
+def assert_text_writer_matches_reference(report):
+    buf = io.StringIO()
+    _print_text_report(report, buf)
+    assert_same_report("text", buf.getvalue(), report_text(report))
+
+
+def grid_reports(variant):
+    for l, a, b in hirzebruch_grid():
+        D = divisor(hirzebruch_fan(l), (0, a, b, 0))
+        dec = standard_decomposition(D.fan, variant)
+        for display in (TFlag(0, 0), TFlag(2, 1)):
+            yield okounkov_volume_report(D, dec, display)
+
+
+def deep_report(n):
+    D = deep_ample_instance(random.Random(n), n)
+    report = okounkov_volume_report(D, standard_decomposition(D.fan, "successor"),
+                                    TFlag(n - 1, n - 2))
+    # the blocks cover odd subtotals p/2 and negative matrix entries
+    assert any(c.twice % 2 for c in report.per_flag)
+    assert any(x < 0 for c in report.per_flag for v in c.vectors for x in v)
+    return report
+
+
+_DEEP_FAN_ARGS = dict(
+    seed=st.integers(0, 2**32), n=st.integers(3, 40),
+    shift=st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
+    variant=st.sampled_from(["default", "successor", "generic-at=1"]), data=st.data())
+
+
+def shifted_deep_report(seed, n, shift, variant, data):
+    D = deep_ample_instance(random.Random(seed), n)
+    # adding the principal divisor of a character keeps D ample and moves
+    # every local equation, so matrix entries take either sign
+    D = divisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
+                        for d, r in zip(D.coeffs, D.fan.rays)])
+    display = data.draw(st.sampled_from(enumerate_tflags(D.fan)))
+    return okounkov_volume_report(D, standard_decomposition(D.fan, variant), display)
+
+
+def non_ample_report():
+    report = okounkov_volume_report(divisor(hirzebruch_fan(2), (0, 1, 2, 0)))
+    assert not report.ample
+    return report
 
 
 class TestJsonWriter:
@@ -351,40 +434,39 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
     def test_hirzebruch_grid(self, variant):
-        for l, a, b in hirzebruch_grid():
-            D = divisor(hirzebruch_fan(l), (0, a, b, 0))
-            dec = standard_decomposition(D.fan, variant)
-            for display in (TFlag(0, 0), TFlag(2, 1)):
-                assert_writer_matches_dict(okounkov_volume_report(D, dec, display))
+        for report in grid_reports(variant):
+            assert_writer_matches_dict(report)
 
     @pytest.mark.parametrize("n", [8, 32, 64, 128])
     def test_deep_fans(self, n):
-        D = deep_ample_instance(random.Random(n), n)
-        report = okounkov_volume_report(D, standard_decomposition(D.fan, "successor"),
-                                        TFlag(n - 1, n - 2))
-        # the blocks cover odd subtotals p/2 and negative matrix entries
-        assert any(c.subtotal.denominator == 2 for c in report.per_flag)
-        assert any(x < 0 for c in report.per_flag for t in c.terms for row in t.matrix for x in row)
-        assert_writer_matches_dict(report)
+        assert_writer_matches_dict(deep_report(n))
 
-    @given(seed=st.integers(0, 2**32), n=st.integers(3, 40),
-           shift=st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
-           variant=st.sampled_from(["default", "successor", "generic-at=1"]), data=st.data())
+    @given(**_DEEP_FAN_ARGS)
     def test_deep_fan_property(self, seed, n, shift, variant, data):
-        D = deep_ample_instance(random.Random(seed), n)
-        # adding the principal divisor of a character keeps D ample and moves
-        # every local equation, so matrix entries take either sign
-        D = divisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
-                            for d, r in zip(D.coeffs, D.fan.rays)])
-        display = data.draw(st.sampled_from(enumerate_tflags(D.fan)))
-        assert_writer_matches_dict(
-            okounkov_volume_report(D, standard_decomposition(D.fan, variant), display))
+        assert_writer_matches_dict(shifted_deep_report(seed, n, shift, variant, data))
 
     def test_non_ample_report(self):
-        D = divisor(hirzebruch_fan(2), (0, 1, 2, 0))
-        report = okounkov_volume_report(D)
-        assert not report.ample
-        assert_writer_matches_dict(report)
+        assert_writer_matches_dict(non_ample_report())
+
+
+class TestTextWriter:
+    # the text report printed line by line, kept in conftest, is the reference
+
+    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
+    def test_hirzebruch_grid(self, variant):
+        for report in grid_reports(variant):
+            assert_text_writer_matches_reference(report)
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_deep_fans(self, n):
+        assert_text_writer_matches_reference(deep_report(n))
+
+    @given(**_DEEP_FAN_ARGS)
+    def test_deep_fan_property(self, seed, n, shift, variant, data):
+        assert_text_writer_matches_reference(shifted_deep_report(seed, n, shift, variant, data))
+
+    def test_non_ample_report(self):
+        assert_text_writer_matches_reference(non_ample_report())
 
 
 class TestClosedStdout:
@@ -611,6 +693,59 @@ _FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
     lambda t: f"{t[0]},{t[1]}") | st.text(max_size=4)
 
 
+# sweep and hirzebruch arguments: usual values, with a random subset of the
+# arguments replaced by odd ones: int() spellings ('1_0', an Arabic-Indic
+# three), values at and past the input bound and past the 4300-digit
+# int-to-str limit, empty strings, malformed ranges, unknown variants and
+# unwritable outputs (paths are relative to a scratch directory)
+_BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
+                 st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
+_NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG
+_ODD_RANGES = st.one_of(
+    _NUMBERS,
+    st.tuples(_NUMBERS, _NUMBERS).map("..".join),
+    st.sampled_from(["1..", "..2", "2..1", "1..2..3", ".."]),
+)
+_SMALL_RANGES = st.integers(1, 4).map(str) | st.builds(
+    lambda lo, span: f"{lo}..{lo + span}", st.integers(0, 4), st.integers(0, 2))
+_ODD_VARIANTS = _VARIANTS | st.just("") | st.text(max_size=4)
+_UNWRITABLE = st.sampled_from(["missing/out"]
+                              + (["/dev/full"] if Path("/dev/full").exists() else []))
+_OUTPUTS = st.sampled_from([None, "out"])
+_MAX_REPORTS = 50  # reports one sweep example may run, so the property stays fast
+
+
+def _odd_subset(draw, usual: dict, odd: dict) -> dict:
+    """A draw from each usual strategy, then a random subset of them redrawn
+    from the odd ones."""
+    values = {name: draw(strategy) for name, strategy in usual.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(odd)), unique=True, max_size=len(odd))):
+        values[name] = draw(odd[name])
+    return values
+
+
+def _options(values: dict, workdir, output: str) -> list[str]:
+    return [x for name, value in values.items() if value is not None
+            for x in (name, str(workdir / value) if name == output else value)]
+
+
+def _exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:  # argparse rejects the argv itself
+            return e.code
+
+
+def _range_size(text: str) -> int:
+    """Values in a sweep range as the CLI reads it, 0 if it is not one."""
+    try:
+        r = _parse_range(text)
+    except DocumentError:
+        return 0
+    return r.stop - r.start
+
+
 class TestExitContract:
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -628,10 +763,28 @@ class TestExitContract:
         runs += [["report", str(path), "--format", f, *post] for f in ("text", "json", "csv")]
         runs += [["polytope", str(path), "--svg", str(svg), *post]]
         for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                try:
-                    rc = main(pre + argv)
-                except SystemExit as e:  # argparse rejects the argv itself
-                    rc = e.code
-            assert rc in (0, 1, 2), argv
+            assert _exit_code(pre + argv) in (0, 1, 2), argv
+
+    @given(data=st.data())
+    def test_sweep_exits_0_1_or_2(self, workdir, data):
+        ranges = ("--l", "--a", "--b-extra")
+        values = _odd_subset(
+            data.draw,
+            {**dict.fromkeys(ranges, _SMALL_RANGES), "--csv": _OUTPUTS},
+            {**dict.fromkeys(ranges, _ODD_RANGES), "--csv": _UNWRITABLE})
+        sizes = [_range_size(values[name]) for name in ranges]
+        assume(sizes[0] * sizes[1] * sizes[2] <= _MAX_REPORTS)
+        variant = data.draw(st.none() | _ODD_VARIANTS)
+        pre = [] if variant is None else ["--decomposition", variant]
+        argv = [*pre, "sweep", *_options(values, workdir, "--csv")]
+        assert _exit_code(argv) in (0, 1, 2), argv
+
+    @given(data=st.data())
+    def test_hirzebruch_exits_0_1_or_2(self, workdir, data):
+        params = ("--l", "--a", "--b")
+        values = _odd_subset(
+            data.draw,
+            {**dict.fromkeys(params, st.integers(-1, 6).map(str)), "--emit": _OUTPUTS},
+            {**dict.fromkeys(params, st.none() | _NUMBERS), "--emit": _UNWRITABLE})
+        argv = ["hirzebruch", *_options(values, workdir, "--emit")]
+        assert _exit_code(argv) in (0, 1, 2), argv

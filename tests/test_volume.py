@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import toricvol.volume as volume
 from toricvol import (
     NotAmple,
     TFlag,
+    cross,
     divisor,
     divisor_polytope,
     enumerate_tflags,
@@ -22,6 +25,7 @@ from toricvol import (
 from conftest import (
     deep_ample_instance,
     fraction_flag_contribution,
+    fraction_terms,
     hirzebruch_grid,
     random_ample_instance,
 )
@@ -54,20 +58,16 @@ class TestFlagContribution:
             D = ruled_divisor(l, a, b)
             dec = standard_decomposition(D.fan)
             c = flag_contribution(D, TFlag(2, 1), dec)
-            assert [t.signed_volume for t in c.terms] == [
-                Fraction(a * b, 2),
-                -Fraction(l * a * a - a * b, 2),
-                -Fraction(a * b, 2),
-            ]
-            assert c.subtotal == Fraction(a * b - l * a * a, 2)
+            assert c.signed_dets == (a * b, -(l * a * a - a * b), -(a * b))
+            assert c.twice == a * b - l * a * a
 
     def test_second_flag_degenerate_terms(self):
         for l, a, b in [(1, 1, 2), (3, 2, 8)]:
             D = ruled_divisor(l, a, b)
             c = flag_contribution(D, TFlag(3, 2), standard_decomposition(D.fan))
-            assert c.subtotal == Fraction(a * b, 2)
-            assert c.terms[0].signed_volume == 0
-            assert c.terms[2].signed_volume == 0
+            assert c.twice == a * b
+            assert c.signed_dets[0] == 0
+            assert c.signed_dets[2] == 0
 
     def test_remaining_flags_vanish(self):
         D = ruled_divisor(2, 1, 4)
@@ -75,7 +75,7 @@ class TestFlagContribution:
         quiet = [f for f in enumerate_tflags(D.fan) if f not in (TFlag(2, 1), TFlag(3, 2))]
         assert len(quiet) == 6
         for flag in quiet:
-            assert flag_contribution(D, flag, dec).subtotal == 0
+            assert flag_contribution(D, flag, dec).twice == 0
 
     def test_signed_volume_invariant(self):
         rng = random.Random(103)
@@ -83,10 +83,10 @@ class TestFlagContribution:
             D = random_ample_instance(rng)
             dec = standard_decomposition(D.fan)
             for flag in enumerate_tflags(D.fan):
-                for t in flag_contribution(D, flag, dec).terms:
-                    det = (t.matrix[0][0] * t.matrix[1][1]
-                           - t.matrix[0][1] * t.matrix[1][0])
-                    assert t.signed_volume == (-1) ** t.omitted * Fraction(det, 2)
+                c = flag_contribution(D, flag, dec)
+                u, v, x = c.vectors
+                assert c.signed_dets == (cross(v, x), -cross(u, x), cross(u, v))
+                assert c.twice == sum(c.signed_dets)
 
     def test_rejects_non_ample(self):
         D = ruled_divisor(1, 1, 1)
@@ -162,12 +162,13 @@ def assert_matches_fraction_oracle(D, dec):
         c = flag_contribution(D, flag, dec)
         subtotal, terms = fraction_flag_contribution(D, flag, dec)
         assert type(c.twice) is int
-        assert c.subtotal == subtotal == Fraction(c.twice, 2)
-        assert c.terms == terms
+        assert Fraction(c.twice, 2) == subtotal
+        assert c.signed_dets == tuple(2 * t.signed_volume for t in terms)
+        assert fraction_terms(c.charts, c.vectors) == (subtotal, terms)
 
 
 class TestAgainstFractionOracle:
-    # the Fraction/SimplexTerm flag contribution this int-first one replaced
+    # the Fraction flag contribution this int-first one replaced
 
     @given(seed=st.integers(0, 2**32), n=st.integers(3, 64), k=st.integers(0, 63),
            variant=st.sampled_from(["default", "successor", "generic-at"]))
@@ -194,14 +195,15 @@ class TestAgainstFractionOracle:
 class TestIntegerReport:
     def test_integer_fields_and_half_views(self):
         report = okounkov_volume_report(ruled_divisor(1, 1, 2))
-        assert (report.self_intersection, report.symbol_intersection) == (3, 3)
-        assert type(report.self_intersection) is int and type(report.symbol_intersection) is int
-        assert report.half_self_intersection == report.symbol_sum_half == Fraction(3, 2)
+        ints = (report.self_intersection, report.simplex_twice, report.symbol_intersection)
+        assert ints == (3, 3, 3) and all(type(x) is int for x in ints)
+        assert report.values == (Fraction(3, 2),) * 5
         assert all(type(c.twice) is int for c in report.per_flag)
 
     def test_non_ample_half_views_are_none(self):
         report = okounkov_volume_report(ruled_divisor(1, 1, 1))
-        assert report.half_self_intersection is None and report.symbol_sum_half is None
+        assert report.self_intersection is report.simplex_twice is report.symbol_intersection is None
+        assert report.values == (None,) * 5
 
     @pytest.mark.parametrize("route", ["self_intersection_classical",
                                        "intersection_number_via_symbols"])
@@ -212,14 +214,38 @@ class TestIntegerReport:
         report = okounkov_volume_report(ruled_divisor(2, 1, 3))
         assert report.ample and not report.agree
 
+    @pytest.mark.parametrize("offset", [1, 2, -2])
+    def test_simplex_route_off_breaks_agreement(self, monkeypatch, offset):
+        real = volume.flag_contribution
+
+        def first_flag_off(D, flag, dec):
+            c = real(D, flag, dec)
+            return dataclasses.replace(c, twice=c.twice + offset) if flag == TFlag(0, 0) else c
+
+        monkeypatch.setattr(volume, "flag_contribution", first_flag_off)
+        report = okounkov_volume_report(ruled_divisor(2, 1, 3))
+        assert report.ample and not report.agree
+        assert report.simplex_twice == report.self_intersection + offset
+
     def test_fraction_count_does_not_grow_with_n(self, monkeypatch):
-        assert count_fractions(monkeypatch, 16) == count_fractions(monkeypatch, 128) <= 8
+        from toricvol.cli import _report_json
+        assert count_fractions(monkeypatch, 16, _report_json) \
+            == count_fractions(monkeypatch, 128, _report_json) <= 8
+
+    def test_text_fraction_count_does_not_grow_with_n(self, monkeypatch):
+        from toricvol.cli import _print_text_report
+
+        def render(report):
+            _print_text_report(report, io.StringIO())
+
+        assert count_fractions(monkeypatch, 16, render) \
+            == count_fractions(monkeypatch, 128, render) <= 8
 
 
-def count_fractions(monkeypatch, n: int) -> int:
-    """Fractions built by a report at n rays and its JSON rendering, outside the
+def count_fractions(monkeypatch, n: int, render) -> int:
+    """Fractions built by a report at n rays and render(report), outside the
     hull vertex promotion (which builds a number that grows with the hull)."""
-    from toricvol import cli, divisors, valuation
+    from toricvol import divisors, valuation
 
     real_new, real_hull = Fraction.__new__, divisors.convex_hull_2d
     counts = {"report": 0, "hull": 0}
@@ -242,7 +268,7 @@ def count_fractions(monkeypatch, n: int) -> int:
     monkeypatch.setattr(valuation, "convex_hull_2d", spy_hull)
     try:
         report = okounkov_volume_report(D)
-        cli._report_json(report)
+        render(report)
     finally:
         monkeypatch.undo()
     assert report.agree and counts["hull"] > 0
