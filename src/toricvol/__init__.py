@@ -24,7 +24,6 @@ from .fan import (
     projective_plane_fan,
     standard_decomposition,
     star_subdivide,
-    validate_fan,
 )
 from .divisors import (
     NotAmple,

@@ -24,7 +24,7 @@ from .divisors import (
     generation_violations,
     ampleness_violations,
 )
-from .fan import FanValidationError, hirzebruch_fan, standard_decomposition, validate_fan
+from .fan import Fan2D, FanValidationError, hirzebruch_fan, standard_decomposition
 from .lattice import Polygon, dot
 from .valuation import TFlag, check_flag, trivialization_polytope
 from .volume import FlagContribution, VolumeReport, okounkov_volume_report
@@ -48,6 +48,14 @@ _INPUT_BOUND = 10 ** INPUT_DIGITS
 def _check_input_size(values) -> None:
     if any(abs(v) >= _INPUT_BOUND for v in values):
         raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits")
+
+
+def _document(check, *args):
+    """check(*args), with the ValueError a library argument check raises as a DocumentError."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise DocumentError(str(e)) from None
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,7 @@ def half(x: int | None) -> str:
 def _build(doc: InstanceDocument, out) -> TorusDivisor | None:
     """Validate the fan; on failure print violations and return None."""
     try:
-        fan = validate_fan(doc.rays)
+        fan = Fan2D(doc.rays)
     except FanValidationError as e:
         print("fan: invalid", file=out)
         for v in e.violations:
@@ -305,11 +313,8 @@ def cmd_report(args, out=None) -> int:
     variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
     if variant is None:
         variant = "default"
-    try:
-        dec = standard_decomposition(D.fan, variant)
-        check_flag(D.fan, display)
-    except ValueError as e:
-        raise DocumentError(str(e)) from None
+    dec = _document(standard_decomposition, D.fan, variant)
+    _document(check_flag, D.fan, display)
     report = okounkov_volume_report(D, dec, display)
     if args.format == "json":
         print(_report_json(report), file=out)
@@ -328,6 +333,7 @@ def cmd_hirzebruch(args, out=None) -> int:
     out = out or sys.stdout
     if args.l < 1:
         raise DocumentError("--l must be >= 1")
+    _check_input_size([args.l, args.a, args.b])
     fan = hirzebruch_fan(args.l)
     doc = InstanceDocument(rays=fan.rays, divisor=(0, args.a, args.b, 0))
     with _output(args.emit, out) as fh:
@@ -363,11 +369,8 @@ def cmd_sweep(args, out=None) -> int:
                                                   for a in (As[0], As[-1])
                                                   for e in (extras[0], extras[-1]))])
     variant = "default" if args.decomposition is None else args.decomposition
-    try:
-        # every F_l has four rays, so a variant that fits the first fits all
-        standard_decomposition(hirzebruch_fan(ls.start), variant)
-    except ValueError as e:
-        raise DocumentError(str(e)) from None
+    # every F_l has four rays, so a variant that fits the first fits all
+    _document(standard_decomposition, hirzebruch_fan(ls.start), variant)
     # rows go out as they are computed; the file is line buffered so each
     # finished row is on disk before the next report starts
     with _output(args.csv, out, buffering=1) as fh:
@@ -441,10 +444,7 @@ def cmd_polytope(args, out=None) -> int:
     if D is None:
         return 1
     if flag is not None:
-        try:
-            check_flag(D.fan, flag)
-        except ValueError as e:
-            raise DocumentError(str(e)) from None
+        _document(check_flag, D.fan, flag)
     try:
         svg = polytope_svg(D, flag)
     except NotGloballyGenerated as e:

@@ -2,11 +2,11 @@
 
 A fan is stored as its cyclically ordered primitive rays; maximal cone ``j``
 is spanned by ``rays[j]`` and ``rays[(j+1) % n]``, so the cone list is
-implicit. Validity means: every ray primitive, every consecutive cross
-product exactly 1 (smooth and positively oriented), and winding number
-exactly 1 (complete). The winding count assumes each turn is
-counterclockwise by less than a half turn, which the cross condition
-guarantees, so it is only evaluated once the cross checks pass.
+implicit. ``Fan2D(rays)`` validates the rays and stores them as int pairs.
+Valid means every ray primitive, every consecutive cross exactly 1 (smooth,
+positively oriented) and winding number 1 (complete). Once the crosses are
+1, Noether's formula sum a_i = 3n - 12 * winding with a_i = cross(r_(i-1),
+r_(i+1)) = -D_i^2 gives the winding (Poonen, Rodriguez-Villegas 2000).
 """
 
 from __future__ import annotations
@@ -32,25 +32,6 @@ class FanValidationError(ValueError):
     def __init__(self, violations: Sequence[FanViolation]):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
-
-
-def _half(v: Vec) -> int:
-    # 0 on the open upper half plane plus the positive x-axis, 1 otherwise
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _angle_less(u: Vec, v: Vec) -> bool:
-    # strict comparison of direction angles measured from the positive x-axis
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return hu < hv
-    return cross(u, v) > 0
-
-
-def _winding(rays: Sequence[Vec]) -> int:
-    n = len(rays)
-    return sum(1 for j in range(n) if _angle_less(rays[(j + 1) % n], rays[j]))
 
 
 def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
@@ -83,7 +64,7 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
                 "bad-cross", j,
                 f"cross(ray {j}, ray {(j + 1) % n}) = {c}, expected 1"))
     if crosses_ok:
-        w = _winding(rays)
+        w = (3 * n - sum(cross(rays[i - 1], rays[(i + 1) % n]) for i in range(n))) // 12
         if w != 1:
             out.append(FanViolation("bad-winding", None, f"winding number {w}, expected 1"))
     return out
@@ -91,7 +72,7 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
 
 @dataclass(frozen=True)
 class Fan2D:
-    """Validated smooth complete fan; constructing an invalid one raises."""
+    """Validated smooth complete fan; an invalid one raises FanValidationError."""
 
     rays: tuple[Vec, ...]
 
@@ -99,6 +80,7 @@ class Fan2D:
         violations = fan_violations(self.rays)
         if violations:
             raise FanValidationError(violations)
+        object.__setattr__(self, "rays", tuple(tuple(index(c) for c in r) for r in self.rays))
 
     @property
     def n_rays(self) -> int:
@@ -110,15 +92,6 @@ class Fan2D:
         return self.rays[j % n], self.rays[(j + 1) % n]
 
 
-def validate_fan(rays: Sequence[Sequence[int]]) -> Fan2D:
-    """Build a Fan2D, raising FanValidationError with the full violation list."""
-    try:
-        rays = tuple(tuple(index(c) for c in r) for r in rays)
-    except TypeError:
-        pass  # left as given: Fan2D's own scan reports the offending ray
-    return Fan2D(tuple(rays))
-
-
 def hirzebruch_fan(l: int) -> Fan2D:
     """The fan with rays (1,0), (0,1), (-1,l), (0,-1) for l >= 1.
 
@@ -127,11 +100,11 @@ def hirzebruch_fan(l: int) -> Fan2D:
     """
     if index(l) < 1:
         raise ValueError(f"parameter must be a positive integer, got {l}")
-    return validate_fan([(1, 0), (0, 1), (-1, l), (0, -1)])
+    return Fan2D(((1, 0), (0, 1), (-1, l), (0, -1)))
 
 
 def projective_plane_fan() -> Fan2D:
-    return validate_fan([(1, 0), (0, 1), (-1, -1)])
+    return Fan2D(((1, 0), (0, 1), (-1, -1)))
 
 
 def chart_dual_basis(fan: Fan2D, j: int) -> tuple[Vec, Vec]:
@@ -153,7 +126,7 @@ def star_subdivide(fan: Fan2D, j: int) -> Fan2D:
     new_ray = (u[0] + v[0], u[1] + v[1])
     rays = list(fan.rays)
     rays.insert(j + 1, new_ray)
-    return validate_fan(rays)
+    return Fan2D(rays)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Shared deterministic samplers for fan and divisor instances, the
 deterministic hypothesis profile, and the reference implementations the
-faster library code is checked against: the pairwise positivity scan, the
-all-Fraction shoelace sum and convex hull, the bounding-box section scan,
-the per-flag simplex terms built as Fractions, and the report writers they
-feed: the dict the JSON report used to be dumped from and the text report
-printed term by term."""
+faster library code is checked against: the angle-sort winding count, the
+pairwise positivity scan, the all-Fraction shoelace sum and convex hull, the
+bounding-box section scan, the per-flag simplex terms built as Fractions, and
+the report writers they feed: the dict the JSON report used to be dumped from
+and the text report printed term by term."""
 
 import random
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from toricvol import (
     Polygon,
     TorusDivisor,
     ampleness_violations,
+    cross,
     divisor,
     dot,
     enumerate_tflags,
@@ -113,6 +114,23 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
             elif not strict and slack < 0:
                 out.append((j, i))
     return out
+
+
+def angle_winding(rays) -> int:
+    """Reference winding number of a closed ray loop whose every turn is
+    counterclockwise by less than a half turn: the number of steps whose
+    direction angle, measured from the positive x-axis, goes down."""
+    def half(v):
+        # 0 on the open upper half plane plus the positive x-axis, 1 otherwise
+        x, y = v
+        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+    def angle_less(u, v):
+        hu, hv = half(u), half(v)
+        return hu < hv if hu != hv else cross(u, v) > 0
+
+    n = len(rays)
+    return sum(1 for j in range(n) if angle_less(rays[(j + 1) % n], rays[j]))
 
 
 def fraction_shoelace(vertices) -> Fraction:

@@ -369,6 +369,17 @@ class TestInputSize:
         out, err = capsys.readouterr()
         assert out == "" and err.count("error: integer too large") == 2
 
+    def test_hirzebruch_emits_only_documents_report_reads(self, tmp_path, capsys):
+        emit = tmp_path / "inst.json"
+        argv = ["hirzebruch", "--l", "1", "--a", "1", "--emit", str(emit), "--b"]
+        assert main([*argv, str(10 ** INPUT_DIGITS)]) == 2      # one digit past the bound
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: integer too large: more than {INPUT_DIGITS} digits\n"
+        assert not emit.exists()
+        assert main([*argv, "9" * INPUT_DIGITS]) == 0
+        assert main(["report", str(emit), "--format", "csv"]) == 0
+        capsys.readouterr()
+
 
 def assert_same_report(writer, got, want):
     if got != want:

@@ -1,36 +1,76 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricvol import (
+    Fan2D,
     FanValidationError,
     OrbitDecomposition,
+    TFlag,
     chart_dual_basis,
     cross,
+    divisor,
     dot,
     fan_violations,
+    flag_contribution,
     hirzebruch_fan,
     projective_plane_fan,
     standard_decomposition,
     star_subdivide,
-    validate_fan,
 )
-from conftest import random_smooth_fan
+from conftest import angle_winding, random_smooth_fan
+
+
+@st.composite
+def _unimodular_loops(draw):
+    """A loop of rays with every consecutive cross 1 that winds k times: P^2
+    or F_l (l = 0..4) traversed k = 1..4 times, then star subdivisions, an
+    SL2(Z) change of basis and a new start index."""
+    l = draw(st.sampled_from([None, 0, 1, 2, 3, 4]))
+    base = [(1, 0), (0, 1), (-1, -1)] if l is None else [(1, 0), (0, 1), (-1, l), (0, -1)]
+    k = draw(st.integers(1, 4))
+    rays = base * k
+    for _ in range(draw(st.integers(0, 6))):
+        j = draw(st.integers(0, len(rays) - 1))
+        u, v = rays[j], rays[(j + 1) % len(rays)]
+        rays.insert(j + 1, (u[0] + v[0], u[1] + v[1]))
+    a, b, c, d = 1, 0, 0, 1
+    for t, lower in draw(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=6)):
+        # right-multiply by an elementary matrix of determinant 1
+        a, b, c, d = (a + b * t, b, c + d * t, d) if lower else (a, b + a * t, c, d + c * t)
+    rays = [(a * x + b * y, c * x + d * y) for x, y in rays]
+    s = draw(st.integers(0, len(rays) - 1))
+    return k, rays[s:] + rays[:s]
 
 
 class TestValidateFan:
     def test_hirzebruch_valid(self):
-        fan = validate_fan([(1, 0), (0, 1), (-1, 1), (0, -1)])
+        fan = Fan2D([(1, 0), (0, 1), (-1, 1), (0, -1)])
         assert fan.n_rays == 4
 
     def test_projective_plane_valid(self):
-        assert validate_fan([(1, 0), (0, 1), (-1, -1)]).n_rays == 3
+        assert Fan2D([(1, 0), (0, 1), (-1, -1)]).n_rays == 3
+
+    def test_list_built_fan_is_the_library_fan(self):
+        fan = Fan2D([[1, 0], [0, 1], [-1, -1]])
+        assert fan == projective_plane_fan()
+        assert hash(fan) == hash(projective_plane_fan())
+        D = divisor(fan, (1, 0, 0))
+        dec = standard_decomposition(projective_plane_fan())
+        assert flag_contribution(D, TFlag(0, 0), dec).flag == TFlag(0, 0)
+
+    @pytest.mark.parametrize("coord", [1.0, "1"])
+    def test_non_integer_coordinate_reported_with_index(self, coord):
+        with pytest.raises(FanValidationError) as e:
+            Fan2D([(1, 0), (0, coord), (-1, -1)])
+        assert [(v.kind, v.index) for v in e.value.violations] == [("non-primitive", 1)]
 
     def test_non_primitive_ray_reported_with_index(self):
         violations = fan_violations([(1, 0), (0, 2), (-1, 0), (0, -1)])
         assert any(v.kind == "non-primitive" and v.index == 1 for v in violations)
         with pytest.raises(FanValidationError):
-            validate_fan([(1, 0), (0, 2), (-1, 0), (0, -1)])
+            Fan2D([(1, 0), (0, 2), (-1, 0), (0, -1)])
 
     def test_bad_cross_reported_with_index(self):
         # clockwise order: every consecutive cross is -1
@@ -56,6 +96,18 @@ class TestValidateFan:
         for j in range(6):
             assert cross(rays[j], rays[(j + 1) % 6]) == 1
         assert [v.kind for v in fan_violations(rays)] == ["bad-winding"]
+
+    @given(_unimodular_loops())
+    def test_winding_matches_angle_count(self, loop):
+        k, rays = loop
+        w = angle_winding(rays)
+        assert w == k
+        violations = fan_violations(rays)
+        if w == 1:
+            assert violations == []
+        else:
+            assert [(v.kind, str(v)) for v in violations] == [
+                ("bad-winding", f"winding number {w}, expected 1")]
 
 
 class TestHirzebruch:
