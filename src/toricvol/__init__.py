@@ -41,7 +41,6 @@ from .divisors import (
 from .valuation import (
     Rank2Valuation,
     TFlag,
-    check_flag,
     enumerate_tflags,
     flag_valuation,
     graded_semigroup,

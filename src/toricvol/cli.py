@@ -26,7 +26,7 @@ from .divisors import (
 )
 from .fan import Fan2D, FanValidationError, hirzebruch_fan, standard_decomposition
 from .lattice import Polygon, dot
-from .valuation import TFlag, check_flag, trivialization_polytope
+from .valuation import TFlag, flag_valuation, trivialization_polytope
 from .volume import FlagContribution, VolumeReport, okounkov_volume_report
 
 
@@ -314,7 +314,7 @@ def cmd_report(args, out=None) -> int:
     if variant is None:
         variant = "default"
     dec = _document(standard_decomposition, D.fan, variant)
-    _document(check_flag, D.fan, display)
+    _document(flag_valuation, D.fan, display)
     report = okounkov_volume_report(D, dec, display)
     if args.format == "json":
         print(_report_json(report), file=out)
@@ -395,7 +395,7 @@ _SCALE = 40
 
 
 def _svg_polygon(poly: Polygon, style: str) -> str:
-    pts = [(int(x) * _SCALE, -int(y) * _SCALE) for x, y in poly.vertices]
+    pts = [(x * _SCALE, -y * _SCALE) for x, y in poly.vertices]
     if len(pts) == 1:
         (x, y), = pts
         return f'<circle cx="{x}" cy="{y}" r="5" {style}/>'
@@ -419,8 +419,8 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
         polys.append((tp, 'fill="#ffd9b0" stroke="#b35900" fill-opacity="0.5"'))
         caption += (f"; flag (ray {flag.ray}, cone {flag.cone}) image area = {frac(tp.area)}"
                     f" ({'equal' if tp.area == polys[0][0].area else 'UNEQUAL'})")
-    xs = [int(x) for poly, _ in polys for x, _ in poly.vertices]
-    ys = [int(y) for poly, _ in polys for _, y in poly.vertices]
+    xs = [x for poly, _ in polys for x, _ in poly.vertices]
+    ys = [y for poly, _ in polys for _, y in poly.vertices]
     x0, x1 = (min(xs) - 1) * _SCALE, (max(xs) + 1) * _SCALE
     y0, y1 = -(max(ys) + 1) * _SCALE, -(min(ys) - 1) * _SCALE
     parts = [
@@ -430,7 +430,7 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
     for poly, style in polys:
         parts.append(_svg_polygon(poly, style))
         for x, y in poly.vertices:
-            parts.append(f'<circle cx="{int(x) * _SCALE}" cy="{-int(y) * _SCALE}" r="3" fill="black"/>')
+            parts.append(f'<circle cx="{x * _SCALE}" cy="{-y * _SCALE}" r="3" fill="black"/>')
     parts.append(f'<text x="{x0 + 5}" y="{y1 + _SCALE - 10}" font-size="16">{caption}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
@@ -444,7 +444,7 @@ def cmd_polytope(args, out=None) -> int:
     if D is None:
         return 1
     if flag is not None:
-        _document(check_flag, D.fan, flag)
+        _document(flag_valuation, D.fan, flag)
     try:
         svg = polytope_svg(D, flag)
     except NotGloballyGenerated as e:

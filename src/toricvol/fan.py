@@ -11,9 +11,9 @@ r_(i+1)) = -D_i^2 gives the winding (Poonen, Rodriguez-Villegas 2000).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import index
-from typing import Sequence
 
 from .lattice import Vec, cross, is_primitive
 
@@ -77,10 +77,12 @@ class Fan2D:
     rays: tuple[Vec, ...]
 
     def __post_init__(self):
-        violations = fan_violations(self.rays)
+        # read the input once: a one-shot ray becomes a tuple, any other is kept for the messages
+        rays = [tuple(r) if isinstance(r, Iterator) else r for r in self.rays]
+        violations = fan_violations(rays)
         if violations:
             raise FanValidationError(violations)
-        object.__setattr__(self, "rays", tuple(tuple(index(c) for c in r) for r in self.rays))
+        object.__setattr__(self, "rays", tuple(tuple(index(c) for c in r) for r in rays))
 
     @property
     def n_rays(self) -> int:

@@ -1,22 +1,23 @@
 """Exact integer and rational primitives for plane lattice geometry.
 
 Everything works over Python ints and ``fractions.Fraction``; there is no
-floating point anywhere in this package. Vectors and points are plain tuples,
-polygons are immutable and carry their exact shoelace area. Convex hulls run
-over the coordinates as given, ints staying ints, and only the hull vertices
-become ``Fraction``s.
+floating point anywhere in this package. Vectors and points are plain tuples.
+A polygon is built from its vertices alone and derives its exact shoelace
+area. Convex hulls keep the coordinates they are given, so a hull of lattice
+points has int vertices; ``scaled_hull`` is the one place that makes
+rational vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
-Point = tuple[Fraction, Fraction]
+Point = tuple[int | Fraction, int | Fraction]
 
 
 def cross(u: Sequence[int], v: Sequence[int]) -> int:
@@ -54,18 +55,17 @@ def shoelace(vertices: Sequence[Point]) -> Fraction:
 class Polygon:
     """Convex polygon: counterclockwise vertices, no collinear interior ones.
 
-    Degenerate hulls (a point or a segment) are legal and carry area 0.
+    Degenerate hulls (a point or a segment) are legal and have area 0.
     """
 
     vertices: tuple[Point, ...]
-    area: Fraction
+    area: Fraction = field(init=False)
 
     def __post_init__(self):
-        computed = shoelace(self.vertices)
-        if computed < 0:
+        area = shoelace(self.vertices)
+        if area < 0:
             raise ValueError("vertices are not in counterclockwise order")
-        if computed != self.area:
-            raise ValueError(f"cached area {self.area} != shoelace area {computed}")
+        object.__setattr__(self, "area", area)
 
 
 def _coords(p: Sequence) -> tuple:
@@ -79,9 +79,8 @@ def _coords(p: Sequence) -> tuple:
 def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     """Convex hull by monotone chain over the exact coordinates as given.
 
-    Int coordinates stay ints through the chain; only the hull vertices are
-    promoted to Fraction pairs. Collinear boundary points are dropped, so the
-    vertex list is minimal.
+    The vertices keep their input coordinates: int points give int vertices.
+    Collinear boundary points are dropped, so the vertex list is minimal.
     """
     pts = sorted({_coords(p) for p in points})
     if not pts:
@@ -102,16 +101,15 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     if len(hull) < 3:
         # all points collinear: keep the two extremes, or the single point
         hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
-    vertices = tuple((Fraction(x), Fraction(y)) for x, y in hull)
-    return Polygon(vertices, shoelace(vertices))
+    return Polygon(tuple(hull))
 
 
 def scaled_hull(points: Iterable[Sequence], m: int) -> Polygon:
     """Convex hull of the points scaled by 1/m, for a positive integer m.
 
     The hull is taken of the points as given and only its vertices are
-    scaled: a positive scaling keeps the counterclockwise order and the
-    minimal vertex set, and scales the area by 1/m^2.
+    scaled, into Fractions: a positive scaling keeps the counterclockwise
+    order and the minimal vertex set.
     """
     hull = convex_hull_2d(points)
-    return Polygon(tuple((x / m, y / m) for x, y in hull.vertices), hull.area / (m * m))
+    return Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices))

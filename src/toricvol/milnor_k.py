@@ -7,6 +7,8 @@ vanish). No further normalization is attempted; equality of symbols is not
 decidable and never needed, because only images under boundary maps are
 computed, and those are well defined.
 
+The boundary maps depend on a flag only through its rank-2 valuation, so
+they take the flag's chart, a ``Rank2Valuation`` from ``flag_valuation``.
 For a flag with curve ray r1 and remaining cone ray r2, the first boundary
 of a pure symbol {f, g} of monomials uses the closed form
 
@@ -28,9 +30,9 @@ from fractions import Fraction
 from operator import index
 
 from .divisors import TorusDivisor, cech_cocycle, Cocycle
-from .fan import Fan2D, OrbitDecomposition
+from .fan import OrbitDecomposition
 from .lattice import Vec, cross, dot
-from .valuation import Rank2Valuation, TFlag, enumerate_tflags, flag_valuation
+from .valuation import Rank2Valuation, enumerate_tflags, flag_valuation
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,8 @@ def _reduce(w: Rank2Valuation, f: MonomialFn) -> ResidueElement:
     return ResidueElement(f.coeff, t)
 
 
-def _tame_boundary(w: Rank2Valuation, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
+def tame_boundary(w: Rank2Valuation, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
+    """First boundary along the flag curve of chart w, term by term."""
     out = []
     for mult, (f, g) in S.terms:
         vf = dot(f.exponent, w.first_ray)
@@ -137,32 +140,25 @@ def _tame_boundary(w: Rank2Valuation, S: SymbolK2) -> list[tuple[int, ResidueEle
     return out
 
 
-def _iterated_boundary(w: Rank2Valuation, S: SymbolK2) -> int:
-    return sum(mult * res.exponent for mult, res in _tame_boundary(w, S))
-
-
-def tame_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
-    """First boundary along the flag curve, term by term."""
-    return _tame_boundary(flag_valuation(fan, flag), S)
-
-
-def iterated_boundary(fan: Fan2D, flag: TFlag, S: SymbolK2) -> int:
+def iterated_boundary(w: Rank2Valuation, S: SymbolK2) -> int:
     """Boundary along the curve followed by the order at the flag point."""
-    return _iterated_boundary(flag_valuation(fan, flag), S)
+    return sum(mult * res.exponent for mult, res in tame_boundary(w, S))
 
 
-def specialization(fan: Fan2D, flag: TFlag, pi: MonomialFn, f: MonomialFn) -> ResidueElement:
-    """Uniformizer-dependent reduction f |-> red(f * pi^-v(f))."""
-    w = flag_valuation(fan, flag)
+def _check_uniformizer(w: Rank2Valuation, pi: MonomialFn) -> None:
     v_pi = dot(pi.exponent, w.first_ray)
     if v_pi != 1:
         raise ValueError(f"not a uniformizer: curve valuation {v_pi}, need 1")
-    vf = dot(f.exponent, w.first_ray)
-    return _reduce(w, f * (pi ** (-vf)))
+
+
+def specialization(w: Rank2Valuation, pi: MonomialFn, f: MonomialFn) -> ResidueElement:
+    """Uniformizer-dependent reduction f |-> red(f * pi^-v(f))."""
+    _check_uniformizer(w, pi)
+    return _reduce(w, f * (pi ** (-dot(f.exponent, w.first_ray))))
 
 
 def valuation_via_symbols(
-    fan: Fan2D, flag: TFlag, f: MonomialFn, pi1: MonomialFn | None = None
+    w: Rank2Valuation, f: MonomialFn, pi1: MonomialFn | None = None
 ) -> tuple[int, int]:
     """Valuation vector computed purely through boundary maps.
 
@@ -172,21 +168,14 @@ def valuation_via_symbols(
     uniformizer gives the (different) rank-2 valuation it induces, while
     2x2 determinants of such vectors stay uniformizer-independent.
     """
-    w = flag_valuation(fan, flag)
-    if pi1 is None:
-        pi1 = monomial(w.pi1)
-    v_pi = dot(pi1.exponent, w.first_ray)
-    if v_pi != 1:
-        raise ValueError(f"not a uniformizer: curve valuation {v_pi}, need 1")
-    first = dot(f.exponent, w.first_ray)
-    second = _iterated_boundary(w, SymbolK2.of((1, (pi1, f))))
-    return (first, second)
+    pi1 = monomial(w.pi1) if pi1 is None else pi1
+    _check_uniformizer(w, pi1)
+    return (dot(f.exponent, w.first_ray), iterated_boundary(w, symbol(pi1, f)))
 
 
-def det_formula_check(fan: Fan2D, flag: TFlag, f: MonomialFn, g: MonomialFn) -> bool:
+def det_formula_check(w: Rank2Valuation, f: MonomialFn, g: MonomialFn) -> bool:
     """Iterated boundary of {f, g} against the 2x2 valuation determinant."""
-    w = flag_valuation(fan, flag)
-    return _iterated_boundary(w, symbol(f, g)) == cross(w.value(f.exponent), w.value(g.exponent))
+    return iterated_boundary(w, symbol(f, g)) == cross(w.value(f.exponent), w.value(g.exponent))
 
 
 def cocycle_expansion(cocycle: Cocycle, alphas: tuple[int, int, int]) -> SymbolK2:
@@ -223,5 +212,5 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     for flag in enumerate_tflags(fan):
         a1 = dec.ray_owner[flag.ray]
         S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, flag.cone)))
-        total += iterated_boundary(fan, flag, S)
+        total += iterated_boundary(flag_valuation(fan, flag), S)
     return total

@@ -9,6 +9,9 @@ reduce along the coordinate cutting out the curve, then take the order of
 the residue in the other coordinate. Any other uniformizer choice gives a
 different (equally valid) rank-2 valuation; the dual basis is fixed here so
 every computation is canonical and reproducible.
+
+``flag_valuation`` checks a flag and builds its chart, which the boundary
+maps of ``milnor_k`` take. Trivialization hulls keep int vertices.
 """
 
 from __future__ import annotations
@@ -31,15 +34,6 @@ class TFlag:
 
     ray: int
     cone: int
-
-
-def check_flag(fan: Fan2D, flag: TFlag) -> None:
-    n = fan.n_rays
-    if not 0 <= flag.cone < n:
-        raise ValueError(f"no maximal cone {flag.cone}")
-    if flag.ray not in (flag.cone, (flag.cone + 1) % n):
-        raise ValueError(
-            f"ray {flag.ray} is not a face of cone {flag.cone}: not a flag")
 
 
 def enumerate_tflags(fan: Fan2D) -> list[TFlag]:
@@ -75,8 +69,12 @@ class Rank2Valuation:
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
-    """The flag's chart, the one place that puts a flag's rays in order."""
-    check_flag(fan, flag)
+    """The flag's chart, the one place that checks a flag and puts its rays in order."""
+    n = fan.n_rays
+    if not 0 <= flag.cone < n:
+        raise ValueError(f"no maximal cone {flag.cone}")
+    if flag.ray not in (flag.cone, (flag.cone + 1) % n):
+        raise ValueError(f"ray {flag.ray} is not a face of cone {flag.cone}: not a flag")
     u, v = fan.cone(flag.cone)
     m, mp = chart_dual_basis(fan, flag.cone)
     if flag.ray == flag.cone:

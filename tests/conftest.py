@@ -15,7 +15,6 @@ from hypothesis import settings
 from toricvol import (
     MonomialFn,
     NotAmple,
-    Polygon,
     TorusDivisor,
     ampleness_violations,
     cross,
@@ -144,13 +143,23 @@ def fraction_shoelace(vertices) -> Fraction:
     return twice / 2
 
 
-def fraction_hull(points) -> Polygon:
-    """Reference convex hull: every point is promoted to a Fraction pair first."""
+@dataclass(frozen=True)
+class FractionHull:
+    """The reference hull's vertices and its area, taken by fraction_shoelace."""
+
+    vertices: tuple
+    area: Fraction
+
+
+def fraction_hull(points) -> FractionHull:
+    """Reference convex hull: every point is promoted to a Fraction pair first.
+
+    It builds no library Polygon, whose area comes from the code under test."""
     pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
     if not pts:
         raise ValueError("convex hull of an empty point set")
     if len(pts) == 1:
-        return Polygon((pts[0],), Fraction(0))
+        return FractionHull((pts[0],), Fraction(0))
 
     def turn(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -165,8 +174,8 @@ def fraction_hull(points) -> Polygon:
 
     hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
     if len(hull) < 3:
-        return Polygon((pts[0], pts[-1]), Fraction(0))
-    return Polygon(tuple(hull), fraction_shoelace(hull))
+        return FractionHull((pts[0], pts[-1]), Fraction(0))
+    return FractionHull(tuple(hull), fraction_shoelace(hull))
 
 
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:

@@ -96,7 +96,7 @@ def test_criterion_3_determinant_formula_property():
             flag = random_flag(rng, fan)
             f, g = random_monomial(rng), random_monomial(rng)
             # the pairing-route determinant against the symbol-route boundary
-            assert det_formula_check(fan, flag, f, g)
+            assert det_formula_check(flag_valuation(fan, flag), f, g)
         for _ in range(100):
             fan = rng.choice(fans)
             flag = random_flag(rng, fan)
@@ -104,10 +104,10 @@ def test_criterion_3_determinant_formula_property():
             twist = (monomial(w.pi1) * (monomial(w.pi2) ** rng.randint(-3, 3))) \
                 * monomial((0, 0), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             f, g = random_monomial(rng), random_monomial(rng)
-            w_f = valuation_via_symbols(fan, flag, f, pi1=twist)
-            w_g = valuation_via_symbols(fan, flag, g, pi1=twist)
+            w_f = valuation_via_symbols(w, f, pi1=twist)
+            w_g = valuation_via_symbols(w, g, pi1=twist)
             det = w_f[0] * w_g[1] - w_g[0] * w_f[1]
-            assert iterated_boundary(fan, flag, symbol(f, g)) == det
+            assert iterated_boundary(w, symbol(f, g)) == det
 
 
 def test_criterion_4_cocycle_expansion_identity():
@@ -117,14 +117,14 @@ def test_criterion_4_cocycle_expansion_identity():
         n = D.fan.n_rays
         checked = 0
         for flag in enumerate_tflags(D.fan):
+            w = flag_valuation(D.fan, flag)
             for a0 in range(n):
                 for a1 in range(n):
                     for a2 in range(n):
                         direct = symbol(monomial(cech_cocycle(h, a0, a1)),
                                         monomial(cech_cocycle(h, a1, a2)))
                         expansion = cocycle_expansion(h, (a0, a1, a2))
-                        assert (iterated_boundary(D.fan, flag, direct)
-                                == iterated_boundary(D.fan, flag, expansion)), \
+                        assert iterated_boundary(w, direct) == iterated_boundary(w, expansion), \
                             (flag, a0, a1, a2)
                         checked += 1
         assert checked == 8 * 64

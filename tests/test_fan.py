@@ -60,6 +60,30 @@ class TestValidateFan:
         dec = standard_decomposition(projective_plane_fan())
         assert flag_contribution(D, TFlag(0, 0), dec).flag == TFlag(0, 0)
 
+    @pytest.mark.parametrize("one_shot", [
+        lambda: iter([[1, 0], [0, 1], [-1, -1]]),
+        lambda: [iter([1, 0]), iter([0, 1]), iter([-1, -1])],
+        lambda: (r for r in ((1, 0), (0, 1), (-1, -1))),
+    ], ids=["outer-iterator", "ray-iterators", "generator"])
+    def test_one_shot_rays_are_read_once(self, one_shot):
+        fan = Fan2D(one_shot())
+        assert fan == projective_plane_fan()
+        assert hash(fan) == hash(projective_plane_fan())
+
+    def test_non_iterable_ray_reported_with_index(self):
+        with pytest.raises(FanValidationError) as e:
+            Fan2D([[1, 0], 5, [-1, -1]])
+        assert [(v.kind, v.index, str(v)) for v in e.value.violations] == [
+            ("non-primitive", 1, "ray 1 = 5 has non-integer coordinates")]
+
+    def test_list_input_messages(self):
+        with pytest.raises(FanValidationError) as e:
+            Fan2D([[1, 0], [0, 1.5], [-1, -1]])
+        assert str(e.value) == "ray 1 = [0, 1.5] has non-integer coordinates"
+        with pytest.raises(FanValidationError) as e:
+            Fan2D([[1, 0], [0, 2], [-1, 0], [0, -1]])
+        assert str(e.value) == "ray 1 = (0, 2) is not primitive"
+
     @pytest.mark.parametrize("coord", [1.0, "1"])
     def test_non_integer_coordinate_reported_with_index(self, coord):
         with pytest.raises(FanValidationError) as e:

@@ -66,16 +66,16 @@ class TestConvexHull:
         square = [(0, 0), (4, 0), (4, 4), (0, 4)]
         extras = [(2, 2), (1, 1), (2, 0), (4, 2), (0, 3)]
         p = convex_hull_2d(square + extras)
-        assert sorted(p.vertices) == sorted((Fraction(x), Fraction(y)) for x, y in square)
+        assert sorted(p.vertices) == sorted(square)
         assert p.area == 16
 
-    def test_counterclockwise_and_cached_area(self):
+    def test_counterclockwise_and_derived_area(self):
         rng = random.Random(3)
         for _ in range(50):
             pts = [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(rng.randint(1, 12))]
             p = convex_hull_2d(pts)
-            # Polygon validates ccw order and the cached area on construction
-            Polygon(p.vertices, p.area)
+            # Polygon checks ccw order and derives its area from the vertices alone
+            assert Polygon(p.vertices).area == p.area == fraction_shoelace(p.vertices)
 
     def test_unimodular_and_translation_invariance(self):
         rng = random.Random(5)
@@ -102,7 +102,12 @@ def assert_matches_fraction_hull(points):
     got, want = convex_hull_2d(points), fraction_hull(points)
     assert got.vertices == want.vertices
     assert got.area == want.area
-    assert all(type(c) is Fraction for v in got.vertices for c in v)
+    # each vertex keeps the coordinate types of an input point equal to it,
+    # so int points give int vertices
+    given_types: dict = {}
+    for p in points:
+        given_types.setdefault(tuple(p), set()).add((type(p[0]), type(p[1])))
+    assert all((type(x), type(y)) in given_types[x, y] for x, y in got.vertices)
 
 
 small = st.integers(-6, 6)
@@ -140,6 +145,12 @@ class TestConvexHullAgainstFractionHull:
         got = scaled_hull(points, m)
         want = fraction_hull([(Fraction(x, m), Fraction(y, m)) for x, y in points])
         assert (got.vertices, got.area) == (want.vertices, want.area)
+        assert all(type(c) is Fraction and m % c.denominator == 0
+                   for v in got.vertices for c in v)
+
+    @given(st.lists(st.tuples(small, small), min_size=1, max_size=30))
+    def test_integer_points_give_int_vertices(self, points):
+        assert all(type(c) is int for v in convex_hull_2d(points).vertices for c in v)
 
     def test_rejects_non_plane_point(self):
         with pytest.raises(ValueError):
@@ -201,8 +212,14 @@ class TestPolygonArea:
 
     def test_polygon_invariant_violations(self):
         with pytest.raises(ValueError):
-            Polygon(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)),
-                     (Fraction(1), Fraction(0))), Fraction(1, 2))  # clockwise
+            Polygon(((0, 0), (0, 1), (1, 0)))  # clockwise
         with pytest.raises(ValueError):
-            Polygon(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                     (Fraction(0), Fraction(1))), Fraction(7))  # wrong cache
+            Polygon(((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)),
+                     (Fraction(1, 3), Fraction(0))))  # clockwise
+        with pytest.raises(TypeError):
+            Polygon(((0, 0), (1, 0), (0, 1)), Fraction(1, 2))  # the area is derived, not given
+
+    def test_polygon_derives_its_area(self):
+        assert Polygon(((0, 0), (1, 0), (0, 1))).area == Fraction(1, 2)
+        assert Polygon(((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3)))).area == Fraction(1, 12)
+        assert Polygon(((1, 1), (2, 2))).area == 0

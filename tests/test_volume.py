@@ -230,7 +230,7 @@ class TestIntegerReport:
     def test_fraction_count_does_not_grow_with_n(self, monkeypatch):
         from toricvol.cli import _report_json
         assert count_fractions(monkeypatch, 16, _report_json) \
-            == count_fractions(monkeypatch, 128, _report_json) <= 8
+            == count_fractions(monkeypatch, 128, _report_json) <= 6
 
     def test_text_fraction_count_does_not_grow_with_n(self, monkeypatch):
         from toricvol.cli import _print_text_report
@@ -239,37 +239,26 @@ class TestIntegerReport:
             _print_text_report(report, io.StringIO())
 
         assert count_fractions(monkeypatch, 16, render) \
-            == count_fractions(monkeypatch, 128, render) <= 8
+            == count_fractions(monkeypatch, 128, render) <= 6
 
 
 def count_fractions(monkeypatch, n: int, render) -> int:
-    """Fractions built by a report at n rays and render(report), outside the
-    hull vertex promotion (which builds a number that grows with the hull)."""
-    from toricvol import divisors, valuation
-
-    real_new, real_hull = Fraction.__new__, divisors.convex_hull_2d
-    counts = {"report": 0, "hull": 0}
-    in_hull = []
+    """Every Fraction built by a report at n rays and render(report), the
+    convex hulls included."""
+    real_new = Fraction.__new__
+    count = 0
 
     def spy_new(cls, *args, **kwargs):
-        counts["hull" if in_hull else "report"] += 1
+        nonlocal count
+        count += 1
         return real_new(cls, *args, **kwargs)
-
-    def spy_hull(points):
-        in_hull.append(True)
-        try:
-            return real_hull(points)
-        finally:
-            in_hull.pop()
 
     D = deep_ample_instance(random.Random(n), n)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(spy_new))
-    monkeypatch.setattr(divisors, "convex_hull_2d", spy_hull)
-    monkeypatch.setattr(valuation, "convex_hull_2d", spy_hull)
     try:
         report = okounkov_volume_report(D)
         render(report)
     finally:
         monkeypatch.undo()
-    assert report.agree and counts["hull"] > 0
-    return counts["report"]
+    assert report.agree
+    return count
