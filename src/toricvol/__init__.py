@@ -26,7 +26,6 @@ from .fan import (
     star_subdivide,
 )
 from .divisors import (
-    NotAmple,
     NotGloballyGenerated,
     TorusDivisor,
     ampleness_violations,
@@ -34,8 +33,6 @@ from .divisors import (
     divisor,
     divisor_polytope,
     generation_violations,
-    is_ample,
-    is_globally_generated,
     section_lattice_points,
 )
 from .valuation import (
@@ -67,7 +64,6 @@ from .volume import (
     flag_contribution,
     okounkov_volume_report,
     self_intersection_classical,
-    simplex_sum_volume,
 )
 
 __version__ = "0.1.0"

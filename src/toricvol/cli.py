@@ -369,8 +369,8 @@ def cmd_sweep(args, out=None) -> int:
                                                   for a in (As[0], As[-1])
                                                   for e in (extras[0], extras[-1]))])
     variant = "default" if args.decomposition is None else args.decomposition
-    # every F_l has four rays, so a variant that fits the first fits all
-    _document(standard_decomposition, hirzebruch_fan(ls.start), variant)
+    # every F_l has four rays, so one decomposition serves the whole sweep
+    dec = _document(standard_decomposition, hirzebruch_fan(ls.start), variant)
     # rows go out as they are computed; the file is line buffered so each
     # finished row is on disk before the next report starts
     with _output(args.csv, out, buffering=1) as fh:
@@ -378,7 +378,6 @@ def cmd_sweep(args, out=None) -> int:
         all_agree = True
         for l in ls:
             fan = hirzebruch_fan(l)
-            dec = standard_decomposition(fan, variant)
             for a in As:
                 for extra in extras:
                     b = l * a + extra

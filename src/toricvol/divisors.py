@@ -5,7 +5,7 @@ divisor on the chart of cone j is the unique character with
 <h_j, ray> = -d_ray on both rays of the cone. With this convention the
 divisor polytope of a globally generated divisor is exactly the convex hull
 of the cocycle characters h_j, and the transition cocycle of the line bundle
-is f_ab = h_b - h_a in exponents.
+is f_ab = h_b - h_a in exponents. Positivity has one API: the two witness lists.
 """
 
 from __future__ import annotations
@@ -32,21 +32,17 @@ class NotGloballyGenerated(ValueError):
             f"violates the inequality of ray {ray}")
 
 
-class NotAmple(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TorusDivisor:
-    """Integer coefficient per ray: the divisor sum(d_i * D_i).
-
-    Derived data is computed on first use and cached: write-once, deterministic.
-    """
+    """Integer coefficient per ray: the divisor sum(d_i * D_i), stored as a tuple
+    of ints (a coefficient that is not an int raises TypeError). Derived data
+    is computed on first use and cached: write-once, deterministic."""
 
     fan: Fan2D
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(index(c) for c in self.coeffs))
         if len(self.coeffs) != self.fan.n_rays:
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for {self.fan.n_rays} rays")
@@ -75,14 +71,9 @@ class TorusDivisor:
         return tuple(d[i - 1] + d[(i + 1) % n] - cross(rays[i - 1], rays[(i + 1) % n]) * d[i]
                      for i in range(n))
 
-    @cached_property
-    def min_curve_degree(self) -> int:
-        """Smallest curve degree: the positivity verdict in O(1) once cached."""
-        return min(self.curve_degrees)
-
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
-    return TorusDivisor(fan, tuple(index(c) for c in coeffs))
+    return TorusDivisor(fan, coeffs)
 
 
 def cech_cocycle(cocycle: Cocycle, a: int, b: int) -> Vec:
@@ -101,19 +92,11 @@ def generation_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] < 0]
 
 
-def is_globally_generated(D: TorusDivisor) -> bool:
-    return D.min_curve_degree >= 0
-
-
 def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     """Witnesses as in ``generation_violations``, one per curve of degree <= 0."""
     n = D.fan.n_rays
     deg = D.curve_degrees
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
-
-
-def is_ample(D: TorusDivisor) -> bool:
-    return D.min_curve_degree > 0
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:

@@ -140,19 +140,16 @@ class OrbitDecomposition:
     assignment is forced and left implicit (cone j owns fixed point j). The
     ray assignments must satisfy the face condition: ray i lies only in the
     charts of the two cones having it as a face, i.e. cones i-1 and i. The
-    dense orbit lies in every chart.
-    """
+    dense orbit lies in every chart. The face condition depends only on
+    n = len(ray_owner), so a decomposition serves every fan with n rays."""
 
-    fan: Fan2D
     generic_owner: int
     ray_owner: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.fan.n_rays
+        n = len(self.ray_owner)
         if not 0 <= self.generic_owner < n:
             raise ValueError(f"generic orbit assigned to nonexistent cone {self.generic_owner}")
-        if len(self.ray_owner) != n:
-            raise ValueError(f"need one owner per ray, got {len(self.ray_owner)} for {n} rays")
         for i, j in enumerate(self.ray_owner):
             if j not in (i, (i - 1) % n):
                 raise ValueError(
@@ -180,4 +177,4 @@ def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecompo
         owners = tuple(range(n))
     else:
         raise ValueError(f"unknown decomposition variant {variant!r}")
-    return OrbitDecomposition(fan, generic, owners)
+    return OrbitDecomposition(generic, owners)

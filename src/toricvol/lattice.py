@@ -2,10 +2,11 @@
 
 Everything works over Python ints and ``fractions.Fraction``; there is no
 floating point anywhere in this package. Vectors and points are plain tuples.
-A polygon is built from its vertices alone and derives its exact shoelace
-area. Convex hulls keep the coordinates they are given, so a hull of lattice
-points has int vertices; ``scaled_hull`` is the one place that makes
-rational vertices.
+A polygon is built from its vertices alone, checks that they form a
+strictly convex counterclockwise cycle and derives its exact shoelace area,
+both on the vertices as ints over their common denominator. Convex hulls
+keep the coordinates they are given, so a hull of lattice points has int
+vertices; ``scaled_hull`` is the one place that makes rational vertices.
 """
 
 from __future__ import annotations
@@ -36,44 +37,59 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(abs(c) for c in v)) == 1
 
 
-def shoelace(vertices: Sequence[Point]) -> Fraction:
-    """Signed shoelace area of a vertex cycle (positive when counterclockwise).
+def _coords(p: Sequence) -> tuple:
+    """A plane point with int and Fraction coordinates kept and any other made a Fraction."""
+    if len(p) != 2:
+        raise ValueError(f"not a plane point: {p!r}")
+    x, y = p
+    return (x if type(x) is int or type(x) is Fraction else Fraction(x),
+            y if type(y) is int or type(y) is Fraction else Fraction(y))
 
-    The vertices are put over their common denominator L, the signed sum is
-    taken over ints and divided once, by 2*L^2.
-    """
-    if len(vertices) < 3:
-        return Fraction(0)
-    L = lcm(*(c.denominator for p in vertices for c in p))
-    xs = [x.numerator * (L // x.denominator) for x, _ in vertices]
-    ys = [y.numerator * (L // y.denominator) for _, y in vertices]
+
+def _integral(pts: Sequence[Point]) -> tuple[list[int], list[int], int]:
+    """The x and y coordinates as ints over their common denominator L, and L."""
+    L = lcm(*(c.denominator for p in pts for c in p))
+    return ([x.numerator * (L // x.denominator) for x, _ in pts],
+            [y.numerator * (L // y.denominator) for _, y in pts], L)
+
+
+def _area(xs: list[int], ys: list[int], L: int) -> Fraction:
     twice = sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
     return Fraction(twice, 2 * L * L)
 
 
+def shoelace(vertices: Sequence[Sequence]) -> Fraction:
+    """Signed shoelace area of a vertex cycle (positive when counterclockwise),
+    summed over ints on the common denominator L and divided once, by 2*L^2."""
+    return _area(*_integral([_coords(p) for p in vertices]))
+
+
+def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
+    """Every turn left and the edges winding once. A left turn is less than a half
+    turn, so the winding counts the edges entering the upper half-plane [0, pi)."""
+    e = [(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) for i in range(len(xs))]
+    up = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in e]
+    return (all(cross(a, b) > 0 for a, b in zip(e[-1:] + e[:-1], e))
+            and sum(b and not a for a, b in zip(up[-1:] + up[:-1], up)) == 1)
+
+
 @dataclass(frozen=True)
 class Polygon:
-    """Convex polygon: counterclockwise vertices, no collinear interior ones.
-
-    Degenerate hulls (a point or a segment) are legal and have area 0.
-    """
+    """Strictly convex polygon: counterclockwise vertices, every turn left and
+    winding once, read as in ``convex_hull_2d``. Degenerate hulls (a point or a
+    segment of two distinct vertices) are legal and have area 0."""
 
     vertices: tuple[Point, ...]
     area: Fraction = field(init=False)
 
     def __post_init__(self):
-        area = shoelace(self.vertices)
-        if area < 0:
-            raise ValueError("vertices are not in counterclockwise order")
-        object.__setattr__(self, "area", area)
-
-
-def _coords(p: Sequence) -> tuple:
-    """A plane point with int coordinates kept and any other coordinate made a Fraction."""
-    if len(p) != 2:
-        raise ValueError(f"not a plane point: {p!r}")
-    x, y = p
-    return (x if type(x) is int else Fraction(x), y if type(y) is int else Fraction(y))
+        vertices = tuple(_coords(p) for p in self.vertices)
+        xs, ys, L = _integral(vertices)
+        convex = len(vertices) < 3 or _strictly_convex(xs, ys)
+        if not convex or len(set(vertices)) < len(vertices):
+            raise ValueError("vertices are not a strictly convex counterclockwise cycle")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "area", _area(xs, ys, L))
 
 
 def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:

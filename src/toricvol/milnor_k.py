@@ -205,8 +205,8 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     rational, so every residue degree is 1.
     """
     fan = D.fan
-    if dec.fan != fan:
-        raise ValueError("decomposition belongs to a different fan")
+    if len(dec.ray_owner) != fan.n_rays:
+        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
     h, a0 = D.cocycle, dec.generic_owner
     total = 0
     for flag in enumerate_tflags(fan):

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisors import (NotAmple, TorusDivisor, ampleness_violations, divisor_polytope,
-                       generation_violations, is_ample)
+from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
 from .fan import OrbitDecomposition, standard_decomposition
 from .lattice import Vec, cross
 from .milnor_k import intersection_number_via_symbols
@@ -30,7 +29,6 @@ __all__ = [
     "FlagContribution",
     "VolumeReport",
     "flag_contribution",
-    "simplex_sum_volume",
     "self_intersection_classical",
     "okounkov_volume_report",
 ]
@@ -78,23 +76,16 @@ class VolumeReport:
 
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
     """Route 3 at one flag: the three valuation vectors and twice the
-    alternating sum of their signed simplex volumes (see ``FlagContribution``)."""
-    if dec.fan != D.fan:
-        raise ValueError("decomposition belongs to a different fan")
-    if not is_ample(D):
-        j, i = ampleness_violations(D)[0]
-        raise NotAmple(f"divisor is not ample (first witness: cone {j}, ray {i})")
+    alternating sum of their signed simplex volumes (see ``FlagContribution``).
+    Defined for every divisor: summed over all flags it is D.D."""
+    if len(dec.ray_owner) != D.fan.n_rays:
+        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {D.fan.n_rays}")
     w = flag_valuation(D.fan, flag)
     charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
     u, v, x = vectors = tuple([w.value(D.cocycle[a]) for a in charts])
     # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
     dets = (v[0] * x[1] - x[0] * v[1], x[0] * u[1] - u[0] * x[1], u[0] * v[1] - v[0] * u[1])
     return FlagContribution(flag, charts, vectors, dets, sum(dets))
-
-
-def simplex_sum_volume(D: TorusDivisor, dec: OrbitDecomposition) -> Fraction:
-    """Total of the per-flag simplex contributions over all 2n flags."""
-    return Fraction(sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan)), 2)
 
 
 def self_intersection_classical(D: TorusDivisor) -> int:
@@ -121,8 +112,8 @@ def okounkov_volume_report(
 ) -> VolumeReport:
     """Compute all routes and compare them exactly.
 
-    Non-ample input yields a diagnostics-only report (the equality chain is
-    only asserted in the ample cone).
+    The one positivity gate: non-ample input yields a diagnostics-only report
+    (the equality chain is only asserted in the ample cone).
     """
     if dec is None:
         dec = standard_decomposition(D.fan)

@@ -576,6 +576,24 @@ class TestSweepCommand:
             assert written == rows[:4]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=3"])
+    def test_one_decomposition_per_sweep(self, capsys, monkeypatch, variant):
+        # every F_l has four rays, so one decomposition serves every l
+        import toricvol.cli as cli
+
+        real = cli.standard_decomposition
+        calls = []
+
+        def spy(fan, variant="default"):
+            calls.append(fan)
+            return real(fan, variant)
+
+        monkeypatch.setattr(cli, "standard_decomposition", spy)
+        argv = ["--decomposition", variant, "sweep", "--l", "1..4", "--a", "1..2", "--b-extra", "0..1"]
+        assert main(argv) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 17
+        assert len(calls) == 1
+
     def test_deterministic_output(self, capsys):
         main(["sweep", "--l", "1..2", "--a", "1", "--b-extra", "1..3"])
         first = capsys.readouterr().out

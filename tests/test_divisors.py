@@ -5,6 +5,7 @@ import pytest
 
 from toricvol import (
     NotGloballyGenerated,
+    TorusDivisor,
     ampleness_violations,
     cech_cocycle,
     divisor,
@@ -12,8 +13,6 @@ from toricvol import (
     dot,
     generation_violations,
     hirzebruch_fan,
-    is_ample,
-    is_globally_generated,
     projective_plane_fan,
     section_lattice_points,
     semigroup_level_hull,
@@ -32,6 +31,22 @@ from conftest import (
 
 def ruled_divisor(l, a, b):
     return divisor(hirzebruch_fan(l), (0, a, b, 0))
+
+
+class TestCoefficients:
+    def test_list_coefficients_equal_and_hash_like_tuples(self):
+        fan = hirzebruch_fan(1)
+        D = TorusDivisor(fan, [0, 1, 2, 0])
+        assert D.coeffs == (0, 1, 2, 0)
+        assert D == divisor(fan, (0, 1, 2, 0)) and hash(D) == hash(divisor(fan, (0, 1, 2, 0)))
+
+    def test_non_integer_coefficient_raises_at_construction(self):
+        fan = hirzebruch_fan(1)
+        for bad in ((0, 1.0, 2, 0), (0, 1, Fraction(5, 2), 0), (0, 1, "2", 0)):
+            with pytest.raises(TypeError):
+                TorusDivisor(fan, bad)
+            with pytest.raises(TypeError):
+                divisor(fan, bad)
 
 
 class TestCartierData:
@@ -89,16 +104,16 @@ class TestPositivity:
             for a in range(-2, 4):
                 for b in range(-2, 8):
                     expected = a > 0 and b - l * a > 0
-                    assert is_ample(divisor(fan, (0, a, b, 0))) is expected
+                    assert (not ampleness_violations(divisor(fan, (0, a, b, 0)))) is expected
 
     def test_nef_boundary_not_ample(self):
-        assert not is_ample(ruled_divisor(1, 1, 1))
-        assert not is_ample(ruled_divisor(1, 0, 1))
+        assert ampleness_violations(ruled_divisor(1, 1, 1))
+        assert ampleness_violations(ruled_divisor(1, 0, 1))
 
     def test_globally_generated_examples(self):
-        assert is_globally_generated(ruled_divisor(1, 1, 2))
-        assert is_globally_generated(ruled_divisor(1, 0, 0))
-        assert not is_globally_generated(ruled_divisor(1, 1, 0))
+        assert not generation_violations(ruled_divisor(1, 1, 2))
+        assert not generation_violations(ruled_divisor(1, 0, 0))
+        assert generation_violations(ruled_divisor(1, 1, 0))
 
     def test_generation_witnesses_name_cone_and_ray(self):
         bad = generation_violations(ruled_divisor(1, 1, 0))
@@ -112,7 +127,7 @@ class TestPositivity:
         rng = random.Random(41)
         for _ in range(40):
             D = random_ample_instance(rng)
-            assert is_globally_generated(D)
+            assert not generation_violations(D)
 
 
 class TestCurveDegreeCriterion:
@@ -123,8 +138,7 @@ class TestCurveDegreeCriterion:
         gen = pairwise_violations(D, strict=False)
         amp = pairwise_violations(D, strict=True)
         gen_w, amp_w = generation_violations(D), ampleness_violations(D)
-        ok = (is_globally_generated(D) is (not gen) and is_ample(D) is (not amp)
-              and bool(gen_w) is bool(gen) and bool(amp_w) is bool(amp)
+        ok = (bool(gen_w) is bool(gen) and bool(amp_w) is bool(amp)
               and set(gen_w) <= set(gen) and set(amp_w) <= set(amp))
         return 0 if ok else 1
 
@@ -136,7 +150,7 @@ class TestCurveDegreeCriterion:
             fan = random_smooth_fan(rng)
             D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
             bad += self.mismatches(D)
-            verdicts.add((is_ample(D), is_globally_generated(D)))
+            verdicts.add((not ampleness_violations(D), not generation_violations(D)))
         assert bad == 0
         assert verdicts == {(True, True), (False, True), (False, False)}
 
@@ -146,14 +160,14 @@ class TestCurveDegreeCriterion:
         verdicts = set()
         for _ in range(200):
             D = deep_ample_instance(rng, rng.randint(8, 64))
-            assert is_ample(D)
+            assert not ampleness_violations(D)
             bad += self.mismatches(D)
             d = list(D.coeffs)
             for _ in range(rng.randint(1, 3)):
                 d[rng.randrange(len(d))] += rng.choice((-2, -1, 1, 2))
             perturbed = divisor(D.fan, d)
             bad += self.mismatches(perturbed)
-            verdicts.add((is_ample(perturbed), is_globally_generated(perturbed)))
+            verdicts.add((not ampleness_violations(perturbed), not generation_violations(perturbed)))
         assert bad == 0
         assert verdicts == {(True, True), (False, True), (False, False)}
 
@@ -288,7 +302,7 @@ class TestSectionLatticePoints:
         while seen < 40:
             fan = random_smooth_fan(rng)
             D = divisor(fan, [rng.randint(-3, 4) for _ in range(fan.n_rays)])
-            if is_globally_generated(D):
+            if not generation_violations(D):
                 continue
             seen += 1
             for m in (1, 2, 3):

@@ -208,9 +208,8 @@ class TestOrbitDecomposition:
         assert dec.ray_owner == (0, 1, 2, 3)
 
     def test_face_condition_rejected(self):
-        fan = hirzebruch_fan(1)
         with pytest.raises(ValueError):
-            OrbitDecomposition(fan, 0, (0, 2, 2, 3))  # ray 1 given to cone 2
+            OrbitDecomposition(0, (0, 2, 2, 3))  # ray 1 given to cone 2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,9 @@ class TestShoelaceAgainstFractionShoelace:
         assert shoelace([(0, 0), (0, Fraction(1, 2)), (Fraction(1, 3), 0)]) == Fraction(-1, 12)
 
 
+PENTAGRAM = ((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3))
+
+
 class TestPolygonArea:
     def test_divisor_polytope_instance(self):
         p = convex_hull_2d([(0, 0), (2, 0), (1, -1), (0, -1)])
@@ -218,8 +221,51 @@ class TestPolygonArea:
                      (Fraction(1, 3), Fraction(0))))  # clockwise
         with pytest.raises(TypeError):
             Polygon(((0, 0), (1, 0), (0, 1)), Fraction(1, 2))  # the area is derived, not given
+        for vertices in (((0, 0), (2, 0), (0, 2), (1, 1)),  # not convex
+                         ((0, 0), (1, 0), (2, 0), (0, 1)),  # a collinear vertex
+                         ((0, 0), (1, 0), (0, 1), (0, 0)),  # a repeated vertex
+                         ((1, 1), (1, 1)),  # a segment needs two distinct vertices
+                         PENTAGRAM):  # every turn left, but it winds twice
+            with pytest.raises(ValueError):
+                Polygon(vertices)
 
     def test_polygon_derives_its_area(self):
         assert Polygon(((0, 0), (1, 0), (0, 1))).area == Fraction(1, 2)
         assert Polygon(((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3)))).area == Fraction(1, 12)
         assert Polygon(((1, 1), (2, 2))).area == 0
+
+
+class TestPolygonIsStrictlyConvex:
+    def test_pentagram_turns_left_and_has_positive_area(self):
+        # why the check counts the winding: turns and area alone accept it
+        n = len(PENTAGRAM)
+        turns = [cross(tuple(b - a for a, b in zip(PENTAGRAM[i - 1], PENTAGRAM[i])),
+                       tuple(b - a for a, b in zip(PENTAGRAM[i], PENTAGRAM[(i + 1) % n])))
+                 for i in range(n)]
+        assert turns == [7, 8, 8, 7, 6]
+        assert shoelace(PENTAGRAM) == 5
+
+    def test_float_coordinates_are_read_exactly(self):
+        triangle = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+        assert shoelace(triangle) == Fraction(1, 2)
+        p = Polygon(triangle)
+        assert p.area == Fraction(1, 2) and p.vertices == ((0, 0), (1, 0), (0, 1))
+        assert all(type(c) is Fraction for v in p.vertices for c in v)
+
+    @given(st.lists(st.tuples(small, small), min_size=3, max_size=30))
+    def test_hull_cycles(self, points):
+        hull = convex_hull_2d(points)
+        cycle = hull.vertices
+        k = len(cycle)
+        if k < 3:
+            return
+        for r in range(k):  # any start vertex
+            assert Polygon(cycle[r:] + cycle[:r]).area == hull.area
+        (x0, y0), (x1, y1) = cycle[0], cycle[1]
+        midpoint = (Fraction(x0 + x1, 2), Fraction(y0 + y1, 2))
+        bad = [cycle[::-1], cycle + cycle, cycle[:1] + cycle, cycle[:1] + (midpoint,) + cycle[1:]]
+        if k % 2:  # every second vertex: left turns, winding 2
+            bad.append(cycle[::2] + cycle[1::2])
+        for vertices in bad:
+            with pytest.raises(ValueError):
+                Polygon(vertices)

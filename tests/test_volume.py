@@ -4,23 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import toricvol.volume as volume
 from toricvol import (
-    NotAmple,
+    Fan2D,
     TFlag,
+    ampleness_violations,
     cross,
     divisor,
     divisor_polytope,
     enumerate_tflags,
     flag_contribution,
     hirzebruch_fan,
+    intersection_number_via_symbols,
     okounkov_volume_report,
     projective_plane_fan,
     self_intersection_classical,
-    simplex_sum_volume,
     standard_decomposition,
+    star_subdivide,
 )
 from conftest import (
     deep_ample_instance,
@@ -33,6 +35,11 @@ from conftest import (
 
 def ruled_divisor(l, a, b):
     return divisor(hirzebruch_fan(l), (0, a, b, 0))
+
+
+def simplex_twice(D, dec) -> int:
+    """Route 3 alone: the summed ``twice`` over all 2n flags."""
+    return sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan))
 
 
 class TestSelfIntersection:
@@ -88,29 +95,30 @@ class TestFlagContribution:
                 assert c.signed_dets == (cross(v, x), -cross(u, x), cross(u, v))
                 assert c.twice == sum(c.signed_dets)
 
-    def test_rejects_non_ample(self):
-        D = ruled_divisor(1, 1, 1)
-        with pytest.raises(NotAmple):
-            flag_contribution(D, TFlag(2, 1), standard_decomposition(D.fan))
+    def test_defined_off_the_ample_cone(self):
+        # nef but not ample, and not nef: route 3 still sums to D.D
+        for D in (ruled_divisor(1, 1, 1), ruled_divisor(2, -1, 3)):
+            dec = standard_decomposition(D.fan)
+            assert ampleness_violations(D)
+            assert simplex_twice(D, dec) == self_intersection_classical(D)
 
 
 class TestSimplexSum:
     def test_family_closed_form(self):
         for l, a, b in [(1, 1, 2), (2, 1, 3), (3, 2, 10)]:
             D = ruled_divisor(l, a, b)
-            assert simplex_sum_volume(D, standard_decomposition(D.fan)) \
-                == Fraction(2 * a * b - l * a * a, 2)
+            assert simplex_twice(D, standard_decomposition(D.fan)) == 2 * a * b - l * a * a
 
     def test_plane_hyperplane(self):
         D = divisor(projective_plane_fan(), (1, 0, 0))
-        assert simplex_sum_volume(D, standard_decomposition(D.fan)) == Fraction(1, 2)
+        assert simplex_twice(D, standard_decomposition(D.fan)) == 1
 
     def test_decomposition_independence(self):
         rng = random.Random(107)
         for _ in range(10):
             D = random_ample_instance(rng)
             totals = {
-                simplex_sum_volume(D, standard_decomposition(D.fan, v))
+                simplex_twice(D, standard_decomposition(D.fan, v))
                 for v in ("default", "successor", "generic-at=1")
             }
             assert len(totals) == 1
@@ -157,6 +165,72 @@ class TestVolumeReport:
         assert report.values == (Fraction(dsq, 2),) * 5
 
 
+@st.composite
+def any_divisor(draw):
+    """A star-subdivided P^2 fan with coefficients in [-4, 6]: mostly not nef."""
+    fan = projective_plane_fan()
+    for j in draw(st.lists(st.integers(0, 63), max_size=6)):
+        fan = star_subdivide(fan, j % fan.n_rays)
+    return divisor(fan, draw(st.lists(st.integers(-4, 6), min_size=fan.n_rays,
+                                      max_size=fan.n_rays)))
+
+
+class TestOneQuadraticForm:
+    """Routes 2-4 are one quadratic form in d, so they agree on every divisor;
+    only the report restricts them to the ample cone."""
+
+    @given(any_divisor(), st.sampled_from(["default", "successor", "generic-at"]),
+           st.integers(0, 63))
+    @example(ruled_divisor(1, 1, 2), "successor", 0)  # ample
+    @example(ruled_divisor(1, 1, 1), "default", 0)  # nef, not ample
+    @example(ruled_divisor(2, -1, 3), "generic-at", 2)  # not nef
+    def test_routes_2_3_4_agree_on_every_divisor(self, D, variant, k):
+        if variant == "generic-at":
+            variant = f"generic-at={k % D.fan.n_rays}"
+        dec = standard_decomposition(D.fan, variant)
+        assert simplex_twice(D, dec) == self_intersection_classical(D) \
+            == intersection_number_via_symbols(D, dec)
+
+
+class TestOnePositivityGate:
+    """The report decides positivity; the routes compare no fans."""
+
+    @staticmethod
+    def equal_fan_decomposition(D):
+        fan = Fan2D(list(D.fan.rays))
+        assert fan == D.fan and fan is not D.fan
+        return standard_decomposition(fan, "successor")
+
+    def test_report_compares_no_fans(self, monkeypatch):
+        D = deep_ample_instance(random.Random(64), 64)
+        decs = (None, standard_decomposition(D.fan), self.equal_fan_decomposition(D))
+        real_eq = Fan2D.__eq__
+        calls = 0
+
+        def spy_eq(self, other):
+            nonlocal calls
+            calls += 1
+            return real_eq(self, other)
+
+        monkeypatch.setattr(Fan2D, "__eq__", spy_eq)
+        for dec in decs:
+            assert okounkov_volume_report(D, dec).agree
+        assert calls == 0
+
+    def test_equal_fan_decomposition_gives_the_same_report(self):
+        D = deep_ample_instance(random.Random(16), 16)
+        same = okounkov_volume_report(D, standard_decomposition(D.fan, "successor"), TFlag(3, 2))
+        assert okounkov_volume_report(D, self.equal_fan_decomposition(D), TFlag(3, 2)) == same
+
+    def test_decomposition_for_another_ray_count_rejected(self):
+        D = ruled_divisor(1, 1, 2)
+        dec = standard_decomposition(projective_plane_fan())
+        with pytest.raises(ValueError, match="decomposition of 3 rays for a fan of 4"):
+            flag_contribution(D, TFlag(0, 0), dec)
+        with pytest.raises(ValueError, match="decomposition of 3 rays for a fan of 4"):
+            intersection_number_via_symbols(D, dec)
+
+
 def assert_matches_fraction_oracle(D, dec):
     for flag in enumerate_tflags(D.fan):
         c = flag_contribution(D, flag, dec)
@@ -187,8 +261,8 @@ class TestAgainstFractionOracle:
     def test_simplex_sum_is_half_the_int_total(self):
         D = deep_ample_instance(random.Random(7), 32)
         dec = standard_decomposition(D.fan)
-        twice = sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan))
-        assert simplex_sum_volume(D, dec) == Fraction(twice, 2)
+        twice = simplex_twice(D, dec)
+        assert okounkov_volume_report(D, dec).values[2] == Fraction(twice, 2)
         assert twice == self_intersection_classical(D)
 
 
