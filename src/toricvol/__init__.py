@@ -18,7 +18,8 @@ from .fan import (
     FanValidationError,
     FanViolation,
     OrbitDecomposition,
-    chart_dual_basis,
+    Rank2Valuation,
+    TFlag,
     fan_violations,
     hirzebruch_fan,
     projective_plane_fan,
@@ -36,8 +37,6 @@ from .divisors import (
     section_lattice_points,
 )
 from .valuation import (
-    Rank2Valuation,
-    TFlag,
     enumerate_tflags,
     flag_valuation,
     graded_semigroup,

@@ -485,10 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hirzebruch)
 
     p = sub.add_parser("sweep", help="verify agreement over a parameter grid, emit CSV")
-    p.add_argument("--l", required=True, metavar="K or K1..K2")
-    p.add_argument("--a", required=True, metavar="K or K1..K2")
-    p.add_argument("--b-extra", required=True, metavar="K or K1..K2",
-                   help="b = l*a + extra for each extra in the range")
+    for name, what in (("--l", "l"), ("--a", "a"), ("--b-extra", "b = l*a + extra for each extra")):
+        p.add_argument(name, required=True, metavar="K or K1..K2",
+                       help=f"{what} in the range; a negative one needs the = form, {name}=-1..2")
     p.add_argument("--csv", default=None, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 

@@ -5,7 +5,8 @@ divisor on the chart of cone j is the unique character with
 <h_j, ray> = -d_ray on both rays of the cone. With this convention the
 divisor polytope of a globally generated divisor is exactly the convex hull
 of the cocycle characters h_j, and the transition cocycle of the line bundle
-is f_ab = h_b - h_a in exponents. Positivity has one API: the two witness lists.
+is f_ab = h_b - h_a in exponents, with h_j in the dual basis of ``Fan2D.charts``.
+Positivity has one API: the two witness lists.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 
-from .fan import Fan2D, chart_dual_basis
+from .fan import Fan2D, TFlag
 from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
@@ -49,14 +50,14 @@ class TorusDivisor:
 
     @cached_property
     def cocycle(self) -> Cocycle:
-        """Local equation h_j per cone: h_j = -d_j*m - d_{j+1}*m' in the dual basis."""
-        fan = self.fan
-        n = fan.n_rays
+        """Local equation h_j = -d_j*pi1 - d_{j+1}*pi2 per cone, in its first flag's chart."""
+        charts, d = self.fan.charts, self.coeffs
+        n = len(d)
         out = []
         for j in range(n):
-            m, mp = chart_dual_basis(fan, j)
-            dj, dk = self.coeffs[j], self.coeffs[(j + 1) % n]
-            out.append((-dj * m[0] - dk * mp[0], -dj * m[1] - dk * mp[1]))
+            w = charts[TFlag(j, j)]
+            dj, dk = d[j], d[(j + 1) % n]
+            out.append((-dj * w.pi1[0] - dk * w.pi2[0], -dj * w.pi1[1] - dk * w.pi2[1]))
         return tuple(out)
 
     @cached_property

@@ -7,15 +7,19 @@ Valid means every ray primitive, every consecutive cross exactly 1 (smooth,
 positively oriented) and winding number 1 (complete). Once the crosses are
 1, Noether's formula sum a_i = 3n - 12 * winding with a_i = cross(r_(i-1),
 r_(i+1)) = -D_i^2 gives the winding (Poonen, Rodriguez-Villegas 2000).
+
+A fan owns its 2n flags and their charts: ``Fan2D.charts`` builds that table
+once, the one place that writes the flag order and the dual basis.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from operator import index
 
-from .lattice import Vec, cross, is_primitive
+from .lattice import Vec, cross, dot, is_primitive
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,32 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
 
 
 @dataclass(frozen=True)
+class TFlag:
+    """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point."""
+
+    ray: int
+    cone: int
+
+
+@dataclass(frozen=True)
+class Rank2Valuation:
+    """A flag's chart: its two rays in flag order and the dual-basis uniformizers.
+
+    pi1 cuts out the flag curve in the chart; pi2 restricts to the
+    coordinate of the curve in which the flag point is the origin. Both are
+    exponent vectors, dual to (first_ray, second_ray).
+    """
+
+    first_ray: Vec   # the flag divisor's ray; first valuation component
+    second_ray: Vec  # the other generator of the flag's cone
+    pi1: Vec         # exponent of the dual-basis local equation of the curve
+    pi2: Vec         # exponent of the dual-basis residue coordinate t
+
+    def value(self, exponent: Vec) -> tuple[int, int]:
+        return (dot(exponent, self.first_ray), dot(exponent, self.second_ray))
+
+
+@dataclass(frozen=True)
 class Fan2D:
     """Validated smooth complete fan; an invalid one raises FanValidationError."""
 
@@ -93,6 +123,20 @@ class Fan2D:
         n = len(self.rays)
         return self.rays[j % n], self.rays[(j + 1) % n]
 
+    @cached_property
+    def charts(self) -> dict[TFlag, Rank2Valuation]:
+        """The 2n flag charts in flag order: each cone's flag on its first ray, then
+        on its second. The dual basis (m, m') of cone (u, v), <m,u> = <m',v> = 1 and
+        <m,v> = <m',u> = 0, is the rows (v2,-v1), (-u2,u1) of [u v]^-1, as det = 1."""
+        n = len(self.rays)
+        out = {}
+        for j in range(n):
+            u, v = self.cone(j)
+            m, mp = (v[1], -v[0]), (-u[1], u[0])
+            out[TFlag(j, j)] = Rank2Valuation(u, v, m, mp)
+            out[TFlag((j + 1) % n, j)] = Rank2Valuation(v, u, mp, m)
+        return out
+
 
 def hirzebruch_fan(l: int) -> Fan2D:
     """The fan with rays (1,0), (0,1), (-1,l), (0,-1) for l >= 1.
@@ -107,17 +151,6 @@ def hirzebruch_fan(l: int) -> Fan2D:
 
 def projective_plane_fan() -> Fan2D:
     return Fan2D(((1, 0), (0, 1), (-1, -1)))
-
-
-def chart_dual_basis(fan: Fan2D, j: int) -> tuple[Vec, Vec]:
-    """Exponents (m, m') of the chart coordinates of cone j.
-
-    m pairs to 1 with the cone's first ray and to 0 with the second; m' the
-    other way around. Unique because the cone is unimodular: for column
-    matrix A = [u v] with det 1, the inverse rows are (v2,-v1), (-u2,u1).
-    """
-    u, v = fan.cone(j)
-    return (v[1], -v[0]), (-u[1], u[0])
 
 
 def star_subdivide(fan: Fan2D, j: int) -> Fan2D:
@@ -141,12 +174,15 @@ class OrbitDecomposition:
     ray assignments must satisfy the face condition: ray i lies only in the
     charts of the two cones having it as a face, i.e. cones i-1 and i. The
     dense orbit lies in every chart. The face condition depends only on
-    n = len(ray_owner), so a decomposition serves every fan with n rays."""
+    n = len(ray_owner), so a decomposition serves every fan with n rays.
+    Owners are read with ``operator.index`` into a tuple: a float raises TypeError."""
 
     generic_owner: int
     ray_owner: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "generic_owner", index(self.generic_owner))
+        object.__setattr__(self, "ray_owner", tuple(index(j) for j in self.ray_owner))
         n = len(self.ray_owner)
         if not 0 <= self.generic_owner < n:
             raise ValueError(f"generic orbit assigned to nonexistent cone {self.generic_owner}")

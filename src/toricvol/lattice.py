@@ -77,7 +77,7 @@ def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
 class Polygon:
     """Strictly convex polygon: counterclockwise vertices, every turn left and
     winding once, read as in ``convex_hull_2d``. Degenerate hulls (a point or a
-    segment of two distinct vertices) are legal and have area 0."""
+    segment of two distinct vertices) are legal with area 0; zero vertices are not."""
 
     vertices: tuple[Point, ...]
     area: Fraction = field(init=False)
@@ -85,7 +85,7 @@ class Polygon:
     def __post_init__(self):
         vertices = tuple(_coords(p) for p in self.vertices)
         xs, ys, L = _integral(vertices)
-        convex = len(vertices) < 3 or _strictly_convex(xs, ys)
+        convex = 0 < len(vertices) < 3 or _strictly_convex(xs, ys)
         if not convex or len(set(vertices)) < len(vertices):
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
         object.__setattr__(self, "vertices", vertices)

@@ -2,9 +2,10 @@
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 pairwise positivity scan, the all-Fraction shoelace sum and convex hull, the
-bounding-box section scan, the per-flag simplex terms built as Fractions, and
-the report writers they feed: the dict the JSON report used to be dumped from
-and the text report printed term by term."""
+bounding-box section scan, the per-call flag chart built from the cone's dual
+basis, the per-flag simplex terms built as Fractions, and the report writers
+they feed: the dict the JSON report used to be dumped from and the text
+report printed term by term."""
 
 import random
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ from hypothesis import settings
 
 from toricvol import (
     MonomialFn,
+    Rank2Valuation,
+    TFlag,
     TorusDivisor,
     ampleness_violations,
     cross,
@@ -111,6 +114,32 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
             elif not strict and slack < 0:
                 out.append((j, i))
     return out
+
+
+def chart_dual_basis(fan, j: int):
+    """Reference exponents (m, m') of the chart coordinates of cone j.
+
+    m pairs to 1 with the cone's first ray and to 0 with the second; m' the
+    other way around. Unique because the cone is unimodular: for column
+    matrix A = [u v] with det 1, the inverse rows are (v2,-v1), (-u2,u1).
+    """
+    u, v = fan.cone(j)
+    return (v[1], -v[0]), (-u[1], u[0])
+
+
+def reference_tflags(fan) -> list:
+    """Reference flag order: each cone paired with its first ray, then its second."""
+    n = fan.n_rays
+    return [TFlag(r, j) for j in range(n) for r in (j, (j + 1) % n)]
+
+
+def reference_chart(fan, flag) -> Rank2Valuation:
+    """Reference chart of a flag, built on every call from the cone's dual basis."""
+    u, v = fan.cone(flag.cone)
+    m, mp = chart_dual_basis(fan, flag.cone)
+    if flag.ray == flag.cone:
+        return Rank2Valuation(u, v, m, mp)
+    return Rank2Valuation(v, u, mp, m)
 
 
 def angle_winding(rays) -> int:

@@ -191,6 +191,45 @@ class TestCheckCommand:
         capsys.readouterr()
 
 
+class TestChartsBuiltOncePerFan:
+    """A report and its rendering build each of the fan's 2n flag charts once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import toricvol.fan as fan_module
+        calls = []
+        real = fan_module.Rank2Valuation.__init__
+
+        def spy(self, *args):
+            calls.append(args)
+            real(self, *args)
+        monkeypatch.setattr(fan_module.Rank2Valuation, "__init__", spy)
+        return calls
+
+    @pytest.mark.parametrize("variant, flag", [([], []), (["--decomposition", "successor"],
+                                                          ["--flag", "2,1"])])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_report_builds_2n_charts(self, tmp_path, capsys, built, n, fmt, variant, flag):
+        D = deep_ample_instance(random.Random(n), n)
+        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        built.clear()
+        assert main([*variant, "report", path, "--format", fmt, *flag]) == 0
+        assert len(built) == 2 * n
+        capsys.readouterr()
+
+    def test_second_report_on_the_same_fan_builds_none(self, built):
+        D = deep_ample_instance(random.Random(64), 64)
+        built.clear()
+        _report_json(okounkov_volume_report(D))
+        assert len(built) == 128
+        E = divisor(D.fan, [2 * d for d in D.coeffs])
+        report = okounkov_volume_report(E, standard_decomposition(D.fan, "successor"), TFlag(5, 4))
+        _report_json(report)
+        _print_text_report(report, io.StringIO())
+        assert report.agree and len(built) == 128
+
+
 class TestReportCommand:
     def test_text_report(self, tmp_path, capsys):
         path = write(tmp_path, HIRZ_112)
@@ -504,6 +543,23 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "l,a,b,area,dsq,simplex_sum,symbol_sum,agree"
         assert lines[1] == "1,1,2,3/2,3,3/2,3/2,true"
+
+    def test_negative_range_in_the_equals_form(self, capsys):
+        # a spaced "--a -1..1" reads as an option; the "=" form passes the range
+        assert main(["sweep", "--l", "1", "--a=-1..1", "--b-extra=0"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "l,a,b,area,dsq,simplex_sum,symbol_sum,agree",
+            "1,-1,-1,-,-,-,-,false",
+            "1,0,0,-,-,-,-,false",
+            "1,1,1,-,-,-,-,false",
+        ]
+
+    def test_help_names_the_equals_form(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        for name in ("--l", "--a", "--b-extra"):
+            assert f"{name}=-1..2" in help_text
 
     def test_non_ample_row_uses_dash(self, capsys):
         assert main(["sweep", "--l", "1", "--a", "1", "--b-extra", "0..1"]) == 1

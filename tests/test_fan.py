@@ -8,7 +8,6 @@ from toricvol import (
     FanValidationError,
     OrbitDecomposition,
     TFlag,
-    chart_dual_basis,
     cross,
     divisor,
     dot,
@@ -19,7 +18,7 @@ from toricvol import (
     standard_decomposition,
     star_subdivide,
 )
-from conftest import angle_winding, random_smooth_fan
+from conftest import angle_winding, random_smooth_fan, reference_chart, reference_tflags
 
 
 @st.composite
@@ -150,23 +149,44 @@ class TestHirzebruch:
 
 
 class TestChartDualBasis:
+    # the dual basis (m, m') of cone j is the (pi1, pi2) of its first flag's chart
+
     def test_ruled_surface_charts(self):
         for l in (1, 2, 5):
             fan = hirzebruch_fan(l)
-            assert chart_dual_basis(fan, 1) == ((l, 1), (-1, 0))
-            assert chart_dual_basis(fan, 2) == ((-1, 0), (-l, -1))
+            for j, dual in ((1, ((l, 1), (-1, 0))), (2, ((-1, 0), (-l, -1)))):
+                w = fan.charts[TFlag(j, j)]
+                assert (w.pi1, w.pi2) == dual
 
     def test_projective_plane_first_chart(self):
-        assert chart_dual_basis(projective_plane_fan(), 0) == ((1, 0), (0, 1))
+        w = projective_plane_fan().charts[TFlag(0, 0)]
+        assert (w.pi1, w.pi2) == ((1, 0), (0, 1))
 
     def test_pairing_equations_on_random_fans(self):
         rng = random.Random(19)
         for _ in range(25):
             fan = random_smooth_fan(rng)
-            for j in range(fan.n_rays):
-                m, mp = chart_dual_basis(fan, j)
-                u, v = fan.cone(j)
-                assert (dot(m, u), dot(m, v), dot(mp, u), dot(mp, v)) == (1, 0, 0, 1)
+            for w in fan.charts.values():
+                u, v = w.first_ray, w.second_ray
+                assert (dot(w.pi1, u), dot(w.pi1, v), dot(w.pi2, u), dot(w.pi2, v)) == (1, 0, 0, 1)
+
+
+class TestChartTable:
+    @given(st.integers(0, 61), st.integers(0, 2 ** 32))
+    def test_table_equals_the_per_call_charts(self, subdivisions, seed):
+        # star-subdivided P^2 with 3 to 64 rays
+        rng = random.Random(seed)
+        fan = projective_plane_fan()
+        for _ in range(subdivisions):
+            fan = star_subdivide(fan, rng.randrange(fan.n_rays))
+        assert list(fan.charts) == reference_tflags(fan)
+        for flag, w in fan.charts.items():
+            assert w == reference_chart(fan, flag)
+
+    def test_cached_table_leaves_equality_alone(self):
+        fan, fresh = hirzebruch_fan(3), hirzebruch_fan(3)
+        assert fan.charts is fan.charts
+        assert fan == fresh and hash(fan) == hash(fresh) and repr(fan) == repr(fresh)
 
 
 class TestStarSubdivide:
@@ -210,6 +230,19 @@ class TestOrbitDecomposition:
     def test_face_condition_rejected(self):
         with pytest.raises(ValueError):
             OrbitDecomposition(0, (0, 2, 2, 3))  # ray 1 given to cone 2
+
+    @pytest.mark.parametrize("generic, owners", [(0, [0, 1.0, 2, 3]), (0.0, [0, 1, 2, 3]),
+                                                 ("0", [0, 1, 2, 3]), (0, [0, 1, "2", 3])])
+    def test_non_int_owner_rejected(self, generic, owners):
+        with pytest.raises(TypeError):
+            OrbitDecomposition(generic, owners)
+
+    def test_list_owners_are_a_tuple(self):
+        dec = OrbitDecomposition(1, [0, 0, 2, 3])
+        assert dec.ray_owner == (0, 0, 2, 3)
+        assert dec == OrbitDecomposition(1, (0, 0, 2, 3))
+        assert hash(dec) == hash(OrbitDecomposition(1, (0, 0, 2, 3)))
+        assert OrbitDecomposition(0, iter(range(4))) == standard_decomposition(hirzebruch_fan(1))
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

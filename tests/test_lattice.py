@@ -234,6 +234,13 @@ class TestPolygonArea:
         assert Polygon(((0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 3)))).area == Fraction(1, 12)
         assert Polygon(((1, 1), (2, 2))).area == 0
 
+    @pytest.mark.parametrize("vertices", [(), []])
+    def test_no_vertices_rejected_like_the_empty_hull(self, vertices):
+        with pytest.raises(ValueError, match="not a strictly convex"):
+            Polygon(vertices)
+        with pytest.raises(ValueError):
+            convex_hull_2d(vertices)
+
 
 class TestPolygonIsStrictlyConvex:
     def test_pentagram_turns_left_and_has_positive_area(self):

@@ -347,8 +347,8 @@ class TestIntersectionNumber:
 
 
 class TestOneChartPerCall:
-    # a boundary map is handed its flag's chart and builds none; route 4
-    # builds one chart per flag
+    # a boundary map is handed its flag's chart and looks none up; route 4
+    # reads each flag's chart from the fan's table, once per flag
 
     @pytest.fixture
     def charts(self, monkeypatch):
@@ -372,7 +372,7 @@ class TestOneChartPerCall:
         assert det_formula_check(w, monomial((3, -2)), monomial((1, 4)))
         assert charts == []
 
-    def test_route_4_builds_its_own_chart_per_flag(self, charts):
+    def test_route_4_reads_one_chart_per_flag(self, charts):
         D = ruled_divisor(1, 1, 2)
         assert intersection_number_via_symbols(D, standard_decomposition(D.fan)) == 3
         assert charts == enumerate_tflags(D.fan)

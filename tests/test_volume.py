@@ -9,20 +9,26 @@ from hypothesis import example, given, strategies as st
 import toricvol.volume as volume
 from toricvol import (
     Fan2D,
+    OrbitDecomposition,
     TFlag,
     ampleness_violations,
+    cech_cocycle,
     cross,
     divisor,
     divisor_polytope,
     enumerate_tflags,
     flag_contribution,
+    flag_valuation,
     hirzebruch_fan,
     intersection_number_via_symbols,
+    iterated_boundary,
+    monomial,
     okounkov_volume_report,
     projective_plane_fan,
     self_intersection_classical,
     standard_decomposition,
     star_subdivide,
+    symbol,
 )
 from conftest import (
     deep_ample_instance,
@@ -190,6 +196,27 @@ class TestOneQuadraticForm:
         dec = standard_decomposition(D.fan, variant)
         assert simplex_twice(D, dec) == self_intersection_classical(D) \
             == intersection_number_via_symbols(D, dec)
+
+
+@st.composite
+def random_decompositions(draw, n: int) -> OrbitDecomposition:
+    """Any legal decomposition: ray i goes to cone i or i-1, the dense orbit anywhere."""
+    owners = [i - draw(st.integers(0, 1)) for i in range(n)]
+    return OrbitDecomposition(draw(st.integers(0, n - 1)), [j % n for j in owners])
+
+
+class TestLocalIdentity:
+    """Routes 3 and 4 agree flag by flag, not only in total."""
+
+    @given(st.integers(0, 2 ** 32), st.integers(3, 64), st.data())
+    def test_simplex_twice_is_the_iterated_boundary_at_every_flag(self, seed, n, data):
+        D = deep_ample_instance(random.Random(seed), n)
+        dec = data.draw(random_decompositions(n))
+        h, a0 = D.cocycle, dec.generic_owner
+        for f in enumerate_tflags(D.fan):
+            a1 = dec.ray_owner[f.ray]
+            S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, f.cone)))
+            assert flag_contribution(D, f, dec).twice == iterated_boundary(flag_valuation(D.fan, f), S)
 
 
 class TestOnePositivityGate:
