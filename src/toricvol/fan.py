@@ -76,10 +76,15 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
 
 @dataclass(frozen=True)
 class TFlag:
-    """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point."""
+    """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point.
+    Both fields are read with ``operator.index``: a float raises TypeError."""
 
     ray: int
     cone: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "ray", index(self.ray))
+        object.__setattr__(self, "cone", index(self.cone))
 
 
 @dataclass(frozen=True)

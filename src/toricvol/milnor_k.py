@@ -21,6 +21,9 @@ consistent with boundary{pi, u} = red(u) and boundary{u1, u2} = 1 for a
 uniformizer pi and units u. The sign only touches the residue coefficient,
 a unit, so it never influences the integer produced by the second boundary
 (the order in t at the flag point).
+
+The closed form is computed once, on exponents (``_closed_form``). Coefficients
+are ``Fraction``s, which only ``tame_boundary`` and ``specialization`` carry.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from .valuation import Rank2Valuation, enumerate_tflags, flag_valuation
 class MonomialFn:
     """Nonzero scalar times a character: c * x^e1 * y^e2."""
 
-    coeff: int | Fraction
+    coeff: Fraction
     exponent: Vec
 
     def __post_init__(self):
+        object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("monomial function with zero coefficient")
 
@@ -56,31 +60,22 @@ class MonomialFn:
                            self.exponent[1] + other.exponent[1]))
 
     def __pow__(self, k: int) -> "MonomialFn":
-        return MonomialFn(_power(self.coeff, k),
-                          (k * self.exponent[0], k * self.exponent[1]))
-
-
-def _power(c, k: int):
-    # an int to a negative power is a float: +-1 stays an int, any other c goes exact
-    if k < 0 and type(c) is int:
-        return c ** (k % 2) if c in (1, -1) else Fraction(1, c) ** -k
-    return c ** k
+        return MonomialFn(self.coeff ** k, (k * self.exponent[0], k * self.exponent[1]))
 
 
 def monomial(exponent: Vec, coeff=1) -> MonomialFn:
-    # an int coefficient stays an int, any other becomes a Fraction
-    return MonomialFn(coeff if type(coeff) is int else Fraction(coeff),
-                      (index(exponent[0]), index(exponent[1])))
+    return MonomialFn(coeff, (index(exponent[0]), index(exponent[1])))
 
 
 @dataclass(frozen=True)
 class ResidueElement:
     """Element c * t^k of the residue field of a flag curve."""
 
-    coeff: int | Fraction
+    coeff: Fraction
     exponent: int
 
     def __post_init__(self):
+        object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("residue element with zero coefficient")
 
@@ -92,7 +87,7 @@ class ResidueElement:
         return ResidueElement(self.coeff * other.coeff, self.exponent + other.exponent)
 
     def __pow__(self, k: int) -> "ResidueElement":
-        return ResidueElement(_power(self.coeff, k), k * self.exponent)
+        return ResidueElement(self.coeff ** k, k * self.exponent)
 
 
 Term = tuple[int, tuple[MonomialFn, MonomialFn]]
@@ -119,30 +114,33 @@ def symbol(f: MonomialFn, g: MonomialFn) -> SymbolK2:
     return SymbolK2.of((1, (f, g)))
 
 
-def _reduce(w: Rank2Valuation, f: MonomialFn) -> ResidueElement:
-    # rewrite a monomial of curve-valuation zero in the residue coordinate
-    v, t = w.value(f.exponent)
+def _reduce(w: Rank2Valuation, exponent: Vec) -> int:
+    # the residue exponent of a monomial of curve-valuation zero
+    v, t = w.value(exponent)
     if v != 0:
         raise ValueError(f"cannot reduce: curve valuation is {v}, not 0")
-    return ResidueElement(f.coeff, t)
+    return t
+
+
+def _closed_form(w: Rank2Valuation, ef: Vec, eg: Vec) -> tuple[int, int, int]:
+    # v(f), v(g) and the residue exponent of g^v(f) * f^-v(g)
+    vf, vg = dot(ef, w.first_ray), dot(eg, w.first_ray)
+    return vf, vg, _reduce(w, (vf * eg[0] - vg * ef[0], vf * eg[1] - vg * ef[1]))
 
 
 def tame_boundary(w: Rank2Valuation, S: SymbolK2) -> list[tuple[int, ResidueElement]]:
     """First boundary along the flag curve of chart w, term by term."""
     out = []
     for mult, (f, g) in S.terms:
-        vf = dot(f.exponent, w.first_ray)
-        vg = dot(g.exponent, w.first_ray)
-        res = _reduce(w, (g ** vf) * (f ** (-vg)))
-        if vf * vg % 2:
-            res = ResidueElement(-res.coeff, res.exponent)
-        out.append((mult, res))
+        vf, vg, t = _closed_form(w, f.exponent, g.exponent)
+        coeff = g.coeff ** vf * f.coeff ** -vg
+        out.append((mult, ResidueElement(-coeff if vf * vg % 2 else coeff, t)))
     return out
 
 
 def iterated_boundary(w: Rank2Valuation, S: SymbolK2) -> int:
     """Boundary along the curve followed by the order at the flag point."""
-    return sum(mult * res.exponent for mult, res in tame_boundary(w, S))
+    return sum(mult * _closed_form(w, f.exponent, g.exponent)[2] for mult, (f, g) in S.terms)
 
 
 def _check_uniformizer(w: Rank2Valuation, pi: MonomialFn) -> None:
@@ -154,7 +152,8 @@ def _check_uniformizer(w: Rank2Valuation, pi: MonomialFn) -> None:
 def specialization(w: Rank2Valuation, pi: MonomialFn, f: MonomialFn) -> ResidueElement:
     """Uniformizer-dependent reduction f |-> red(f * pi^-v(f))."""
     _check_uniformizer(w, pi)
-    return _reduce(w, f * (pi ** (-dot(f.exponent, w.first_ray))))
+    u = f * (pi ** (-dot(f.exponent, w.first_ray)))
+    return ResidueElement(u.coeff, _reduce(w, u.exponent))
 
 
 def valuation_via_symbols(
@@ -196,13 +195,13 @@ def cocycle_expansion(cocycle: Cocycle, alphas: tuple[int, int, int]) -> SymbolK
 def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) -> int:
     """Self-intersection number as a sum of iterated boundaries over all flags.
 
-    Every flag contributes the iterated boundary of the symbol built from
-    the two transition functions selected by the orbit decomposition: from
-    the dense orbit's chart to the flag curve's chart, then on to the flag
-    point's chart. Flags whose curve is not a ray closure or whose point is
-    not a fixed point pair zero against monomial cocycles, so the finite
-    sum over torus-invariant flags is the whole sum. All flag points are
-    rational, so every residue degree is 1.
+    Every flag contributes the iterated boundary of the symbol of the two
+    transition functions selected by the orbit decomposition, from the dense
+    orbit's chart to the flag curve's chart, then on to the flag point's
+    chart; the closed form takes it on their exponents. Flags whose curve is
+    not a ray closure or whose point is not a fixed point pair zero against
+    monomial cocycles, so the finite sum over torus-invariant flags is the
+    whole sum. All flag points are rational, so every residue degree is 1.
     """
     fan = D.fan
     if len(dec.ray_owner) != fan.n_rays:
@@ -211,6 +210,6 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     total = 0
     for flag in enumerate_tflags(fan):
         a1 = dec.ray_owner[flag.ray]
-        S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, flag.cone)))
-        total += iterated_boundary(flag_valuation(fan, flag), S)
+        w = flag_valuation(fan, flag)
+        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, flag.cone))[2]
     return total

@@ -3,19 +3,22 @@ deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 pairwise positivity scan, the all-Fraction shoelace sum and convex hull, the
 bounding-box section scan, the per-call flag chart built from the cone's dual
-basis, the per-flag simplex terms built as Fractions, and the report writers
-they feed: the dict the JSON report used to be dumped from and the text
-report printed term by term."""
+basis, the per-flag simplex terms built as Fractions, the report writers
+they feed (the dict the JSON report used to be dumped from and the text
+report printed term by term), and the tame boundary taken on monomial
+objects."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from toricvol import (
     MonomialFn,
+    OrbitDecomposition,
     Rank2Valuation,
+    ResidueElement,
     TFlag,
     TorusDivisor,
     ampleness_violations,
@@ -92,6 +95,13 @@ def deep_ample_instance(rng: random.Random, n: int) -> TorusDivisor:
             raise AssertionError("k = 2 must give an ample divisor")
         d = new_d
     return divisor(fan, d)
+
+
+@st.composite
+def random_decompositions(draw, n: int) -> OrbitDecomposition:
+    """Any legal decomposition: ray i goes to cone i or i-1, the dense orbit anywhere."""
+    owners = [i - draw(st.integers(0, 1)) for i in range(n)]
+    return OrbitDecomposition(draw(st.integers(0, n - 1)), [j % n for j in owners])
 
 
 def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
@@ -321,6 +331,28 @@ def report_text(report) -> str:
                          f"matrix {t.matrix} volume {_frac(t.signed_volume)}")
     lines.append(f"agree: {'true' if report.agree else 'false'}")
     return "".join(f"{line}\n" for line in lines)
+
+
+def reference_tame_boundary(w: Rank2Valuation, S) -> list[tuple[int, ResidueElement]]:
+    """Reference first boundary: the monomial g^v(f) * f^-v(g) is built as an
+    object and reduced, then the sign (-1)^(v(f)v(g)) is applied."""
+    out = []
+    for mult, (f, g) in S.terms:
+        vf = dot(f.exponent, w.first_ray)
+        vg = dot(g.exponent, w.first_ray)
+        u = (g ** vf) * (f ** (-vg))
+        v, t = w.value(u.exponent)
+        assert v == 0, "the closed form's monomial has curve valuation 0"
+        res = ResidueElement(u.coeff, t)
+        if vf * vg % 2:
+            res = ResidueElement(-res.coeff, res.exponent)
+        out.append((mult, res))
+    return out
+
+
+def reference_iterated_boundary(w: Rank2Valuation, S) -> int:
+    """Reference second boundary: the orders of the reference residues."""
+    return sum(mult * res.exponent for mult, res in reference_tame_boundary(w, S))
 
 
 def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:

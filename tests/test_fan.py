@@ -189,6 +189,20 @@ class TestChartTable:
         assert fan == fresh and hash(fan) == hash(fresh) and repr(fan) == repr(fresh)
 
 
+class TestTFlag:
+    @pytest.mark.parametrize("ray, cone", [(1.0, 0), (0, 0.0), ("1", 0), (1, None)])
+    def test_non_int_field_rejected(self, ray, cone):
+        with pytest.raises(TypeError):
+            TFlag(ray, cone)
+
+    def test_int_flag_equals_and_hashes_as_before(self):
+        flag = TFlag(2, 1)
+        assert flag == TFlag(2, 1) and hash(flag) == hash(TFlag(2, 1)) == hash((2, 1))
+        assert flag != TFlag(1, 2)
+        assert flag in hirzebruch_fan(1).charts
+        assert type(TFlag(True, 0).ray) is int and TFlag(True, 0) == TFlag(1, 0)
+
+
 class TestStarSubdivide:
     def test_projective_plane_insertion(self):
         fan = star_subdivide(projective_plane_fan(), 0)

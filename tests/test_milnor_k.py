@@ -20,15 +20,25 @@ from toricvol import (
     intersection_number_via_symbols,
     iterated_boundary,
     monomial,
+    okounkov_volume_report,
     projective_plane_fan,
     self_intersection_classical,
     specialization,
     standard_decomposition,
+    star_subdivide,
     symbol,
     tame_boundary,
     valuation_via_symbols,
 )
-from conftest import deep_ample_instance, random_ample_instance, random_flag, random_monomial
+from conftest import (
+    deep_ample_instance,
+    random_ample_instance,
+    random_decompositions,
+    random_flag,
+    random_monomial,
+    reference_iterated_boundary,
+    reference_tame_boundary,
+)
 
 
 def ruled_divisor(l, a, b):
@@ -52,7 +62,7 @@ _POWERS = st.integers(-7, 7)
 
 
 class TestIntCoefficients:
-    # route 4's monomials carry int coefficients; int ** k is a float for k < 0,
+    # an int coefficient is stored as a Fraction; int ** k is a float for k < 0,
     # so the powers must stay exact and agree with the Fraction-coefficient ones
 
     @given(c=st.sampled_from([1, -1]), d=st.sampled_from([1, -1]), e=_EXPONENTS,
@@ -61,32 +71,70 @@ class TestIntCoefficients:
         f, g = MonomialFn(c, e), MonomialFn(d, e2)
         F, G = MonomialFn(Fraction(c), e), MonomialFn(Fraction(d), e2)
         for got, want in [(f ** k, F ** k), (f * g, F * G), ((g ** j) * (f ** k), (G ** j) * (F ** k))]:
-            assert got == want and type(got.coeff) is int
-        r, R = ResidueElement(c, e[0]), ResidueElement(Fraction(c), e[0])
-        assert r ** k == R ** k and type((r ** k).coeff) is int
+            assert got == want
+        assert ResidueElement(c, e[0]) ** k == ResidueElement(Fraction(c), e[0]) ** k
 
     @given(c=st.integers(-9, 9).filter(bool), e=_EXPONENTS, k=_POWERS)
     def test_other_int_coefficients_stay_exact(self, c, e, k):
         got, want = MonomialFn(c, e) ** k, MonomialFn(Fraction(c), e) ** k
-        assert got == want and type(got.coeff) in (int, Fraction)
+        assert got == want and type(got.coeff) is Fraction
         res = ResidueElement(c, e[0]) ** k
-        assert res == ResidueElement(Fraction(c), e[0]) ** k and type(res.coeff) in (int, Fraction)
+        assert res == ResidueElement(Fraction(c), e[0]) ** k and type(res.coeff) is Fraction
 
-    def test_monomial_keeps_an_int_coefficient(self):
-        assert type(monomial((1, 2)).coeff) is int
-        assert type(monomial((1, 2), -3).coeff) is int
-        assert type(monomial((1, 2), Fraction(3, 1)).coeff) is Fraction
 
-    def test_route_4_residues_are_ints(self):
-        D = deep_ample_instance(random.Random(5), 16)
-        dec = standard_decomposition(D.fan, "successor")
-        h = D.cocycle
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+_MONOMIALS = st.builds(MonomialFn, _COEFFS, _EXPONENTS)
+_SYMBOLS = st.lists(st.tuples(st.integers(-3, 3), st.tuples(_MONOMIALS, _MONOMIALS)),
+                    max_size=4).map(lambda terms: SymbolK2.of(*terms))
+
+
+@st.composite
+def subdivided_charts(draw):
+    """A flag chart of a star-subdivided P^2 fan with 3 to 11 rays."""
+    fan = projective_plane_fan()
+    for j in draw(st.lists(st.integers(0, 63), max_size=8)):
+        fan = star_subdivide(fan, j % fan.n_rays)
+    return fan.charts[draw(st.sampled_from(enumerate_tflags(fan)))]
+
+
+class TestAgainstObjectOracle:
+    # the closed form on exponents against the boundary taken on monomial objects
+
+    @given(subdivided_charts(), _SYMBOLS)
+    def test_tame_boundary_is_the_reference(self, w, S):
+        assert tame_boundary(w, S) == reference_tame_boundary(w, S)
+        assert iterated_boundary(w, S) == reference_iterated_boundary(w, S)
+
+    @given(st.integers(0, 2 ** 32), st.integers(3, 64), st.data())
+    def test_route_4_is_the_reference_sum_over_flags(self, seed, n, data):
+        D = deep_ample_instance(random.Random(seed), n)
+        dec = data.draw(random_decompositions(n))
+        h, a0 = D.cocycle, dec.generic_owner
+        want = 0
         for flag in enumerate_tflags(D.fan):
             a1 = dec.ray_owner[flag.ray]
-            S = symbol(monomial(cech_cocycle(h, dec.generic_owner, a1)),
-                       monomial(cech_cocycle(h, a1, flag.cone)))
-            w = flag_valuation(D.fan, flag)
-            assert all(type(res.coeff) is int for _, res in tame_boundary(w, S))
+            S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, flag.cone)))
+            want += reference_iterated_boundary(flag_valuation(D.fan, flag), S)
+        assert intersection_number_via_symbols(D, dec) == want
+
+
+class TestNoSymbolObjects:
+    # route 4 reads exponents: a report builds no monomial, symbol or residue
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_report_builds_no_symbol_objects(self, monkeypatch, n):
+        D = deep_ample_instance(random.Random(n), n)
+        built = []
+        for cls in (MonomialFn, SymbolK2, ResidueElement):
+            def spy(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", spy)
+        assert okounkov_volume_report(D).agree
+        assert built == []
+        # the spies are live: one boundary by hand builds all three
+        tame_boundary(flag_valuation(D.fan, TFlag(0, 0)), symbol(monomial((1, 0)), monomial((0, 1))))
+        assert set(built) == {"MonomialFn", "SymbolK2", "ResidueElement"}
 
 
 class TestRayValuation:

@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 import toricvol.volume as volume
 from toricvol import (
     Fan2D,
-    OrbitDecomposition,
     TFlag,
     ampleness_violations,
     cech_cocycle,
@@ -36,6 +35,7 @@ from conftest import (
     fraction_terms,
     hirzebruch_grid,
     random_ample_instance,
+    random_decompositions,
 )
 
 
@@ -181,28 +181,33 @@ def any_divisor(draw):
                                       max_size=fan.n_rays)))
 
 
-class TestOneQuadraticForm:
-    """Routes 2-4 are one quadratic form in d, so they agree on every divisor;
-    only the report restricts them to the ample cone."""
-
-    @given(any_divisor(), st.sampled_from(["default", "successor", "generic-at"]),
-           st.integers(0, 63))
-    @example(ruled_divisor(1, 1, 2), "successor", 0)  # ample
-    @example(ruled_divisor(1, 1, 1), "default", 0)  # nef, not ample
-    @example(ruled_divisor(2, -1, 3), "generic-at", 2)  # not nef
-    def test_routes_2_3_4_agree_on_every_divisor(self, D, variant, k):
-        if variant == "generic-at":
-            variant = f"generic-at={k % D.fan.n_rays}"
-        dec = standard_decomposition(D.fan, variant)
-        assert simplex_twice(D, dec) == self_intersection_classical(D) \
-            == intersection_number_via_symbols(D, dec)
+@st.composite
+def perturbed_deep_divisor(draw):
+    """An ample divisor on a deep fan with 3 to 64 rays, each coefficient then
+    moved by -1, 0 or 1: often not nef, as its curves have small degrees."""
+    D = deep_ample_instance(random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(3, 64)))
+    return divisor(D.fan, [d + draw(st.integers(-1, 1)) for d in D.coeffs])
 
 
 @st.composite
-def random_decompositions(draw, n: int) -> OrbitDecomposition:
-    """Any legal decomposition: ray i goes to cone i or i-1, the dense orbit anywhere."""
-    owners = [i - draw(st.integers(0, 1)) for i in range(n)]
-    return OrbitDecomposition(draw(st.integers(0, n - 1)), [j % n for j in owners])
+def divisor_and_decomposition(draw):
+    D = draw(st.one_of(any_divisor(), perturbed_deep_divisor()))
+    return D, draw(random_decompositions(D.fan.n_rays))
+
+
+class TestOneQuadraticForm:
+    """Routes 2-4 are one quadratic form in d, so they agree on every divisor
+    and every decomposition; only the report restricts them to the ample cone."""
+
+    @given(divisor_and_decomposition())
+    @example((ruled_divisor(1, 1, 2), standard_decomposition(hirzebruch_fan(1), "successor")))  # ample
+    @example((ruled_divisor(1, 1, 1), standard_decomposition(hirzebruch_fan(1))))  # nef, not ample
+    @example((ruled_divisor(2, -1, 3),
+              standard_decomposition(hirzebruch_fan(2), "generic-at=2")))  # not nef
+    def test_routes_2_3_4_agree_on_every_divisor(self, case):
+        D, dec = case
+        assert simplex_twice(D, dec) == self_intersection_classical(D) \
+            == intersection_number_via_symbols(D, dec)
 
 
 class TestLocalIdentity:
