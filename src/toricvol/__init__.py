@@ -58,6 +58,7 @@ from .milnor_k import (
     valuation_via_symbols,
 )
 from .volume import (
+    ROUTES,
     FlagContribution,
     VolumeReport,
     flag_contribution,

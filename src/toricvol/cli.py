@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import (
     NotGloballyGenerated,
@@ -27,7 +26,7 @@ from .divisors import (
 from .fan import Fan2D, FanValidationError, hirzebruch_fan, standard_decomposition
 from .lattice import Polygon, dot
 from .valuation import TFlag, flag_valuation, trivialization_polytope
-from .volume import FlagContribution, VolumeReport, okounkov_volume_report
+from .volume import ROUTES, FlagContribution, VolumeReport, okounkov_volume_report
 
 
 class DocumentError(ValueError):
@@ -149,15 +148,21 @@ def instance_json(doc: InstanceDocument) -> str:
     return json.dumps(out, separators=(",", ":"))
 
 
-def frac(q: Fraction | int | None) -> str:
-    return "-" if q is None else str(Fraction(q))
-
-
-def half(x: int | None) -> str:
-    """x/2 as frac(Fraction(x, 2)) writes it, made from the int."""
-    if x is None:
-        return "-"
+def half(x: int) -> str:
+    """x/2 as str(Fraction(x, 2)) writes it, made from the int."""
     return str(x // 2) if x % 2 == 0 else f"{x}/2"
+
+
+# The text report's route lines, in ROUTES order. Route 2's twice-volume,
+# at index _DSQ, is D.D itself, which the JSON, text and CSV reports print.
+_TEXT_LINES = (
+    "area(P_D)              = {}",
+    "D.D / 2                = {}   (D.D = {dsq})",
+    "simplex sum            = {}",
+    "symbol sum / 2         = {}",
+    "trivialization area    = {}   (flag ray {flag.ray}, cone {flag.cone})",
+)
+_DSQ = 1
 
 
 # ---------------------------------------------------------------- commands
@@ -209,14 +214,8 @@ def _report_dict(report: VolumeReport) -> dict:
     if not report.ample:
         out["diagnostics"] = list(report.diagnostics)
         return out
-    out["values"] = {
-        "area_polytope": frac(report.area_polytope),
-        "half_self_intersection": half(report.self_intersection),
-        "simplex_sum": half(report.simplex_twice),
-        "symbol_sum_half": half(report.symbol_intersection),
-        "trivialization_area": frac(report.lhs_trivialization_area),
-    }
-    out["self_intersection"] = report.self_intersection
+    out["values"] = dict(zip(ROUTES, map(half, report.twice)))
+    out["self_intersection"] = report.twice[_DSQ]
     out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
     out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
     return out
@@ -284,12 +283,8 @@ def _print_text_report(report: VolumeReport, out) -> None:
         for d in report.diagnostics:
             print(f"  {d}", file=out)
         return
-    print(f"area(P_D)              = {frac(report.area_polytope)}", file=out)
-    print(f"D.D / 2                = {half(report.self_intersection)}   (D.D = {report.self_intersection})", file=out)
-    print(f"simplex sum            = {half(report.simplex_twice)}", file=out)
-    print(f"symbol sum / 2         = {half(report.symbol_intersection)}", file=out)
-    f = report.display_flag
-    print(f"trivialization area    = {frac(report.lhs_trivialization_area)}   (flag ray {f.ray}, cone {f.cone})", file=out)
+    for line, x in zip(_TEXT_LINES, report.twice, strict=True):
+        print(line.format(half(x), dsq=report.twice[_DSQ], flag=report.display_flag), file=out)
     cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
     print(f"contributing flags     : {', '.join(cf) if cf else 'none'}", file=out)
     for c in report.per_flag:
@@ -298,9 +293,9 @@ def _print_text_report(report: VolumeReport, out) -> None:
 
 
 def _csv_routes(report: VolumeReport) -> list[str]:
-    """The area, D.D, simplex sum and symbol sum / 2 columns of a CSV row."""
-    return [frac(report.area_polytope), frac(report.self_intersection),
-            half(report.simplex_twice), half(report.symbol_intersection)]
+    """A CSV row's route cells in ROUTES order: each volume, except D.D itself
+    in the dsq column; all `-` for non-ample input, which has no route values."""
+    return [str(x) if k == _DSQ else half(x) for k, x in enumerate(report.twice)] or ["-"] * len(ROUTES)
 
 
 def cmd_report(args, out=None) -> int:
@@ -320,12 +315,9 @@ def cmd_report(args, out=None) -> int:
         print(_report_json(report), file=out)
     elif args.format == "csv":
         print("area,dsq,simplex_sum,symbol_sum,triv_area,agree", file=out)
-        print(",".join([*_csv_routes(report), frac(report.lhs_trivialization_area),
-                        "true" if report.agree else "false"]), file=out)
+        print(",".join([*_csv_routes(report), "true" if report.agree else "false"]), file=out)
     else:
         _print_text_report(report, out)
-    if not report.ample:
-        return 1
     return 0 if report.agree else 1
 
 
@@ -383,7 +375,7 @@ def cmd_sweep(args, out=None) -> int:
                     b = l * a + extra
                     report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
                     all_agree = all_agree and report.agree
-                    print(",".join([str(l), str(a), str(b), *_csv_routes(report),
+                    print(",".join([str(l), str(a), str(b), *_csv_routes(report)[:4],
                                     "true" if report.agree else "false"]), file=fh)
     return 0 if all_agree else 1
 
@@ -412,11 +404,11 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
     integers times a fixed pixel scale: nothing is rounded.
     """
     polys = [(divisor_polytope(D), 'fill="#c8dcff" stroke="#1f4e9c" fill-opacity="0.7"')]
-    caption = f"area = {frac(polys[0][0].area)}"
+    caption = f"area = {polys[0][0].area}"
     if flag is not None:
         tp = trivialization_polytope(D, flag)
         polys.append((tp, 'fill="#ffd9b0" stroke="#b35900" fill-opacity="0.5"'))
-        caption += (f"; flag (ray {flag.ray}, cone {flag.cone}) image area = {frac(tp.area)}"
+        caption += (f"; flag (ray {flag.ray}, cone {flag.cone}) image area = {tp.area}"
                     f" ({'equal' if tp.area == polys[0][0].area else 'UNEQUAL'})")
     xs = [x for poly, _ in polys for x, _ in poly.vertices]
     ys = [y for poly, _ in polys for _, y in poly.vertices]
@@ -513,9 +505,12 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout has gone; send what is still buffered to
-        # devnull, so the flush at interpreter exit cannot fail again
+    except OSError as e:
+        # stdout takes no more output: its reader has gone (a broken pipe,
+        # which needs no message) or its device is full. Send what is still
+        # buffered to devnull, so the flush at interpreter exit cannot fail again
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     sys.exit(code)

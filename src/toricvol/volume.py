@@ -1,17 +1,16 @@
 """Signed simplex-volume sum over flags, classical self-intersection, and the
-four-way agreement report.
-
-The four routes to the same number (after normalizing by the half factor):
+agreement report of the routes to one volume, in ``ROUTES`` order:
 
   1. area of the divisor polytope,
   2. half the classical toric self-intersection,
   3. the alternating sum of signed simplex volumes over all flags,
-  4. half the iterated-tame-boundary intersection number.
+  4. half the iterated-tame-boundary intersection number,
+  5. area of the trivialization polytope of a display flag.
 
-A fifth value, the area of the trivialization polytope of a display flag,
-checks flag-independence of route 1. Routes 2-4 are ints, each twice the
-volume, and the two areas are exact rationals. The report's verdict is exact
-equality at twice the volume; ``values`` is the one rational view of all five.
+A report holds each route's value as an int, twice the volume (twice a
+lattice polygon's area is an int), and its verdict is exact equality of
+those ints. Each route reads only the divisor, the decomposition and the
+display flag, never another route's value.
 """
 
 from __future__ import annotations
@@ -21,17 +20,13 @@ from fractions import Fraction
 
 from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
 from .fan import OrbitDecomposition, standard_decomposition
-from .lattice import Vec, cross
+from .lattice import Polygon, Vec, cross
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, enumerate_tflags, flag_valuation, trivialization_polytope
 
-__all__ = [
-    "FlagContribution",
-    "VolumeReport",
-    "flag_contribution",
-    "self_intersection_classical",
-    "okounkov_volume_report",
-]
+# each route's name, also its key in the JSON report's "values"
+ROUTES = ("area_polytope", "half_self_intersection", "simplex_sum",
+          "symbol_sum_half", "trivialization_area")
 
 
 @dataclass(frozen=True)
@@ -51,23 +46,27 @@ class FlagContribution:
 
 @dataclass(frozen=True)
 class VolumeReport:
-    ample: bool
-    area_polytope: Fraction | None
-    lhs_trivialization_area: Fraction | None
-    self_intersection: int | None
-    simplex_twice: int | None
-    symbol_intersection: int | None
-    display_flag: TFlag | None
-    per_flag: tuple[FlagContribution, ...]
-    agree: bool
+    """``twice`` holds each route's value as twice the volume, in ``ROUTES``
+    order; it is empty for non-ample input, which has only ``diagnostics``."""
+
+    twice: tuple[int, ...]
+    display_flag: TFlag
+    per_flag: tuple[FlagContribution, ...] = ()
     diagnostics: tuple[str, ...] = ()
 
     @property
-    def values(self) -> tuple[Fraction | None, ...]:
-        """The five volumes: the two areas and half of each int route."""
-        halves = [None if x is None else Fraction(x, 2)
-                  for x in (self.self_intersection, self.simplex_twice, self.symbol_intersection)]
-        return (self.area_polytope, *halves, self.lhs_trivialization_area)
+    def ample(self) -> bool:
+        return bool(self.twice)
+
+    @property
+    def agree(self) -> bool:
+        """The verdict: ample, and every route gives the same volume."""
+        return self.ample and len(set(self.twice)) == 1
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The volumes, in ``ROUTES`` order."""
+        return tuple(Fraction(x, 2) for x in self.twice)
 
     @property
     def contributing_flags(self) -> tuple[TFlag, ...]:
@@ -105,12 +104,19 @@ def self_intersection_classical(D: TorusDivisor) -> int:
     return total
 
 
+def _twice_area(poly: Polygon) -> int:
+    twice = 2 * poly.area
+    if twice.denominator != 1:
+        raise ArithmeticError(f"twice the area of a lattice polygon is not an int: {twice}")
+    return twice.numerator
+
+
 def okounkov_volume_report(
     D: TorusDivisor,
     dec: OrbitDecomposition | None = None,
     display_flag: TFlag = TFlag(0, 0),
 ) -> VolumeReport:
-    """Compute all routes and compare them exactly.
+    """Compute every route and compare them exactly.
 
     The one positivity gate: non-ample input yields a diagnostics-only report
     (the equality chain is only asserted in the ample cone).
@@ -123,26 +129,13 @@ def okounkov_volume_report(
                  for j, i in bad]
         for j, i in generation_violations(D):
             diags.append(f"not globally generated: cone {j} violates ray {i}")
-        return VolumeReport(
-            ample=False, area_polytope=None, lhs_trivialization_area=None,
-            self_intersection=None, simplex_twice=None, symbol_intersection=None,
-            display_flag=display_flag, per_flag=(), agree=False,
-            diagnostics=tuple(diags),
-        )
-    area = divisor_polytope(D).area
-    dsq = self_intersection_classical(D)
+        return VolumeReport((), display_flag, diagnostics=tuple(diags))
     per_flag = tuple(flag_contribution(D, f, dec) for f in enumerate_tflags(D.fan))
-    twice_simplex = sum(c.twice for c in per_flag)
-    symbol_sum = intersection_number_via_symbols(D, dec)
-    triv_area = trivialization_polytope(D, display_flag).area
-    return VolumeReport(
-        ample=True,
-        area_polytope=area,
-        lhs_trivialization_area=triv_area,
-        self_intersection=dsq,
-        simplex_twice=twice_simplex,
-        symbol_intersection=symbol_sum,
-        display_flag=display_flag,
-        per_flag=per_flag,
-        agree=2 * area == 2 * triv_area == dsq == twice_simplex == symbol_sum,
+    twice = (
+        _twice_area(divisor_polytope(D)),
+        self_intersection_classical(D),
+        sum(c.twice for c in per_flag),
+        intersection_number_via_symbols(D, dec),
+        _twice_area(trivialization_polytope(D, display_flag)),
     )
+    return VolumeReport(twice, display_flag, per_flag)

@@ -283,7 +283,7 @@ def report_dict(report) -> dict:
         out["diagnostics"] = list(report.diagnostics)
         return out
     out["values"] = dict(zip(VALUE_KEYS, map(_frac, report.values)))
-    out["self_intersection"] = report.self_intersection
+    out["self_intersection"] = report.twice[1]  # D.D
     out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
     out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
     out["per_flag"] = []
@@ -317,7 +317,7 @@ def report_text(report) -> str:
     cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
     lines = [
         f"area(P_D)              = {area}",
-        f"D.D / 2                = {half_dsq}   (D.D = {report.self_intersection})",
+        f"D.D / 2                = {half_dsq}   (D.D = {report.twice[1]})",
         f"simplex sum            = {simplex}",
         f"symbol sum / 2         = {symbol_half}",
         f"trivialization area    = {triv}   (flag ray {f.ray}, cone {f.cone})",

@@ -63,7 +63,7 @@ def test_criterion_1_grid_exactness():
             report = okounkov_volume_report(D, display_flag=TFlag(2, 1))
             assert report.ample and report.agree, (l, a, b)
             assert set(report.values) == {expected}, (l, a, b)
-            assert report.self_intersection == 2 * a * b - l * a * a, (l, a, b)
+            assert report.twice == (2 * a * b - l * a * a,) * 5, (l, a, b)
             count += 1
         elapsed = time.monotonic() - start
         assert count == 100

@@ -274,6 +274,12 @@ class TestReportCommand:
         assert main(["report", path]) == 1
         assert "ample: false" in capsys.readouterr().out
 
+    def test_non_ample_csv_row_is_dashes(self, tmp_path, capsys):
+        path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,1,0]}')
+        assert main(["report", path, "--format", "csv"]) == 1
+        assert capsys.readouterr() == ("area,dsq,simplex_sum,symbol_sum,triv_area,agree\n"
+                                       "-,-,-,-,-,false\n", "")
+
     def test_bad_flag_is_input_error(self, tmp_path):
         path = write(tmp_path, HIRZ_112)
         assert main(["report", path, "--flag", "0,1"]) == 2
@@ -536,6 +542,21 @@ class TestClosedStdout:
             assert proc.wait(timeout=60) == 2
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", [
+        ["report", "{doc}"],
+        ["sweep", "--l", "1..4", "--a", "1..5", "--b-extra", "0..5"],
+    ], ids=["report", "sweep"])
+    def test_full_stdout_exits_2_with_one_error_line(self, tmp_path, argv):
+        doc = write(tmp_path, HIRZ_112)
+        src = str(Path(toricvol.__file__).parents[1])
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "toricvol.cli", *(a.format(doc=doc) for a in argv)],
+                stdout=full, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
+
 
 class TestSweepCommand:
     def test_single_cell_row(self, capsys):
@@ -657,20 +678,15 @@ class TestSweepCommand:
         assert capsys.readouterr().out == first
 
     def test_disagreeing_row_gives_exit_one(self, capsys, monkeypatch):
-        # a disagreement cannot be produced honestly, so fake one to pin the
-        # exit-code contract
-        import dataclasses
-        import toricvol.cli as cli
+        # a disagreement cannot be produced honestly, so fake one route value
+        # to pin the exit-code contract: the symbol route reads 5, not 3
+        import toricvol.volume as volume
 
-        real = cli.okounkov_volume_report
-
-        def broken(D, dec=None, display_flag=None):
-            report = real(D, dec) if display_flag is None else real(D, dec, display_flag)
-            return dataclasses.replace(report, agree=False)
-
-        monkeypatch.setattr(cli, "okounkov_volume_report", broken)
+        real = volume.intersection_number_via_symbols
+        monkeypatch.setattr(volume, "intersection_number_via_symbols",
+                            lambda D, dec: real(D, dec) + 2)
         assert main(["sweep", "--l", "1", "--a", "1", "--b-extra", "1"]) == 1
-        assert capsys.readouterr().out.strip().endswith("false")
+        assert capsys.readouterr().out.splitlines()[1] == "1,1,2,3/2,3,3/2,5/2,false"
 
 
 class TestPolytopeCommand:

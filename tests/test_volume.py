@@ -9,9 +9,11 @@ from hypothesis import example, given, strategies as st
 import toricvol.volume as volume
 from toricvol import (
     Fan2D,
+    Polygon,
     TFlag,
     ampleness_violations,
     cech_cocycle,
+    convex_hull_2d,
     cross,
     divisor,
     divisor_polytope,
@@ -135,7 +137,7 @@ class TestVolumeReport:
         report = okounkov_volume_report(ruled_divisor(1, 1, 2), display_flag=TFlag(2, 1))
         assert report.ample and report.agree
         assert set(report.values) == {Fraction(3, 2)}
-        assert report.self_intersection == 3
+        assert report.twice == (3,) * 5
         assert report.contributing_flags == (TFlag(2, 1), TFlag(3, 2))
 
     def test_second_instance(self):
@@ -145,7 +147,7 @@ class TestVolumeReport:
     def test_non_ample_diagnostics(self):
         report = okounkov_volume_report(ruled_divisor(1, 1, 1))
         assert not report.ample and not report.agree
-        assert report.values == (None,) * 5
+        assert report.twice == report.values == ()
         assert report.diagnostics
 
     def test_display_flag_choice_never_changes_values(self):
@@ -160,14 +162,14 @@ class TestVolumeReport:
             D = random_ample_instance(rng)
             report = okounkov_volume_report(D)
             assert report.agree
-            assert report.area_polytope == divisor_polytope(D).area
+            assert report.values[0] == divisor_polytope(D).area
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_deep_fans_agree(self, n):
         D = deep_ample_instance(random.Random(n), n)
         dsq = sum(d * x for d, x in zip(D.coeffs, D.curve_degrees))
         report = okounkov_volume_report(D)
-        assert report.agree and report.self_intersection == dsq
+        assert report.agree and report.twice == (dsq,) * 5
         assert report.values == (Fraction(dsq, 2),) * 5
 
 
@@ -301,24 +303,34 @@ class TestAgainstFractionOracle:
 class TestIntegerReport:
     def test_integer_fields_and_half_views(self):
         report = okounkov_volume_report(ruled_divisor(1, 1, 2))
-        ints = (report.self_intersection, report.simplex_twice, report.symbol_intersection)
-        assert ints == (3, 3, 3) and all(type(x) is int for x in ints)
+        assert report.twice == (3,) * 5 and all(type(x) is int for x in report.twice)
         assert report.values == (Fraction(3, 2),) * 5
         assert all(type(c.twice) is int for c in report.per_flag)
 
     def test_non_ample_half_views_are_none(self):
         report = okounkov_volume_report(ruled_divisor(1, 1, 1))
-        assert report.self_intersection is report.simplex_twice is report.symbol_intersection is None
-        assert report.values == (None,) * 5
+        assert report.twice == report.values == ()
 
     @pytest.mark.parametrize("route", ["self_intersection_classical",
-                                       "intersection_number_via_symbols"])
+                                       "intersection_number_via_symbols",
+                                       "divisor_polytope", "trivialization_polytope"])
     @pytest.mark.parametrize("offset", [1, 2, -2])
     def test_one_route_off_breaks_agreement(self, monkeypatch, route, offset):
         real = getattr(volume, route)
-        monkeypatch.setattr(volume, route, lambda *args: real(*args) + offset)
+
+        def off(*args):
+            value = real(*args)
+            if isinstance(value, Polygon):
+                # a point far outside the hull: a hull of larger area
+                return convex_hull_2d([*value.vertices, (100 * offset, 0)])
+            return value + offset
+
+        monkeypatch.setattr(volume, route, off)
         report = okounkov_volume_report(ruled_divisor(2, 1, 3))
         assert report.ample and not report.agree
+        k = {"divisor_polytope": 0, "self_intersection_classical": 1,
+             "intersection_number_via_symbols": 3, "trivialization_polytope": 4}[route]
+        assert [x == 4 for x in report.twice] == [j != k for j in range(5)]
 
     @pytest.mark.parametrize("offset", [1, 2, -2])
     def test_simplex_route_off_breaks_agreement(self, monkeypatch, offset):
@@ -331,7 +343,7 @@ class TestIntegerReport:
         monkeypatch.setattr(volume, "flag_contribution", first_flag_off)
         report = okounkov_volume_report(ruled_divisor(2, 1, 3))
         assert report.ample and not report.agree
-        assert report.simplex_twice == report.self_intersection + offset
+        assert report.twice[2] == report.twice[1] + offset
 
     def test_fraction_count_does_not_grow_with_n(self, monkeypatch):
         from toricvol.cli import _report_json
