@@ -34,6 +34,7 @@ from .divisors import (
     divisor,
     divisor_polytope,
     generation_violations,
+    section_columns,
     section_lattice_points,
 )
 from .valuation import (

@@ -20,7 +20,7 @@ from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
-# Largest cocycle box section_lattice_points scans; its output can be as large.
+# Largest cocycle box section_columns scans; its expansion can have as many points.
 SECTION_SCAN_LIMIT = 10 ** 6
 
 
@@ -112,15 +112,16 @@ def divisor_polytope(D: TorusDivisor) -> Polygon:
     return convex_hull_2d(D.cocycle)
 
 
-def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
-    """All characters h with <h, ray_i> >= -m*d_i for every ray, sorted.
+def section_columns(D: TorusDivisor, m: int = 1) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) of the level-m sections, in increasing x.
 
-    These are the lattice points of m times the divisor polytope, which lies
-    in the bounding box of the scaled cocycle characters for any divisor on a
+    The sections are the characters h with <h, ray_i> >= -m*d_i for every
+    ray: the lattice points of m times the divisor polytope, which lies in
+    the bounding box of the scaled cocycle characters for any divisor on a
     complete fan. Each column x of that box is cut to the rows [lo, hi]
     allowed by every ray inequality x*r0 + y*r1 >= -m*d (exact floor and
-    ceiling division), so the scan costs O(width*n + points). A box of more
-    than SECTION_SCAN_LIMIT points raises ValueError before the scan.
+    ceiling division), so the scan costs O(width*n). A box of more than
+    SECTION_SCAN_LIMIT points raises ValueError before the scan.
     """
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
@@ -145,6 +146,12 @@ def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
             elif slack < 0:
                 break  # the ray is horizontal and cuts off the whole column
         else:
-            out.extend((x, y) for y in range(lo, hi + 1))
+            if lo <= hi:
+                out.append((x, lo, hi))
     return out
 
+
+def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[Vec]:
+    """All characters h with <h, ray_i> >= -m*d_i for every ray, sorted:
+    the points of ``section_columns``, column by column."""
+    return [(x, y) for x, lo, hi in section_columns(D, m) for y in range(lo, hi + 1)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
@@ -102,14 +102,18 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     if not pts:
         raise ValueError("convex hull of an empty point set")
 
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def chain(seq: list) -> list:
+        # pop the last point a while (o, a, p) does not turn left
         out: list = []
         for p in seq:
-            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
-                out.pop()
+            px, py = p
+            while len(out) >= 2:
+                ox, oy = out[-2]
+                ax, ay = out[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                    out.pop()
+                else:
+                    break
             out.append(p)
         return out
 
@@ -125,7 +129,10 @@ def scaled_hull(points: Iterable[Sequence], m: int) -> Polygon:
 
     The hull is taken of the points as given and only its vertices are
     scaled, into Fractions: a positive scaling keeps the counterclockwise
-    order and the minimal vertex set.
+    order and the minimal vertex set. A level m below 1 raises ValueError.
     """
+    m = index(m)
+    if m < 1:
+        raise ValueError(f"level must be a positive integer, got {m}")
     hull = convex_hull_2d(points)
     return Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices))

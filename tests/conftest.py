@@ -2,11 +2,11 @@
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 pairwise positivity scan, the all-Fraction shoelace sum and convex hull, the
-bounding-box section scan, the per-call flag chart built from the cone's dual
-basis, the per-flag simplex terms built as Fractions, the report writers
-they feed (the dict the JSON report used to be dumped from and the text
-report printed term by term), and the tame boundary taken on monomial
-objects."""
+bounding-box section scan, the all-points level hull, the per-call flag chart
+built from the cone's dual basis, the per-flag simplex terms built as
+Fractions, the report writers they feed (the dict the JSON report used to be
+dumped from and the text report printed term by term), and the tame boundary
+taken on monomial objects."""
 
 import random
 from dataclasses import dataclass
@@ -225,6 +225,12 @@ def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     return [(x, y)
             for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
             if all(x * r[0] + y * r[1] >= b for r, b in zip(D.fan.rays, bounds))]
+
+
+def all_points_level_hull(w: Rank2Valuation, sections, m: int) -> FractionHull:
+    """Reference level hull: every valued section scaled by 1/m, then hulled."""
+    return fraction_hull([(Fraction(v[0], m), Fraction(v[1], m))
+                          for v in map(w.value, sections)])
 
 
 def _frac(q) -> str:

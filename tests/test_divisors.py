@@ -14,6 +14,7 @@ from toricvol import (
     generation_violations,
     hirzebruch_fan,
     projective_plane_fan,
+    section_columns,
     section_lattice_points,
     semigroup_level_hull,
     TFlag,
@@ -268,8 +269,18 @@ class TestSectionLatticePoints:
                       if all(x * r[0] + y * r[1] >= b for r, b in zip(rays, bounds))]
             assert section_lattice_points(D, m) == oracle
 
-    # The row-bounded scan must return exactly the bounding-box scan's list,
-    # order included, on every kind of divisor.
+    # The column scan must return exactly the bounding-box scan's list, order
+    # included, and its columns exactly the box scan's nonempty columns with
+    # their least and greatest y, on every kind of divisor.
+
+    @staticmethod
+    def assert_matches_box_scan(D, m):
+        pts = box_section_points(D, m)
+        assert section_lattice_points(D, m) == pts
+        columns: dict = {}
+        for x, y in pts:  # sorted by x, then y
+            columns.setdefault(x, []).append(y)
+        assert section_columns(D, m) == [(x, ys[0], ys[-1]) for x, ys in columns.items()]
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_row_scan_matches_box_scan_on_deep_fans(self, n):
@@ -288,13 +299,13 @@ class TestSectionLatticePoints:
                 cases.append(D)
             for E in cases:
                 for m in (1, 2, 3):
-                    assert section_lattice_points(E, m) == box_section_points(E, m)
+                    self.assert_matches_box_scan(E, m)
 
     def test_row_scan_matches_box_scan_on_hirzebruch_grid(self):
         for l, a, b in hirzebruch_grid():
             D = ruled_divisor(l, a, b)
             for m in range(1, 6):
-                assert section_lattice_points(D, m) == box_section_points(D, m)
+                self.assert_matches_box_scan(D, m)
 
     def test_row_scan_matches_box_scan_on_non_nef_divisors(self):
         rng = random.Random(19)
@@ -306,10 +317,11 @@ class TestSectionLatticePoints:
                 continue
             seen += 1
             for m in (1, 2, 3):
-                assert section_lattice_points(D, m) == box_section_points(D, m)
+                self.assert_matches_box_scan(D, m)
 
     def test_empty_level(self):
         # -H on P^2 and -D_2 on F_l have no sections at any level
         for D in (divisor(projective_plane_fan(), (-1, 0, 0)), ruled_divisor(2, 0, -1)):
             for m in (1, 2, 3):
                 assert section_lattice_points(D, m) == box_section_points(D, m) == []
+                assert section_columns(D, m) == []

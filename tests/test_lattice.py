@@ -148,6 +148,11 @@ class TestConvexHullAgainstFractionHull:
         assert all(type(c) is Fraction and m % c.denominator == 0
                    for v in got.vertices for c in v)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_scaled_hull_rejects_level_below_one(self, m):
+        with pytest.raises(ValueError, match="positive integer"):
+            scaled_hull([(0, 0), (1, 0), (0, 1)], m)
+
     @given(st.lists(st.tuples(small, small), min_size=1, max_size=30))
     def test_integer_points_give_int_vertices(self, points):
         assert all(type(c) is int for v in convex_hull_2d(points).vertices for c in v)

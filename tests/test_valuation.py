@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricvol import (
     NotGloballyGenerated,
@@ -13,11 +14,19 @@ from toricvol import (
     graded_semigroup,
     hirzebruch_fan,
     projective_plane_fan,
+    section_columns,
+    section_lattice_points,
     semigroup_level_hull,
     star_subdivide,
     trivialization_polytope,
 )
-from conftest import random_ample_instance
+from toricvol import lattice
+from conftest import (
+    all_points_level_hull,
+    box_section_points,
+    random_ample_instance,
+    random_smooth_fan,
+)
 
 
 def ruled_divisor(l, a, b):
@@ -128,6 +137,39 @@ class TestGradedSemigroup:
                 target = set(trivialization_polytope(D, flag).vertices)
                 for m in range(1, 6):
                     assert set(semigroup_level_hull(D, flag, m).vertices) == target
+
+    @settings(max_examples=30)  # the all-Fraction oracle hull takes about 0.1 s per fan
+    @given(st.integers(0, 2 ** 32))
+    def test_level_hull_equals_hull_of_every_valued_section(self, seed):
+        # the all-points hull is the oracle, on ample, nef, non-nef and empty levels
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+        for m in (1, 2, 3):
+            sections = box_section_points(D, m)
+            for flag in enumerate_tflags(fan):
+                if not sections:
+                    with pytest.raises(ValueError, match=f"no sections at level {m}"):
+                        semigroup_level_hull(D, flag, m)
+                    continue
+                want = all_points_level_hull(flag_valuation(fan, flag), sections, m)
+                got = semigroup_level_hull(D, flag, m)
+                assert (got.vertices, got.area) == (want.vertices, want.area)
+
+    def test_level_hull_values_two_points_per_column(self, monkeypatch):
+        # level 5 of (0, 4, 9, 0) on F_1 has 756 sections in 46 columns
+        D = ruled_divisor(1, 4, 9)
+        assert len(section_lattice_points(D, 5)) > 750
+        hull, seen = lattice.convex_hull_2d, []
+
+        def spy(points):
+            points = list(points)
+            seen.append(len(points))
+            return hull(points)
+
+        monkeypatch.setattr(lattice, "convex_hull_2d", spy)
+        semigroup_level_hull(D, TFlag(2, 1), 5)
+        assert len(seen) == 1 and seen[0] <= 2 * len(section_columns(D, 5))
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
