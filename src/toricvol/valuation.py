@@ -21,7 +21,6 @@ from .divisors import (
     NotGloballyGenerated,
     TorusDivisor,
     generation_violations,
-    section_columns,
     section_lattice_points,
 )
 from .fan import Fan2D, Rank2Valuation, TFlag
@@ -74,19 +73,11 @@ def graded_semigroup(
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
-    """Hull of the level-m semigroup points scaled back by 1/m.
-
-    Only the two end points of each section column are valued. The
-    valuation w is linear on exponents, so hull(w(S)) = w(hull(S)) for the
-    level-m sections S; and the hull of a column {x} x [lo, hi] of lattice
-    points is the segment between its end points, so hull(S) is the hull of
-    the column ends. The result is the same polygon as the hull of every
-    valued section, at two points per column instead of hi - lo + 1.
-    """
+    """Hull of the level-m semigroup points scaled back by 1/m."""
     if m < 1:
         raise ValueError("level must be positive")
     w = flag_valuation(D.fan, flag)
-    pts = [w.value(e) for x, lo, hi in section_columns(D, m) for e in ((x, lo), (x, hi))]
+    pts = [w.value(e) for e in section_lattice_points(D, m)]
     if not pts:
         raise ValueError(f"no sections at level {m}")
     return scaled_hull(pts, m)

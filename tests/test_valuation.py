@@ -14,13 +14,10 @@ from toricvol import (
     graded_semigroup,
     hirzebruch_fan,
     projective_plane_fan,
-    section_columns,
-    section_lattice_points,
     semigroup_level_hull,
     star_subdivide,
     trivialization_polytope,
 )
-from toricvol import lattice
 from conftest import (
     all_points_level_hull,
     box_section_points,
@@ -155,21 +152,6 @@ class TestGradedSemigroup:
                 want = all_points_level_hull(flag_valuation(fan, flag), sections, m)
                 got = semigroup_level_hull(D, flag, m)
                 assert (got.vertices, got.area) == (want.vertices, want.area)
-
-    def test_level_hull_values_two_points_per_column(self, monkeypatch):
-        # level 5 of (0, 4, 9, 0) on F_1 has 756 sections in 46 columns
-        D = ruled_divisor(1, 4, 9)
-        assert len(section_lattice_points(D, 5)) > 750
-        hull, seen = lattice.convex_hull_2d, []
-
-        def spy(points):
-            points = list(points)
-            seen.append(len(points))
-            return hull(points)
-
-        monkeypatch.setattr(lattice, "convex_hull_2d", spy)
-        semigroup_level_hull(D, TFlag(2, 1), 5)
-        assert len(seen) == 1 and seen[0] <= 2 * len(section_columns(D, 5))
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
