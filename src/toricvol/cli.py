@@ -460,42 +460,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a fan+divisor document, test positivity")
     p.add_argument("path")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("report", help="compute the four volume routes and verify agreement")
     p.add_argument("path")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--flag", default=None, metavar="RAY,CONE",
                    help="display flag for the trivialization polytope")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("hirzebruch", help="emit an instance document for the ruled-surface family")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--emit", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_hirzebruch)
 
     p = sub.add_parser("sweep", help="verify agreement over a parameter grid, emit CSV")
     for name, what in (("--l", "l"), ("--a", "a"), ("--b-extra", "b = l*a + extra for each extra")):
         p.add_argument(name, required=True, metavar="K or K1..K2",
                        help=f"{what} in the range; a negative one needs the = form, {name}=-1..2")
     p.add_argument("--csv", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("polytope", help="render the divisor polytope as SVG")
     p.add_argument("path")
     p.add_argument("--svg", required=True, metavar="PATH")
     p.add_argument("--flag", default=None, metavar="RAY,CONE")
-    p.set_defaults(func=cmd_polytope)
 
     return parser
 
 
+# One parser serves every main() call in the process: building it costs far
+# more than a report on a small fan, and parse_args keeps no state in it. It
+# is built at import, so it never goes through a rebound build_parser.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* (a span, a test spy) runs
+        return globals()[f"cmd_{args.command}"](args)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

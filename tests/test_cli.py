@@ -22,6 +22,7 @@ from toricvol.cli import (
     main,
     parse_instance,
     polytope_svg,
+    build_parser,
     _parse_range,
     _print_text_report,
     _report_json,
@@ -737,6 +738,84 @@ class TestPolytopeCommand:
         D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
         svg = polytope_svg(D, TFlag(2, 1))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+
+# ------------------------------------------------------------- main itself
+
+
+def _run(entry, argv, written=None):
+    """One in-process entry(argv) call: (stdout, stderr, exit code, text of
+    the file at `written` or None). A usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as e:
+            code = e.code
+    text = Path(written).read_text() if written is not None else None
+    return out.getvalue(), err.getvalue(), code, text
+
+
+# one argv per subcommand; the spies below never read the paths
+_SUBCOMMANDS = {
+    "check": ["check", "x.json"],
+    "report": ["report", "x.json"],
+    "hirzebruch": ["hirzebruch", "--l", "1", "--a", "1", "--b", "2"],
+    "sweep": ["sweep", "--l", "1", "--a", "1", "--b-extra", "1"],
+    "polytope": ["polytope", "x.json", "--svg", "x.svg"],
+}
+
+
+class TestMainEntry:
+    """main() parses with one parser per process and finds cmd_<command> by name."""
+
+    def test_shared_parser_keeps_no_state(self, tmp_path):
+        import toricvol.cli as cli
+
+        def fresh_main(argv):
+            # main() as it would run on a parser built for this call alone
+            args = build_parser().parse_args(argv)
+            try:
+                return getattr(cli, f"cmd_{args.command}")(args)
+            except DocumentError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 2
+
+        f = write(tmp_path, HIRZ_112)
+        csv = str(tmp_path / "grid.csv")
+        runs = [
+            (["--decomposition", "successor", "report", f, "--format", "json", "--flag", "1,0"], None),
+            (["report", f], None),
+            (["sweep", "--l", "1..2", "--a", "1", "--b-extra", "0..1", "--csv", csv], csv),
+            (["report", f, "--format", "csv"], None),
+            (["report"], None),
+            (["check", f], None),
+        ]
+        got = [_run(main, argv, written) for argv, written in runs]
+        assert got == [_run(fresh_main, argv, written) for argv, written in runs]
+        # the second report is back to the text format and the default flag
+        assert got[1][0].startswith("area(P_D)") and "(flag ray 0, cone 0)" in got[1][0]
+        assert "required: path" in got[4][1]
+        assert [code for _, _, code, _ in got] == [0, 0, 1, 0, 2, 0]
+
+    def test_every_subcommand_has_a_case(self):
+        import argparse
+
+        sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(_SUBCOMMANDS)
+
+    @pytest.mark.parametrize("name", sorted(_SUBCOMMANDS))
+    def test_command_resolved_at_call_time(self, monkeypatch, name):
+        import toricvol.cli as cli
+
+        seen = []
+
+        def spy(args):
+            seen.append(args.command)
+            return 7
+        monkeypatch.setattr(cli, f"cmd_{name}", spy)
+        assert main(_SUBCOMMANDS[name]) == 7
+        assert seen == [name]
 
 
 # ------------------------------------------------------- exit-code contract
