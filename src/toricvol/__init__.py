@@ -38,7 +38,6 @@ from .divisors import (
     section_lattice_points,
 )
 from .valuation import (
-    enumerate_tflags,
     flag_valuation,
     graded_semigroup,
     semigroup_level_hull,

@@ -6,7 +6,7 @@ A polygon is built from its vertices alone, checks that they form a
 strictly convex counterclockwise cycle and derives its exact shoelace area,
 both on the vertices as ints over their common denominator. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
-vertices; ``scaled_hull`` is the one place that makes rational vertices.
+vertices; only ``valuation.semigroup_level_hull`` makes rational vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
@@ -123,16 +123,3 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
         hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
     return Polygon(tuple(hull))
 
-
-def scaled_hull(points: Iterable[Sequence], m: int) -> Polygon:
-    """Convex hull of the points scaled by 1/m, for a positive integer m.
-
-    The hull is taken of the points as given and only its vertices are
-    scaled, into Fractions: a positive scaling keeps the counterclockwise
-    order and the minimal vertex set. A level m below 1 raises ValueError.
-    """
-    m = index(m)
-    if m < 1:
-        raise ValueError(f"level must be a positive integer, got {m}")
-    hull = convex_hull_2d(points)
-    return Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices))

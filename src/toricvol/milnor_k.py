@@ -8,7 +8,7 @@ decidable and never needed, because only images under boundary maps are
 computed, and those are well defined.
 
 The boundary maps depend on a flag only through its rank-2 valuation, so
-they take the flag's chart, a ``Rank2Valuation`` from ``flag_valuation``.
+they take the flag's chart, a ``Rank2Valuation`` from ``Fan2D.charts``.
 For a flag with curve ray r1 and remaining cone ray r2, the first boundary
 of a pure symbol {f, g} of monomials uses the closed form
 
@@ -33,19 +33,20 @@ from fractions import Fraction
 from operator import index
 
 from .divisors import TorusDivisor, cech_cocycle, Cocycle
-from .fan import OrbitDecomposition
+from .fan import OrbitDecomposition, Rank2Valuation
 from .lattice import Vec, cross, dot
-from .valuation import Rank2Valuation, enumerate_tflags, flag_valuation
 
 
 @dataclass(frozen=True)
 class MonomialFn:
-    """Nonzero scalar times a character: c * x^e1 * y^e2."""
+    """Nonzero scalar times a character: c * x^e1 * y^e2, e read as an int pair."""
 
     coeff: Fraction
     exponent: Vec
 
     def __post_init__(self):
+        e1, e2 = self.exponent
+        object.__setattr__(self, "exponent", (index(e1), index(e2)))
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("monomial function with zero coefficient")
@@ -64,17 +65,18 @@ class MonomialFn:
 
 
 def monomial(exponent: Vec, coeff=1) -> MonomialFn:
-    return MonomialFn(coeff, (index(exponent[0]), index(exponent[1])))
+    return MonomialFn(coeff, exponent)
 
 
 @dataclass(frozen=True)
 class ResidueElement:
-    """Element c * t^k of the residue field of a flag curve."""
+    """Element c * t^k of the residue field of a flag curve, k read as an int."""
 
     coeff: Fraction
     exponent: int
 
     def __post_init__(self):
+        object.__setattr__(self, "exponent", index(self.exponent))
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("residue element with zero coefficient")
@@ -208,8 +210,7 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
         raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
     h, a0 = D.cocycle, dec.generic_owner
     total = 0
-    for flag in enumerate_tflags(fan):
+    for flag, w in fan.charts.items():
         a1 = dec.ray_owner[flag.ray]
-        w = flag_valuation(fan, flag)
         total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, flag.cone))[2]
     return total

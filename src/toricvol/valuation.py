@@ -10,12 +10,14 @@ the residue in the other coordinate. Any other uniformizer choice gives a
 different (equally valid) rank-2 valuation; the dual basis is fixed so
 every computation is canonical and reproducible.
 
-Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``.
-``flag_valuation`` checks a flag and looks its chart up for the boundary maps
-of ``milnor_k``. Trivialization hulls keep int vertices.
+Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
+keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
+Trivialization hulls keep int vertices; only level-m hulls make rational ones.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .divisors import (
     NotGloballyGenerated,
@@ -24,22 +26,17 @@ from .divisors import (
     section_lattice_points,
 )
 from .fan import Fan2D, Rank2Valuation, TFlag
-from .lattice import Polygon, convex_hull_2d, scaled_hull
-
-
-def enumerate_tflags(fan: Fan2D) -> list[TFlag]:
-    """All 2n torus-invariant flags, in the order of the fan's chart table."""
-    return list(fan.charts)
+from .lattice import Polygon, convex_hull_2d
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
-    """The flag's chart from the fan's table, the one place that checks a flag."""
-    n = fan.n_rays
-    if not 0 <= flag.cone < n:
-        raise ValueError(f"no maximal cone {flag.cone}")
-    if flag.ray not in (flag.cone, (flag.cone + 1) % n):
+    """The flag's chart from the fan's table; a pair not in the table is no flag."""
+    w = fan.charts.get(flag)
+    if w is None:
+        if not 0 <= flag.cone < fan.n_rays:
+            raise ValueError(f"no maximal cone {flag.cone}")
         raise ValueError(f"ray {flag.ray} is not a face of cone {flag.cone}: not a flag")
-    return fan.charts[flag]
+    return w
 
 
 def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
@@ -73,11 +70,10 @@ def graded_semigroup(
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
-    """Hull of the level-m semigroup points scaled back by 1/m."""
-    if m < 1:
-        raise ValueError("level must be positive")
+    """Hull of the level-m semigroup points, its int vertices scaled by 1/m into
+    Fractions: a positive scaling keeps their order and minimality."""
     w = flag_valuation(D.fan, flag)
     pts = [w.value(e) for e in section_lattice_points(D, m)]
     if not pts:
         raise ValueError(f"no sections at level {m}")
-    return scaled_hull(pts, m)
+    return Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in convex_hull_2d(pts).vertices))

@@ -22,7 +22,7 @@ from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, gene
 from .fan import OrbitDecomposition, standard_decomposition
 from .lattice import Polygon, Vec, cross
 from .milnor_k import intersection_number_via_symbols
-from .valuation import TFlag, enumerate_tflags, flag_valuation, trivialization_polytope
+from .valuation import TFlag, flag_valuation, trivialization_polytope
 
 # each route's name, also its key in the JSON report's "values"
 ROUTES = ("area_polytope", "half_self_intersection", "simplex_sum",
@@ -130,7 +130,7 @@ def okounkov_volume_report(
         for j, i in generation_violations(D):
             diags.append(f"not globally generated: cone {j} violates ray {i}")
         return VolumeReport((), display_flag, diagnostics=tuple(diags))
-    per_flag = tuple(flag_contribution(D, f, dec) for f in enumerate_tflags(D.fan))
+    per_flag = tuple(flag_contribution(D, f, dec) for f in D.fan.charts)
     twice = (
         _twice_area(divisor_polytope(D)),
         self_intersection_classical(D),

@@ -25,7 +25,6 @@ from toricvol import (
     cross,
     divisor,
     dot,
-    enumerate_tflags,
     flag_valuation,
     projective_plane_fan,
     star_subdivide,
@@ -369,7 +368,7 @@ def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:
 
 
 def random_flag(rng: random.Random, fan):
-    return rng.choice(enumerate_tflags(fan))
+    return rng.choice(list(fan.charts))
 
 
 def hirzebruch_grid():

@@ -16,7 +16,6 @@ from toricvol import (
     det_formula_check,
     divisor,
     divisor_polytope,
-    enumerate_tflags,
     flag_contribution,
     flag_valuation,
     hirzebruch_fan,
@@ -80,7 +79,7 @@ def test_criterion_2_per_flag_regression():
             assert first.signed_dets == (a * b, -(l * a * a - a * b), -(a * b)), (l, a, b)
             second = flag_contribution(D, TFlag(3, 2), dec)
             assert second.twice == a * b, (l, a, b)
-            for flag in enumerate_tflags(D.fan):
+            for flag in D.fan.charts:
                 if flag in (TFlag(2, 1), TFlag(3, 2)):
                     continue
                 assert flag_contribution(D, flag, dec).twice == 0, (l, a, b, flag)
@@ -115,7 +114,7 @@ def test_criterion_4_cocycle_expansion_identity():
         h = D.cocycle
         n = D.fan.n_rays
         checked = 0
-        for flag in enumerate_tflags(D.fan):
+        for flag in D.fan.charts:
             w = flag_valuation(D.fan, flag)
             for a0 in range(n):
                 for a1 in range(n):
@@ -140,12 +139,12 @@ def test_criterion_5_decomposition_and_flag_independence():
             assert area == half_dsq, D
             for v in ("default", "successor", "generic-at=1"):
                 dec = standard_decomposition(D.fan, v)
-                twice = sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan))
+                twice = sum(flag_contribution(D, f, dec).twice for f in D.fan.charts)
                 assert Fraction(twice, 2) == area, D
                 assert Fraction(intersection_number_via_symbols(D, dec), 2) == area, D
             flag_areas = {
                 trivialization_polytope(D, flag).area
-                for flag in enumerate_tflags(D.fan)
+                for flag in D.fan.charts
             }
             assert flag_areas == {area}, D
         elapsed = time.monotonic() - start
@@ -156,7 +155,7 @@ def test_criterion_6_graded_semigroup_hulls():
     with criterion(6, "scaled level-m semigroup hull equals the image polytope, m = 1..5"):
         idx = 0
         for l, a, b, D in grid_instances():
-            flags = enumerate_tflags(D.fan)
+            flags = list(D.fan.charts)
             flag = flags[idx % len(flags)]
             idx += 1
             target = set(trivialization_polytope(D, flag).vertices)

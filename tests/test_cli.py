@@ -30,7 +30,6 @@ from toricvol.cli import (
 from toricvol import (
     cross,
     divisor,
-    enumerate_tflags,
     hirzebruch_fan,
     okounkov_volume_report,
     projective_plane_fan,
@@ -89,7 +88,7 @@ class TestDocuments:
         doc = InstanceDocument(
             rays=fan.rays,
             divisor=tuple(data.draw(st.lists(coeffs, min_size=fan.n_rays, max_size=fan.n_rays))),
-            flag=data.draw(st.sampled_from(enumerate_tflags(fan))) if with_flag else None,
+            flag=data.draw(st.sampled_from(list(fan.charts))) if with_flag else None,
             decomposition_variant=variant)
         assert parse_instance(instance_json(doc)) == doc
 
@@ -476,7 +475,7 @@ def shifted_deep_report(seed, n, shift, variant, data):
     # every local equation, so matrix entries take either sign
     D = divisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
                         for d, r in zip(D.coeffs, D.fan.rays)])
-    display = data.draw(st.sampled_from(enumerate_tflags(D.fan)))
+    display = data.draw(st.sampled_from(list(D.fan.charts)))
     return okounkov_volume_report(D, standard_decomposition(D.fan, variant), display)
 
 

@@ -10,7 +10,6 @@ from toricvol import (
     cross,
     shoelace,
 )
-from toricvol.lattice import scaled_hull
 from conftest import fraction_hull, fraction_shoelace
 
 
@@ -139,19 +138,6 @@ class TestConvexHullAgainstFractionHull:
                     min_size=1, max_size=20))
     def test_mixed_int_and_fraction(self, points):
         assert_matches_fraction_hull(points)
-
-    @given(st.lists(st.tuples(small, small), min_size=1, max_size=30), st.integers(1, 6))
-    def test_scaled_hull_is_hull_of_scaled_points(self, points, m):
-        got = scaled_hull(points, m)
-        want = fraction_hull([(Fraction(x, m), Fraction(y, m)) for x, y in points])
-        assert (got.vertices, got.area) == (want.vertices, want.area)
-        assert all(type(c) is Fraction and m % c.denominator == 0
-                   for v in got.vertices for c in v)
-
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_scaled_hull_rejects_level_below_one(self, m):
-        with pytest.raises(ValueError, match="positive integer"):
-            scaled_hull([(0, 0), (1, 0), (0, 1)], m)
 
     @given(st.lists(st.tuples(small, small), min_size=1, max_size=30))
     def test_integer_points_give_int_vertices(self, points):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from toricvol import (
     det_formula_check,
     divisor,
     dot,
-    enumerate_tflags,
     flag_valuation,
     hirzebruch_fan,
     intersection_number_via_symbols,
@@ -57,6 +57,29 @@ class TestMonomialFn:
         assert f ** -2 == monomial((-4, 2), Fraction(4, 9))
 
 
+class TestIntExponents:
+    # exponents are read with operator.index, so no float reaches a boundary map
+
+    def test_float_exponent_raises(self):
+        for make in (lambda: MonomialFn(1, (1.5, 0)), lambda: MonomialFn(3, (0.5, 2)),
+                     lambda: monomial((0, 2.0)), lambda: ResidueElement(2, 1.5)):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_list_exponent_is_the_tuple(self):
+        f, g = MonomialFn(1, [1, 0]), MonomialFn(1, (1, 0))
+        assert f == g and hash(f) == hash(g) and type(f.exponent) is tuple
+        assert monomial([2, -1], 3) == MonomialFn(3, (2, -1))
+        assert symbol(f, monomial((0, 1))) == symbol(g, monomial((0, 1)))
+
+    @pytest.mark.parametrize("e", [(), (1,), (1, 0, 0)])
+    def test_exponent_of_another_length_raises(self, e):
+        with pytest.raises(ValueError):
+            MonomialFn(1, e)
+        with pytest.raises(ValueError):
+            monomial(e)
+
+
 _EXPONENTS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
 _POWERS = st.integers(-7, 7)
 
@@ -94,7 +117,7 @@ def subdivided_charts(draw):
     fan = projective_plane_fan()
     for j in draw(st.lists(st.integers(0, 63), max_size=8)):
         fan = star_subdivide(fan, j % fan.n_rays)
-    return fan.charts[draw(st.sampled_from(enumerate_tflags(fan)))]
+    return fan.charts[draw(st.sampled_from(list(fan.charts)))]
 
 
 class TestAgainstObjectOracle:
@@ -111,7 +134,7 @@ class TestAgainstObjectOracle:
         dec = data.draw(random_decompositions(n))
         h, a0 = D.cocycle, dec.generic_owner
         want = 0
-        for flag in enumerate_tflags(D.fan):
+        for flag in D.fan.charts:
             a1 = dec.ray_owner[flag.ray]
             S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, flag.cone)))
             want += reference_iterated_boundary(flag_valuation(D.fan, flag), S)
@@ -342,7 +365,7 @@ class TestCocycleExpansion:
         D = ruled_divisor(1, 1, 2)
         h = D.cocycle
         S = cocycle_expansion(h, (0, 0, 2))
-        for flag in enumerate_tflags(D.fan):
+        for flag in D.fan.charts:
             assert iterated_boundary(flag_valuation(D.fan, flag), S) == 0
 
     def test_worked_triple(self):
@@ -355,7 +378,7 @@ class TestCocycleExpansion:
         D = ruled_divisor(1, 1, 2)
         h = D.cocycle
         n = D.fan.n_rays
-        for flag in enumerate_tflags(D.fan):
+        for flag in D.fan.charts:
             w = flag_valuation(D.fan, flag)
             for a0 in range(n):
                 for a1 in range(n):
@@ -396,17 +419,21 @@ class TestIntersectionNumber:
 
 class TestOneChartPerCall:
     # a boundary map is handed its flag's chart and looks none up; route 4
-    # reads each flag's chart from the fan's table, once per flag
+    # walks the fan's chart table and looks none up either
 
     @pytest.fixture
     def charts(self, monkeypatch):
-        import toricvol.milnor_k as milnor_k
+        import toricvol.valuation
         calls = []
 
         def spy(fan, flag):
             calls.append(flag)
             return flag_valuation(fan, flag)
-        monkeypatch.setattr(milnor_k, "flag_valuation", spy)
+        # every module that binds flag_valuation, so a re-import is seen too
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toricvol.") and getattr(module, "flag_valuation", None) is flag_valuation:
+                monkeypatch.setattr(module, "flag_valuation", spy)
+        assert toricvol.valuation.flag_valuation is spy
         return calls
 
     def test_valuation_via_symbols(self, charts):
@@ -421,6 +448,7 @@ class TestOneChartPerCall:
         assert charts == []
 
     def test_route_4_reads_one_chart_per_flag(self, charts):
-        D = ruled_divisor(1, 1, 2)
-        assert intersection_number_via_symbols(D, standard_decomposition(D.fan)) == 3
-        assert charts == enumerate_tflags(D.fan)
+        for D in (ruled_divisor(1, 1, 2), deep_ample_instance(random.Random(3), 16)):
+            got = intersection_number_via_symbols(D, standard_decomposition(D.fan))
+            assert got == self_intersection_classical(D)
+        assert charts == []

@@ -9,7 +9,6 @@ from toricvol import (
     TFlag,
     divisor,
     divisor_polytope,
-    enumerate_tflags,
     flag_valuation,
     graded_semigroup,
     hirzebruch_fan,
@@ -21,8 +20,10 @@ from toricvol import (
 from conftest import (
     all_points_level_hull,
     box_section_points,
+    deep_ample_instance,
     random_ample_instance,
     random_smooth_fan,
+    reference_tflags,
 )
 
 
@@ -46,6 +47,24 @@ class TestFlagValuation:
         with pytest.raises(ValueError):
             flag_valuation(hirzebruch_fan(1), TFlag(0, 1))
 
+    @pytest.mark.parametrize("fan", [hirzebruch_fan(1), projective_plane_fan(),
+                                     deep_ample_instance(random.Random(1), 8).fan],
+                             ids=["F1", "P2", "deep8"])
+    def test_every_pair_is_a_table_flag_or_refused(self, fan):
+        n = fan.n_rays
+        flags = set(reference_tflags(fan))
+        for r in range(-1, n + 1):
+            for c in range(-1, n + 1):
+                flag = TFlag(r, c)
+                if flag in flags:
+                    assert flag_valuation(fan, flag) is fan.charts[flag]
+                    continue
+                want = (f"no maximal cone {c}" if not 0 <= c < n
+                        else f"ray {r} is not a face of cone {c}: not a flag")
+                with pytest.raises(ValueError) as err:
+                    flag_valuation(fan, flag)
+                assert str(err.value) == want
+
     def test_uniformizers_dual_to_flag_order(self):
         fan = hirzebruch_fan(1)
         # chart of cone 1 is k[x y, x^-1]; the curve of ray 2 is cut by x^-1
@@ -67,7 +86,7 @@ class TestValue:
         rng = random.Random(47)
         for _ in range(100):
             D = random_ample_instance(rng, max_subdivisions=2)
-            flag = rng.choice(enumerate_tflags(D.fan))
+            flag = rng.choice(list(D.fan.charts))
             w = flag_valuation(D.fan, flag)
             e1 = (rng.randint(-9, 9), rng.randint(-9, 9))
             e2 = (rng.randint(-9, 9), rng.randint(-9, 9))
@@ -90,7 +109,7 @@ class TestTrivializationPolytope:
         for l, a, b in [(1, 1, 2), (2, 1, 3), (3, 4, 15)]:
             D = ruled_divisor(l, a, b)
             area = divisor_polytope(D).area
-            for flag in enumerate_tflags(D.fan):
+            for flag in D.fan.charts:
                 assert trivialization_polytope(D, flag).area == area
 
     def test_flag_independence_on_random_instances(self):
@@ -98,7 +117,7 @@ class TestTrivializationPolytope:
         for _ in range(15):
             D = random_ample_instance(rng)
             area = divisor_polytope(D).area
-            for flag in enumerate_tflags(D.fan):
+            for flag in D.fan.charts:
                 assert trivialization_polytope(D, flag).area == area
 
     def test_zero_divisor_single_point(self):
@@ -144,7 +163,7 @@ class TestGradedSemigroup:
         D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
         for m in (1, 2, 3):
             sections = box_section_points(D, m)
-            for flag in enumerate_tflags(fan):
+            for flag in fan.charts:
                 if not sections:
                     with pytest.raises(ValueError, match=f"no sections at level {m}"):
                         semigroup_level_hull(D, flag, m)
@@ -152,15 +171,20 @@ class TestGradedSemigroup:
                 want = all_points_level_hull(flag_valuation(fan, flag), sections, m)
                 got = semigroup_level_hull(D, flag, m)
                 assert (got.vertices, got.area) == (want.vertices, want.area)
+                assert all(type(c) is Fraction and m % c.denominator == 0
+                           for v in got.vertices for c in v)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="positive integer"):
+                semigroup_level_hull(D, rng.choice(list(fan.charts)), m)
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
-        for flag in enumerate_tflags(D.fan):
+        for flag in D.fan.charts:
             with pytest.raises(ValueError):
                 semigroup_level_hull(D, flag, 2)
 
-    def test_enumerate_tflags_counts(self):
-        assert len(enumerate_tflags(hirzebruch_fan(1))) == 8
+    def test_flag_table_counts(self):
+        assert len(hirzebruch_fan(1).charts) == 8
         p2 = projective_plane_fan()
-        assert len(enumerate_tflags(p2)) == 6
-        assert len(enumerate_tflags(star_subdivide(p2, 1))) == 8
+        assert len(p2.charts) == 6
+        assert len(star_subdivide(p2, 1).charts) == 8

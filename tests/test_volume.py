@@ -17,7 +17,6 @@ from toricvol import (
     cross,
     divisor,
     divisor_polytope,
-    enumerate_tflags,
     flag_contribution,
     flag_valuation,
     hirzebruch_fan,
@@ -47,7 +46,7 @@ def ruled_divisor(l, a, b):
 
 def simplex_twice(D, dec) -> int:
     """Route 3 alone: the summed ``twice`` over all 2n flags."""
-    return sum(flag_contribution(D, f, dec).twice for f in enumerate_tflags(D.fan))
+    return sum(flag_contribution(D, f, dec).twice for f in D.fan.charts)
 
 
 class TestSelfIntersection:
@@ -87,7 +86,7 @@ class TestFlagContribution:
     def test_remaining_flags_vanish(self):
         D = ruled_divisor(2, 1, 4)
         dec = standard_decomposition(D.fan)
-        quiet = [f for f in enumerate_tflags(D.fan) if f not in (TFlag(2, 1), TFlag(3, 2))]
+        quiet = [f for f in D.fan.charts if f not in (TFlag(2, 1), TFlag(3, 2))]
         assert len(quiet) == 6
         for flag in quiet:
             assert flag_contribution(D, flag, dec).twice == 0
@@ -97,7 +96,7 @@ class TestFlagContribution:
         for _ in range(10):
             D = random_ample_instance(rng)
             dec = standard_decomposition(D.fan)
-            for flag in enumerate_tflags(D.fan):
+            for flag in D.fan.charts:
                 c = flag_contribution(D, flag, dec)
                 u, v, x = c.vectors
                 assert c.signed_dets == (cross(v, x), -cross(u, x), cross(u, v))
@@ -153,7 +152,7 @@ class TestVolumeReport:
     def test_display_flag_choice_never_changes_values(self):
         D = ruled_divisor(2, 2, 7)
         reports = [okounkov_volume_report(D, display_flag=f)
-                   for f in enumerate_tflags(D.fan)]
+                   for f in D.fan.charts]
         assert len({r.values for r in reports}) == 1
 
     def test_random_instances_agree(self):
@@ -220,7 +219,7 @@ class TestLocalIdentity:
         D = deep_ample_instance(random.Random(seed), n)
         dec = data.draw(random_decompositions(n))
         h, a0 = D.cocycle, dec.generic_owner
-        for f in enumerate_tflags(D.fan):
+        for f in D.fan.charts:
             a1 = dec.ray_owner[f.ray]
             S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, f.cone)))
             assert flag_contribution(D, f, dec).twice == iterated_boundary(flag_valuation(D.fan, f), S)
@@ -266,7 +265,7 @@ class TestOnePositivityGate:
 
 
 def assert_matches_fraction_oracle(D, dec):
-    for flag in enumerate_tflags(D.fan):
+    for flag in D.fan.charts:
         c = flag_contribution(D, flag, dec)
         subtotal, terms = fraction_flag_contribution(D, flag, dec)
         assert type(c.twice) is int
