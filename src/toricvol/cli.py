@@ -124,13 +124,13 @@ def load_instance(path: str) -> InstanceDocument:
 
 
 @contextlib.contextmanager
-def _output(path: str | None, out, **kwargs):
-    """The text file at path, or out when path is None.
+def _output(path: str | None, **kwargs):
+    """The text file at path, or stdout when path is None.
 
     A failure to open, write or close the file raises DocumentError.
     """
     if path is None:
-        yield out
+        yield sys.stdout
         return
     try:
         with open(path, "w", encoding="utf-8", **kwargs) as fh:
@@ -168,35 +168,43 @@ _DSQ = 1
 # ---------------------------------------------------------------- commands
 
 
-def _build(doc: InstanceDocument, out) -> TorusDivisor | None:
-    """Validate the fan; on failure print violations and return None."""
+def _instance(args, flag_text: str | None = None):
+    """(D, flag, dec) from the document at args.path, the command line winning
+    over it; None, with the violations printed, for an invalid fan."""
+    doc = load_instance(args.path)
+    flag = _parse_flag(flag_text) if flag_text is not None else doc.flag
     try:
         fan = Fan2D(doc.rays)
     except FanValidationError as e:
-        print("fan: invalid", file=out)
+        print("fan: invalid")
         for v in e.violations:
-            print(f"  {v}", file=out)
+            print(f"  {v}")
         return None
-    return divisor(fan, doc.divisor)
+    # an empty variant is malformed, not absent: only None falls back to "default"
+    variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
+    dec = _document(standard_decomposition, fan, "default" if variant is None else variant)
+    if flag is not None:
+        _document(flag_valuation, fan, flag)
+    return divisor(fan, doc.divisor), flag, dec
 
 
-def cmd_check(args, out=None) -> int:
-    out = out or sys.stdout
-    D = _build(load_instance(args.path), out)
-    if D is None:
+def cmd_check(args) -> int:
+    inst = _instance(args)
+    if inst is None:
         return 1
-    print(f"fan: valid ({D.fan.n_rays} rays)", file=out)
+    D = inst[0]
+    print(f"fan: valid ({D.fan.n_rays} rays)")
     gen = generation_violations(D)
-    print(f"globally generated: {'true' if not gen else 'false'}", file=out)
+    print(f"globally generated: {'true' if not gen else 'false'}")
     for j, i in gen:
         h = D.cocycle[j]
-        print(f"  cone {j}: <{h}, ray {i}> = {dot(h, D.fan.rays[i])} < {-D.coeffs[i]}", file=out)
+        print(f"  cone {j}: <{h}, ray {i}> = {dot(h, D.fan.rays[i])} < {-D.coeffs[i]}")
     amp = ampleness_violations(D)
-    print(f"ample: {'true' if not amp else 'false'}", file=out)
+    print(f"ample: {'true' if not amp else 'false'}")
     for j, i in amp:
         h = D.cocycle[j]
         slack = dot(h, D.fan.rays[i]) + D.coeffs[i]
-        print(f"  cone {j} vs ray {i}: slack {slack} (need > 0)", file=out)
+        print(f"  cone {j} vs ray {i}: slack {slack} (need > 0)")
     return 0 if not amp else 1
 
 
@@ -298,37 +306,29 @@ def _csv_routes(report: VolumeReport) -> list[str]:
     return [str(x) if k == _DSQ else half(x) for k, x in enumerate(report.twice)] or ["-"] * len(ROUTES)
 
 
-def cmd_report(args, out=None) -> int:
-    out = out or sys.stdout
-    doc = load_instance(args.path)
-    display = _parse_flag(args.flag) if args.flag is not None else (doc.flag or TFlag(0, 0))
-    D = _build(doc, out)
-    if D is None:
+def cmd_report(args) -> int:
+    inst = _instance(args, args.flag)
+    if inst is None:
         return 1
-    variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
-    if variant is None:
-        variant = "default"
-    dec = _document(standard_decomposition, D.fan, variant)
-    _document(flag_valuation, D.fan, display)
-    report = okounkov_volume_report(D, dec, display)
+    D, flag, dec = inst
+    report = okounkov_volume_report(D, dec, flag or TFlag(0, 0))
     if args.format == "json":
-        print(_report_json(report), file=out)
+        print(_report_json(report))
     elif args.format == "csv":
-        print("area,dsq,simplex_sum,symbol_sum,triv_area,agree", file=out)
-        print(",".join([*_csv_routes(report), "true" if report.agree else "false"]), file=out)
+        print("area,dsq,simplex_sum,symbol_sum,triv_area,agree")
+        print(",".join([*_csv_routes(report), "true" if report.agree else "false"]))
     else:
-        _print_text_report(report, out)
+        _print_text_report(report, sys.stdout)
     return 0 if report.agree else 1
 
 
-def cmd_hirzebruch(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_hirzebruch(args) -> int:
     if args.l < 1:
         raise DocumentError("--l must be >= 1")
     _check_input_size([args.l, args.a, args.b])
     fan = hirzebruch_fan(args.l)
     doc = InstanceDocument(rays=fan.rays, divisor=(0, args.a, args.b, 0))
-    with _output(args.emit, out) as fh:
+    with _output(args.emit) as fh:
         print(instance_json(doc), file=fh)
     return 0
 
@@ -349,8 +349,7 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def cmd_sweep(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_sweep(args) -> int:
     ls = _parse_range(args.l)
     As = _parse_range(args.a)
     extras = _parse_range(args.b_extra)
@@ -365,7 +364,7 @@ def cmd_sweep(args, out=None) -> int:
     dec = _document(standard_decomposition, hirzebruch_fan(ls.start), variant)
     # rows go out as they are computed; the file is line buffered so each
     # finished row is on disk before the next report starts
-    with _output(args.csv, out, buffering=1) as fh:
+    with _output(args.csv, buffering=1) as fh:
         print("l,a,b,area,dsq,simplex_sum,symbol_sum,agree", file=fh)
         all_agree = True
         for l in ls:
@@ -427,21 +426,17 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
     return "\n".join(parts)
 
 
-def cmd_polytope(args, out=None) -> int:
-    out = out or sys.stdout
-    doc = load_instance(args.path)
-    flag = _parse_flag(args.flag) if args.flag is not None else doc.flag
-    D = _build(doc, out)
-    if D is None:
+def cmd_polytope(args) -> int:
+    inst = _instance(args, args.flag)
+    if inst is None:
         return 1
-    if flag is not None:
-        _document(flag_valuation, D.fan, flag)
+    D, flag, _ = inst
     try:
         svg = polytope_svg(D, flag)
     except NotGloballyGenerated as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    with _output(args.svg, out) as fh:
+    with _output(args.svg) as fh:
         print(svg, file=fh)
     return 0
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
 from .fan import OrbitDecomposition, standard_decomposition
-from .lattice import Polygon, Vec, cross
+from .lattice import Polygon, Vec
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, flag_valuation, trivialization_polytope
 
@@ -88,20 +89,10 @@ def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> 
 
 
 def self_intersection_classical(D: TorusDivisor) -> int:
-    """D.D from the ray intersection matrix of a smooth complete surface fan.
-
-    Adjacent ray divisors meet transversally in one point; a ray's
-    self-intersection is -a where ray_{i-1} + ray_{i+1} = a * ray_i; all
-    other products vanish.
-    """
-    fan = D.fan
-    n = fan.n_rays
-    d = D.coeffs
-    total = 0
-    for i in range(n):
-        a_i = cross(fan.rays[(i - 1) % n], fan.rays[(i + 1) % n])
-        total += -a_i * d[i] * d[i] + 2 * d[i] * d[(i + 1) % n]
-    return total
+    """D.D = sum_i d_i * (D.D_i). ``TorusDivisor.curve_degrees`` is the one
+    place that writes the ray intersection matrix; the ampleness gate reads
+    it too, so a fault there moves this route alone and shows as a disagreement."""
+    return sum(map(mul, D.coeffs, D.curve_degrees))
 
 
 def _twice_area(poly: Polygon) -> int:

@@ -1,7 +1,8 @@
 """Shared deterministic samplers for fan and divisor instances, the
 deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
-pairwise positivity scan, the all-Fraction shoelace sum and convex hull, the
+self-intersection from the ray intersection matrix, the pairwise positivity
+scan, the all-Fraction shoelace sum and convex hull, the
 bounding-box section scan, the all-points level hull, the per-call flag chart
 built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
@@ -123,6 +124,19 @@ def pairwise_violations(D: TorusDivisor, strict: bool) -> list[tuple[int, int]]:
             elif not strict and slack < 0:
                 out.append((j, i))
     return out
+
+
+def reference_self_intersection(D: TorusDivisor) -> int:
+    """Reference D.D from the ray intersection matrix: adjacent ray divisors
+    meet in one point, D_i.D_i = -a_i where ray_{i-1} + ray_{i+1} = a_i*ray_i,
+    and all other products vanish."""
+    rays, d = D.fan.rays, D.coeffs
+    n = len(rays)
+    total = 0
+    for i in range(n):
+        a_i = cross(rays[i - 1], rays[(i + 1) % n])
+        total += -a_i * d[i] * d[i] + 2 * d[i] * d[(i + 1) % n]
+    return total
 
 
 def chart_dual_basis(fan, j: int):

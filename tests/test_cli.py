@@ -99,6 +99,8 @@ class TestDocuments:
         '{"rays":[[1,0],[0,1.5],[-1,-1]],"divisor":[1,0,0]}',
         '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":1}}',
         '[1,2,3]',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,"0"]}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"decomposition_variant":3}',
     ])
     def test_malformed_documents_rejected(self, text):
         from toricvol.cli import DocumentError
@@ -325,6 +327,38 @@ class TestEmptyStrings:
         path = write(tmp_path, HIRZ_112[:-1] + ',"flag":null}')
         assert main(["report", path, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 0, "cone": 0}
+
+
+class TestOneDocumentPath:
+    # check, report and polytope resolve a document in one function: an
+    # ill-formed flag or decomposition, in the document or on the command
+    # line, exits 2 from each with the same error and no output
+
+    @pytest.mark.parametrize("pre, doc, err", [
+        ([], HIRZ_112[:-1] + ',"decomposition_variant":""}', "unknown decomposition variant ''"),
+        ([], HIRZ_112[:-1] + ',"decomposition_variant":"bogus"}',
+         "unknown decomposition variant 'bogus'"),
+        ([], HIRZ_112[:-1] + ',"flag":{"ray":3,"cone":0}}',
+         "ray 3 is not a face of cone 0: not a flag"),
+        (["--decomposition="], HIRZ_112, "unknown decomposition variant ''"),
+        (["--decomposition", "bogus"], HIRZ_112, "unknown decomposition variant 'bogus'"),
+    ], ids=["document-empty-variant", "document-bogus-variant", "document-flag",
+            "option-empty-variant", "option-bogus-variant"])
+    @pytest.mark.parametrize("command", [["check", "{doc}"], ["report", "{doc}"],
+                                         ["polytope", "{doc}", "--svg", "{svg}"]],
+                             ids=["check", "report", "polytope"])
+    def test_ill_formed_document_is_input_error(self, tmp_path, capsys, pre, doc, err, command):
+        paths = {"doc": write(tmp_path, doc), "svg": str(tmp_path / "p.svg")}
+        assert main([*pre, *(a.format(**paths) for a in command)]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_well_formed_document_checks(self, tmp_path, capsys):
+        path = write(tmp_path, HIRZ_112[:-1]
+                     + ',"flag":{"ray":2,"cone":1},"decomposition_variant":"successor"}')
+        assert main(["check", path]) == 0
+        assert capsys.readouterr() == (
+            "fan: valid (4 rays)\nglobally generated: true\nample: true\n", "")
 
 
 class TestReportDisagreement:
@@ -712,6 +746,13 @@ class TestPolytopeCommand:
         out = str(tmp_path / "p.svg")
         assert main(["polytope", path, "--svg", out]) == 0
         assert "<circle" in Path(out).read_text()
+
+    def test_segment_polytope_line(self, tmp_path):
+        # D_2 on F_1 is a fibre: its polytope is the segment from (0, 0) to (1, 0)
+        path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,0,1,0]}')
+        out = tmp_path / "p.svg"
+        assert main(["polytope", path, "--svg", str(out)]) == 0
+        assert '<line x1="0" y1="0" x2="40" y2="0" stroke-width="3"' in out.read_text()
 
     def test_non_generated_divisor_errors(self, tmp_path):
         path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,0,0]}')

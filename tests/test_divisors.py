@@ -49,6 +49,10 @@ class TestCoefficients:
             with pytest.raises(TypeError):
                 divisor(fan, bad)
 
+    def test_coefficient_count_must_match_the_rays(self):
+        with pytest.raises(ValueError, match="^3 coefficients for 4 rays$"):
+            TorusDivisor(hirzebruch_fan(1), (0, 1, 2))
+
 
 class TestCartierData:
     def test_symbolic_family(self):

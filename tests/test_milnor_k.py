@@ -49,6 +49,8 @@ class TestMonomialFn:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             MonomialFn(Fraction(0), (1, 0))
+        with pytest.raises(ValueError, match="^residue element with zero coefficient$"):
+            ResidueElement(0, 1)
 
     def test_arithmetic(self):
         f = monomial((2, -1), Fraction(3, 2))

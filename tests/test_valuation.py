@@ -138,6 +138,8 @@ class TestGradedSemigroup:
     def test_level_zero_only_origin(self):
         D = ruled_divisor(1, 1, 2)
         assert graded_semigroup(D, TFlag(1, 0), 0) == {((0, 0), 0)}
+        with pytest.raises(ValueError, match="^m_max must be nonnegative$"):
+            graded_semigroup(D, TFlag(1, 0), -1)
 
     def test_level_one_images(self):
         D = ruled_divisor(1, 1, 2)

@@ -11,6 +11,7 @@ from toricvol import (
     Fan2D,
     Polygon,
     TFlag,
+    TorusDivisor,
     ampleness_violations,
     cech_cocycle,
     convex_hull_2d,
@@ -19,6 +20,7 @@ from toricvol import (
     divisor_polytope,
     flag_contribution,
     flag_valuation,
+    generation_violations,
     hirzebruch_fan,
     intersection_number_via_symbols,
     iterated_boundary,
@@ -37,6 +39,7 @@ from conftest import (
     hirzebruch_grid,
     random_ample_instance,
     random_decompositions,
+    reference_self_intersection,
 )
 
 
@@ -64,6 +67,41 @@ class TestSelfIntersection:
 
     def test_plane_hyperplane_class(self):
         assert self_intersection_classical(divisor(projective_plane_fan(), (1, 0, 0))) == 1
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(3, 32),
+           kind=st.sampled_from(["ample", "nef", "non-nef", "any"]))
+    def test_matches_intersection_matrix(self, seed, n, kind):
+        rng = random.Random(seed)
+        D = deep_ample_instance(rng, n)
+        if kind in ("nef", "non-nef"):
+            # on a blowup of one cone, pi^*D has degree 0 on the new curve E
+            # and is nef; pi^*D + E has degree E.E = -1 on E
+            j = rng.randrange(n)
+            d = list(D.coeffs)
+            d.insert(j + 1, d[j] + d[(j + 1) % n] + (kind == "non-nef"))
+            D = divisor(star_subdivide(D.fan, j), d)
+        elif kind == "any":
+            D = divisor(D.fan, [rng.randint(-9, 9) for _ in range(n)])
+        nef, ample = not generation_violations(D), not ampleness_violations(D)
+        assert {"ample": ample, "nef": nef and not ample, "non-nef": not nef, "any": True}[kind]
+        assert self_intersection_classical(D) == reference_self_intersection(D)
+
+    def test_curve_degree_fault_never_certifies_a_non_ample_row(self, monkeypatch):
+        # The sign mutant of TorusDivisor.curve_degrees, + a_i*d_i for - a_i*d_i,
+        # moves the ampleness gate and route 2 but no other route, so the
+        # routes disagree. On F_l, (0, a, b, 0) has curve degrees a, b - l*a,
+        # a and b: the grid rows with b = l*a are nef but not ample.
+        def flipped(D):
+            rays, d = D.fan.rays, D.coeffs
+            n = len(rays)
+            return tuple(d[i - 1] + d[(i + 1) % n] + cross(rays[i - 1], rays[(i + 1) % n]) * d[i]
+                         for i in range(n))
+
+        monkeypatch.setattr(TorusDivisor, "curve_degrees", property(flipped))
+        rows = [(l, a, l * a + extra) for l in range(1, 5) for a in range(1, 6) for extra in range(6)]
+        certified = [(l, a, b) for l, a, b in rows
+                     if okounkov_volume_report(ruled_divisor(l, a, b)).agree and b == l * a]
+        assert certified == []
 
 
 class TestFlagContribution:
