@@ -43,20 +43,7 @@ from .valuation import (
     semigroup_level_hull,
     trivialization_polytope,
 )
-from .milnor_k import (
-    MonomialFn,
-    ResidueElement,
-    SymbolK2,
-    cocycle_expansion,
-    det_formula_check,
-    intersection_number_via_symbols,
-    iterated_boundary,
-    monomial,
-    specialization,
-    symbol,
-    tame_boundary,
-    valuation_via_symbols,
-)
+from .milnor_k import intersection_number_via_symbols, iterated_boundary
 from .volume import (
     ROUTES,
     FlagContribution,

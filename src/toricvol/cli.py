@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .divisors import (
     NotGloballyGenerated,
     TorusDivisor,
-    divisor,
     divisor_polytope,
     generation_violations,
     ampleness_violations,
@@ -185,7 +184,7 @@ def _instance(args, flag_text: str | None = None):
     dec = _document(standard_decomposition, fan, "default" if variant is None else variant)
     if flag is not None:
         _document(flag_valuation, fan, flag)
-    return divisor(fan, doc.divisor), flag, dec
+    return TorusDivisor(fan, doc.divisor), flag, dec
 
 
 def cmd_check(args) -> int:
@@ -372,7 +371,7 @@ def cmd_sweep(args) -> int:
             for a in As:
                 for extra in extras:
                     b = l * a + extra
-                    report = okounkov_volume_report(divisor(fan, (0, a, b, 0)), dec)
+                    report = okounkov_volume_report(TorusDivisor(fan, (0, a, b, 0)), dec)
                     all_agree = all_agree and report.agree
                     print(",".join([str(l), str(a), str(b), *_csv_routes(report)[:4],
                                     "true" if report.agree else "false"]), file=fh)

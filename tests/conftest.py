@@ -6,8 +6,9 @@ scan, the all-Fraction shoelace sum and convex hull, the
 bounding-box section scan, the all-points level hull, the per-call flag chart
 built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
-dumped from and the text report printed term by term), and the tame boundary
-taken on monomial objects."""
+dumped from and the text report printed term by term), and the object
+oracle for the tame-symbol closed form: monomials with Fraction coefficients
+and the first boundary taken on them, sign and coefficient included."""
 
 import random
 from dataclasses import dataclass
@@ -16,10 +17,8 @@ from fractions import Fraction
 from hypothesis import settings, strategies as st
 
 from toricvol import (
-    MonomialFn,
     OrbitDecomposition,
     Rank2Valuation,
-    ResidueElement,
     TFlag,
     TorusDivisor,
     ampleness_violations,
@@ -352,33 +351,61 @@ def report_text(report) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def reference_tame_boundary(w: Rank2Valuation, S) -> list[tuple[int, ResidueElement]]:
-    """Reference first boundary: the monomial g^v(f) * f^-v(g) is built as an
-    object and reduced, then the sign (-1)^(v(f)v(g)) is applied."""
+@dataclass(frozen=True)
+class Monomial:
+    """Reference monomial c * x^e; the coefficient is read as a Fraction, so
+    powers stay exact for negative exponents."""
+
+    coeff: Fraction
+    exponent: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", Fraction(self.coeff))
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        (a, b), (c, d) = self.exponent, other.exponent
+        return Monomial(self.coeff * other.coeff, (a + c, b + d))
+
+    def __pow__(self, k: int) -> "Monomial":
+        return Monomial(self.coeff ** k, (k * self.exponent[0], k * self.exponent[1]))
+
+
+def reference_tame_boundary(w: Rank2Valuation, terms) -> list[tuple[Fraction, int]]:
+    """Reference first boundary of the (mult, f, g) terms, one residue c * t^k
+    per term as (c, k): the monomial g^v(f) * f^-v(g) is built as an object
+    and reduced, then the sign (-1)^(v(f)v(g)) is applied."""
     out = []
-    for mult, (f, g) in S.terms:
-        vf = dot(f.exponent, w.first_ray)
-        vg = dot(g.exponent, w.first_ray)
-        u = (g ** vf) * (f ** (-vg))
+    for _, f, g in terms:
+        vf, vg = dot(f.exponent, w.first_ray), dot(g.exponent, w.first_ray)
+        u = g ** vf * f ** -vg
         v, t = w.value(u.exponent)
         assert v == 0, "the closed form's monomial has curve valuation 0"
-        res = ResidueElement(u.coeff, t)
-        if vf * vg % 2:
-            res = ResidueElement(-res.coeff, res.exponent)
-        out.append((mult, res))
+        out.append((-u.coeff if vf * vg % 2 else u.coeff, t))
     return out
 
 
-def reference_iterated_boundary(w: Rank2Valuation, S) -> int:
+def reference_iterated_boundary(w: Rank2Valuation, terms) -> int:
     """Reference second boundary: the orders of the reference residues."""
-    return sum(mult * res.exponent for mult, res in reference_tame_boundary(w, S))
+    return sum(mult * t for (mult, _, _), (_, t) in zip(terms, reference_tame_boundary(w, terms)))
 
 
-def random_monomial(rng: random.Random, span: int = 10) -> MonomialFn:
+def cocycle_expansion(cocycle, alphas) -> list:
+    """Alternating three-term rewriting +{h_a1, h_a2} - {h_a0, h_a2} + {h_a0, h_a1}
+    of the transition symbol {f_a0a1, f_a1a2}, as exponent terms: its boundary
+    at every flag equals the transition symbol's."""
+    h0, h1, h2 = (cocycle[a] for a in alphas)
+    return [(1, h1, h2), (-1, h0, h2), (1, h0, h1)]
+
+
+def random_exponent(rng: random.Random, span: int = 10) -> tuple[int, int]:
+    return rng.randint(-span, span), rng.randint(-span, span)
+
+
+def random_monomial(rng: random.Random, span: int = 10) -> Monomial:
     coeff = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     if rng.random() < 0.5:
         coeff = -coeff
-    return MonomialFn(coeff, (rng.randint(-span, span), rng.randint(-span, span)))
+    return Monomial(coeff, random_exponent(rng, span))
 
 
 def random_flag(rng: random.Random, fan):

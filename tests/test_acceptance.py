@@ -12,29 +12,27 @@ from fractions import Fraction
 from toricvol import (
     TFlag,
     cech_cocycle,
-    cocycle_expansion,
-    det_formula_check,
+    cross,
     divisor,
     divisor_polytope,
+    dot,
     flag_contribution,
     flag_valuation,
     hirzebruch_fan,
     intersection_number_via_symbols,
     iterated_boundary,
-    monomial,
     okounkov_volume_report,
     self_intersection_classical,
     semigroup_level_hull,
     standard_decomposition,
-    symbol,
     trivialization_polytope,
-    valuation_via_symbols,
 )
 from conftest import (
+    cocycle_expansion,
     hirzebruch_grid,
     random_ample_instance,
+    random_exponent,
     random_flag,
-    random_monomial,
 )
 
 
@@ -91,21 +89,20 @@ def test_criterion_3_determinant_formula_property():
         fans = [hirzebruch_fan(l) for l in (1, 2, 3)]
         for _ in range(1000):
             fan = rng.choice(fans)
-            flag = random_flag(rng, fan)
-            f, g = random_monomial(rng), random_monomial(rng)
+            w = flag_valuation(fan, random_flag(rng, fan))
+            ef, eg = random_exponent(rng), random_exponent(rng)
             # the pairing-route determinant against the symbol-route boundary
-            assert det_formula_check(flag_valuation(fan, flag), f, g)
+            assert iterated_boundary(w, [(1, ef, eg)]) == cross(w.value(ef), w.value(eg))
         for _ in range(100):
             fan = rng.choice(fans)
-            flag = random_flag(rng, fan)
-            w = flag_valuation(fan, flag)
-            twist = (monomial(w.pi1) * (monomial(w.pi2) ** rng.randint(-3, 3))) \
-                * monomial((0, 0), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            f, g = random_monomial(rng), random_monomial(rng)
-            w_f = valuation_via_symbols(w, f, pi1=twist)
-            w_g = valuation_via_symbols(w, g, pi1=twist)
-            det = w_f[0] * w_g[1] - w_g[0] * w_f[1]
-            assert iterated_boundary(w, symbol(f, g)) == det
+            w = flag_valuation(fan, random_flag(rng, fan))
+            # the twisted uniformizer pi1 * pi2^k; a unit coefficient would not move the boundary
+            k = rng.randint(-3, 3)
+            twist = (w.pi1[0] + k * w.pi2[0], w.pi1[1] + k * w.pi2[1])
+            ef, eg = random_exponent(rng), random_exponent(rng)
+            # valuation vectors through boundaries: curve valuation, then {twist, f}
+            w_f, w_g = ((dot(e, w.first_ray), iterated_boundary(w, [(1, twist, e)])) for e in (ef, eg))
+            assert iterated_boundary(w, [(1, ef, eg)]) == cross(w_f, w_g)
 
 
 def test_criterion_4_cocycle_expansion_identity():
@@ -119,8 +116,7 @@ def test_criterion_4_cocycle_expansion_identity():
             for a0 in range(n):
                 for a1 in range(n):
                     for a2 in range(n):
-                        direct = symbol(monomial(cech_cocycle(h, a0, a1)),
-                                        monomial(cech_cocycle(h, a1, a2)))
+                        direct = [(1, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, a2))]
                         expansion = cocycle_expansion(h, (a0, a1, a2))
                         assert iterated_boundary(w, direct) == iterated_boundary(w, expansion), \
                             (flag, a0, a1, a2)

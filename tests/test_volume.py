@@ -24,13 +24,11 @@ from toricvol import (
     hirzebruch_fan,
     intersection_number_via_symbols,
     iterated_boundary,
-    monomial,
     okounkov_volume_report,
     projective_plane_fan,
     self_intersection_classical,
     standard_decomposition,
     star_subdivide,
-    symbol,
 )
 from conftest import (
     deep_ample_instance,
@@ -259,7 +257,7 @@ class TestLocalIdentity:
         h, a0 = D.cocycle, dec.generic_owner
         for f in D.fan.charts:
             a1 = dec.ray_owner[f.ray]
-            S = symbol(monomial(cech_cocycle(h, a0, a1)), monomial(cech_cocycle(h, a1, f.cone)))
+            S = [(1, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, f.cone))]
             assert flag_contribution(D, f, dec).twice == iterated_boundary(flag_valuation(D.fan, f), S)
 
 
