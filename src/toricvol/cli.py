@@ -216,7 +216,7 @@ def _parse_flag(text: str) -> TFlag:
 
 
 def _report_dict(report: VolumeReport) -> dict:
-    """The report's JSON fields, without the per-flag data (see _report_json)."""
+    """The report's JSON fields, without the flag lists (see _report_json)."""
     out: dict = {"ample": report.ample, "agree": report.agree}
     if not report.ample:
         out["diagnostics"] = list(report.diagnostics)
@@ -224,7 +224,6 @@ def _report_dict(report: VolumeReport) -> dict:
     out["values"] = dict(zip(ROUTES, map(half, report.twice)))
     out["self_intersection"] = report.twice[_DSQ]
     out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
-    out["contributing_flags"] = [[f.ray, f.cone] for f in report.contributing_flags]
     return out
 
 
@@ -261,15 +260,17 @@ def _flag_json(c: FlagContribution) -> str:
 def _report_json(report: VolumeReport) -> str:
     """The report as json.dumps(..., indent=2) lays it out, byte for byte.
 
-    The small head goes through json.dumps; the per-flag blocks, where every
-    leaf is an int or a p/q string, are written from templates and spliced
-    in before the closing brace.
+    The small head goes through json.dumps; the contributing flags and the
+    per-flag blocks, where every leaf is an int or a p/q string, are written
+    from templates and spliced in before the closing brace.
     """
     head = json.dumps(_report_dict(report), indent=2)
     if not report.ample:
         return head
+    cf = ",\n".join(f"    [\n      {ray},\n      {cone}\n    ]" for ray, cone in report.contributing_flags)
+    cf = f"[\n{cf}\n  ]" if cf else "[]"
     flags = ",\n".join(map(_flag_json, report.per_flag))
-    return f'{head[:-2]},\n  "per_flag": [\n{flags}\n  ]\n}}'
+    return f'{head[:-2]},\n  "contributing_flags": {cf},\n  "per_flag": [\n{flags}\n  ]\n}}'
 
 
 def _flag_text(c: FlagContribution) -> str:

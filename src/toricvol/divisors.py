@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import index
 
-from .fan import Fan2D, TFlag
+from .fan import Fan2D
 from .lattice import Polygon, Vec, convex_hull_2d, cross
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
@@ -50,14 +51,13 @@ class TorusDivisor:
 
     @cached_property
     def cocycle(self) -> Cocycle:
-        """Local equation h_j = -d_j*pi1 - d_{j+1}*pi2 per cone, in its first flag's chart."""
-        charts, d = self.fan.charts, self.coeffs
-        n = len(d)
+        """Local equation h_j = -d_j*pi1 - d_{j+1}*pi2 per cone, in its first flag's chart,
+        which is every other entry of ``Fan2D.charts``, from the first."""
+        d = self.coeffs
         out = []
-        for j in range(n):
-            w = charts[TFlag(j, j)]
-            dj, dk = d[j], d[(j + 1) % n]
-            out.append((-dj * w.pi1[0] - dk * w.pi2[0], -dj * w.pi1[1] - dk * w.pi2[1]))
+        for w, dj, dk in zip(islice(self.fan.charts.values(), 0, None, 2), d, d[1:] + d[:1]):
+            (a1, a2), (b1, b2) = w.pi1, w.pi2
+            out.append((-dj * a1 - dk * b1, -dj * a2 - dk * b2))
         return tuple(out)
 
     @cached_property

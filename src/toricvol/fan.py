@@ -18,8 +18,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
+from typing import NamedTuple
 
-from .lattice import Vec, cross, dot, is_primitive
+from .lattice import Vec, cross, is_primitive
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,25 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class TFlag:
-    """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point.
-    Both fields are read with ``operator.index``: a float raises TypeError."""
-
+class _RayCone(NamedTuple):
     ray: int
     cone: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "ray", index(self.ray))
-        object.__setattr__(self, "cone", index(self.cone))
+
+class TFlag(_RayCone):
+    """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point.
+    Both fields are read with ``operator.index``: a float raises TypeError. A flag
+    is the int pair (ray, cone), so it equals and hashes like that tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, ray: int, cone: int):
+        return tuple.__new__(cls, (index(ray), index(cone)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which must read the fields as __new__ does
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,10 @@ class Rank2Valuation:
     pi2: Vec         # exponent of the dual-basis residue coordinate t
 
     def value(self, exponent: Vec) -> tuple[int, int]:
-        return (dot(exponent, self.first_ray), dot(exponent, self.second_ray))
+        """The pairings of an exponent pair with the two rays; another length raises ValueError."""
+        e1, e2 = exponent
+        (r1, r2), (s1, s2) = self.first_ray, self.second_ray
+        return e1 * r1 + e2 * r2, e1 * s1 + e2 * s2
 
 
 @dataclass(frozen=True)

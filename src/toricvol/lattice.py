@@ -7,12 +7,15 @@ strictly convex counterclockwise cycle and derives its exact shoelace area,
 both on the vertices as ints over their common denominator. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
 vertices; only ``valuation.semigroup_level_hull`` makes rational vertices.
+Points that are all tuples of two ints skip the per-point reading and the
+common denominator; any other input is read point by point by ``_coords``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -37,19 +40,37 @@ def is_primitive(v: Sequence[int]) -> bool:
     return gcd(*(abs(c) for c in v)) == 1
 
 
+def _coord(c) -> int | Fraction:
+    # an int or Fraction kept, another int (a bool) made an int, any other a Fraction
+    if type(c) is int or type(c) is Fraction:
+        return c
+    return int(c) if isinstance(c, int) else Fraction(c)
+
+
 def _coords(p: Sequence) -> tuple:
-    """A plane point with int and Fraction coordinates kept and any other made a Fraction."""
+    """A plane point with exact coordinates, read by ``_coord``."""
     if len(p) != 2:
         raise ValueError(f"not a plane point: {p!r}")
     x, y = p
-    return (x if type(x) is int or type(x) is Fraction else Fraction(x),
-            y if type(y) is int or type(y) is Fraction else Fraction(y))
+    return _coord(x), _coord(y)
 
 
-def _integral(pts: Sequence[Point]) -> tuple[list[int], list[int], int]:
-    """The x and y coordinates as ints over their common denominator L, and L."""
+def _int_pairs(pts: Sequence) -> bool:
+    """Every point a tuple of two ints, bools excluded: the points are already
+    exact, so ``_coords`` and the common denominator can be skipped."""
+    return (set(map(type, pts)) == {tuple} and set(map(len, pts)) == {2}
+            and set(map(type, chain.from_iterable(pts))) == {int})
+
+
+def _integral(points: Sequence[Sequence]) -> tuple[tuple, list[int], list[int], int]:
+    """The points read exactly, their x and y coordinates as ints over their common
+    denominator L, and L. Int pairs are taken as they are, with L = 1."""
+    pts = tuple(points)
+    if _int_pairs(pts):
+        return pts, [x for x, _ in pts], [y for _, y in pts], 1
+    pts = tuple(map(_coords, pts))
     L = lcm(*(c.denominator for p in pts for c in p))
-    return ([x.numerator * (L // x.denominator) for x, _ in pts],
+    return (pts, [x.numerator * (L // x.denominator) for x, _ in pts],
             [y.numerator * (L // y.denominator) for _, y in pts], L)
 
 
@@ -61,7 +82,7 @@ def _area(xs: list[int], ys: list[int], L: int) -> Fraction:
 def shoelace(vertices: Sequence[Sequence]) -> Fraction:
     """Signed shoelace area of a vertex cycle (positive when counterclockwise),
     summed over ints on the common denominator L and divided once, by 2*L^2."""
-    return _area(*_integral([_coords(p) for p in vertices]))
+    return _area(*_integral(vertices)[1:])
 
 
 def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
@@ -69,7 +90,7 @@ def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
     turn, so the winding counts the edges entering the upper half-plane [0, pi)."""
     e = [(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) for i in range(len(xs))]
     up = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in e]
-    return (all(cross(a, b) > 0 for a, b in zip(e[-1:] + e[:-1], e))
+    return (all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(e[-1:] + e[:-1], e))
             and sum(b and not a for a, b in zip(up[-1:] + up[:-1], up)) == 1)
 
 
@@ -83,8 +104,7 @@ class Polygon:
     area: Fraction = field(init=False)
 
     def __post_init__(self):
-        vertices = tuple(_coords(p) for p in self.vertices)
-        xs, ys, L = _integral(vertices)
+        vertices, xs, ys, L = _integral(self.vertices)
         convex = 0 < len(vertices) < 3 or _strictly_convex(xs, ys)
         if not convex or len(set(vertices)) < len(vertices):
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
@@ -98,7 +118,8 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     The vertices keep their input coordinates: int points give int vertices.
     Collinear boundary points are dropped, so the vertex list is minimal.
     """
-    pts = sorted({_coords(p) for p in points})
+    pts = list(points)
+    pts = sorted(set(pts) if _int_pairs(pts) else set(map(_coords, pts)))
     if not pts:
         raise ValueError("convex hull of an empty point set")
 

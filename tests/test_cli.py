@@ -232,6 +232,43 @@ class TestChartsBuiltOncePerFan:
         assert report.agree and len(built) == 128
 
 
+class TestReportTakesTheIntPaths:
+    """A report on int data takes the int-pair hull path and the chart walk:
+    counted, so a later change cannot lose them without a failing test."""
+
+    def test_json_report_calls_no_coords(self, tmp_path, capsys, monkeypatch):
+        import toricvol.lattice as lattice
+        calls = []
+        real = lattice._coords
+
+        def spy(p):
+            calls.append(p)
+            return real(p)
+        monkeypatch.setattr(lattice, "_coords", spy)
+        D = deep_ample_instance(random.Random(64), 64)
+        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        assert main(["report", path, "--format", "json"]) == 0
+        assert calls == []
+        lattice.convex_hull_2d([(0, 0), (1, 1.0)])  # the spy sees a hull that needs it
+        assert (1, 1.0) in calls
+        capsys.readouterr()
+
+    def test_cocycle_builds_no_flag(self, monkeypatch):
+        import toricvol.fan as fan_module
+        D = deep_ample_instance(random.Random(64), 64)
+        D.fan.charts  # the table builds its 2n keys first
+        built = []
+        real_new = fan_module.TFlag.__new__
+
+        def spy_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+        monkeypatch.setattr(fan_module.TFlag, "__new__", staticmethod(spy_new))
+        assert len(D.cocycle) == 64 and built == []
+        TFlag(0, 0)  # the spy sees a flag built
+        assert built == [(0, 0)]
+
+
 class TestReportCommand:
     def test_text_report(self, tmp_path, capsys):
         path = write(tmp_path, HIRZ_112)

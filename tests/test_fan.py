@@ -202,6 +202,21 @@ class TestTFlag:
         assert flag in hirzebruch_fan(1).charts
         assert type(TFlag(True, 0).ray) is int and TFlag(True, 0) == TFlag(1, 0)
 
+    def test_flag_is_the_int_pair(self):
+        flag = TFlag(cone=1, ray=2)
+        assert flag == TFlag(2, 1) == (2, 1) and tuple(flag) == (2, 1)
+        assert repr(TFlag(2, 1)) == "TFlag(ray=2, cone=1)"
+        assert flag._replace(cone=0) == TFlag(2, 0)
+        with pytest.raises(TypeError):
+            flag._replace(ray=2.0)
+
+    @pytest.mark.parametrize("attr", ["ray", "cone", "other"])
+    def test_fields_cannot_be_assigned(self, attr):
+        flag = TFlag(2, 1)
+        with pytest.raises(AttributeError):
+            setattr(flag, attr, 0)
+        assert flag == (2, 1)
+
 
 class TestStarSubdivide:
     def test_projective_plane_insertion(self):

@@ -148,6 +148,53 @@ class TestConvexHullAgainstFractionHull:
             convex_hull_2d([(0, 0), (1, 2, 3)])
 
 
+exact_as = st.sampled_from([int, Fraction, float])
+
+
+class TestIntPairFastPath:
+    # tuples of two ints skip _coords and the common denominator; the same
+    # points in any other form go through _coords, which is the oracle
+
+    @given(st.lists(st.tuples(small, small, exact_as, exact_as), min_size=1, max_size=30))
+    def test_same_hull_in_every_form(self, rows):
+        points = [(x, y) for x, y, _, _ in rows]
+        want = convex_hull_2d(points)
+        assert all(type(c) is int for v in want.vertices for c in v)
+        for other in ([(Fraction(x), Fraction(y)) for x, y in points],
+                      [(float(x), float(y)) for x, y in points],
+                      [(tx(x), ty(y)) for x, y, tx, ty in rows],
+                      [[x, y] for x, y in points]):
+            got = convex_hull_2d(other)
+            assert got.vertices == want.vertices and got.area == want.area
+
+    @given(st.lists(st.tuples(small, small), min_size=1, max_size=12))
+    def test_polygon_accepts_and_rejects_alike(self, vertices):
+        # most random cycles are not convex: both forms must reject them alike
+        def build(vs):
+            try:
+                return Polygon(tuple(vs))
+            except ValueError:
+                return None
+        fast, oracle = build(vertices), build([(Fraction(x), Fraction(y)) for x, y in vertices])
+        assert (fast is None) == (oracle is None)
+        if fast is not None:
+            assert fast.vertices == oracle.vertices and fast.area == oracle.area
+            assert all(type(c) is int for v in fast.vertices for c in v)
+
+    def test_bool_coordinates_become_ints(self):
+        hull = convex_hull_2d([(True, False), (0, 1), (1, True)])
+        assert hull.vertices == ((0, 1), (1, 0), (1, 1))
+        for p in (hull, Polygon(((False, False), (True, False), (0, True)))):
+            assert all(type(c) is int for v in p.vertices for c in v)
+
+    @pytest.mark.parametrize("points", [[(0, 0), (1, 2, 3)], [(0, 0), (1,)], [(1, 2, 3)]])
+    def test_non_pair_point_rejected(self, points):
+        with pytest.raises(ValueError, match="not a plane point"):
+            convex_hull_2d(points)
+        with pytest.raises(ValueError, match="not a plane point"):
+            Polygon(tuple(points))
+
+
 fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 cycles = st.lists(st.tuples(small, small), max_size=12)
 
@@ -215,6 +262,7 @@ class TestPolygonArea:
         for vertices in (((0, 0), (2, 0), (0, 2), (1, 1)),  # not convex
                          ((0, 0), (1, 0), (2, 0), (0, 1)),  # a collinear vertex
                          ((0, 0), (1, 0), (0, 1), (0, 0)),  # a repeated vertex
+                         ((0, 0), (1, 0), (1, 0), (0, 1)),  # one vertex twice in a row
                          ((1, 1), (1, 1)),  # a segment needs two distinct vertices
                          PENTAGRAM):  # every turn left, but it winds twice
             with pytest.raises(ValueError):
