@@ -15,12 +15,13 @@ once, the one place that writes the flag order and the dual basis.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
 from typing import NamedTuple
 
-from .lattice import Vec, cross, is_primitive
+from .lattice import Vec, _int_pairs, cross, is_primitive
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,20 @@ class FanValidationError(ValueError):
 
 
 def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
-    """All axioms violated by a candidate ray list, each with its index."""
+    """All axioms violated by a candidate ray list, each with its index; rays
+    that are not all int pairs already are read with ``operator.index``."""
     out: list[FanViolation] = []
-    clean: list[Vec] = []
-    for i, r in enumerate(rays):
-        try:
-            clean.append(tuple(index(c) for c in r))
-        except TypeError:
-            out.append(FanViolation(
-                "non-primitive", i, f"ray {i} = {r!r} has non-integer coordinates"))
-    if out:
-        return out
-    rays = clean
+    if not _int_pairs(rays := list(rays)):
+        clean: list[Vec] = []
+        for i, r in enumerate(rays):
+            try:
+                clean.append(tuple(index(c) for c in r))
+            except TypeError:
+                out.append(FanViolation(
+                    "non-primitive", i, f"ray {i} = {r!r} has non-integer coordinates"))
+        if out:
+            return out
+        rays = clean
     n = len(rays)
     if n < 3:
         out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
@@ -126,10 +129,12 @@ class Fan2D:
     def __post_init__(self):
         # read the input once: a one-shot ray becomes a tuple, any other is kept for the messages
         rays = [tuple(r) if isinstance(r, Iterator) else r for r in self.rays]
+        with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
+            rays = [tuple(map(index, r)) for r in rays]
         violations = fan_violations(rays)
         if violations:
             raise FanValidationError(violations)
-        object.__setattr__(self, "rays", tuple(tuple(index(c) for c in r) for r in rays))
+        object.__setattr__(self, "rays", tuple(rays))
 
     @property
     def n_rays(self) -> int:

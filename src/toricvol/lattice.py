@@ -6,7 +6,8 @@ A polygon is built from its vertices alone, checks that they form a
 strictly convex counterclockwise cycle and derives its exact shoelace area,
 both on the vertices as ints over their common denominator. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
-vertices; only ``valuation.semigroup_level_hull`` makes rational vertices.
+vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls
+column ends with ``monotone_chain`` (the hull's chain), then values only the vertices.
 Points that are all tuples of two ints skip the per-point reading and the
 common denominator; any other input is read point by point by ``_coords``.
 """
@@ -112,6 +113,23 @@ class Polygon:
         object.__setattr__(self, "area", _area(xs, ys, L))
 
 
+def monotone_chain(points: Iterable[Sequence]) -> list:
+    """Lower hull of points in increasing order, upper hull in decreasing order."""
+    out: list = []
+    for p in points:
+        # pop the last point a while (o, a, p) does not turn left
+        px, py = p
+        while len(out) >= 2:
+            ox, oy = out[-2]
+            ax, ay = out[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
+
+
 def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     """Convex hull by monotone chain over the exact coordinates as given.
 
@@ -122,25 +140,8 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     pts = sorted(set(pts) if _int_pairs(pts) else set(map(_coords, pts)))
     if not pts:
         raise ValueError("convex hull of an empty point set")
-
-    def chain(seq: list) -> list:
-        # pop the last point a while (o, a, p) does not turn left
-        out: list = []
-        for p in seq:
-            px, py = p
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    hull = chain(pts)[:-1] + chain(pts[::-1])[:-1]
+    hull = monotone_chain(pts)[:-1] + monotone_chain(pts[::-1])[:-1]
     if len(hull) < 3:
         # all points collinear: keep the two extremes, or the single point
         hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
     return Polygon(tuple(hull))
-

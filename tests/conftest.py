@@ -200,11 +200,11 @@ class FractionHull:
     area: Fraction
 
 
-def fraction_hull(points) -> FractionHull:
-    """Reference convex hull: every point is promoted to a Fraction pair first.
-
-    It builds no library Polygon, whose area comes from the code under test."""
-    pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
+def chain_hull(points) -> FractionHull:
+    """Reference monotone chain over the sorted distinct points, in the points' own
+    arithmetic, and its area by fraction_shoelace. It builds no library Polygon,
+    whose area comes from the code under test."""
+    pts = sorted(set(points))
     if not pts:
         raise ValueError("convex hull of an empty point set")
     if len(pts) == 1:
@@ -227,6 +227,11 @@ def fraction_hull(points) -> FractionHull:
     return FractionHull(tuple(hull), fraction_shoelace(hull))
 
 
+def fraction_hull(points) -> FractionHull:
+    """Reference convex hull: every point is promoted to a Fraction pair first."""
+    return chain_hull((Fraction(p[0]), Fraction(p[1])) for p in points)
+
+
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     """Reference section scan: every point of the bounding box of the scaled
     cocycle characters tested against every ray inequality, O(box * n)."""
@@ -240,9 +245,11 @@ def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
 
 
 def all_points_level_hull(w: Rank2Valuation, sections, m: int) -> FractionHull:
-    """Reference level hull: every valued section scaled by 1/m, then hulled."""
-    return fraction_hull([(Fraction(v[0], m), Fraction(v[1], m))
-                          for v in map(w.value, sections)])
+    """Reference level hull: every section valued, the values hulled by
+    ``chain_hull`` in ints, and the vertices scaled by 1/m."""
+    vertices = tuple((Fraction(x, m), Fraction(y, m))
+                     for x, y in chain_hull(map(w.value, sections)).vertices)
+    return FractionHull(vertices, fraction_shoelace(vertices))
 
 
 def _frac(q) -> str:

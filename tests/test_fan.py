@@ -69,6 +69,21 @@ class TestValidateFan:
         assert fan == projective_plane_fan()
         assert hash(fan) == hash(projective_plane_fan())
 
+    def test_each_coordinate_read_once(self, monkeypatch):
+        # Fan2D reads the rays, and fan_violations takes the int pairs as they are
+        import toricvol.fan as fan_module
+
+        calls, real = [], fan_module.index
+
+        def spy(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(fan_module, "index", spy)
+        fan = Fan2D([[1, 0], [0, True], iter([-1, -1])])
+        assert len(calls) == 6 and fan == projective_plane_fan()
+        assert all(type(c) is int for r in fan.rays for c in r)
+
     def test_non_iterable_ray_reported_with_index(self):
         with pytest.raises(FanValidationError) as e:
             Fan2D([[1, 0], 5, [-1, -1]])

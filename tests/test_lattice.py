@@ -10,6 +10,7 @@ from toricvol import (
     cross,
     shoelace,
 )
+from toricvol.lattice import monotone_chain
 from conftest import fraction_hull, fraction_shoelace
 
 
@@ -146,6 +147,31 @@ class TestConvexHullAgainstFractionHull:
     def test_rejects_non_plane_point(self):
         with pytest.raises(ValueError):
             convex_hull_2d([(0, 0), (1, 2, 3)])
+
+
+class TestMonotoneChainOnColumnEnds:
+    # the level hull's pass: the lower chain of the column lows left to right and
+    # the upper chain of the highs right to left, against the hull of every point
+
+    @given(st.dictionaries(small, st.tuples(small, st.integers(0, 6)), min_size=1, max_size=12))
+    def test_column_ends_hold_every_vertex(self, spans):
+        cols = [(x, lo, lo + h) for x, (lo, h) in sorted(spans.items())]
+        ends = (monotone_chain((x, lo) for x, lo, _ in cols)
+                + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+        want = fraction_hull([(x, y) for x, lo, hi in cols for y in range(lo, hi + 1)])
+        assert len(ends) <= 2 * len(cols) and set(want.vertices) <= set(ends)
+        got = convex_hull_2d(ends)
+        assert (got.vertices, got.area) == (want.vertices, want.area)
+
+    @given(st.tuples(small, small), st.tuples(st.integers(1, 4), st.integers(-4, 4)),
+           st.integers(1, 10))
+    def test_collinear_column_ends(self, base, step, count):
+        # every column a single point, all of them on one line
+        pts = [(base[0] + t * step[0], base[1] + t * step[1]) for t in range(count)]
+        ends = monotone_chain(pts) + monotone_chain(pts[::-1])
+        assert set(ends) == {pts[0], pts[-1]}
+        got, want = convex_hull_2d(ends), fraction_hull(pts)
+        assert (got.vertices, got.area) == (want.vertices, want.area)
 
 
 exact_as = st.sampled_from([int, Fraction, float])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricvol import (
+    Fan2D,
     NotGloballyGenerated,
+    Rank2Valuation,
     TFlag,
     divisor,
     divisor_polytope,
@@ -13,14 +15,18 @@ from toricvol import (
     graded_semigroup,
     hirzebruch_fan,
     projective_plane_fan,
+    section_columns,
+    section_lattice_points,
     semigroup_level_hull,
     star_subdivide,
     trivialization_polytope,
 )
+from toricvol import valuation
 from conftest import (
     all_points_level_hull,
     box_section_points,
     deep_ample_instance,
+    hirzebruch_grid,
     random_ample_instance,
     random_smooth_fan,
     reference_tflags,
@@ -156,28 +162,91 @@ class TestGradedSemigroup:
                 for m in range(1, 6):
                     assert set(semigroup_level_hull(D, flag, m).vertices) == target
 
-    @settings(max_examples=30)  # the all-Fraction oracle hull takes about 0.1 s per fan
-    @given(st.integers(0, 2 ** 32))
-    def test_level_hull_equals_hull_of_every_valued_section(self, seed):
+    @staticmethod
+    def assert_level_hull_matches_oracle(D, levels):
         # the all-points hull is the oracle, on ample, nef, non-nef and empty levels
-        rng = random.Random(seed)
-        fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
-        for m in (1, 2, 3):
+        for m in levels:
             sections = box_section_points(D, m)
-            for flag in fan.charts:
+            for flag in D.fan.charts:
                 if not sections:
                     with pytest.raises(ValueError, match=f"no sections at level {m}"):
                         semigroup_level_hull(D, flag, m)
                     continue
-                want = all_points_level_hull(flag_valuation(fan, flag), sections, m)
+                want = all_points_level_hull(flag_valuation(D.fan, flag), sections, m)
                 got = semigroup_level_hull(D, flag, m)
                 assert (got.vertices, got.area) == (want.vertices, want.area)
                 assert all(type(c) is Fraction and m % c.denominator == 0
                            for v in got.vertices for c in v)
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2 ** 32))
+    def test_level_hull_equals_hull_of_every_valued_section(self, seed):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+        self.assert_level_hull_matches_oracle(D, (1, 2, 3, 4, 5, 8))
         for m in (0, -1):
             with pytest.raises(ValueError, match="positive integer"):
                 semigroup_level_hull(D, rng.choice(list(fan.charts)), m)
+
+    def test_level_hull_equals_oracle_on_hirzebruch_grid(self):
+        for l, a, b in hirzebruch_grid():
+            self.assert_level_hull_matches_oracle(ruled_divisor(l, a, b), (5,))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_level_hull_equals_oracle_on_deep_fans(self, n):
+        # small nef divisors on deep fans, as in the row scan's test: the divisor
+        # of a random small polygon Q, and that divisor perturbed by -1..1 per ray
+        rng = random.Random(n)
+        fan = deep_ample_instance(rng, n).fan
+        q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+        nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
+        for coeffs in (nef, [d + rng.randint(-1, 1) for d in nef]):
+            self.assert_level_hull_matches_oracle(divisor(fan, coeffs), range(1, 6))
+
+    @pytest.mark.parametrize("rays, coeffs, shape", [
+        # one column {0} x [0, 4]: the square's fan, a vertical segment
+        (((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 0, 4), "one column"),
+        # every column one point, on the horizontal segment [0, 4] x {0}
+        (((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 4, 0), "lo == hi"),
+        # every column one point, on the antidiagonal x + y = 0
+        (((1, 1), (0, 1), (-1, -1), (0, -1)), (0, 4, 0, 0), "lo == hi"),
+        # the zero divisor: one column of one point
+        (((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 0, 0), "one column"),
+    ], ids=["vertical", "horizontal", "antidiagonal", "point"])
+    def test_level_hull_on_degenerate_levels(self, rays, coeffs, shape):
+        D = divisor(Fan2D(rays), coeffs)
+        for m in range(1, 6):
+            cols = section_columns(D, m)
+            if shape == "one column":
+                assert len(cols) == 1
+            else:
+                assert len(cols) > 1 and all(lo == hi for _, lo, hi in cols)
+        self.assert_level_hull_matches_oracle(D, range(1, 6))
+
+    def test_level_hull_values_only_column_ends(self, monkeypatch):
+        # level 5 of (0, 4, 9, 0) on F_1 has 756 sections in 46 columns: the
+        # level hull lists none of them and values at most two per column
+        D = ruled_divisor(1, 4, 9)
+        assert len(section_lattice_points(D, 5)) > 750
+        columns = {m: len(section_columns(D, m)) for m in range(1, 6)}
+
+        def refuse(*args):
+            raise AssertionError("the level hull listed every section")
+
+        monkeypatch.setattr(valuation, "section_lattice_points", refuse)
+        calls, value = [], Rank2Valuation.value
+
+        def spy(self, exponent):
+            calls.append(exponent)
+            return value(self, exponent)
+
+        monkeypatch.setattr(Rank2Valuation, "value", spy)
+        for flag in D.fan.charts:
+            for m, width in columns.items():
+                calls.clear()
+                semigroup_level_hull(D, flag, m)
+                assert 0 < len(calls) <= 2 * width
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
