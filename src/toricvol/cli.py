@@ -3,7 +3,9 @@
 Exit codes form a stable contract: 0 when everything agrees (or is ample,
 for check), 1 for a mathematical failure (non-ample input, fan axiom
 violation, disagreement between routes), 2 for unreadable or ill-formed
-input and usage errors. Rationals are always printed as exact p/q strings.
+input and usage errors. A command returns only its verdict; every failure
+it raises is mapped to its exit code in `main`. Rationals are always
+printed as exact p/q strings.
 """
 
 from __future__ import annotations
@@ -169,16 +171,10 @@ _DSQ = 1
 
 def _instance(args, flag_text: str | None = None):
     """(D, flag, dec) from the document at args.path, the command line winning
-    over it; None, with the violations printed, for an invalid fan."""
+    over it; an invalid fan raises FanValidationError."""
     doc = load_instance(args.path)
     flag = _parse_flag(flag_text) if flag_text is not None else doc.flag
-    try:
-        fan = Fan2D(doc.rays)
-    except FanValidationError as e:
-        print("fan: invalid")
-        for v in e.violations:
-            print(f"  {v}")
-        return None
+    fan = Fan2D(doc.rays)
     # an empty variant is malformed, not absent: only None falls back to "default"
     variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
     dec = _document(standard_decomposition, fan, "default" if variant is None else variant)
@@ -188,22 +184,19 @@ def _instance(args, flag_text: str | None = None):
 
 
 def cmd_check(args) -> int:
-    inst = _instance(args)
-    if inst is None:
-        return 1
-    D = inst[0]
-    print(f"fan: valid ({D.fan.n_rays} rays)")
+    D = _instance(args)[0]
+    rays, d = D.fan.rays, D.coeffs
     gen = generation_violations(D)
-    print(f"globally generated: {'true' if not gen else 'false'}")
-    for j, i in gen:
-        h = D.cocycle[j]
-        print(f"  cone {j}: <{h}, ray {i}> = {dot(h, D.fan.rays[i])} < {-D.coeffs[i]}")
     amp = ampleness_violations(D)
-    print(f"ample: {'true' if not amp else 'false'}")
-    for j, i in amp:
-        h = D.cocycle[j]
-        slack = dot(h, D.fan.rays[i]) + D.coeffs[i]
-        print(f"  cone {j} vs ray {i}: slack {slack} (need > 0)")
+    # the local equations are read only for a witness line
+    print("\n".join([
+        f"fan: valid ({len(rays)} rays)",
+        f"globally generated: {'true' if not gen else 'false'}",
+        *(f"  cone {j}: <{D.cocycle[j]}, ray {i}> = {dot(D.cocycle[j], rays[i])} < {-d[i]}"
+          for j, i in gen),
+        f"ample: {'true' if not amp else 'false'}",
+        *(f"  cone {j} vs ray {i}: slack {dot(D.cocycle[j], rays[i]) + d[i]} (need > 0)"
+          for j, i in amp)]))
     return 0 if not amp else 1
 
 
@@ -285,19 +278,16 @@ def _flag_text(c: FlagContribution) -> str:
             f"    omit 2: sections ({a0}, {a1}) matrix (({u0}, {v0}), ({u1}, {v1})) volume {half(d2)}")
 
 
-def _print_text_report(report: VolumeReport, out) -> None:
+def _report_text(report: VolumeReport) -> str:
     if not report.ample:
-        print("ample: false", file=out)
-        for d in report.diagnostics:
-            print(f"  {d}", file=out)
-        return
-    for line, x in zip(_TEXT_LINES, report.twice, strict=True):
-        print(line.format(half(x), dsq=report.twice[_DSQ], flag=report.display_flag), file=out)
-    cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
-    print(f"contributing flags     : {', '.join(cf) if cf else 'none'}", file=out)
-    for c in report.per_flag:
-        print(_flag_text(c), file=out)
-    print(f"agree: {'true' if report.agree else 'false'}", file=out)
+        return "\n".join(["ample: false", *(f"  {d}" for d in report.diagnostics)])
+    cf = ", ".join(f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags)
+    return "\n".join([
+        *(line.format(half(x), dsq=report.twice[_DSQ], flag=report.display_flag)
+          for line, x in zip(_TEXT_LINES, report.twice, strict=True)),
+        f"contributing flags     : {cf or 'none'}",
+        *map(_flag_text, report.per_flag),
+        f"agree: {'true' if report.agree else 'false'}"])
 
 
 def _csv_routes(report: VolumeReport) -> list[str]:
@@ -306,19 +296,19 @@ def _csv_routes(report: VolumeReport) -> list[str]:
     return [str(x) if k == _DSQ else half(x) for k, x in enumerate(report.twice)] or ["-"] * len(ROUTES)
 
 
+def _report_csv(report: VolumeReport) -> str:
+    row = ",".join([*_csv_routes(report), "true" if report.agree else "false"])
+    return f"area,dsq,simplex_sum,symbol_sum,triv_area,agree\n{row}"
+
+
+# every report format, the --format choices in this order, text the default
+_WRITERS = {"text": _report_text, "json": _report_json, "csv": _report_csv}
+
+
 def cmd_report(args) -> int:
-    inst = _instance(args, args.flag)
-    if inst is None:
-        return 1
-    D, flag, dec = inst
+    D, flag, dec = _instance(args, args.flag)
     report = okounkov_volume_report(D, dec, flag or TFlag(0, 0))
-    if args.format == "json":
-        print(_report_json(report))
-    elif args.format == "csv":
-        print("area,dsq,simplex_sum,symbol_sum,triv_area,agree")
-        print(",".join([*_csv_routes(report), "true" if report.agree else "false"]))
-    else:
-        _print_text_report(report, sys.stdout)
+    print(_WRITERS[args.format](report))
     return 0 if report.agree else 1
 
 
@@ -427,15 +417,8 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
 
 
 def cmd_polytope(args) -> int:
-    inst = _instance(args, args.flag)
-    if inst is None:
-        return 1
-    D, flag, _ = inst
-    try:
-        svg = polytope_svg(D, flag)
-    except NotGloballyGenerated as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    D, flag, _ = _instance(args, args.flag)
+    svg = polytope_svg(D, flag)  # drawn before the file opens, so a failure writes none
     with _output(args.svg) as fh:
         print(svg, file=fh)
     return 0
@@ -458,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="compute the four volume routes and verify agreement")
     p.add_argument("path")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=tuple(_WRITERS), default="text")
     p.add_argument("--flag", default=None, metavar="RAY,CONE",
                    help="display flag for the trivialization polytope")
 
@@ -496,6 +479,12 @@ def main(argv=None) -> int:
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except FanValidationError as e:
+        print("\n".join(["fan: invalid", *(f"  {v}" for v in e.violations)]))
+        return 1
+    except NotGloballyGenerated as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -74,12 +74,16 @@ class VolumeReport:
         return tuple(c.flag for c in self.per_flag if c.twice != 0)
 
 
+def _check_rays(D: TorusDivisor, dec: OrbitDecomposition) -> None:
+    if len(dec.ray_owner) != D.fan.n_rays:
+        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {D.fan.n_rays}")
+
+
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
     """Route 3 at one flag: the three valuation vectors and twice the
     alternating sum of their signed simplex volumes (see ``FlagContribution``).
     Defined for every divisor: summed over all flags it is D.D."""
-    if len(dec.ray_owner) != D.fan.n_rays:
-        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {D.fan.n_rays}")
+    _check_rays(D, dec)
     w = flag_valuation(D.fan, flag)
     charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
     u, v, x = vectors = tuple([w.value(D.cocycle[a]) for a in charts])
@@ -110,10 +114,14 @@ def okounkov_volume_report(
     """Compute every route and compare them exactly.
 
     The one positivity gate: non-ample input yields a diagnostics-only report
-    (the equality chain is only asserted in the ample cone).
+    (the equality chain is only asserted in the ample cone). The decomposition
+    and the display flag are checked first, so a bad one raises ValueError
+    whether D is ample or not.
     """
     if dec is None:
         dec = standard_decomposition(D.fan)
+    _check_rays(D, dec)
+    flag_valuation(D.fan, display_flag)
     bad = ampleness_violations(D)
     if bad:
         diags = [f"not ample: cone {j}'s local equation is not strictly inside ray {i}'s half-plane"

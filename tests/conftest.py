@@ -332,11 +332,10 @@ def report_dict(report) -> dict:
 
 
 def report_text(report) -> str:
-    """Reference text report: the lines printed one by one, each term from
+    """Reference text report: its lines joined by newlines, each term from
     ``fraction_terms``."""
     if not report.ample:
-        lines = ["ample: false", *(f"  {d}" for d in report.diagnostics)]
-        return "".join(f"{line}\n" for line in lines)
+        return "\n".join(["ample: false", *(f"  {d}" for d in report.diagnostics)])
     area, half_dsq, simplex, symbol_half, triv = map(_frac, report.values)
     f = report.display_flag
     cf = [f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags]
@@ -355,7 +354,20 @@ def report_text(report) -> str:
             lines.append(f"    omit {t.omitted}: sections {t.sections_used} "
                          f"matrix {t.matrix} volume {_frac(t.signed_volume)}")
     lines.append(f"agree: {'true' if report.agree else 'false'}")
-    return "".join(f"{line}\n" for line in lines)
+    return "\n".join(lines)
+
+
+def report_csv(report) -> str:
+    """Reference CSV report: the header and one row, each route's volume from
+    ``report.values`` except D.D itself in the dsq column; `-` in every route
+    cell for non-ample input."""
+    if report.ample:
+        area, half_dsq, simplex, symbol_half, triv = report.values
+        cells = [_frac(area), _frac(2 * half_dsq), _frac(simplex), _frac(symbol_half), _frac(triv)]
+    else:
+        cells = ["-"] * 5
+    cells.append("true" if report.agree else "false")
+    return "area,dsq,simplex_sum,symbol_sum,triv_area,agree\n" + ",".join(cells)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from toricvol.cli import (
     polytope_svg,
     build_parser,
     _parse_range,
-    _print_text_report,
+    _report_csv,
     _report_json,
+    _report_text,
 )
 from toricvol import (
     cross,
@@ -40,6 +41,7 @@ from conftest import (
     deep_ample_instance,
     hirzebruch_grid,
     random_smooth_fan,
+    report_csv,
     report_dict,
     report_text,
 )
@@ -228,7 +230,7 @@ class TestChartsBuiltOncePerFan:
         E = divisor(D.fan, [2 * d for d in D.coeffs])
         report = okounkov_volume_report(E, standard_decomposition(D.fan, "successor"), TFlag(5, 4))
         _report_json(report)
-        _print_text_report(report, io.StringIO())
+        _report_text(report)
         assert report.agree and len(built) == 128
 
 
@@ -398,6 +400,31 @@ class TestOneDocumentPath:
             "fan: valid (4 rays)\nglobally generated: true\nample: true\n", "")
 
 
+class TestFailuresMappedInMain:
+    # main maps the failures check, report and polytope raise to exit 1, with
+    # the same bytes from each command and no file written
+
+    @pytest.mark.parametrize("command", [["check", "{doc}"], ["report", "{doc}"],
+                                         ["polytope", "{doc}", "--svg", "{svg}"]],
+                             ids=["check", "report", "polytope"])
+    def test_invalid_fan(self, tmp_path, capsys, command):
+        doc = '{"rays":[[1,0],[0,2],[-2,0],[0,-1]],"divisor":[0,0,0,0]}'
+        paths = {"doc": write(tmp_path, doc), "svg": str(tmp_path / "p.svg")}
+        assert main([a.format(**paths) for a in command]) == 1
+        assert capsys.readouterr() == ("fan: invalid\n"
+                                       "  ray 1 = (0, 2) is not primitive\n"
+                                       "  ray 2 = (-2, 0) is not primitive\n", "")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_non_nef_polytope(self, tmp_path, capsys):
+        path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,2],[0,-1]],"divisor":[0,-1,3,0]}')
+        svg = tmp_path / "p.svg"
+        assert main(["polytope", path, "--svg", str(svg)]) == 1
+        assert capsys.readouterr() == ("", "error: divisor is not globally generated: local "
+                                           "equation of cone 1 violates the inequality of ray 3\n")
+        assert not svg.exists()
+
+
 class TestReportDisagreement:
     # route 4 off by two: D.D = 3 but the symbol sum reads 5, so report must
     # say so and exit 1 in every format
@@ -511,9 +538,11 @@ def assert_writer_matches_dict(report):
 
 
 def assert_text_writer_matches_reference(report):
-    buf = io.StringIO()
-    _print_text_report(report, buf)
-    assert_same_report("text", buf.getvalue(), report_text(report))
+    assert_same_report("text", _report_text(report), report_text(report))
+
+
+def assert_csv_writer_matches_reference(report):
+    assert_same_report("CSV", _report_csv(report), report_csv(report))
 
 
 def grid_reports(variant):
@@ -594,6 +623,26 @@ class TestTextWriter:
 
     def test_non_ample_report(self):
         assert_text_writer_matches_reference(non_ample_report())
+
+
+class TestCsvWriter:
+    # the header and a row built from report.values, kept in conftest, is the reference
+
+    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
+    def test_hirzebruch_grid(self, variant):
+        for report in grid_reports(variant):
+            assert_csv_writer_matches_reference(report)
+
+    @pytest.mark.parametrize("n", [8, 32, 64, 128])
+    def test_deep_fans(self, n):
+        assert_csv_writer_matches_reference(deep_report(n))
+
+    @given(**_DEEP_FAN_ARGS)
+    def test_deep_fan_property(self, seed, n, shift, variant, data):
+        assert_csv_writer_matches_reference(shifted_deep_report(seed, n, shift, variant, data))
+
+    def test_non_ample_report(self):
+        assert_csv_writer_matches_reference(non_ample_report())
 
 
 class TestClosedStdout:

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import random
 from fractions import Fraction
 
@@ -299,6 +298,22 @@ class TestOnePositivityGate:
         with pytest.raises(ValueError, match="decomposition of 3 rays for a fan of 4"):
             intersection_number_via_symbols(D, dec)
 
+    @pytest.mark.parametrize("coeffs", [(0, 1, 2, 0), (0, 1, 1, 0)], ids=["ample", "not-ample"])
+    def test_report_checks_its_arguments_before_the_gate(self, monkeypatch, coeffs):
+        # a bad decomposition or display flag raises whether D is ample or not,
+        # before the gate reads D
+        def gate(D):
+            pytest.fail("the ampleness gate ran before the arguments were checked")
+
+        D = divisor(hirzebruch_fan(1), coeffs)
+        monkeypatch.setattr(volume, "ampleness_violations", gate)
+        with pytest.raises(ValueError, match="decomposition of 3 rays for a fan of 4"):
+            okounkov_volume_report(D, standard_decomposition(projective_plane_fan()))
+        with pytest.raises(ValueError, match="no maximal cone 7"):
+            okounkov_volume_report(D, display_flag=TFlag(7, 7))
+        with pytest.raises(ValueError, match="ray 0 is not a face of cone 2: not a flag"):
+            okounkov_volume_report(D, display_flag=TFlag(0, 2))
+
 
 def assert_matches_fraction_oracle(D, dec):
     for flag in D.fan.charts:
@@ -386,13 +401,9 @@ class TestIntegerReport:
             == count_fractions(monkeypatch, 128, _report_json) <= 6
 
     def test_text_fraction_count_does_not_grow_with_n(self, monkeypatch):
-        from toricvol.cli import _print_text_report
-
-        def render(report):
-            _print_text_report(report, io.StringIO())
-
-        assert count_fractions(monkeypatch, 16, render) \
-            == count_fractions(monkeypatch, 128, render) <= 6
+        from toricvol.cli import _report_text
+        assert count_fractions(monkeypatch, 16, _report_text) \
+            == count_fractions(monkeypatch, 128, _report_text) <= 6
 
 
 def count_fractions(monkeypatch, n: int, render) -> int:
