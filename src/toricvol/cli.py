@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .divisors import (
     NotGloballyGenerated,
@@ -83,15 +84,15 @@ def parse_instance(text: str) -> InstanceDocument:
     def is_int(x) -> bool:
         return type(x) is int  # bool is an int subclass, reject it
 
+    # one pass per type set, as lattice._int_pairs reads points; an empty list passes
     rays = raw["rays"]
-    if (not isinstance(rays, list)
-            or any(not isinstance(r, list) or len(r) != 2
-                   or not all(is_int(c) for c in r) for r in rays)):
+    if not (isinstance(rays, list) and set(map(type, rays)) <= {list} and set(map(len, rays)) <= {2}
+            and set(map(type, chain.from_iterable(rays))) <= {int}):
         raise DocumentError("field 'rays' must be a list of integer pairs")
     coeffs = raw["divisor"]
-    if not isinstance(coeffs, list) or not all(is_int(c) for c in coeffs):
+    if not (isinstance(coeffs, list) and set(map(type, coeffs)) <= {int}):
         raise DocumentError("field 'divisor' must be a list of integers")
-    _check_input_size([*coeffs, *(c for r in rays for c in r)])
+    _check_input_size(chain(coeffs, *rays))
     if len(coeffs) != len(rays):
         raise DocumentError(
             f"field 'divisor' has {len(coeffs)} entries for {len(rays)} rays")
@@ -106,7 +107,7 @@ def parse_instance(text: str) -> InstanceDocument:
     if variant is not None and not isinstance(variant, str):
         raise DocumentError("field 'decomposition_variant' must be a string")
     return InstanceDocument(
-        rays=tuple((r[0], r[1]) for r in rays),
+        rays=tuple(map(tuple, rays)),
         divisor=tuple(coeffs),
         flag=flag,
         decomposition_variant=variant,
@@ -227,11 +228,9 @@ def _flag_json(c: FlagContribution) -> str:
     vectors kept. Every flag point is a rational point, so each residue
     degree is 1.
     """
-    (u0, u1), (v0, v1), (x0, x1) = c.vectors
-    a0, a1, a2 = c.charts
-    d0, d1, d2 = c.signed_dets
-    return (f'    {{\n      "flag": [\n        {c.flag.ray},\n        {c.flag.cone}\n      ],\n'
-            f'      "subtotal": "{half(c.twice)}",\n      "terms": [\n'
+    (ray, cone), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), twice = c
+    return (f'    {{\n      "flag": [\n        {ray},\n        {cone}\n      ],\n'
+            f'      "subtotal": "{half(twice)}",\n      "terms": [\n'
             f'        {{\n          "omitted": 0,\n'
             f'          "sections": [\n            {a1},\n            {a2}\n          ],\n'
             f'          "matrix": [\n            [\n              {v0},\n              {x0}\n            ],\n'
@@ -269,10 +268,8 @@ def _report_json(report: VolumeReport) -> str:
 def _flag_text(c: FlagContribution) -> str:
     """One flag's lines of the text report: its subtotal, then term k with the
     k-th chart and vector omitted, as in _flag_json."""
-    (u0, u1), (v0, v1), (x0, x1) = c.vectors
-    a0, a1, a2 = c.charts
-    d0, d1, d2 = c.signed_dets
-    return (f"flag (ray {c.flag.ray}, cone {c.flag.cone}): subtotal {half(c.twice)}\n"
+    (ray, cone), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), twice = c
+    return (f"flag (ray {ray}, cone {cone}): subtotal {half(twice)}\n"
             f"    omit 0: sections ({a1}, {a2}) matrix (({v0}, {x0}), ({v1}, {x1})) volume {half(d0)}\n"
             f"    omit 1: sections ({a0}, {a2}) matrix (({u0}, {x0}), ({u1}, {x1})) volume {half(d1)}\n"
             f"    omit 2: sections ({a0}, {a1}) matrix (({u0}, {v0}), ({u1}, {v1})) volume {half(d2)}")

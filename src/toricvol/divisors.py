@@ -44,7 +44,7 @@ class TorusDivisor:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(index(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if len(self.coeffs) != self.fan.n_rays:
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for {self.fan.n_rays} rays")
@@ -56,7 +56,7 @@ class TorusDivisor:
         d = self.coeffs
         out = []
         for w, dj, dk in zip(islice(self.fan.charts.values(), 0, None, 2), d, d[1:] + d[:1]):
-            (a1, a2), (b1, b2) = w.pi1, w.pi2
+            _, _, (a1, a2), (b1, b2) = w
             out.append((-dj * a1 - dk * b1, -dj * a2 - dk * b2))
         return tuple(out)
 

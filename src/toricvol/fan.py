@@ -18,10 +18,11 @@ from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .lattice import Vec, _int_pairs, cross, is_primitive
+from .lattice import Vec, _int_pairs
 
 
 @dataclass(frozen=True)
@@ -58,21 +59,17 @@ def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
     n = len(rays)
     if n < 3:
         out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
-    for i, r in enumerate(rays):
-        if len(r) != 2 or not is_primitive(r):
-            out.append(FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive"))
+    out += [FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive")
+            for i, r in enumerate(rays) if len(r) != 2 or gcd(*r) != 1]
     if out:
         return out
-    crosses_ok = True
-    for j in range(n):
-        c = cross(rays[j], rays[(j + 1) % n])
-        if c != 1:
-            crosses_ok = False
-            out.append(FanViolation(
-                "bad-cross", j,
-                f"cross(ray {j}, ray {(j + 1) % n}) = {c}, expected 1"))
-    if crosses_ok:
-        w = (3 * n - sum(cross(rays[i - 1], rays[(i + 1) % n]) for i in range(n))) // 12
+    nxt = rays[1:] + rays[:1]
+    crosses = [u0 * v1 - u1 * v0 for (u0, u1), (v0, v1) in zip(rays, nxt)]
+    out = [FanViolation("bad-cross", j, f"cross(ray {j}, ray {(j + 1) % n}) = {c}, expected 1")
+           for j, c in enumerate(crosses) if c != 1]
+    if not out:
+        a = [u0 * v1 - u1 * v0 for (u0, u1), (v0, v1) in zip(rays[-1:] + rays[:-1], nxt)]
+        w = (3 * n - sum(a)) // 12  # Noether's formula, a_i = cross(r_(i-1), r_(i+1))
         if w != 1:
             out.append(FanViolation("bad-winding", None, f"winding number {w}, expected 1"))
     return out
@@ -99,13 +96,13 @@ class TFlag(_RayCone):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Rank2Valuation:
+class Rank2Valuation(NamedTuple):
     """A flag's chart: its two rays in flag order and the dual-basis uniformizers.
 
     pi1 cuts out the flag curve in the chart; pi2 restricts to the
     coordinate of the curve in which the flag point is the origin. Both are
-    exponent vectors, dual to (first_ray, second_ray).
+    exponent vectors, dual to (first_ray, second_ray). A chart is the 4-tuple
+    of its fields: hot code unpacks it rather than reading fields by name.
     """
 
     first_ray: Vec   # the flag divisor's ray; first valuation component
@@ -116,7 +113,7 @@ class Rank2Valuation:
     def value(self, exponent: Vec) -> tuple[int, int]:
         """The pairings of an exponent pair with the two rays; another length raises ValueError."""
         e1, e2 = exponent
-        (r1, r2), (s1, s2) = self.first_ray, self.second_ray
+        (r1, r2), (s1, s2), _, _ = self
         return e1 * r1 + e2 * r2, e1 * s1 + e2 * s2
 
 
@@ -149,14 +146,15 @@ class Fan2D:
     def charts(self) -> dict[TFlag, Rank2Valuation]:
         """The 2n flag charts in flag order: each cone's flag on its first ray, then
         on its second. The dual basis (m, m') of cone (u, v), <m,u> = <m',v> = 1 and
-        <m,v> = <m',u> = 0, is the rows (v2,-v1), (-u2,u1) of [u v]^-1, as det = 1."""
-        n = len(self.rays)
+        <m,v> = <m',u> = 0, is the rows (v2,-v1), (-u2,u1) of [u v]^-1, as det = 1.
+        The rays are validated int pairs, so keys and charts are built as tuples."""
+        rays, new = self.rays, tuple.__new__
+        n = len(rays)
         out = {}
-        for j in range(n):
-            u, v = self.cone(j)
+        for j, u, v in zip(range(n), rays, rays[1:] + rays[:1]):
             m, mp = (v[1], -v[0]), (-u[1], u[0])
-            out[TFlag(j, j)] = Rank2Valuation(u, v, m, mp)
-            out[TFlag((j + 1) % n, j)] = Rank2Valuation(v, u, mp, m)
+            out[new(TFlag, (j, j))] = new(Rank2Valuation, (u, v, m, mp))
+            out[new(TFlag, ((j + 1) % n, j))] = new(Rank2Valuation, (v, u, mp, m))
         return out
 
 
@@ -212,6 +210,12 @@ class OrbitDecomposition:
             if j not in (i, (i - 1) % n):
                 raise ValueError(
                     f"ray {i} assigned to cone {j}, which does not have it as a face")
+
+
+def check_decomposition(fan: Fan2D, dec: OrbitDecomposition) -> None:
+    """A decomposition serves only fans of its ray count; another raises ValueError."""
+    if len(dec.ray_owner) != fan.n_rays:
+        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
 
 
 def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecomposition:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -35,10 +35,6 @@ def cross(u: Sequence[int], v: Sequence[int]) -> int:
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Pairing of a character (exponent vector) with a ray."""
     return u[0] * v[0] + u[1] * v[1]
-
-
-def is_primitive(v: Sequence[int]) -> bool:
-    return gcd(*(abs(c) for c in v)) == 1
 
 
 def _coord(c) -> int | Fraction:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from operator import index
 
 from .divisors import TorusDivisor, cech_cocycle
-from .fan import OrbitDecomposition, Rank2Valuation
-from .lattice import Vec, dot
+from .fan import OrbitDecomposition, Rank2Valuation, check_decomposition
+from .lattice import Vec
 
 
 def _reduce(w: Rank2Valuation, exponent: Vec) -> int:
@@ -40,7 +40,8 @@ def _reduce(w: Rank2Valuation, exponent: Vec) -> int:
 
 def _closed_form(w: Rank2Valuation, ef: Vec, eg: Vec) -> tuple[int, int, int]:
     # v(f), v(g) and the residue exponent of g^v(f) * f^-v(g)
-    vf, vg = dot(ef, w.first_ray), dot(eg, w.first_ray)
+    r1, r2 = w.first_ray
+    vf, vg = ef[0] * r1 + ef[1] * r2, eg[0] * r1 + eg[1] * r2
     return vf, vg, _reduce(w, (vf * eg[0] - vg * ef[0], vf * eg[1] - vg * ef[1]))
 
 
@@ -70,12 +71,10 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     monomial cocycles, so the finite sum over torus-invariant flags is the
     whole sum. All flag points are rational, so every residue degree is 1.
     """
-    fan = D.fan
-    if len(dec.ray_owner) != fan.n_rays:
-        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
+    check_decomposition(D.fan, dec)
     h, a0 = D.cocycle, dec.generic_owner
     total = 0
-    for flag, w in fan.charts.items():
-        a1 = dec.ray_owner[flag.ray]
-        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, flag.cone))[2]
+    for (ray, cone), w in D.fan.charts.items():
+        a1 = dec.ray_owner[ray]
+        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, cone))[2]
     return total

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
-from .fan import OrbitDecomposition, standard_decomposition
+from .fan import OrbitDecomposition, check_decomposition, standard_decomposition
 from .lattice import Polygon, Vec
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, flag_valuation, trivialization_polytope
@@ -30,13 +31,12 @@ ROUTES = ("area_polytope", "half_self_intersection", "simplex_sum",
           "symbol_sum_half", "trivialization_area")
 
 
-@dataclass(frozen=True)
-class FlagContribution:
+class FlagContribution(NamedTuple):
     """One flag's share of route 3 in ints: the flag valuations ``vectors`` of
     the local equations of the three ``charts`` (owners of the dense orbit,
     the flag curve and the flag point), ``signed_dets``, where entry k is
     (-1)^k times the determinant of the two vectors other than the k-th, and
-    ``twice``, their sum."""
+    ``twice``, their sum. A record is the 5-tuple of its fields."""
 
     flag: TFlag
     charts: tuple[int, int, int]
@@ -71,25 +71,26 @@ class VolumeReport:
 
     @property
     def contributing_flags(self) -> tuple[TFlag, ...]:
-        return tuple(c.flag for c in self.per_flag if c.twice != 0)
-
-
-def _check_rays(D: TorusDivisor, dec: OrbitDecomposition) -> None:
-    if len(dec.ray_owner) != D.fan.n_rays:
-        raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {D.fan.n_rays}")
+        return tuple(flag for flag, _, _, _, twice in self.per_flag if twice != 0)
 
 
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
     """Route 3 at one flag: the three valuation vectors and twice the
     alternating sum of their signed simplex volumes (see ``FlagContribution``).
     Defined for every divisor: summed over all flags it is D.D."""
-    _check_rays(D, dec)
-    w = flag_valuation(D.fan, flag)
-    charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
-    u, v, x = vectors = tuple([w.value(D.cocycle[a]) for a in charts])
+    check_decomposition(D.fan, dec)
+    (r1, r2), (s1, s2), _, _ = flag_valuation(D.fan, flag)
+    ray, cone = flag
+    h = D.cocycle
+    a, b, c = charts = (dec.generic_owner, dec.ray_owner[ray], cone)
+    (e1, e2), (f1, f2), (g1, g2) = h[a], h[b], h[c]
+    # each local equation's pairings with the flag's two rays
+    u0, u1 = e1 * r1 + e2 * r2, e1 * s1 + e2 * s2
+    v0, v1 = f1 * r1 + f2 * r2, f1 * s1 + f2 * s2
+    x0, x1 = g1 * r1 + g2 * r2, g1 * s1 + g2 * s2
     # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
-    dets = (v[0] * x[1] - x[0] * v[1], x[0] * u[1] - u[0] * x[1], u[0] * v[1] - v[0] * u[1])
-    return FlagContribution(flag, charts, vectors, dets, sum(dets))
+    d0, d1, d2 = v0 * x1 - x0 * v1, x0 * u1 - u0 * x1, u0 * v1 - v0 * u1
+    return FlagContribution(flag, charts, ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), d0 + d1 + d2)
 
 
 def self_intersection_classical(D: TorusDivisor) -> int:
@@ -120,7 +121,7 @@ def okounkov_volume_report(
     """
     if dec is None:
         dec = standard_decomposition(D.fan)
-    _check_rays(D, dec)
+    check_decomposition(D.fan, dec)
     flag_valuation(D.fan, display_flag)
     bad = ampleness_violations(D)
     if bad:
@@ -133,7 +134,7 @@ def okounkov_volume_report(
     twice = (
         _twice_area(divisor_polytope(D)),
         self_intersection_classical(D),
-        sum(c.twice for c in per_flag),
+        sum(twice for _, _, _, _, twice in per_flag),
         intersection_number_via_symbols(D, dec),
         _twice_area(trivialization_polytope(D, display_flag)),
     )

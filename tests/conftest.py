@@ -8,15 +8,22 @@ built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
 dumped from and the text report printed term by term), and the object
 oracle for the tame-symbol closed form: monomials with Fraction coefficients
-and the first boundary taken on them, sign and coefficient included."""
+and the first boundary taken on them, sign and coefficient included. Two
+loops the library replaced stay here as oracles too: the per-ray fan
+validation and route 3's flag contribution through ``Rank2Valuation.value``
+and ``cross``."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import index
 
 from hypothesis import settings, strategies as st
 
 from toricvol import (
+    FanViolation,
+    FlagContribution,
     OrbitDecomposition,
     Rank2Valuation,
     TFlag,
@@ -164,6 +171,44 @@ def reference_chart(fan, flag) -> Rank2Valuation:
     return Rank2Valuation(v, u, mp, m)
 
 
+def reference_fan_violations(rays) -> list[FanViolation]:
+    """Reference fan validation, one ray and one cone per loop step: the same
+    violations, messages and order as ``fan_violations``."""
+    out = []
+    rays = list(rays)
+    clean = []
+    for i, r in enumerate(rays):
+        try:
+            clean.append(tuple(index(c) for c in r))
+        except TypeError:
+            out.append(FanViolation(
+                "non-primitive", i, f"ray {i} = {r!r} has non-integer coordinates"))
+    if out:
+        return out
+    rays = clean
+    n = len(rays)
+    if n < 3:
+        out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
+    for i, r in enumerate(rays):
+        if len(r) != 2 or gcd(*(abs(c) for c in r)) != 1:
+            out.append(FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive"))
+    if out:
+        return out
+    crosses_ok = True
+    for j in range(n):
+        c = cross(rays[j], rays[(j + 1) % n])
+        if c != 1:
+            crosses_ok = False
+            out.append(FanViolation(
+                "bad-cross", j,
+                f"cross(ray {j}, ray {(j + 1) % n}) = {c}, expected 1"))
+    if crosses_ok:
+        w = (3 * n - sum(cross(rays[i - 1], rays[(i + 1) % n]) for i in range(n))) // 12
+        if w != 1:
+            out.append(FanViolation("bad-winding", None, f"winding number {w}, expected 1"))
+    return out
+
+
 def angle_winding(rays) -> int:
     """Reference winding number of a closed ray loop whose every turn is
     counterclockwise by less than a half turn: the number of steps whose
@@ -294,6 +339,16 @@ def fraction_flag_contribution(D: TorusDivisor, flag, dec):
     w = flag_valuation(D.fan, flag)
     charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
     return fraction_terms(charts, [w.value(D.cocycle[a]) for a in charts])
+
+
+def reference_flag_contribution(D: TorusDivisor, flag, dec) -> FlagContribution:
+    """Reference route 3 at one flag in ints: the chart's ``value`` of the three
+    local equations and the ``cross`` of each pair of them."""
+    w = flag_valuation(D.fan, flag)
+    charts = (dec.generic_owner, dec.ray_owner[flag.ray], flag.cone)
+    u, v, x = vectors = tuple(w.value(D.cocycle[a]) for a in charts)
+    dets = (cross(v, x), -cross(u, x), cross(u, v))
+    return FlagContribution(flag, charts, vectors, dets, sum(dets))
 
 
 VALUE_KEYS = ("area_polytope", "half_self_intersection", "simplex_sum",

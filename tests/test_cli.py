@@ -41,6 +41,7 @@ from conftest import (
     deep_ample_instance,
     hirzebruch_grid,
     random_smooth_fan,
+    reference_flag_contribution,
     report_csv,
     report_dict,
     report_text,
@@ -149,11 +150,6 @@ class TestCheckCommand:
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
 
-    def test_invalid_fan_reported(self, tmp_path, capsys):
-        path = write(tmp_path, '{"rays":[[1,0],[0,2],[-1,0],[0,-1]],"divisor":[0,0,0,0]}')
-        assert main(["check", path]) == 1
-        assert "not primitive" in capsys.readouterr().out
-
     def test_witnesses_on_failure(self, tmp_path, capsys):
         path = write(tmp_path, '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,1,0]}')
         assert main(["check", path]) == 1
@@ -196,19 +192,20 @@ class TestCheckCommand:
 
 
 class TestChartsBuiltOncePerFan:
-    """A report and its rendering build each of the fan's 2n flag charts once."""
+    """A report and its rendering build the fan's table of 2n flag charts once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # every table Fan2D.charts builds, spied on the cached property's function
         import toricvol.fan as fan_module
-        calls = []
-        real = fan_module.Rank2Valuation.__init__
+        prop = vars(fan_module.Fan2D)["charts"]
+        tables, real = [], prop.func
 
-        def spy(self, *args):
-            calls.append(args)
-            real(self, *args)
-        monkeypatch.setattr(fan_module.Rank2Valuation, "__init__", spy)
-        return calls
+        def spy(fan):
+            tables.append(real(fan))
+            return tables[-1]
+        monkeypatch.setattr(prop, "func", spy)
+        return tables
 
     @pytest.mark.parametrize("variant, flag", [([], []), (["--decomposition", "successor"],
                                                           ["--flag", "2,1"])])
@@ -219,19 +216,19 @@ class TestChartsBuiltOncePerFan:
         path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
         built.clear()
         assert main([*variant, "report", path, "--format", fmt, *flag]) == 0
-        assert len(built) == 2 * n
+        assert len(built) == 1 and len(built[0]) == 2 * n
         capsys.readouterr()
 
     def test_second_report_on_the_same_fan_builds_none(self, built):
         D = deep_ample_instance(random.Random(64), 64)
         built.clear()
         _report_json(okounkov_volume_report(D))
-        assert len(built) == 128
+        assert len(built) == 1 and len(built[0]) == 128
         E = divisor(D.fan, [2 * d for d in D.coeffs])
         report = okounkov_volume_report(E, standard_decomposition(D.fan, "successor"), TFlag(5, 4))
         _report_json(report)
         _report_text(report)
-        assert report.agree and len(built) == 128
+        assert report.agree and len(built) == 1
 
 
 class TestReportTakesTheIntPaths:
@@ -267,6 +264,52 @@ class TestReportTakesTheIntPaths:
             return real_new(cls, *args, **kwargs)
         monkeypatch.setattr(fan_module.TFlag, "__new__", staticmethod(spy_new))
         assert len(D.cocycle) == 64 and built == []
+        TFlag(0, 0)  # the spy sees a flag built
+        assert built == [(0, 0)]
+
+    def test_flag_contribution_values_nothing_and_calls_no_cross(self, monkeypatch):
+        # route 3 pairs the local equations with the rays inline: no chart
+        # value and no cross runs while a flag_contribution call runs
+        import toricvol.fan as fan_module
+        import toricvol.volume as volume
+        D = deep_ample_instance(random.Random(64), 64)
+        dec = standard_decomposition(D.fan, "successor")
+        D.cocycle  # the local equations are built first
+        calls = []
+        value, cross_fn = fan_module.Rank2Valuation.value, toricvol.lattice.cross
+
+        def spy_value(w, e):
+            calls.append("value")
+            return value(w, e)
+
+        def spy_cross(u, v):
+            calls.append("cross")
+            return cross_fn(u, v)
+        monkeypatch.setattr(fan_module.Rank2Valuation, "value", spy_value)
+        for name, mod in list(sys.modules.items()):  # every binding of cross in the package
+            if name.startswith("toricvol") and getattr(mod, "cross", None) is cross_fn:
+                monkeypatch.setattr(mod, "cross", spy_cross)
+        for flag in D.fan.charts:
+            volume.flag_contribution(D, flag, dec)
+        assert calls == []
+        # the spies fire: the oracle values three local equations, and a new
+        # divisor's 64 curve degrees call the library's cross once each
+        reference_flag_contribution(D, TFlag(0, 0), dec)
+        divisor(D.fan, D.coeffs).curve_degrees
+        assert calls.count("value") == 3 and calls.count("cross") == 64
+
+    def test_charts_build_no_flag(self, monkeypatch):
+        import toricvol.fan as fan_module
+        fan = fan_module.Fan2D(deep_ample_instance(random.Random(64), 64).fan.rays)
+        built = []
+        real_new = fan_module.TFlag.__new__
+
+        def spy_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+        monkeypatch.setattr(fan_module.TFlag, "__new__", staticmethod(spy_new))
+        assert len(fan.charts) == 128 and built == []
+        assert all(type(f) is TFlag for f in fan.charts)
         TFlag(0, 0)  # the spy sees a flag built
         assert built == [(0, 0)]
 

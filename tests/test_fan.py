@@ -7,6 +7,7 @@ from toricvol import (
     Fan2D,
     FanValidationError,
     OrbitDecomposition,
+    Rank2Valuation,
     TFlag,
     cross,
     divisor,
@@ -18,7 +19,8 @@ from toricvol import (
     standard_decomposition,
     star_subdivide,
 )
-from conftest import angle_winding, random_smooth_fan, reference_chart, reference_tflags
+from conftest import (angle_winding, random_smooth_fan, reference_chart, reference_fan_violations,
+                      reference_tflags)
 
 
 @st.composite
@@ -148,6 +150,46 @@ class TestValidateFan:
                 ("bad-winding", f"winding number {w}, expected 1")]
 
 
+@st.composite
+def _malformed_rays(draw):
+    """Ray lists that break the fan axioms, or some of them: small random int
+    pairs (non-primitive rays, bad crosses, too few rays), unimodular loops
+    that wind k times, and such loops with one ray scaled, negated, moved or
+    of another length."""
+    kind = draw(st.sampled_from(["random", "loop", "scaled", "moved", "resized", "other"]))
+    if kind == "random":
+        return draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=8))
+    if kind == "other":
+        # lists, wrong lengths and non-integer coordinates
+        coord = st.one_of(st.integers(-3, 3), st.sampled_from([1.0, "1", None, True]))
+        return draw(st.lists(st.lists(coord, max_size=3), max_size=6))
+    rays = draw(_unimodular_loops())[1]
+    i = draw(st.integers(0, len(rays) - 1))
+    if kind == "resized":
+        rays[i] = draw(st.sampled_from([(), rays[i][:1], (*rays[i], 0), [*rays[i]]]))
+    elif kind == "scaled":
+        k = draw(st.sampled_from([-1, 0, 2, 3]))
+        rays[i] = (k * rays[i][0], k * rays[i][1])
+    elif kind == "moved":
+        rays.insert(draw(st.integers(0, len(rays) - 1)), rays.pop(i))
+    return rays
+
+
+class TestViolationsAgainstLoop:
+    # the per-ray loop fan_violations replaced: same violations in the same order
+
+    @given(_malformed_rays())
+    def test_same_violations_as_the_loop(self, rays):
+        assert fan_violations(rays) == reference_fan_violations(rays)
+
+    @pytest.mark.parametrize("rays", [[], [(1, 0)], [(1, 0), (0, 1)], [(0, 0), (2, 2), (1, 0)],
+                                      [(1, 0), (0, -1), (-1, 1), (0, 1)],
+                                      [(1, 0), (0, 1), (-1, -1)] * 2,
+                                      [(1, 0, 0), (0, 1), (-1, -1)], [(1,), (0, 1), (-1, -1)]])
+    def test_each_kind(self, rays):
+        assert fan_violations(rays) == reference_fan_violations(rays)
+
+
 class TestHirzebruch:
     def test_rays(self):
         assert hirzebruch_fan(1).rays == ((1, 0), (0, 1), (-1, 1), (0, -1))
@@ -231,6 +273,48 @@ class TestTFlag:
         with pytest.raises(AttributeError):
             setattr(flag, attr, 0)
         assert flag == (2, 1)
+
+
+class TestRayValuation:
+    # a chart's value is the pair of orders of a monomial along its two rays'
+    # divisors, each the pairing with the ray, the flag's ray first
+    def test_monomial_order(self):
+        fan = hirzebruch_fan(1)
+        for flag, w in fan.charts.items():
+            u, v = fan.cone(flag.cone)
+            other = v if flag.ray == flag.cone else u
+            assert w.value((2, 1)) == (dot((2, 1), fan.rays[flag.ray]), dot((2, 1), other))
+        assert fan.charts[TFlag(1, 1)].value((2, 1)) == (1, -1)
+
+    def test_worked_value(self):
+        for l, b in [(1, 2), (3, 11)]:
+            # flag (ray 2, cone 2): ray (-1, l), then ray (0, -1)
+            assert hirzebruch_fan(l).charts[TFlag(2, 2)].value((b, 0)) == (-b, 0)
+
+    def test_constants_are_units(self):
+        for w in star_subdivide(hirzebruch_fan(2), 1).charts.values():
+            assert w.value((0, 0)) == (0, 0)
+
+    @pytest.mark.parametrize("exponent", [(1, 0, 0), (1,), ()])
+    def test_exponent_of_another_length_rejected(self, exponent):
+        # a dot product read only the first two components of (1, 0, 0)
+        with pytest.raises(ValueError):
+            hirzebruch_fan(1).charts[TFlag(0, 0)].value(exponent)
+
+    def test_chart_is_its_4_tuple(self):
+        w = hirzebruch_fan(1).charts[TFlag(2, 1)]
+        # flag (ray 2, cone 1): rays (-1, 1) then (0, 1), and their dual basis
+        assert w == ((-1, 1), (0, 1), (-1, 0), (1, 1)) and len(w) == 4
+        assert tuple(w) == (w.first_ray, w.second_ray, w.pi1, w.pi2)
+        assert w._replace(pi2=(0, 0)) == ((-1, 1), (0, 1), (-1, 0), (0, 0))
+        assert type(w) is Rank2Valuation
+
+    @pytest.mark.parametrize("attr", ["first_ray", "second_ray", "pi1", "pi2", "other"])
+    def test_chart_fields_cannot_be_assigned(self, attr):
+        w = hirzebruch_fan(1).charts[TFlag(0, 0)]
+        with pytest.raises(AttributeError):
+            setattr(w, attr, (0, 0))
+        assert w == ((1, 0), (0, 1), (1, 0), (0, 1))
 
 
 class TestStarSubdivide:

@@ -168,33 +168,6 @@ class TestNoSymbolObjects:
         assert report.agree and type(report.twice[3]) is int
 
 
-class TestRayValuation:
-    # a chart's value is the pair of orders of a monomial along its two rays'
-    # divisors, each the pairing with the ray, the flag's ray first
-    def test_monomial_order(self):
-        fan = hirzebruch_fan(1)
-        for flag, w in fan.charts.items():
-            u, v = fan.cone(flag.cone)
-            other = v if flag.ray == flag.cone else u
-            assert w.value((2, 1)) == (dot((2, 1), fan.rays[flag.ray]), dot((2, 1), other))
-        assert fan.charts[TFlag(1, 1)].value((2, 1)) == (1, -1)
-
-    def test_worked_value(self):
-        for l, b in [(1, 2), (3, 11)]:
-            # flag (ray 2, cone 2): ray (-1, l), then ray (0, -1)
-            assert hirzebruch_fan(l).charts[TFlag(2, 2)].value((b, 0)) == (-b, 0)
-
-    def test_constants_are_units(self):
-        for w in star_subdivide(hirzebruch_fan(2), 1).charts.values():
-            assert w.value((0, 0)) == (0, 0)
-
-    @pytest.mark.parametrize("exponent", [(1, 0, 0), (1,), ()])
-    def test_exponent_of_another_length_rejected(self, exponent):
-        # a dot product read only the first two components of (1, 0, 0)
-        with pytest.raises(ValueError):
-            hirzebruch_fan(1).charts[TFlag(0, 0)].value(exponent)
-
-
 class TestTameBoundary:
     # the defining rules, on the oracle's residues and the library's orders
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ from hypothesis import example, given, strategies as st
 import toricvol.volume as volume
 from toricvol import (
     Fan2D,
+    FlagContribution,
     Polygon,
     TFlag,
     TorusDivisor,
@@ -36,6 +36,7 @@ from conftest import (
     hirzebruch_grid,
     random_ample_instance,
     random_decompositions,
+    reference_flag_contribution,
     reference_self_intersection,
 )
 
@@ -325,6 +326,29 @@ def assert_matches_fraction_oracle(D, dec):
         assert fraction_terms(c.charts, c.vectors) == (subtotal, terms)
 
 
+class TestAgainstValueOracle:
+    # the flag contribution through Rank2Valuation.value and cross that route 3
+    # inlined: every field of every flag's record, for any divisor
+
+    @given(seed=st.integers(0, 2**32), n=st.integers(3, 128), data=st.data())
+    def test_deep_fans_any_coefficients(self, seed, n, data):
+        fan = deep_ample_instance(random.Random(seed), n).fan
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        D = TorusDivisor(fan, coeffs)
+        dec = data.draw(random_decompositions(n))
+        for flag in fan.charts:
+            c, ref = flag_contribution(D, flag, dec), reference_flag_contribution(D, flag, dec)
+            assert type(c) is FlagContribution and c._asdict() == ref._asdict()
+
+    def test_record_is_its_5_tuple(self):
+        D = ruled_divisor(1, 1, 2)
+        c = flag_contribution(D, TFlag(2, 1), standard_decomposition(D.fan))
+        assert c == (c.flag, c.charts, c.vectors, c.signed_dets, c.twice) and c.twice == 1
+        assert c._replace(twice=0)[:4] == c[:4]
+        with pytest.raises(AttributeError):
+            c.twice = 0
+
+
 class TestAgainstFractionOracle:
     # the Fraction flag contribution this int-first one replaced
 
@@ -388,7 +412,7 @@ class TestIntegerReport:
 
         def first_flag_off(D, flag, dec):
             c = real(D, flag, dec)
-            return dataclasses.replace(c, twice=c.twice + offset) if flag == TFlag(0, 0) else c
+            return c._replace(twice=c.twice + offset) if flag == TFlag(0, 0) else c
 
         monkeypatch.setattr(volume, "flag_contribution", first_flag_off)
         report = okounkov_volume_report(ruled_divisor(2, 1, 3))
