@@ -126,8 +126,9 @@ class Fan2D:
     def __post_init__(self):
         # read the input once: a one-shot ray becomes a tuple, any other is kept for the messages
         rays = [tuple(r) if isinstance(r, Iterator) else r for r in self.rays]
-        with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
-            rays = [tuple(map(index, r)) for r in rays]
+        if not _int_pairs(rays):  # int pairs are taken as they are
+            with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
+                rays = [tuple(map(index, r)) for r in rays]
         violations = fan_violations(rays)
         if violations:
             raise FanValidationError(violations)

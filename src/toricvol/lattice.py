@@ -6,8 +6,8 @@ A polygon is built from its vertices alone, checks that they form a
 strictly convex counterclockwise cycle and derives its exact shoelace area,
 both on the vertices as ints over their common denominator. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
-vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls
-column ends with ``monotone_chain`` (the hull's chain), then values only the vertices.
+vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls the ends
+of the columns that can hold a vertex with ``monotone_chain``, then values only the vertices.
 Points that are all tuples of two ints skip the per-point reading and the
 common denominator; any other input is read point by point by ``_coords``.
 """

@@ -12,16 +12,16 @@ every computation is canonical and reproducible.
 
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
-Trivialization hulls keep int vertices; only level-m hulls (column ends hulled,
-then only the vertices valued) make rational ones.
+Trivialization hulls keep int vertices; only level-m hulls (the ends of the columns
+that can hold a vertex hulled, then only the vertices valued) make rational ones.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .divisors import (NotGloballyGenerated, TorusDivisor, generation_violations,
-                       section_columns, section_lattice_points)
+from .divisors import (NotGloballyGenerated, TorusDivisor, _hull_columns,
+                       generation_violations, section_lattice_points)
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
@@ -67,13 +67,13 @@ def graded_semigroup(
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
-    """Hull of the level-m semigroup points, its int vertices scaled by 1/m into
-    Fractions: a positive scaling keeps their order and minimality. The lower
-    chain of the column lows and the upper chain of the highs hold every vertex
-    of the sections' hull, and the unimodular valuation maps it onto the hull of
-    the values, so only those chain points are valued."""
+    """Hull of the level-m semigroup points, its int vertices scaled by 1/m into Fractions: a
+    positive scaling keeps their order and minimality. The lower chain of the lows and the upper
+    chain of the highs of ``divisors._hull_columns``, the columns that can hold a vertex, hold
+    every vertex of the sections' hull; the unimodular valuation maps it onto the hull of the
+    values, so only those chain points are valued."""
     w = flag_valuation(D.fan, flag)
-    cols = section_columns(D, m)
+    cols = _hull_columns(D, m)
     if not cols:
         raise ValueError(f"no sections at level {m}")
     ends = (monotone_chain((x, lo) for x, lo, _ in cols)

@@ -3,7 +3,8 @@ deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 self-intersection from the ray intersection matrix, the pairwise positivity
 scan, the all-Fraction shoelace sum and convex hull, the
-bounding-box section scan, the all-points level hull, the per-call flag chart
+bounding-box section scan, the all-points level hull and the every-column
+level hull, the per-call flag chart
 built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
 dumped from and the text report printed term by term), and the object
@@ -33,6 +34,7 @@ from toricvol import (
     divisor,
     dot,
     flag_valuation,
+    section_columns,
     projective_plane_fan,
     star_subdivide,
 )
@@ -295,6 +297,18 @@ def all_points_level_hull(w: Rank2Valuation, sections, m: int) -> FractionHull:
     vertices = tuple((Fraction(x, m), Fraction(y, m))
                      for x, y in chain_hull(map(w.value, sections)).vertices)
     return FractionHull(vertices, fraction_shoelace(vertices))
+
+
+def column_end_level_hull(D: TorusDivisor, flag, m: int) -> FractionHull:
+    """Reference level hull over every column: the ends of each ``section_columns``
+    column hulled by ``chain_hull``, only its vertices valued and hulled again, and
+    those scaled by 1/m; an empty level raises ValueError as the library does."""
+    w = flag_valuation(D.fan, flag)
+    cols = section_columns(D, m)
+    if not cols:
+        raise ValueError(f"no sections at level {m}")
+    ends = chain_hull((x, y) for x, lo, hi in cols for y in (lo, hi)).vertices
+    return all_points_level_hull(w, ends, m)
 
 
 def _frac(q) -> str:

@@ -86,6 +86,21 @@ class TestValidateFan:
         assert len(calls) == 6 and fan == projective_plane_fan()
         assert all(type(c) is int for r in fan.rays for c in r)
 
+    @pytest.mark.parametrize("rays", [((1, 0), (0, 1), (-1, -1)), [(1, 0), (0, 1), (-1, -1)]],
+                             ids=["tuple", "list"])
+    def test_int_pairs_are_not_read(self, monkeypatch, rays):
+        # int tuples, as every parsed document holds, are taken as they are
+        import toricvol.fan as fan_module
+
+        calls, real = [], fan_module.index
+
+        def spy(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(fan_module, "index", spy)
+        assert Fan2D(rays) == projective_plane_fan() and calls == []
+
     def test_non_iterable_ray_reported_with_index(self):
         with pytest.raises(FanValidationError) as e:
             Fan2D([[1, 0], 5, [-1, -1]])

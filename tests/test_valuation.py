@@ -21,10 +21,11 @@ from toricvol import (
     star_subdivide,
     trivialization_polytope,
 )
-from toricvol import valuation
+from toricvol import divisors, valuation
 from conftest import (
     all_points_level_hull,
     box_section_points,
+    column_end_level_hull,
     deep_ample_instance,
     hirzebruch_grid,
     random_ample_instance,
@@ -247,6 +248,93 @@ class TestGradedSemigroup:
                 calls.clear()
                 semigroup_level_hull(D, flag, m)
                 assert 0 < len(calls) <= 2 * width
+
+    @staticmethod
+    def assert_level_hull_matches_every_column(D, levels, flags=None):
+        # the every-column hull is the oracle, error text included, and the helper
+        # cuts only section_columns columns, with their ends, in increasing x
+        def outcome(f, *args):
+            try:
+                got = f(*args)
+            except ValueError as e:
+                return str(e)
+            return got if isinstance(got, list) else (got.vertices, got.area)
+
+        for m in levels:
+            kept, cols = outcome(divisors._hull_columns, D, m), outcome(section_columns, D, m)
+            if isinstance(cols, str):
+                assert kept == cols
+            else:
+                assert set(kept) <= set(cols)
+                assert all(u[0] < v[0] for u, v in zip(kept, kept[1:]))
+            for flag in flags or D.fan.charts:
+                assert (outcome(semigroup_level_hull, D, flag, m)
+                        == outcome(column_end_level_hull, D, flag, m))
+
+    @given(st.integers(0, 2 ** 32))
+    def test_level_hull_equals_every_column_hull(self, seed):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng, max_subdivisions=6)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        self.assert_level_hull_matches_every_column(D, range(-1, 9))
+
+    @settings(max_examples=8)
+    @given(st.sampled_from([8, 16, 32, 64]), st.integers(0, 2 ** 32))
+    def test_level_hull_equals_every_column_hull_on_deep_fans(self, n, seed):
+        rng = random.Random(seed)
+        fan = deep_ample_instance(rng, n).fan
+        q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+        nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
+        flags = rng.sample(list(fan.charts), 4)  # the columns do not depend on the flag
+        for coeffs in (nef, [d + rng.randint(-1, 1) for d in nef]):
+            self.assert_level_hull_matches_every_column(divisor(fan, coeffs), range(1, 9), flags)
+
+    def test_horizontal_rays_narrow_the_box(self):
+        # the box spans x = -18..1, the rays (1, 0) and (-1, 0) allow only -8..-3: a
+        # stretch cut from the box alone missed the columns -8 and -7
+        rays = ((1, 0), (0, 1), (-1, 0), (-2, -1), (-3, -2), (-4, -3), (-1, -1), (0, -1))
+        D = divisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
+        assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
+        assert min(x for x, _ in D.cocycle) == -18
+        assert divisors._hull_columns(D, 1)[0] == (-8, -3, 6)
+        self.assert_level_hull_matches_every_column(D, range(1, 9))
+        self.assert_level_hull_matches_oracle(D, (1, 2))
+
+    @pytest.mark.parametrize("coeffs", [(2, 1, 2, 0), (2, 0, 2, 0)], ids=["sliver", "segment"])
+    def test_thin_polygon_with_empty_middle_columns(self, coeffs):
+        # between the lines of (-1, 3) and (1, -3) every third column (the sliver)
+        # or two in three (the segment on y = x/3) hold no lattice point
+        D = divisor(Fan2D(((0, 1), (-1, 3), (-1, 2), (1, -3))), coeffs)
+        xs = [x for x, _, _ in section_columns(D, 1)]
+        assert len(xs) < xs[-1] - xs[0] + 1
+        self.assert_level_hull_matches_every_column(D, range(1, 9))
+        self.assert_level_hull_matches_oracle(D, range(1, 4))
+
+    def test_level_hull_cost_does_not_follow_the_width(self, monkeypatch):
+        # (0, 2, b, 0) at level 5 has 5*b + 1 columns; the level hull cuts as many for every b
+        cut, real = [], divisors._cut_columns
+
+        def spy(rows, xs, y0, y1):
+            xs = list(xs)
+            cut.append(len(xs))
+            return real(rows, xs, y0, y1)
+
+        monkeypatch.setattr(divisors, "_cut_columns", spy)
+        for l, width in ((1, 4), (3, 8)):
+            for b in (10, 100, 1000, 10_000):
+                cut.clear()
+                semigroup_level_hull(ruled_divisor(l, 2, b), TFlag(2, 1), 5)
+                assert cut == [width]
+
+    def test_level_hull_size_guard_boundary(self, monkeypatch):
+        # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
+        D = ruled_divisor(1, 1, 2)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 15)
+        assert semigroup_level_hull(D, TFlag(2, 1), 2).area == Fraction(3, 2)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 14)
+        with pytest.raises(ValueError) as err:
+            semigroup_level_hull(D, TFlag(2, 1), 2)
+        assert str(err.value) == "level 2 has a box of 15 candidate points, more than the limit of 14"
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
