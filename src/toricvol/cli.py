@@ -221,31 +221,30 @@ def _report_dict(report: VolumeReport) -> dict:
     return out
 
 
-def _flag_json(c: FlagContribution) -> str:
-    """One per-flag block, laid out as json.dumps(..., indent=2) lays it out.
+def _flag_json(ray, cone, a0, a1, a2, u0, u1, v0, v1, x0, x1, d0, d1, d2, twice) -> str:
+    """One per-flag block, laid out as json.dumps(..., indent=2) lays it out, from 15 strings.
 
     Term k omits the k-th chart and vector; the matrix columns are the two
     vectors kept. Every flag point is a rational point, so each residue
     degree is 1.
     """
-    (ray, cone), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), twice = c
     return (f'    {{\n      "flag": [\n        {ray},\n        {cone}\n      ],\n'
-            f'      "subtotal": "{half(twice)}",\n      "terms": [\n'
+            f'      "subtotal": "{twice}",\n      "terms": [\n'
             f'        {{\n          "omitted": 0,\n'
             f'          "sections": [\n            {a1},\n            {a2}\n          ],\n'
             f'          "matrix": [\n            [\n              {v0},\n              {x0}\n            ],\n'
             f'            [\n              {v1},\n              {x1}\n            ]\n          ],\n'
-            f'          "signed_volume": "{half(d0)}",\n          "residue_degree": 1\n        }},\n'
+            f'          "signed_volume": "{d0}",\n          "residue_degree": 1\n        }},\n'
             f'        {{\n          "omitted": 1,\n'
             f'          "sections": [\n            {a0},\n            {a2}\n          ],\n'
             f'          "matrix": [\n            [\n              {u0},\n              {x0}\n            ],\n'
             f'            [\n              {u1},\n              {x1}\n            ]\n          ],\n'
-            f'          "signed_volume": "{half(d1)}",\n          "residue_degree": 1\n        }},\n'
+            f'          "signed_volume": "{d1}",\n          "residue_degree": 1\n        }},\n'
             f'        {{\n          "omitted": 2,\n'
             f'          "sections": [\n            {a0},\n            {a1}\n          ],\n'
             f'          "matrix": [\n            [\n              {u0},\n              {v0}\n            ],\n'
             f'            [\n              {u1},\n              {v1}\n            ]\n          ],\n'
-            f'          "signed_volume": "{half(d2)}",\n          "residue_degree": 1\n        }}\n'
+            f'          "signed_volume": "{d2}",\n          "residue_degree": 1\n        }}\n'
             f'      ]\n    }}')
 
 
@@ -254,14 +253,19 @@ def _report_json(report: VolumeReport) -> str:
 
     The small head goes through json.dumps; the contributing flags and the
     per-flag blocks, where every leaf is an int or a p/q string, are written
-    from templates and spliced in before the closing brace.
+    from templates, with each index from one table of strings, and spliced
+    in before the closing brace.
     """
     head = json.dumps(_report_dict(report), indent=2)
     if not report.ample:
         return head
-    cf = ",\n".join(f"    [\n      {ray},\n      {cone}\n    ]" for ray, cone in report.contributing_flags)
+    idx = list(map(str, range(len(report.per_flag))))
+    cf = ",\n".join(f"    [\n      {idx[r]},\n      {idx[c]}\n    ]" for r, c in report.contributing_flags)
     cf = f"[\n{cf}\n  ]" if cf else "[]"
-    flags = ",\n".join(map(_flag_json, report.per_flag))
+    flags = ",\n".join(
+        _flag_json(idx[r], idx[c], idx[a0], idx[a1], idx[a2], str(u0), str(u1), str(v0), str(v1),
+                   str(x0), str(x1), half(d0), half(d1), half(d2), half(t))
+        for (r, c), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), t in report.per_flag)
     return f'{head[:-2]},\n  "contributing_flags": {cf},\n  "per_flag": [\n{flags}\n  ]\n}}'
 
 

@@ -7,7 +7,8 @@ strictly convex counterclockwise cycle and derives its exact shoelace area,
 both on the vertices as ints over their common denominator. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
 vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls the ends
-of the columns that can hold a vertex with ``monotone_chain``, then values only the vertices.
+of the columns that can hold a vertex with ``monotone_chain``, values only the vertices and
+scales that checked int hull by 1/m with ``Polygon.divided``, which checks nothing again.
 Points that are all tuples of two ints skip the per-point reading and the
 common denominator; any other input is read point by point by ``_coords``.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
@@ -107,6 +108,16 @@ class Polygon:
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "area", _area(xs, ys, L))
+
+    def divided(self, m: int) -> Polygon:
+        """This polygon times 1/m for an int m >= 1, with no second check: a positive scaling keeps
+        the vertex order, strict convexity, winding and distinctness, and divides the area by m^2."""
+        if (m := index(m)) < 1:
+            raise ValueError(f"a polygon is divided by a positive integer, got {m}")
+        out = object.__new__(Polygon)
+        object.__setattr__(out, "vertices", tuple((Fraction(x, m), Fraction(y, m)) for x, y in self.vertices))
+        object.__setattr__(out, "area", self.area / (m * m))
+        return out
 
 
 def monotone_chain(points: Iterable[Sequence]) -> list:

@@ -13,12 +13,11 @@ every computation is canonical and reproducible.
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
 Trivialization hulls keep int vertices; only level-m hulls (the ends of the columns
-that can hold a vertex hulled, then only the vertices valued) make rational ones.
+that can hold a vertex hulled, then only the vertices valued) make rational ones, by
+scaling the checked int hull with ``Polygon.divided``, not by checking a Fraction copy.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .divisors import (NotGloballyGenerated, TorusDivisor, _hull_columns,
                        generation_violations, section_lattice_points)
@@ -27,12 +26,13 @@ from .lattice import Polygon, convex_hull_2d, monotone_chain
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
-    """The flag's chart from the fan's table; a pair not in the table is no flag."""
+    """The flag's chart from the fan's table; a pair not in the table, TFlag or tuple, is no flag."""
     w = fan.charts.get(flag)
     if w is None:
-        if not 0 <= flag.cone < fan.n_rays:
-            raise ValueError(f"no maximal cone {flag.cone}")
-        raise ValueError(f"ray {flag.ray} is not a face of cone {flag.cone}: not a flag")
+        ray, cone = flag
+        if not 0 <= cone < fan.n_rays:
+            raise ValueError(f"no maximal cone {cone}")
+        raise ValueError(f"ray {ray} is not a face of cone {cone}: not a flag")
     return w
 
 
@@ -67,16 +67,15 @@ def graded_semigroup(
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
-    """Hull of the level-m semigroup points, its int vertices scaled by 1/m into Fractions: a
-    positive scaling keeps their order and minimality. The lower chain of the lows and the upper
-    chain of the highs of ``divisors._hull_columns``, the columns that can hold a vertex, hold
-    every vertex of the sections' hull; the unimodular valuation maps it onto the hull of the
-    values, so only those chain points are valued."""
+    """Hull of the level-m semigroup points: the int hull, checked once by ``convex_hull_2d``,
+    scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The lower chain of
+    the lows and the upper chain of the highs of ``divisors._hull_columns``, the columns that can
+    hold a vertex, hold every vertex of the sections' hull; the unimodular valuation maps it onto
+    the hull of the values, so only those chain points are valued."""
     w = flag_valuation(D.fan, flag)
     cols = _hull_columns(D, m)
     if not cols:
         raise ValueError(f"no sections at level {m}")
     ends = (monotone_chain((x, lo) for x, lo, _ in cols)
             + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
-    hull = convex_hull_2d(map(w.value, ends))
-    return Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices))
+    return convex_hull_2d(map(w.value, ends)).divided(m)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toricvol import (
     Polygon,
@@ -341,3 +341,34 @@ class TestPolygonIsStrictlyConvex:
         for vertices in bad:
             with pytest.raises(ValueError):
                 Polygon(vertices)
+
+
+BIG_M = 2 ** 199 + 3  # a 200-bit divisor
+
+
+class TestPolygonDivided:
+    # the Fraction polygon built and checked from the scaled vertices is the reference
+
+    @given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=30),
+           st.one_of(st.integers(1, 50), st.just(BIG_M)))
+    @example([(3, -5)], 7)  # a point
+    @example([(3, -5), (3, -5)], 1)
+    @example([(0, 0), (6, 4), (3, 2)], 4)  # a segment
+    @example([(0, 0), (6, 4)], BIG_M)
+    @example([(0, 0), (2, 0), (1, -1), (0, -1)], BIG_M)
+    def test_equals_the_checked_fraction_polygon(self, points, m):
+        hull = convex_hull_2d(points)
+        got = hull.divided(m)
+        want = Polygon(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices))
+        assert got.vertices == want.vertices and got.area == want.area
+        assert all(type(c) is Fraction for v in got.vertices for c in v)
+        assert type(got.area) is Fraction and got == want
+
+    def test_divides_every_coordinate_and_the_area(self):
+        p = convex_hull_2d([(0, 0), (4, 0), (0, 6)]).divided(2)
+        assert p.vertices == ((0, 0), (2, 0), (0, 3)) and p.area == 3
+
+    @pytest.mark.parametrize("m, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)])
+    def test_rejects_a_non_positive_or_non_int_divisor(self, m, error):
+        with pytest.raises(error):
+            convex_hull_2d([(0, 0), (1, 0), (0, 1)]).divided(m)

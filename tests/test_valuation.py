@@ -14,6 +14,7 @@ from toricvol import (
     flag_valuation,
     graded_semigroup,
     hirzebruch_fan,
+    okounkov_volume_report,
     projective_plane_fan,
     section_columns,
     section_lattice_points,
@@ -21,7 +22,7 @@ from toricvol import (
     star_subdivide,
     trivialization_polytope,
 )
-from toricvol import divisors, valuation
+from toricvol import divisors, lattice, valuation
 from conftest import (
     all_points_level_hull,
     box_section_points,
@@ -71,6 +72,21 @@ class TestFlagValuation:
                 with pytest.raises(ValueError) as err:
                     flag_valuation(fan, flag)
                 assert str(err.value) == want
+
+    def test_tuple_miss_refused_like_a_flag_miss(self):
+        # a TFlag hashes like its (ray, cone) tuple, so a tuple hit is a flag; a tuple
+        # miss must raise the ValueError a TFlag miss raises, not an AttributeError
+        D = ruled_divisor(1, 1, 2)
+        calls = (lambda f: flag_valuation(D.fan, f), lambda f: trivialization_polytope(D, f),
+                 lambda f: semigroup_level_hull(D, f, 2),
+                 lambda f: okounkov_volume_report(D, display_flag=f))
+        for pair in ((0, 99), (0, 1), (2, 3), (-1, 0), (4, 4)):
+            for call in calls:
+                with pytest.raises(ValueError) as want:
+                    call(TFlag(*pair))
+                with pytest.raises(ValueError) as got:
+                    call(pair)
+                assert str(got.value) == str(want.value)
 
     def test_uniformizers_dual_to_flag_order(self):
         fan = hirzebruch_fan(1)
@@ -325,6 +341,22 @@ class TestGradedSemigroup:
                 cut.clear()
                 semigroup_level_hull(ruled_divisor(l, 2, b), TFlag(2, 1), 5)
                 assert cut == [width]
+
+    def test_level_hull_checks_convexity_once(self, monkeypatch):
+        # the int hull is checked; its 1/m copy is not checked again
+        calls, real = [], lattice._strictly_convex
+
+        def spy(xs, ys):
+            calls.append(len(xs))
+            return real(xs, ys)
+
+        monkeypatch.setattr(lattice, "_strictly_convex", spy)
+        D = ruled_divisor(2, 3, 8)
+        for flag in D.fan.charts:
+            for m in range(1, 6):
+                calls.clear()
+                hull = semigroup_level_hull(D, flag, m)
+                assert calls == [len(hull.vertices)]
 
     def test_level_hull_size_guard_boundary(self, monkeypatch):
         # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
