@@ -11,7 +11,6 @@ from .lattice import (
     convex_hull_2d,
     cross,
     dot,
-    shoelace,
 )
 from .fan import (
     Fan2D,
@@ -34,12 +33,9 @@ from .divisors import (
     divisor,
     divisor_polytope,
     generation_violations,
-    section_columns,
-    section_lattice_points,
 )
 from .valuation import (
     flag_valuation,
-    graded_semigroup,
     semigroup_level_hull,
     trivialization_polytope,
 )

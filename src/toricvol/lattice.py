@@ -4,7 +4,8 @@ Everything works over Python ints and ``fractions.Fraction``; there is no
 floating point anywhere in this package. Vectors and points are plain tuples.
 A polygon is built from its vertices alone, checks that they form a
 strictly convex counterclockwise cycle and derives its exact shoelace area,
-both on the vertices as ints over their common denominator. Convex hulls
+both on the vertices as ints over their common denominator; ``Polygon.area``
+is the one public shoelace sum. Convex hulls
 keep the coordinates they are given, so a hull of lattice points has int
 vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls the ends
 of the columns that can hold a vertex with ``monotone_chain``, values only the vertices and
@@ -73,14 +74,9 @@ def _integral(points: Sequence[Sequence]) -> tuple[tuple, list[int], list[int], 
 
 
 def _area(xs: list[int], ys: list[int], L: int) -> Fraction:
+    """Signed shoelace area of a vertex cycle over the denominator L, divided once, by 2*L^2."""
     twice = sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
     return Fraction(twice, 2 * L * L)
-
-
-def shoelace(vertices: Sequence[Sequence]) -> Fraction:
-    """Signed shoelace area of a vertex cycle (positive when counterclockwise),
-    summed over ints on the common denominator L and divided once, by 2*L^2."""
-    return _area(*_integral(vertices)[1:])
 
 
 def _strictly_convex(xs: list[int], ys: list[int]) -> bool:

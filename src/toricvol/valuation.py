@@ -12,17 +12,23 @@ every computation is canonical and reproducible.
 
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
-Trivialization hulls keep int vertices; only level-m hulls (the ends of the columns
-that can hold a vertex hulled, then only the vertices valued) make rational ones, by
-scaling the checked int hull with ``Polygon.divided``, not by checking a Fraction copy.
+Trivialization hulls keep int vertices. Level-m hulls, the package's one section routine,
+cut only the section columns that can hold a vertex, value only their ends' hull vertices
+and scale that checked int hull by 1/m with ``Polygon.divided``, which checks nothing again.
 """
 
 from __future__ import annotations
 
-from .divisors import (NotGloballyGenerated, TorusDivisor, _hull_columns,
-                       generation_violations, section_lattice_points)
+from itertools import combinations
+from math import lcm
+
+from .divisors import NotGloballyGenerated, TorusDivisor, generation_violations
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
+
+# Largest box of candidate sections a level hull accepts: the box of its scaled cocycle
+# characters, whose columns it may cut; their number grows with the ray coordinates.
+SECTION_SCAN_LIMIT = 10 ** 6
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
@@ -52,25 +58,74 @@ def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     return convex_hull_2d([w.value(h) for h in D.cocycle])
 
 
-def graded_semigroup(
-    D: TorusDivisor, flag: TFlag, m_max: int
-) -> set[tuple[tuple[int, int], int]]:
-    """Pairs (valuation of section, level) for all levels 0..m_max."""
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    w = flag_valuation(D.fan, flag)
-    out: set[tuple[tuple[int, int], int]] = {((0, 0), 0)}
-    for m in range(1, m_max + 1):
-        for e in section_lattice_points(D, m):
-            out.add((w.value(e), m))
+def _cut_columns(rows, xs, y0: int, y1: int) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) among xs, [lo, hi] the rows of [y0, y1] every row allows."""
+    out = []
+    for x in xs:
+        lo, hi = y0, y1
+        for r0, r1, b in rows:
+            slack = x * r0 - b  # the inequality reads y*r1 >= -slack
+            if r1 > 0:
+                lo = max(lo, -(slack // r1))
+            elif r1 < 0:
+                hi = min(hi, slack // -r1)
+            elif slack < 0:
+                break  # the ray is horizontal and cuts off the whole column
+        else:
+            if lo <= hi:
+                out.append((x, lo, hi))
     return out
+
+
+def _hull_columns(D: TorusDivisor, m: int) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) of the level-m sections, the h with <h, ray_i> >= -m*d_i,
+    that can hold a vertex of their hull, in increasing x: at most 2*(r1 + |s1|) per stretch
+    below, whatever the width. A level below 1, or a box of the scaled cocycle characters (it
+    holds the sections on a complete fan) of over SECTION_SCAN_LIMIT points, raises ValueError.
+
+    The horizontal rays narrow [x0, x1]. On a stretch that no crossing of two sloped ray
+    lines splits, one lower ray r and one upper ray s bound every column. The section
+    lattice repeats along r's line every r1 columns and along s's every |s1|, so a column
+    end is the midpoint of its two shifts along either line when both are sections, and no
+    vertex. For an end q = max(r1, |s1|) columns from both ends of the stretch one pair is,
+    unless its slacks to r and to s are both below |cross(r, s)|, which puts it within
+    r1 + |s1| columns of the narrowing end (q if r1 or |s1| is 1). Only end columns are cut.
+    """
+    if m < 1:
+        raise ValueError(f"level must be a positive integer, got {m}")
+    hx, hy = zip(*D.cocycle)
+    x0, x1, y0, y1 = m * min(hx), m * max(hx), m * min(hy), m * max(hy)
+    box = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if box > SECTION_SCAN_LIMIT:
+        raise ValueError(f"level {m} has a box of {box} candidate points, "
+                         f"more than the limit of {SECTION_SCAN_LIMIT}")
+    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
+    for r0, r1, b in rows:
+        if not r1:  # x*r0 >= b with r0 = 1 or -1
+            x0, x1 = (max(x0, b), x1) if r0 > 0 else (x0, min(x1, -b))
+    lines = [row for row in rows if row[1]]
+    cuts = {(b * q1 - c * r1) // k for (r0, r1, b), (q0, q1, c) in combinations(lines, 2)
+            if (k := r0 * q1 - r1 * q0)}
+    starts = sorted({x0, *(c + 1 for c in cuts if x0 <= c < x1)})
+    lows, highs = [w for w in lines if w[1] > 0], [w for w in lines if w[1] < 0]
+    L = lcm(*(r1 for _, r1, _ in lines))
+    xs = []
+    for a, e in zip(starts, starts[1:] + [x1 + 1]):
+        S = a + e - 1  # the highest lower line and the lowest upper one at x = S/2, in ints
+        r0, r1, _ = max(lows, key=lambda w: (2 * w[2] - w[0] * S) * (L // w[1]))
+        s0, s1, _ = max(highs, key=lambda w: (w[0] * S - 2 * w[2]) * (L // w[1]))
+        q, c = max(r1, -s1), r0 * s1 - r1 * s0  # the width falls to the right if c > 0
+        far = q if min(r1, -s1) == 1 else r1 - s1
+        left, right = far if c < 0 else q, far if c > 0 else q
+        xs += range(a, e) if e - a <= left + right else [*range(a, a + left), *range(e - right, e)]
+    return _cut_columns(rows, xs, y0, y1)
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     """Hull of the level-m semigroup points: the int hull, checked once by ``convex_hull_2d``,
     scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The lower chain of
-    the lows and the upper chain of the highs of ``divisors._hull_columns``, the columns that can
-    hold a vertex, hold every vertex of the sections' hull; the unimodular valuation maps it onto
+    the lows and the upper chain of the highs of ``_hull_columns``, the columns that can hold a
+    vertex, hold every vertex of the sections' hull; the unimodular valuation maps it onto
     the hull of the values, so only those chain points are valued."""
     w = flag_valuation(D.fan, flag)
     cols = _hull_columns(D, m)

@@ -3,8 +3,9 @@ deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 self-intersection from the ray intersection matrix, the pairwise positivity
 scan, the all-Fraction shoelace sum and convex hull, the
-bounding-box section scan, the all-points level hull and the every-column
-level hull, the per-call flag chart
+bounding-box section scan, the column scan with its section list and graded
+semigroup (the level hull's guard and messages included), the all-points
+level hull and the every-column level hull, the per-call flag chart
 built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
 dumped from and the text report printed term by term), and the object
@@ -34,10 +35,10 @@ from toricvol import (
     divisor,
     dot,
     flag_valuation,
-    section_columns,
     projective_plane_fan,
     star_subdivide,
 )
+from toricvol import valuation
 
 # Same examples on every run, so a tier-1 failure reproduces exactly.
 settings.register_profile("deterministic", derandomize=True, max_examples=100,
@@ -289,6 +290,57 @@ def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     return [(x, y)
             for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
             if all(x * r[0] + y * r[1] >= b for r, b in zip(D.fan.rays, bounds))]
+
+
+def section_columns(D: TorusDivisor, m: int = 1) -> list[tuple[int, int, int]]:
+    """Reference column scan: the nonempty columns (x, lo, hi) of the level-m sections, in
+    increasing x. Every column of the bounding box of the scaled cocycle characters is cut
+    to the rows [lo, hi] every ray inequality <h, ray> >= -m*d allows (exact floor and
+    ceiling division), O(width * n). A level below 1, and a box of more than
+    ``valuation.SECTION_SCAN_LIMIT`` points, raise the level hull's ValueError first."""
+    if m < 1:
+        raise ValueError(f"level must be a positive integer, got {m}")
+    h = D.cocycle
+    xs = [m * e[0] for e in h]
+    ys = [m * e[1] for e in h]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    box = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if box > valuation.SECTION_SCAN_LIMIT:
+        raise ValueError(f"level {m} has a box of {box} candidate points, "
+                         f"more than the limit of {valuation.SECTION_SCAN_LIMIT}")
+    out = []
+    for x in range(x0, x1 + 1):
+        lo, hi = y0, y1
+        for (r0, r1), d in zip(D.fan.rays, D.coeffs):
+            slack = x * r0 + m * d  # the inequality reads y*r1 >= -slack
+            if r1 > 0:
+                lo = max(lo, -(slack // r1))
+            elif r1 < 0:
+                hi = min(hi, slack // -r1)
+            elif slack < 0:
+                break  # the ray is horizontal and cuts off the whole column
+        else:
+            if lo <= hi:
+                out.append((x, lo, hi))
+    return out
+
+
+def section_lattice_points(D: TorusDivisor, m: int = 1) -> list[tuple[int, int]]:
+    """Reference section list: all characters h with <h, ray_i> >= -m*d_i for every ray,
+    sorted, the points of ``section_columns`` column by column."""
+    return [(x, y) for x, lo, hi in section_columns(D, m) for y in range(lo, hi + 1)]
+
+
+def graded_semigroup(D: TorusDivisor, flag, m_max: int) -> set[tuple[tuple[int, int], int]]:
+    """Reference graded semigroup: pairs (valuation of section, level) for all levels 0..m_max."""
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    w = flag_valuation(D.fan, flag)
+    out = {((0, 0), 0)}
+    for m in range(1, m_max + 1):
+        for e in section_lattice_points(D, m):
+            out.add((w.value(e), m))
+    return out
 
 
 def all_points_level_hull(w: Rank2Valuation, sections, m: int) -> FractionHull:

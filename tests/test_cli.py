@@ -688,6 +688,19 @@ class TestCsvWriter:
         assert_csv_writer_matches_reference(non_ample_report())
 
 
+class TestTupleDisplayFlag:
+    # a library caller may give the display flag as a plain (ray, cone) tuple
+
+    @pytest.mark.parametrize("coeffs", [(0, 1, 2, 0), (0, 1, 1, 0)], ids=["ample", "non-ample"])
+    @pytest.mark.parametrize("writer", [_report_text, _report_json, _report_csv],
+                             ids=["text", "json", "csv"])
+    def test_writes_the_bytes_of_a_flag(self, writer, coeffs):
+        D = divisor(hirzebruch_fan(1), coeffs)
+        report = okounkov_volume_report(D, display_flag=(2, 1))
+        assert type(report.display_flag) is TFlag
+        assert writer(report) == writer(okounkov_volume_report(D, display_flag=TFlag(2, 1)))
+
+
 class TestClosedStdout:
     def test_reader_closing_early_exits_2_without_traceback(self, tmp_path):
         # a 64-ray JSON report is about 150 KB, more than the pipe and stdio

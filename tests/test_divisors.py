@@ -14,12 +14,10 @@ from toricvol import (
     generation_violations,
     hirzebruch_fan,
     projective_plane_fan,
-    section_columns,
-    section_lattice_points,
     semigroup_level_hull,
     TFlag,
 )
-from toricvol import divisors
+from toricvol import valuation
 from conftest import (
     box_section_points,
     deep_ample_instance,
@@ -27,6 +25,8 @@ from conftest import (
     pairwise_violations,
     random_ample_instance,
     random_smooth_fan,
+    section_columns,
+    section_lattice_points,
 )
 
 
@@ -239,9 +239,9 @@ class TestSectionLatticePoints:
     def test_size_guard_boundary(self, monkeypatch):
         # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
         D = ruled_divisor(1, 1, 2)
-        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 15)
+        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 15)
         assert len(section_lattice_points(D, 2)) == 12
-        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 14)
+        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 14)
         with pytest.raises(ValueError, match="15 candidate points"):
             section_lattice_points(D, 2)
 

@@ -8,10 +8,14 @@ from toricvol import (
     Polygon,
     convex_hull_2d,
     cross,
-    shoelace,
 )
-from toricvol.lattice import monotone_chain
+from toricvol.lattice import _area, _integral, monotone_chain
 from conftest import fraction_hull, fraction_shoelace
+
+
+def shoelace(vertices):
+    # the signed shoelace sum Polygon takes its area from, on any vertex cycle
+    return _area(*_integral(vertices)[1:])
 
 
 def det_cofactor(m):
