@@ -29,7 +29,6 @@ from .divisors import (
     NotGloballyGenerated,
     TorusDivisor,
     ampleness_violations,
-    cech_cocycle,
     divisor,
     divisor_polytope,
     generation_violations,

@@ -25,7 +25,7 @@ from .divisors import (
     generation_violations,
     ampleness_violations,
 )
-from .fan import Fan2D, FanValidationError, hirzebruch_fan, standard_decomposition
+from .fan import Fan2D, FanValidationError, _decimal, hirzebruch_fan, standard_decomposition
 from .lattice import Polygon, dot
 from .valuation import TFlag, flag_valuation, trivialization_polytope
 from .volume import ROUTES, FlagContribution, VolumeReport, okounkov_volume_report
@@ -203,7 +203,7 @@ def cmd_check(args) -> int:
 
 def _parse_flag(text: str) -> TFlag:
     try:
-        i, j = (int(p) for p in text.split(","))
+        i, j = map(_decimal, text.split(","))
     except ValueError:
         raise DocumentError(f"flag must be 'ray,cone', got {text!r}") from None
     return TFlag(i, j)

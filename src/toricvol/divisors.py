@@ -74,12 +74,6 @@ def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
     return TorusDivisor(fan, coeffs)
 
 
-def cech_cocycle(cocycle: Cocycle, a: int, b: int) -> Vec:
-    """Transition character f_ab = h_b / h_a, as an exponent vector."""
-    ha, hb = cocycle[a], cocycle[b]
-    return (hb[0] - ha[0], hb[1] - ha[1])
-
-
 def generation_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     """(cone, ray) witnesses (i-1, i+1), one per curve D_i of negative degree.
 

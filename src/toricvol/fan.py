@@ -14,6 +14,7 @@ once, the one place that writes the flag order and the dual basis.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
@@ -219,6 +220,13 @@ def check_decomposition(fan: Fan2D, dec: OrbitDecomposition) -> None:
         raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
 
 
+def _decimal(text: str) -> int:
+    """An int written as -?[0-9]+; ``int`` alone also takes spaces, '+', '_' and non-ASCII digits."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecomposition:
     """Named orbit decompositions.
 
@@ -234,7 +242,7 @@ def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecompo
         owners = tuple((i - 1) % n for i in range(n))
     elif variant.startswith("generic-at="):
         try:
-            generic = int(variant.split("=", 1)[1])
+            generic = _decimal(variant.split("=", 1)[1])
         except ValueError:
             raise ValueError(f"bad decomposition variant {variant!r}") from None
         owners = tuple(range(n))

@@ -12,6 +12,9 @@ of the columns that can hold a vertex with ``monotone_chain``, values only the v
 scales that checked int hull by 1/m with ``Polygon.divided``, which checks nothing again.
 Points that are all tuples of two ints skip the per-point reading and the
 common denominator; any other input is read point by point by ``_coords``.
+Int pairs that already are a strictly convex cycle, as every hull input of an
+ample divisor is, are their own hull after one convexity check; only other
+inputs are sorted and chained, then checked as a ``Polygon``.
 """
 
 from __future__ import annotations
@@ -110,10 +113,17 @@ class Polygon:
         the vertex order, strict convexity, winding and distinctness, and divides the area by m^2."""
         if (m := index(m)) < 1:
             raise ValueError(f"a polygon is divided by a positive integer, got {m}")
-        out = object.__new__(Polygon)
-        object.__setattr__(out, "vertices", tuple((Fraction(x, m), Fraction(y, m)) for x, y in self.vertices))
-        object.__setattr__(out, "area", self.area / (m * m))
-        return out
+        return _checked(tuple((Fraction(x, m), Fraction(y, m)) for x, y in self.vertices),
+                        self.area / (m * m))
+
+
+def _checked(vertices: tuple, area: Fraction) -> Polygon:
+    """A Polygon of vertices already known to be a strictly convex counterclockwise cycle
+    and of their area, built with no second check."""
+    out = object.__new__(Polygon)
+    object.__setattr__(out, "vertices", vertices)
+    object.__setattr__(out, "area", area)
+    return out
 
 
 def monotone_chain(points: Iterable[Sequence]) -> list:
@@ -138,9 +148,23 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
 
     The vertices keep their input coordinates: int points give int vertices.
     Collinear boundary points are dropped, so the vertex list is minimal.
+    Int pairs that already are a strictly convex cycle, either way round, are
+    their own hull: one convexity check, and the cycle starts at its least
+    point, where the chain starts it. Any other input is sorted and chained.
     """
     pts = list(points)
-    pts = sorted(set(pts) if _int_pairs(pts) else set(map(_coords, pts)))
+    ints = _int_pairs(pts)
+    if ints and len(pts) >= 3:
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        # the first turn's sign is the orientation a convex cycle has throughout
+        turn = (xs[1] - xs[0]) * (ys[2] - ys[1]) - (ys[1] - ys[0]) * (xs[2] - xs[1])
+        if turn < 0:
+            pts, xs, ys = pts[::-1], xs[::-1], ys[::-1]
+        # every turn left and winding once: a convex polygon, so its vertices are distinct
+        if turn and _strictly_convex(xs, ys):
+            k = pts.index(min(pts))
+            return _checked(tuple(pts[k:] + pts[:k]), _area(xs, ys, 1))
+    pts = sorted(set(pts) if ints else set(map(_coords, pts)))
     if not pts:
         raise ValueError("convex hull of an empty point set")
     hull = monotone_chain(pts)[:-1] + monotone_chain(pts[::-1])[:-1]

@@ -18,14 +18,16 @@ residue's unit part, so the second boundary (the order in t at the flag
 point) reads exponents alone, and only that order is computed here
 (``_closed_form``). The whole first boundary, coefficients and sign included,
 lives in the test suite as the object oracle the closed form is checked
-against.
+against. The intersection number writes the closed form out on ints in one
+loop over the fan's chart table; the per-flag sum over ``_closed_form``
+lives in the test suite as its oracle.
 """
 
 from __future__ import annotations
 
 from operator import index
 
-from .divisors import TorusDivisor, cech_cocycle
+from .divisors import TorusDivisor
 from .fan import OrbitDecomposition, Rank2Valuation, check_decomposition
 from .lattice import Vec
 
@@ -72,9 +74,16 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     whole sum. All flag points are rational, so every residue degree is 1.
     """
     check_decomposition(D.fan, dec)
-    h, a0 = D.cocycle, dec.generic_owner
+    h, owner = D.cocycle, dec.ray_owner
+    g1, g2 = h[dec.generic_owner]
     total = 0
-    for (ray, cone), w in D.fan.charts.items():
-        a1 = dec.ray_owner[ray]
-        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, cone))[2]
+    for (ray, cone), ((r1, r2), (s1, s2), _, _) in D.fan.charts.items():
+        (a1, a2), (c1, c2) = h[owner[ray]], h[cone]
+        # _closed_form on f = h_a / h_generic and g = h_cone / h_a, a the curve's owner
+        f1, f2, e1, e2 = a1 - g1, a2 - g2, c1 - a1, c2 - a2
+        vf, vg = f1 * r1 + f2 * r2, e1 * r1 + e2 * r2
+        x, y = vf * e1 - vg * f1, vf * e2 - vg * f2
+        if v := x * r1 + y * r2:
+            raise ValueError(f"cannot reduce: curve valuation is {v}, not 0")
+        total += x * s1 + y * s2
     return total

@@ -12,9 +12,11 @@ every computation is canonical and reproducible.
 
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
-Trivialization hulls keep int vertices. Level-m hulls, the package's one section routine,
-cut only the section columns that can hold a vertex, value only their ends' hull vertices
-and scale that checked int hull by 1/m with ``Polygon.divided``, which checks nothing again.
+Trivialization hulls keep int vertices; the cocycle is valued with the chart unpacked
+once. Level-m hulls, the package's one section routine, cut only the section columns that
+can hold a vertex, value only their ends' hull vertices and scale that checked int hull by
+1/m with ``Polygon.divided``, which checks nothing again. Both hulls' inputs are vertex
+cycles for an ample divisor, which ``convex_hull_2d`` checks once and does not chain.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     bad = generation_violations(D)
     if bad:
         raise NotGloballyGenerated(*bad[0])
-    w = flag_valuation(D.fan, flag)
-    return convex_hull_2d([w.value(h) for h in D.cocycle])
+    (r1, r2), (s1, s2), _, _ = flag_valuation(D.fan, flag)
+    return convex_hull_2d([(e1 * r1 + e2 * r2, e1 * s1 + e2 * s2) for e1, e2 in D.cocycle])
 
 
 def _cut_columns(rows, xs, y0: int, y1: int) -> list[tuple[int, int, int]]:
@@ -126,11 +128,16 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The lower chain of
     the lows and the upper chain of the highs of ``_hull_columns``, the columns that can hold a
     vertex, hold every vertex of the sections' hull; the unimodular valuation maps it onto
-    the hull of the values, so only those chain points are valued."""
+    the hull of the values, so only those chain points are valued. The two chains meet in one
+    point at an end column with lo == hi, which is dropped from the upper chain: the ends are
+    then the hull's vertex cycle itself, unless every section lies on one line."""
     w = flag_valuation(D.fan, flag)
     cols = _hull_columns(D, m)
     if not cols:
         raise ValueError(f"no sections at level {m}")
-    ends = (monotone_chain((x, lo) for x, lo, _ in cols)
-            + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+    (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
+    upper = monotone_chain((x, hi) for x, _, hi in reversed(cols))
+    # a one-point end column ends both chains: the lower chain keeps it
+    upper = upper[lo1 == hi1:len(upper) - (lo0 == hi0)]
+    ends = monotone_chain((x, lo) for x, lo, _ in cols) + upper
     return convex_hull_2d(map(w.value, ends)).divided(m)

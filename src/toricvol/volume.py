@@ -90,7 +90,8 @@ def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> 
     x0, x1 = g1 * r1 + g2 * r2, g1 * s1 + g2 * s2
     # omitting u, v, x in turn: +det(v, x), -det(u, x), +det(u, v)
     d0, d1, d2 = v0 * x1 - x0 * v1, x0 * u1 - u0 * x1, u0 * v1 - v0 * u1
-    return FlagContribution(flag, charts, ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), d0 + d1 + d2)
+    return tuple.__new__(FlagContribution, (flag, charts, ((u0, u1), (v0, v1), (x0, x1)),
+                                            (d0, d1, d2), d0 + d1 + d2))
 
 
 def self_intersection_classical(D: TorusDivisor) -> int:

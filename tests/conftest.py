@@ -10,10 +10,12 @@ built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
 dumped from and the text report printed term by term), and the object
 oracle for the tame-symbol closed form: monomials with Fraction coefficients
-and the first boundary taken on them, sign and coefficient included. Two
+and the first boundary taken on them, sign and coefficient included. Three
 loops the library replaced stay here as oracles too: the per-ray fan
-validation and route 3's flag contribution through ``Rank2Valuation.value``
-and ``cross``."""
+validation, route 3's flag contribution through ``Rank2Valuation.value``
+and ``cross``, and route 4 flag by flag, the closed form on two
+``cech_cocycle`` transition characters. ``spy_hull_passes`` logs the
+chain and convexity passes a convex hull makes."""
 
 import random
 from dataclasses import dataclass
@@ -38,7 +40,8 @@ from toricvol import (
     projective_plane_fan,
     star_subdivide,
 )
-from toricvol import valuation
+from toricvol import lattice, valuation
+from toricvol.milnor_k import _closed_form
 
 # Same examples on every run, so a tier-1 failure reproduces exactly.
 settings.register_profile("deterministic", derandomize=True, max_examples=100,
@@ -278,6 +281,24 @@ def chain_hull(points) -> FractionHull:
 def fraction_hull(points) -> FractionHull:
     """Reference convex hull: every point is promoted to a Fraction pair first."""
     return chain_hull((Fraction(p[0]), Fraction(p[1])) for p in points)
+
+
+def spy_hull_passes(mp) -> list:
+    """One entry per ``monotone_chain`` call inside ``convex_hull_2d`` and per
+    ``_strictly_convex`` call, "chain" or "convex", in call order."""
+    calls, chain, convex = [], lattice.monotone_chain, lattice._strictly_convex
+
+    def chain_spy(points):
+        calls.append("chain")
+        return chain(points)
+
+    def convex_spy(xs, ys):
+        calls.append("convex")
+        return convex(xs, ys)
+
+    mp.setattr(lattice, "monotone_chain", chain_spy)
+    mp.setattr(lattice, "_strictly_convex", convex_spy)
+    return calls
 
 
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
@@ -527,6 +548,24 @@ def reference_tame_boundary(w: Rank2Valuation, terms) -> list[tuple[Fraction, in
 def reference_iterated_boundary(w: Rank2Valuation, terms) -> int:
     """Reference second boundary: the orders of the reference residues."""
     return sum(mult * t for (mult, _, _), (_, t) in zip(terms, reference_tame_boundary(w, terms)))
+
+
+def cech_cocycle(cocycle, a: int, b: int) -> tuple[int, int]:
+    """Transition character f_ab = h_b / h_a, as an exponent vector."""
+    ha, hb = cocycle[a], cocycle[b]
+    return (hb[0] - ha[0], hb[1] - ha[1])
+
+
+def reference_symbol_sum(D: TorusDivisor, dec) -> int:
+    """Reference route 4, one flag at a time: the library's closed form on the two
+    transition characters f_(a0 a1) and f_(a1 c), a0 the dense orbit's owner, a1 the
+    flag curve's and c the flag point's, summed over the flag charts."""
+    h, a0 = D.cocycle, dec.generic_owner
+    total = 0
+    for (ray, cone), w in D.fan.charts.items():
+        a1 = dec.ray_owner[ray]
+        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, cone))[2]
+    return total
 
 
 def cocycle_expansion(cocycle, alphas) -> list:

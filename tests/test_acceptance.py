@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from toricvol import (
     TFlag,
-    cech_cocycle,
     cross,
     divisor,
     divisor_polytope,
@@ -28,6 +27,7 @@ from toricvol import (
     trivialization_polytope,
 )
 from conftest import (
+    cech_cocycle,
     cocycle_expansion,
     hirzebruch_grid,
     random_ample_instance,

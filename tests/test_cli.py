@@ -411,6 +411,34 @@ class TestEmptyStrings:
         assert json.loads(capsys.readouterr().out)["display_flag"] == {"ray": 0, "cone": 0}
 
 
+class TestDecimalSpellings:
+    # a flag's ray and cone and the K of generic-at=K are written -?[0-9]+; int()
+    # alone also takes spaces, a sign, underscores and non-ASCII digits
+
+    @pytest.mark.parametrize("k", [" 1", "1 ", "+1", "1_0", "\u0663", "1\n", "0x1", "1.0", "", "-"])
+    def test_bad_generic_owner_is_input_error(self, tmp_path, capsys, k):
+        path = write(tmp_path, HIRZ_112)
+        assert main(["--decomposition", f"generic-at={k}", "report", path]) == 2
+        assert capsys.readouterr() == ("", f"error: bad decomposition variant {f'generic-at={k}'!r}\n")
+
+    @pytest.mark.parametrize("flag", ["+2,1", " 2,1", "2, 1", "2,1 ", "2_0,1", "\u0662,1", "2,\u0661",
+                                      "2,-", "2,1,0"])
+    def test_bad_flag_spelling_is_input_error(self, tmp_path, capsys, flag):
+        path = write(tmp_path, HIRZ_112)
+        for command in (["report", path, "--flag", flag],
+                        ["polytope", path, "--svg", str(tmp_path / "p.svg"), "--flag", flag]):
+            assert main(command) == 2
+            assert capsys.readouterr() == ("", f"error: flag must be 'ray,cone', got {flag!r}\n")
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_plain_decimals_unchanged(self, tmp_path, capsys):
+        path = write(tmp_path, HIRZ_112)
+        for k in range(4):
+            assert main(["--decomposition", f"generic-at={k}", "report", path, "--flag", "2,1"]) == 0
+        assert main(["--decomposition", "generic-at=-1", "report", path]) == 2
+        assert capsys.readouterr().err == "error: generic orbit assigned to nonexistent cone -1\n"
+
+
 class TestOneDocumentPath:
     # check, report and polytope resolve a document in one function: an
     # ill-formed flag or decomposition, in the document or on the command

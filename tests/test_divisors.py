@@ -7,7 +7,6 @@ from toricvol import (
     NotGloballyGenerated,
     TorusDivisor,
     ampleness_violations,
-    cech_cocycle,
     divisor,
     divisor_polytope,
     dot,
@@ -20,6 +19,7 @@ from toricvol import (
 from toricvol import valuation
 from conftest import (
     box_section_points,
+    cech_cocycle,
     deep_ample_instance,
     hirzebruch_grid,
     pairwise_violations,

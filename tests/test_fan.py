@@ -387,6 +387,12 @@ class TestOrbitDecomposition:
         assert hash(dec) == hash(OrbitDecomposition(1, (0, 0, 2, 3)))
         assert OrbitDecomposition(0, iter(range(4))) == standard_decomposition(hirzebruch_fan(1))
 
+    @pytest.mark.parametrize("k", [" 1", "+1", "1_0", "\u0663", "1 ", "1\n", ""])
+    def test_generic_owner_is_plain_decimal(self, k):
+        with pytest.raises(ValueError, match=r"^bad decomposition variant "):
+            standard_decomposition(hirzebruch_fan(4), f"generic-at={k}")
+        assert standard_decomposition(hirzebruch_fan(1), "generic-at=3").generic_owner == 3
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             standard_decomposition(hirzebruch_fan(1), "nonsense")

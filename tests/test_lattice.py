@@ -10,7 +10,7 @@ from toricvol import (
     cross,
 )
 from toricvol.lattice import _area, _integral, monotone_chain
-from conftest import fraction_hull, fraction_shoelace
+from conftest import fraction_hull, fraction_shoelace, spy_hull_passes
 
 
 def shoelace(vertices):
@@ -151,6 +151,64 @@ class TestConvexHullAgainstFractionHull:
     def test_rejects_non_plane_point(self):
         with pytest.raises(ValueError):
             convex_hull_2d([(0, 0), (1, 2, 3)])
+
+
+def int_hull_cycle(points) -> list:
+    # the reference hull's vertex cycle of int points, as int pairs
+    return [(int(x), int(y)) for x, y in fraction_hull(points).vertices]
+
+
+class TestConvexCycleIsItsOwnHull:
+    # int pairs that already are a strictly convex cycle are checked once and not
+    # chained; the all-Fraction monotone chain in conftest is the reference for both paths
+
+    @given(st.lists(st.tuples(small, small), min_size=3, max_size=30))
+    def test_every_rotation_and_orientation(self, points):
+        cycle = int_hull_cycle(points)
+        if len(cycle) < 3:
+            return
+        for r in range(len(cycle)):
+            for variant in (cycle[r:] + cycle[:r], (cycle[r:] + cycle[:r])[::-1]):
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = spy_hull_passes(mp)
+                    assert_matches_fraction_hull(variant)
+                assert calls == ["convex"]
+
+    @given(st.lists(st.tuples(small, small), min_size=3, max_size=30), st.integers(0, 29))
+    def test_not_a_convex_cycle_takes_the_chain(self, points, at):
+        cycle = int_hull_cycle(points)
+        k = len(cycle)
+        if k < 3:
+            return
+        at %= k
+        doubled = [(2 * x, 2 * y) for x, y in cycle]
+        (x0, y0), (x1, y1) = doubled[at], doubled[(at + 1) % k]
+        others = [cycle[:at] + [cycle[at]] + cycle[at:],       # a duplicate point
+                  cycle + cycle[at:at + 1],                     # a duplicate, not adjacent
+                  doubled[:at + 1] + [((x0 + x1) // 2, (y0 + y1) // 2)] + doubled[at + 1:],
+                  [(Fraction(x), Fraction(y)) for x, y in cycle]]
+        if k >= 4:  # every second vertex: a pentagram for k = 5
+            others.append(cycle[::2] + cycle[1::2])
+        for pts in others:
+            for variant in (pts, pts[::-1]):
+                with pytest.MonkeyPatch.context() as mp:
+                    calls = spy_hull_passes(mp)
+                    assert_matches_fraction_hull(variant)
+                assert calls.count("chain") == 2
+
+    def test_pentagram_takes_the_chain(self, monkeypatch):
+        calls = spy_hull_passes(monkeypatch)
+        for pts in (list(PENTAGRAM), list(PENTAGRAM[::-1])):
+            calls.clear()
+            assert_matches_fraction_hull(pts)
+            assert calls == ["convex", "chain", "chain", "convex"]
+
+    @given(st.lists(st.tuples(small, small), min_size=1, max_size=2))
+    def test_one_and_two_points_take_the_chain(self, points):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_hull_passes(mp)
+            assert_matches_fraction_hull(points)
+        assert calls == ["chain", "chain"]
 
 
 class TestMonotoneChainOnColumnEnds:

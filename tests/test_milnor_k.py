@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import toricvol
 from toricvol import (
     TFlag,
-    cech_cocycle,
     cross,
     divisor,
     dot,
@@ -25,6 +24,7 @@ from toricvol import (
 from toricvol.milnor_k import _closed_form, _reduce
 from conftest import (
     Monomial,
+    cech_cocycle,
     cocycle_expansion,
     deep_ample_instance,
     random_ample_instance,
@@ -33,6 +33,7 @@ from conftest import (
     random_flag,
     random_monomial,
     reference_iterated_boundary,
+    reference_symbol_sum,
     reference_tame_boundary,
 )
 
@@ -403,6 +404,20 @@ class TestIntersectionNumber:
             for variant in ("default", "successor", "generic-at=1", "generic-at=2"):
                 dec = standard_decomposition(D.fan, variant)
                 assert intersection_number_via_symbols(D, dec) == classical
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
+    def test_flat_loop_matches_per_flag_closed_form(self, n):
+        # the route-4 loop against the closed form on two cech_cocycle differences per flag,
+        # on the generator's ample divisor and on random coefficients, most not nef
+        rng = random.Random(n)
+        D = deep_ample_instance(rng, n)
+        span = max(map(abs, D.coeffs))
+        for coeffs in (D.coeffs, *([rng.randint(-span, span) for _ in range(n)] for _ in range(3))):
+            E = divisor(D.fan, coeffs)
+            for variant in ("default", "successor", "generic-at=0", f"generic-at={rng.randrange(n)}",
+                            f"generic-at={n - 1}"):
+                dec = standard_decomposition(D.fan, variant)
+                assert intersection_number_via_symbols(E, dec) == reference_symbol_sum(E, dec)
 
 
 class TestOneChartPerCall:

@@ -19,7 +19,7 @@ from toricvol import (
     star_subdivide,
     trivialization_polytope,
 )
-from toricvol import lattice, valuation
+from toricvol import divisors, lattice, valuation
 from conftest import (
     all_points_level_hull,
     box_section_points,
@@ -32,6 +32,7 @@ from conftest import (
     reference_tflags,
     section_columns,
     section_lattice_points,
+    spy_hull_passes,
 )
 
 
@@ -352,6 +353,33 @@ class TestGradedSemigroup:
                 calls.clear()
                 hull = semigroup_level_hull(D, flag, m)
                 assert calls == [len(hull.vertices)]
+
+    def test_convex_hulls_are_not_chained(self, monkeypatch):
+        # an ample divisor's hull inputs already are strictly convex cycles: the report's
+        # two hulls and every level hull are checked once inside convex_hull_2d, not chained
+        log, hull, inside = [], lattice.convex_hull_2d, spy_hull_passes(monkeypatch)
+
+        def hull_spy(points):
+            inside.clear()
+            out = hull(points)
+            log.append(tuple(inside))
+            return out
+        monkeypatch.setattr(divisors, "convex_hull_2d", hull_spy)
+        monkeypatch.setattr(valuation, "convex_hull_2d", hull_spy)
+        rng = random.Random(29)
+        for n in (3, 8, 64):
+            D = deep_ample_instance(rng, n)
+            for flag in (TFlag(0, 0), TFlag(1, 0)):
+                log.clear()
+                assert okounkov_volume_report(D, display_flag=flag).agree
+                assert log == [("convex",)] * 2
+        for D in (ruled_divisor(1, 1, 2), ruled_divisor(2, 3, 8), ruled_divisor(4, 5, 21),
+                  deep_ample_instance(rng, 6)):
+            for flag in D.fan.charts:
+                log.clear()
+                for m in range(1, 6):
+                    semigroup_level_hull(D, flag, m)
+                assert log == [("convex",)] * 5
 
     def test_level_hull_size_guard_boundary(self, monkeypatch):
         # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points

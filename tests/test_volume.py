@@ -12,7 +12,6 @@ from toricvol import (
     TFlag,
     TorusDivisor,
     ampleness_violations,
-    cech_cocycle,
     convex_hull_2d,
     cross,
     divisor,
@@ -30,6 +29,7 @@ from toricvol import (
     star_subdivide,
 )
 from conftest import (
+    cech_cocycle,
     deep_ample_instance,
     fraction_flag_contribution,
     fraction_terms,
