@@ -78,6 +78,9 @@ def parse_instance(text: str) -> InstanceDocument:
         raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
+    for key in raw:  # a misspelt optional field would otherwise be ignored
+        if key not in ("rays", "divisor", "flag", "decomposition_variant"):
+            raise DocumentError(f"unknown field {key!r}")
     for key in ("rays", "divisor"):
         if key not in raw:
             raise DocumentError(f"missing field {key!r}")

@@ -2,19 +2,14 @@
 
 Everything works over Python ints and ``fractions.Fraction``; there is no
 floating point anywhere in this package. Vectors and points are plain tuples.
-A polygon is built from its vertices alone, checks that they form a
-strictly convex counterclockwise cycle and derives its exact shoelace area,
-both on the vertices as ints over their common denominator; ``Polygon.area``
-is the one public shoelace sum. Convex hulls
-keep the coordinates they are given, so a hull of lattice points has int
-vertices; only ``valuation.semigroup_level_hull`` makes rational vertices. It hulls the ends
-of the columns that can hold a vertex with ``monotone_chain``, values only the vertices and
-scales that checked int hull by 1/m with ``Polygon.divided``, which checks nothing again.
-Points that are all tuples of two ints skip the per-point reading and the
-common denominator; any other input is read point by point by ``_coords``.
-Int pairs that already are a strictly convex cycle, as every hull input of an
-ample divisor is, are their own hull after one convexity check; only other
-inputs are sorted and chained, then checked as a ``Polygon``.
+A point is read as every integer input of the package is, each coordinate by
+``operator.index``: a ``Fraction``, float, ``Decimal`` or string raises ``TypeError``.
+A polygon is built from its int vertices alone, checks that they form a strictly
+convex counterclockwise cycle and derives its exact shoelace area from the same
+ints; ``Polygon.area`` is the one public shoelace sum. Only ``Polygon.divided``
+makes rational vertices. Int pairs that already are a strictly convex cycle, as
+every hull input of an ample divisor is, are their own hull after one convexity
+check; only other inputs are sorted and chained, then checked as a ``Polygon``.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -42,44 +36,30 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _coord(c) -> int | Fraction:
-    # an int or Fraction kept, another int (a bool) made an int, any other a Fraction
-    if type(c) is int or type(c) is Fraction:
-        return c
-    return int(c) if isinstance(c, int) else Fraction(c)
-
-
-def _coords(p: Sequence) -> tuple:
-    """A plane point with exact coordinates, read by ``_coord``."""
+def _coords(p: Sequence) -> Vec:
+    """A plane point with int coordinates, each read by ``operator.index``."""
     if len(p) != 2:
         raise ValueError(f"not a plane point: {p!r}")
     x, y = p
-    return _coord(x), _coord(y)
+    return index(x), index(y)
 
 
 def _int_pairs(pts: Sequence) -> bool:
-    """Every point a tuple of two ints, bools excluded: the points are already
-    exact, so ``_coords`` and the common denominator can be skipped."""
+    """Every point a tuple of two ints, bools excluded: ``_coords`` can be skipped."""
     return (set(map(type, pts)) == {tuple} and set(map(len, pts)) == {2}
             and set(map(type, chain.from_iterable(pts))) == {int})
 
 
-def _integral(points: Sequence[Sequence]) -> tuple[tuple, list[int], list[int], int]:
-    """The points read exactly, their x and y coordinates as ints over their common
-    denominator L, and L. Int pairs are taken as they are, with L = 1."""
+def _read(points: Iterable[Sequence]) -> tuple[Vec, ...]:
+    """The points as int pairs: tuples of two ints as they are, any other by ``_coords``."""
     pts = tuple(points)
-    if _int_pairs(pts):
-        return pts, [x for x, _ in pts], [y for _, y in pts], 1
-    pts = tuple(map(_coords, pts))
-    L = lcm(*(c.denominator for p in pts for c in p))
-    return (pts, [x.numerator * (L // x.denominator) for x, _ in pts],
-            [y.numerator * (L // y.denominator) for _, y in pts], L)
+    return pts if _int_pairs(pts) else tuple(map(_coords, pts))
 
 
-def _area(xs: list[int], ys: list[int], L: int) -> Fraction:
-    """Signed shoelace area of a vertex cycle over the denominator L, divided once, by 2*L^2."""
+def _area(xs: list[int], ys: list[int]) -> Fraction:
+    """Signed shoelace area of an int vertex cycle, divided once, by 2."""
     twice = sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
-    return Fraction(twice, 2 * L * L)
+    return Fraction(twice, 2)
 
 
 def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
@@ -94,19 +74,22 @@ def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
 @dataclass(frozen=True)
 class Polygon:
     """Strictly convex polygon: counterclockwise vertices, every turn left and
-    winding once, read as in ``convex_hull_2d``. Degenerate hulls (a point or a
-    segment of two distinct vertices) are legal with area 0; zero vertices are not."""
+    winding once. The vertices are int points, read as in ``convex_hull_2d``;
+    ``divided`` alone makes a polygon with ``Fraction`` vertices. Degenerate hulls
+    (a point or a segment of two distinct vertices) are legal with area 0; zero
+    vertices are not."""
 
     vertices: tuple[Point, ...]
     area: Fraction = field(init=False)
 
     def __post_init__(self):
-        vertices, xs, ys, L = _integral(self.vertices)
+        vertices = _read(self.vertices)
+        xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
         convex = 0 < len(vertices) < 3 or _strictly_convex(xs, ys)
         if not convex or len(set(vertices)) < len(vertices):
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "area", _area(xs, ys, L))
+        object.__setattr__(self, "area", _area(xs, ys))
 
     def divided(self, m: int) -> Polygon:
         """This polygon times 1/m for an int m >= 1, with no second check: a positive scaling keeps
@@ -144,17 +127,17 @@ def monotone_chain(points: Iterable[Sequence]) -> list:
 
 
 def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
-    """Convex hull by monotone chain over the exact coordinates as given.
+    """Convex hull of int points by monotone chain, with int vertices.
 
-    The vertices keep their input coordinates: int points give int vertices.
-    Collinear boundary points are dropped, so the vertex list is minimal.
-    Int pairs that already are a strictly convex cycle, either way round, are
-    their own hull: one convexity check, and the cycle starts at its least
-    point, where the chain starts it. Any other input is sorted and chained.
+    Each coordinate is read with ``operator.index``, so a ``Fraction``, float or
+    string raises ``TypeError``. Collinear boundary points are dropped, so the
+    vertex list is minimal. Points that already are a strictly convex cycle,
+    either way round, are their own hull: one convexity check, and the cycle
+    starts at its least point, where the chain starts it. Any other input is
+    sorted and chained.
     """
-    pts = list(points)
-    ints = _int_pairs(pts)
-    if ints and len(pts) >= 3:
+    pts = _read(points)
+    if len(pts) >= 3:
         xs, ys = [x for x, _ in pts], [y for _, y in pts]
         # the first turn's sign is the orientation a convex cycle has throughout
         turn = (xs[1] - xs[0]) * (ys[2] - ys[1]) - (ys[1] - ys[0]) * (xs[2] - xs[1])
@@ -163,8 +146,8 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
         # every turn left and winding once: a convex polygon, so its vertices are distinct
         if turn and _strictly_convex(xs, ys):
             k = pts.index(min(pts))
-            return _checked(tuple(pts[k:] + pts[:k]), _area(xs, ys, 1))
-    pts = sorted(set(pts) if ints else set(map(_coords, pts)))
+            return _checked(pts[k:] + pts[:k], _area(xs, ys))
+    pts = sorted(set(pts))
     if not pts:
         raise ValueError("convex hull of an empty point set")
     hull = monotone_chain(pts)[:-1] + monotone_chain(pts[::-1])[:-1]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
 from .fan import OrbitDecomposition, check_decomposition, standard_decomposition
-from .lattice import Polygon, Vec
+from .lattice import Vec
 from .milnor_k import intersection_number_via_symbols
 from .valuation import TFlag, flag_valuation, trivialization_polytope
 
@@ -101,13 +101,6 @@ def self_intersection_classical(D: TorusDivisor) -> int:
     return sum(map(mul, D.coeffs, D.curve_degrees))
 
 
-def _twice_area(poly: Polygon) -> int:
-    twice = 2 * poly.area
-    if twice.denominator != 1:
-        raise ArithmeticError(f"twice the area of a lattice polygon is not an int: {twice}")
-    return twice.numerator
-
-
 def okounkov_volume_report(
     D: TorusDivisor,
     dec: OrbitDecomposition | None = None,
@@ -134,10 +127,11 @@ def okounkov_volume_report(
         return VolumeReport((), display_flag, diagnostics=tuple(diags))
     per_flag = tuple(flag_contribution(D, f, dec) for f in D.fan.charts)
     twice = (
-        _twice_area(divisor_polytope(D)),
+        # both hulls have int vertices, so twice their area is an int
+        int(2 * divisor_polytope(D).area),
         self_intersection_classical(D),
         sum(twice for _, _, _, _, twice in per_flag),
         intersection_number_via_symbols(D, dec),
-        _twice_area(trivialization_polytope(D, display_flag)),
+        int(2 * trivialization_polytope(D, display_flag).area),
     )
     return VolumeReport(twice, display_flag, per_flag)

@@ -110,6 +110,18 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             parse_instance(text)
 
+    @pytest.mark.parametrize("extra, key", [
+        (',"display_flag":{"ray":9,"cone":9}', "display_flag"),  # a misspelt "flag"
+        (',"decomposition":"successor"', "decomposition"),
+        (',"Rays":[]', "Rays"),
+        (',"flag":null,"x":1,"y":2', "x"),  # the first unknown key, in document order
+    ])
+    @pytest.mark.parametrize("command", ["report", "check"])
+    def test_unknown_field_is_input_error(self, tmp_path, capsys, extra, key, command):
+        path = write(tmp_path, HIRZ_112[:-1] + extra + "}")
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: unknown field {key!r}\n")
+
     def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "[" * 100_000 + "]" * 100_000)
         assert main(["report", path]) == 2
@@ -248,8 +260,8 @@ class TestReportTakesTheIntPaths:
         path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
         assert main(["report", path, "--format", "json"]) == 0
         assert calls == []
-        lattice.convex_hull_2d([(0, 0), (1, 1.0)])  # the spy sees a hull that needs it
-        assert (1, 1.0) in calls
+        lattice.convex_hull_2d([(0, 0), (1, True)])  # the spy sees a hull that needs it
+        assert (1, True) in calls
         capsys.readouterr()
 
     def test_cocycle_builds_no_flag(self, monkeypatch):
