@@ -67,13 +67,26 @@ class InstanceDocument:
     decomposition_variant: str | None = None
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object's fields; a key repeated at any depth raises DocumentError, where
+    ``json.loads`` alone would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise DocumentError(f"repeated field {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_instance(text: str) -> InstanceDocument:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as e:
         raise DocumentError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except DocumentError:  # a repeated field; a ValueError, but no integer literal's
+        raise
     except ValueError:  # an integer literal past the int-to-str digit limit
         raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits") from None
     if not isinstance(raw, dict):
@@ -316,6 +329,14 @@ def cmd_report(args) -> int:
     return 0 if report.agree else 1
 
 
+def _int_option(text: str) -> int:
+    """An integer option's value, written -?[0-9]+ as ``fan._decimal`` reads it."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def cmd_hirzebruch(args) -> int:
     if args.l < 1:
         raise DocumentError("--l must be >= 1")
@@ -331,9 +352,9 @@ def _parse_range(text: str) -> range:
     parts = text.split("..")
     try:
         if len(parts) == 1:
-            lo = hi = int(parts[0])
+            lo = hi = _decimal(parts[0])
         elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
+            lo, hi = _decimal(parts[0]), _decimal(parts[1])
         else:
             raise ValueError
     except ValueError:
@@ -450,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="display flag for the trivialization polytope")
 
     p = sub.add_parser("hirzebruch", help="emit an instance document for the ruled-surface family")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    for name in ("--l", "--a", "--b"):
+        p.add_argument(name, type=_int_option, required=True)
     p.add_argument("--emit", default=None, metavar="PATH")
 
     p = sub.add_parser("sweep", help="verify agreement over a parameter grid, emit CSV")

@@ -15,12 +15,12 @@ c*x^e with <e, r1> = 0 reduces to c * t^<e, r2>. This is the unique formula
 consistent with boundary{pi, u} = red(u) and boundary{u1, u2} = 1 for a
 uniformizer pi and units u. The sign and the coefficients only touch the
 residue's unit part, so the second boundary (the order in t at the flag
-point) reads exponents alone, and only that order is computed here
-(``_closed_form``). The whole first boundary, coefficients and sign included,
-lives in the test suite as the object oracle the closed form is checked
-against. The intersection number writes the closed form out on ints in one
-loop over the fan's chart table; the per-flag sum over ``_closed_form``
-lives in the test suite as its oracle.
+point) reads exponents alone, and only that order is computed here, by one
+kernel on unpacked ints (``_order``). The whole first boundary, coefficients
+and sign included, lives in the test suite as the object oracle the kernel
+is checked against. ``iterated_boundary`` sums the kernel over a symbol's
+terms at one chart; the intersection number sums it over the fan's chart
+table, once per flag.
 """
 
 from __future__ import annotations
@@ -29,37 +29,26 @@ from operator import index
 
 from .divisors import TorusDivisor
 from .fan import OrbitDecomposition, Rank2Valuation, check_decomposition
-from .lattice import Vec
+from .lattice import _coords
 
 
-def _reduce(w: Rank2Valuation, exponent: Vec) -> int:
-    # the residue exponent of a monomial of curve-valuation zero
-    v, t = w.value(exponent)
-    if v != 0:
-        raise ValueError(f"cannot reduce: curve valuation is {v}, not 0")
-    return t
-
-
-def _closed_form(w: Rank2Valuation, ef: Vec, eg: Vec) -> tuple[int, int, int]:
-    # v(f), v(g) and the residue exponent of g^v(f) * f^-v(g)
-    r1, r2 = w.first_ray
-    vf, vg = ef[0] * r1 + ef[1] * r2, eg[0] * r1 + eg[1] * r2
-    return vf, vg, _reduce(w, (vf * eg[0] - vg * ef[0], vf * eg[1] - vg * ef[1]))
-
-
-def _pair(exponent) -> Vec:
-    e1, e2 = exponent
-    return index(e1), index(e2)
+def _order(r1: int, r2: int, s1: int, s2: int, f1: int, f2: int, g1: int, g2: int) -> int:
+    # the order at the flag point of boundary{x^f, x^g}, the flag's rays r and s: the exponent
+    # of g^v(f) * f^-v(g) has curve valuation v(f)v(g) - v(g)v(f) = 0, so it reduces with no
+    # check, to its pairing with s
+    vf, vg = f1 * r1 + f2 * r2, g1 * r1 + g2 * r2
+    return (vf * g1 - vg * f1) * s1 + (vf * g2 - vg * f2) * s2
 
 
 def iterated_boundary(w: Rank2Valuation, terms) -> int:
     """Boundary along the curve followed by the order at the flag point.
 
     ``terms`` are ``(mult, ef, eg)``, one per pure symbol mult * {x^ef, x^eg};
-    each exponent is read as an int pair, so a float raises ``TypeError``
-    and another length ``ValueError``.
+    each exponent is read as a plane point with ``operator.index``, so a float
+    raises ``TypeError`` and another length ``ValueError``.
     """
-    return sum(index(mult) * _closed_form(w, _pair(ef), _pair(eg))[2] for mult, ef, eg in terms)
+    (r1, r2), (s1, s2), _, _ = w
+    return sum(index(mult) * _order(r1, r2, s1, s2, *_coords(ef), *_coords(eg)) for mult, ef, eg in terms)
 
 
 def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) -> int:
@@ -68,7 +57,7 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     Every flag contributes the iterated boundary of the symbol of the two
     transition functions selected by the orbit decomposition, from the dense
     orbit's chart to the flag curve's chart, then on to the flag point's
-    chart; the closed form takes it on their exponents. Flags whose curve is
+    chart; the kernel takes it on their exponents. Flags whose curve is
     not a ray closure or whose point is not a fixed point pair zero against
     monomial cocycles, so the finite sum over torus-invariant flags is the
     whole sum. All flag points are rational, so every residue degree is 1.
@@ -79,10 +68,6 @@ def intersection_number_via_symbols(D: TorusDivisor, dec: OrbitDecomposition) ->
     total = 0
     for (ray, cone), ((r1, r2), (s1, s2), _, _) in D.fan.charts.items():
         (a1, a2), (c1, c2) = h[owner[ray]], h[cone]
-        # _closed_form on f = h_a / h_generic and g = h_cone / h_a, a the curve's owner
-        f1, f2, e1, e2 = a1 - g1, a2 - g2, c1 - a1, c2 - a2
-        vf, vg = f1 * r1 + f2 * r2, e1 * r1 + e2 * r2
-        # x*r1 + y*r2 = vf*vg - vg*vf = 0: the residue needs no check that _reduce makes
-        x, y = vf * e1 - vg * f1, vf * e2 - vg * f2
-        total += x * s1 + y * s2
+        # f = h_a / h_generic and g = h_cone / h_a, a the curve's owner
+        total += _order(r1, r2, s1, s2, a1 - g1, a2 - g2, c1 - a1, c2 - a2)
     return total

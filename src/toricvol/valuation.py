@@ -11,7 +11,8 @@ different (equally valid) rank-2 valuation; the dual basis is fixed so
 every computation is canonical and reproducible.
 
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
-keys are the flags. ``flag_valuation`` looks a chart up and explains a miss.
+keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
+``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls keep int vertices; the cocycle is valued with the chart unpacked
 once. Level-m hulls, the package's one section routine, cut only the section columns that
 can hold a vertex, value only their ends' hull vertices and scale that checked int hull by
@@ -34,7 +35,11 @@ SECTION_SCAN_LIMIT = 10 ** 6
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
-    """The flag's chart from the fan's table; a pair not in the table, TFlag or tuple, is no flag."""
+    """The flag's chart from the fan's table; a pair not in the table is no flag. A pair that is
+    not a TFlag is read through TFlag first: (2.0, 1) hashes like TFlag(2, 1), but a float or
+    a Fraction raises TypeError. A TFlag, as route 3 passes 2n times per report, is taken as is."""
+    if type(flag) is not TFlag:
+        flag = TFlag(*flag)
     w = fan.charts.get(flag)
     if w is None:
         ray, cone = flag

@@ -77,8 +77,11 @@ class VolumeReport:
 def flag_contribution(D: TorusDivisor, flag: TFlag, dec: OrbitDecomposition) -> FlagContribution:
     """Route 3 at one flag: the three valuation vectors and twice the
     alternating sum of their signed simplex volumes (see ``FlagContribution``).
-    Defined for every divisor: summed over all flags it is D.D."""
+    Defined for every divisor: summed over all flags it is D.D. A pair that is not a
+    ``TFlag`` is read through ``TFlag``, so the record holds a ``TFlag``."""
     check_decomposition(D.fan, dec)
+    if type(flag) is not TFlag:  # as flag_valuation reads it, with no call for a table key
+        flag = TFlag(*flag)
     (r1, r2), (s1, s2), _, _ = flag_valuation(D.fan, flag)
     ray, cone = flag
     h = D.cocycle

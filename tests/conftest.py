@@ -13,7 +13,7 @@ oracle for the tame-symbol closed form: monomials with Fraction coefficients
 and the first boundary taken on them, sign and coefficient included. Three
 loops the library replaced stay here as oracles too: the per-ray fan
 validation, route 3's flag contribution through ``Rank2Valuation.value``
-and ``cross``, and route 4 flag by flag, the closed form on two
+and ``cross``, and route 4 flag by flag, the object oracle on two
 ``cech_cocycle`` transition characters. ``spy_hull_passes`` logs the
 chain and convexity passes a convex hull makes."""
 
@@ -41,7 +41,6 @@ from toricvol import (
     star_subdivide,
 )
 from toricvol import lattice, valuation
-from toricvol.milnor_k import _closed_form
 
 # Same examples on every run, so a tier-1 failure reproduces exactly.
 settings.register_profile("deterministic", derandomize=True, max_examples=100,
@@ -557,14 +556,15 @@ def cech_cocycle(cocycle, a: int, b: int) -> tuple[int, int]:
 
 
 def reference_symbol_sum(D: TorusDivisor, dec) -> int:
-    """Reference route 4, one flag at a time: the library's closed form on the two
-    transition characters f_(a0 a1) and f_(a1 c), a0 the dense orbit's owner, a1 the
-    flag curve's and c the flag point's, summed over the flag charts."""
+    """Reference route 4, one flag at a time: the object oracle's iterated boundary of
+    {f_(a0 a1), f_(a1 c)} as unit monomials, a0 the dense orbit's owner, a1 the flag
+    curve's and c the flag point's, summed over the flag charts."""
     h, a0 = D.cocycle, dec.generic_owner
     total = 0
     for (ray, cone), w in D.fan.charts.items():
         a1 = dec.ray_owner[ray]
-        total += _closed_form(w, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, cone))[2]
+        f, g = Monomial(1, cech_cocycle(h, a0, a1)), Monomial(1, cech_cocycle(h, a1, cone))
+        total += reference_iterated_boundary(w, [(1, f, g)])
     return total
 
 

@@ -122,6 +122,26 @@ class TestDocuments:
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", f"error: unknown field {key!r}\n")
 
+    @pytest.mark.parametrize("doc, key", [
+        # json.loads alone keeps the last copy: the ample second divisor, the flag (2, 0)
+        ('{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,1,0],"divisor":[0,1,2,0]}', "divisor"),
+        (HIRZ_112[:-1] + ',"flag":{"ray":0,"cone":0,"ray":2}}', "ray"),
+        (HIRZ_112[:-1] + ',"flag":null,"flag":{"ray":2,"cone":1}}', "flag"),
+        ('{"rays":[],"rays":[],"divisor":[],"divisor":[]}', "rays"),  # the first repeated key
+    ])
+    @pytest.mark.parametrize("command", ["report", "check", "polytope"])
+    def test_repeated_field_is_input_error(self, tmp_path, capsys, doc, key, command):
+        path = write(tmp_path, doc)
+        svg = tmp_path / "p.svg"
+        assert main([command, path, *(["--svg", str(svg)] if command == "polytope" else [])]) == 2
+        assert capsys.readouterr() == ("", f"error: repeated field {key!r}\n")
+        assert not svg.exists()
+
+    def test_repeated_key_at_any_depth(self):
+        with pytest.raises(DocumentError, match="^repeated field 'k'$"):
+            parse_instance('{"rays":[[1,0]],"divisor":[[{"a":1,"b":{"k":1,"k":2}}]]}')
+        assert parse_instance(HIRZ_112[:-1] + ',"flag":{"ray":2,"cone":1}}').flag == TFlag(2, 1)
+
     def test_deeply_nested_document_is_input_error(self, tmp_path, capsys):
         path = write(tmp_path, "[" * 100_000 + "]" * 100_000)
         assert main(["report", path]) == 2
@@ -424,8 +444,9 @@ class TestEmptyStrings:
 
 
 class TestDecimalSpellings:
-    # a flag's ray and cone and the K of generic-at=K are written -?[0-9]+; int()
-    # alone also takes spaces, a sign, underscores and non-ASCII digits
+    # every integer option is written -?[0-9]+: a flag's ray and cone, the K of
+    # generic-at=K, the sweep ranges' ends and the hirzebruch values; int() alone
+    # also takes spaces, a sign, underscores and non-ASCII digits
 
     @pytest.mark.parametrize("k", [" 1", "1 ", "+1", "1_0", "\u0663", "1\n", "0x1", "1.0", "", "-"])
     def test_bad_generic_owner_is_input_error(self, tmp_path, capsys, k):
@@ -443,12 +464,40 @@ class TestDecimalSpellings:
             assert capsys.readouterr() == ("", f"error: flag must be 'ray,cone', got {flag!r}\n")
         assert not (tmp_path / "p.svg").exists()
 
+    @pytest.mark.parametrize("k", ["1_0", " 1", "1 ", "+1", "\u0662", "1\n", "0x1", "1.0", "", "-"])
+    @pytest.mark.parametrize("option", ["--l", "--a", "--b-extra"])
+    def test_bad_sweep_range_spelling_is_input_error(self, tmp_path, capsys, option, k):
+        argv = {"--l": "1", "--a": "1", "--b-extra": "1", "--csv": str(tmp_path / "out.csv")}
+        for text in (k, f"{k}..2", f"1..{k}"):
+            argv[option] = text
+            assert main(["sweep", *(f"{name}={value}" for name, value in argv.items())]) == 2
+            assert capsys.readouterr() == ("", f"error: range must be 'K' or 'K1..K2', got {text!r}\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("k", ["1_0", " 1", "1 ", "+1", "\u0662", "1\n", "0x1", "1.0", "", "-"])
+    @pytest.mark.parametrize("option", ["--l", "--a", "--b"])
+    def test_bad_hirzebruch_spelling_is_usage_error(self, tmp_path, capsys, option, k):
+        argv = {"--l": "1", "--a": "1", "--b": "2", option: k, "--emit": str(tmp_path / "f.json")}
+        with pytest.raises(SystemExit) as exit_:
+            main(["hirzebruch", *(f"{name}={value}" for name, value in argv.items())])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: argument {option}: invalid int value: {k!r}\n")
+        assert not (tmp_path / "f.json").exists()
+
     def test_plain_decimals_unchanged(self, tmp_path, capsys):
         path = write(tmp_path, HIRZ_112)
         for k in range(4):
             assert main(["--decomposition", f"generic-at={k}", "report", path, "--flag", "2,1"]) == 0
         assert main(["--decomposition", "generic-at=-1", "report", path]) == 2
         assert capsys.readouterr().err == "error: generic orbit assigned to nonexistent cone -1\n"
+        assert main(["sweep", "--l", "1", "--a=-1..1", "--b-extra", "1"]) == 1  # a <= 0 is not ample
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "1,-1,0,-,-,-,-,false", "1,0,1,-,-,-,-,false", "1,1,2,3/2,3,3/2,3/2,true"]
+        assert main(["sweep", "--l", "2..1", "--a", "1", "--b-extra", "1"]) == 2
+        assert capsys.readouterr().err == "error: empty range '2..1'\n"
+        assert main(["hirzebruch", "--l", "1", "--a", "-1", "--b", "02"]) == 0
+        assert capsys.readouterr().out == '{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,-1,2,0]}\n'
 
 
 class TestOneDocumentPath:

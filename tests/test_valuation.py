@@ -6,16 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from toricvol import (
     Fan2D,
+    FlagContribution,
     NotGloballyGenerated,
     Rank2Valuation,
     TFlag,
     divisor,
     divisor_polytope,
+    flag_contribution,
     flag_valuation,
     hirzebruch_fan,
     okounkov_volume_report,
     projective_plane_fan,
     semigroup_level_hull,
+    standard_decomposition,
     star_subdivide,
     trivialization_polytope,
 )
@@ -88,6 +91,24 @@ class TestFlagValuation:
                 with pytest.raises(ValueError) as got:
                     call(pair)
                 assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("entry", [
+        lambda D, f: flag_valuation(D.fan, f),
+        lambda D, f: trivialization_polytope(D, f),
+        lambda D, f: semigroup_level_hull(D, f, 2),
+        lambda D, f: flag_contribution(D, f, standard_decomposition(D.fan)),
+    ], ids=["flag_valuation", "trivialization_polytope", "semigroup_level_hull", "flag_contribution"])
+    def test_pair_is_read_through_tflag(self, entry):
+        # (2.0, 1) and (Fraction(2), 1) hash like the table's key TFlag(2, 1), so only
+        # reading the pair through TFlag refuses them; a bool is read as its int
+        D = ruled_divisor(1, 1, 2)
+        for pair in ((2.0, 1), (Fraction(2), 1), (2, 1.0), (2, Fraction(1))):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                entry(D, pair)
+        got = entry(D, (2, True))
+        assert got == entry(D, TFlag(2, 1))
+        if isinstance(got, FlagContribution):
+            assert type(got.flag) is TFlag and list(map(type, got.flag)) == [int, int]
 
     def test_uniformizers_dual_to_flag_order(self):
         fan = hirzebruch_fan(1)

@@ -248,17 +248,30 @@ class TestOneQuadraticForm:
 
 
 class TestLocalIdentity:
-    """Routes 3 and 4 agree flag by flag, not only in total."""
+    """Routes 3 and 4 agree flag by flag, not only in total, on every divisor."""
 
-    @given(st.integers(0, 2 ** 32), st.integers(3, 64), st.data())
-    def test_simplex_twice_is_the_iterated_boundary_at_every_flag(self, seed, n, data):
-        D = deep_ample_instance(random.Random(seed), n)
-        dec = data.draw(random_decompositions(n))
+    @staticmethod
+    def assert_local_identity(D, dec):
         h, a0 = D.cocycle, dec.generic_owner
         for f in D.fan.charts:
             a1 = dec.ray_owner[f.ray]
             S = [(1, cech_cocycle(h, a0, a1), cech_cocycle(h, a1, f.cone))]
             assert flag_contribution(D, f, dec).twice == iterated_boundary(flag_valuation(D.fan, f), S)
+
+    @given(st.integers(0, 2 ** 32), st.integers(3, 64), st.data())
+    def test_simplex_twice_is_the_iterated_boundary_at_every_flag(self, seed, n, data):
+        D = deep_ample_instance(random.Random(seed), n)
+        self.assert_local_identity(D, data.draw(random_decompositions(n)))
+
+    @given(st.integers(0, 2 ** 32), st.integers(3, 64), st.data())
+    def test_local_identity_off_the_nef_cone(self, seed, n, data):
+        # both sides are defined for every divisor: random coefficients on the generator's
+        # fans, small or as wide as its ample ones, most of them not nef
+        rng = random.Random(seed)
+        D = deep_ample_instance(rng, n)
+        span = data.draw(st.sampled_from([1, 5, max(map(abs, D.coeffs))]))
+        E = divisor(D.fan, [rng.randint(-span, span) for _ in range(n)])
+        self.assert_local_identity(E, data.draw(random_decompositions(n)))
 
 
 class TestOnePositivityGate:
