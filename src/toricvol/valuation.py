@@ -14,24 +14,30 @@ Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
 ``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls keep int vertices; the cocycle is valued with the chart unpacked
-once. Level-m hulls, the package's one section routine, cut only the section columns that
-can hold a vertex, value only their ends' hull vertices and scale that checked int hull by
-1/m with ``Polygon.divided``, which checks nothing again. Both hulls' inputs are vertex
-cycles for an ample divisor, which ``convex_hull_2d`` checks once and does not chain.
+once. Level-m hulls start from the section polygon mP_D, walked once around its boundary
+lines in ray order in exact ints. A polygon whose vertices are all lattice points, as every
+nef D's is, is its own integer hull; only a polygon with another vertex has its section
+columns cut, and only those that can hold a vertex. Only the hull's vertices are valued, and
+that checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
+Both hulls' inputs are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks
+once and does not chain.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import lcm
+from itertools import chain
+from operator import index
 
 from .divisors import NotGloballyGenerated, TorusDivisor, generation_violations
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
-# Largest box of candidate sections a level hull accepts: the box of its scaled cocycle
-# characters, whose columns it may cut; their number grows with the ray coordinates.
+# Most section columns a level hull cuts: only a polygon with a vertex off the lattice has
+# columns cut, at most 2*(r1 + |s1|) per stretch, which grows with the ray coordinates.
 SECTION_SCAN_LIMIT = 10 ** 6
+
+Row = tuple[int, int, int]     # (r0, r1, b): the half-plane <h, (r0, r1)> >= b
+Vertex = tuple[int, int, int]  # (X, Y, W): the point (X/W, Y/W), W > 0
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
@@ -65,84 +71,134 @@ def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     return convex_hull_2d([(e1 * r1 + e2 * r2, e1 * s1 + e2 * s2) for e1, e2 in D.cocycle])
 
 
-def _cut_columns(rows, xs, y0: int, y1: int) -> list[tuple[int, int, int]]:
-    """The nonempty columns (x, lo, hi) among xs, [lo, hi] the rows of [y0, y1] every row allows."""
+def _section_polygon(D: TorusDivisor, m: int) -> list[tuple[Row, Vertex]]:
+    """The vertex cycle of mP_D = {h : <h, ray_i> >= -m*d_i}, counterclockwise, in exact ints:
+    one pair (row, vertex) per boundary line, in ray order, the vertex where the row's edge
+    meets the next row's line. Edges of length 0 stay, so a vertex may repeat; an empty mP_D
+    gives [].
+
+    Consecutive lines of the unimodular fan meet at the lattice point m*h_j, and the edge on
+    line i between them is m*D.D_i long in lattice units: for nef D that is the whole cycle.
+    Otherwise each line whose edge between its live neighbours p and q has negative length
+    E(p, i, q) is removed, and p and q are checked again, so a line is removed at most once.
+    If the turn from p to q is less than a half turn, H_p and H_q meet inside H_i and i goes;
+    if not, p, i and q bound an empty triangle or strip, and so is mP_D empty."""
+    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
+    todo = [i for i, degree in enumerate(D.curve_degrees) if degree < 0]
+    if not todo:
+        return list(zip(rows, [(m * x, m * y, 1) for x, y in D.cocycle]))
+    n = len(rows)
+    prev, succ, live = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)], [True] * n
+    while todo:
+        i = todo.pop()
+        if not live[i]:
+            continue
+        p, q = prev[i], succ[i]
+        (p0, p1, bp), (i0, i1, bi), (q0, q1, bq) = rows[p], rows[i], rows[q]
+        cpq = p0 * q1 - p1 * q0
+        # E(p, i, q) = bi*cross(p, q) - bp*cross(i, q) - bq*cross(p, i) >= 0: the edge stays
+        if bi * cpq >= bp * (i0 * q1 - i1 * q0) + bq * (p0 * i1 - p1 * i0):
+            continue
+        if cpq <= 0:
+            return []
+        live[i] = False
+        succ[p], prev[q] = q, p
+        todo += p, q
+    first = live.index(True)
+    out, i = [], first
+    while True:
+        q = succ[i]
+        (p0, p1, bp), (q0, q1, bq) = rows[i], rows[q]
+        out.append((rows[i], (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0)))
+        if (i := q) == first:
+            return out
+
+
+def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) among xs, [lo, hi] the rows above the lower row r
+    (r1 > 0) and below the upper row s (s1 < 0)."""
+    (r0, r1, b), (s0, s1, c) = r, s
     out = []
     for x in xs:
-        lo, hi = y0, y1
-        for r0, r1, b in rows:
-            slack = x * r0 - b  # the inequality reads y*r1 >= -slack
-            if r1 > 0:
-                lo = max(lo, -(slack // r1))
-            elif r1 < 0:
-                hi = min(hi, slack // -r1)
-            elif slack < 0:
-                break  # the ray is horizontal and cuts off the whole column
-        else:
-            if lo <= hi:
-                out.append((x, lo, hi))
+        lo, hi = -((x * r0 - b) // r1), (x * s0 - c) // -s1
+        if lo <= hi:
+            out.append((x, lo, hi))
     return out
 
 
-def _hull_columns(D: TorusDivisor, m: int) -> list[tuple[int, int, int]]:
-    """The nonempty columns (x, lo, hi) of the level-m sections, the h with <h, ray_i> >= -m*d_i,
-    that can hold a vertex of their hull, in increasing x: at most 2*(r1 + |s1|) per stretch
-    below, whatever the width. A level below 1, or a box of the scaled cocycle characters (it
-    holds the sections on a complete fan) of over SECTION_SCAN_LIMIT points, raises ValueError.
+def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) of the lattice points in the nonempty level-m section
+    polygon ``cycle`` that can hold a vertex of their hull, in increasing x: at most
+    2*(r1 + |s1|) per stretch below, whatever the width. More than SECTION_SCAN_LIMIT such
+    columns raise ValueError before any is cut.
 
-    The horizontal rays narrow [x0, x1]. On a stretch that no crossing of two sloped ray
-    lines splits, one lower ray r and one upper ray s bound every column. The section
-    lattice repeats along r's line every r1 columns and along s's every |s1|, so a column
-    end is the midpoint of its two shifts along either line when both are sections, and no
-    vertex. For an end q = max(r1, |s1|) columns from both ends of the stretch one pair is,
-    unless its slacks to r and to s are both below |cross(r, s)|, which puts it within
-    r1 + |s1| columns of the narrowing end (q if r1 or |s1| is 1). Only end columns are cut.
+    The lower edges (r1 > 0) run left to right, the upper ones (r1 < 0) right to left, so the
+    stretches between the floors of their vertices' x-coordinates come in order, and one lower
+    row r and one upper row s bound every column of a stretch. The section lattice repeats
+    along r's line every r1 columns and along s's every |s1|, so a column end is the midpoint
+    of its two shifts along either line when both are sections, and no vertex. For an end
+    q = max(r1, |s1|) columns from both ends of the stretch one pair is, unless its slacks to
+    r and to s are both below |cross(r, s)|, which puts it within r1 + |s1| columns of the
+    narrowing end (q if r1 or |s1| is 1). Only end columns are cut.
     """
-    if m < 1:
-        raise ValueError(f"level must be a positive integer, got {m}")
-    hx, hy = zip(*D.cocycle)
-    x0, x1, y0, y1 = m * min(hx), m * max(hx), m * min(hy), m * max(hy)
-    box = (x1 - x0 + 1) * (y1 - y0 + 1)
-    if box > SECTION_SCAN_LIMIT:
-        raise ValueError(f"level {m} has a box of {box} candidate points, "
-                         f"more than the limit of {SECTION_SCAN_LIMIT}")
-    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
-    for r0, r1, b in rows:
-        if not r1:  # x*r0 >= b with r0 = 1 or -1
-            x0, x1 = (max(x0, b), x1) if r0 > 0 else (x0, min(x1, -b))
-    lines = [row for row in rows if row[1]]
-    cuts = {(b * q1 - c * r1) // k for (r0, r1, b), (q0, q1, c) in combinations(lines, 2)
-            if (k := r0 * q1 - r1 * q0)}
-    starts = sorted({x0, *(c + 1 for c in cuts if x0 <= c < x1)})
-    lows, highs = [w for w in lines if w[1] > 0], [w for w in lines if w[1] < 0]
-    L = lcm(*(r1 for _, r1, _ in lines))
-    xs = []
-    for a, e in zip(starts, starts[1:] + [x1 + 1]):
-        S = a + e - 1  # the highest lower line and the lowest upper one at x = S/2, in ints
-        r0, r1, _ = max(lows, key=lambda w: (2 * w[2] - w[0] * S) * (L // w[1]))
-        s0, s1, _ = max(highs, key=lambda w: (w[0] * S - 2 * w[2]) * (L // w[1]))
+    first = next(j for j in range(len(cycle)) if cycle[j][0][1] > 0 >= cycle[j - 1][0][1])
+    cycle = cycle[first:] + cycle[:first]
+    # each edge with the floor of its right end's x: the lower edge's end, the upper one's start
+    lows = [(X // W, row) for row, (X, _, W) in cycle if row[1] > 0]
+    highs = [(X // W, row) for (row, _), (_, (X, _, W)) in zip(cycle, cycle[-1:] + cycle[:-1])
+             if row[1] < 0][::-1]
+    (X, _, W), x1 = cycle[-1][1], lows[-1][0]
+    stretches, a, i, j = [], -(-X // W), 0, 0
+    while a <= x1:
+        while lows[i][0] < a:
+            i += 1
+        while highs[j][0] < a:
+            j += 1
+        (e, r), (f, s) = lows[i], highs[j]
+        e = min(e, f) + 1
+        (r0, r1, _), (s0, s1, _) = r, s
         q, c = max(r1, -s1), r0 * s1 - r1 * s0  # the width falls to the right if c > 0
         far = q if min(r1, -s1) == 1 else r1 - s1
         left, right = far if c < 0 else q, far if c > 0 else q
-        xs += range(a, e) if e - a <= left + right else [*range(a, a + left), *range(e - right, e)]
-    return _cut_columns(rows, xs, y0, y1)
+        stretches.append((r, s, a, e, left, right))
+        a = e
+    count = sum(min(e - a, left + right) for _, _, a, e, left, right in stretches)
+    if count > SECTION_SCAN_LIMIT:
+        raise ValueError(f"level {m} has {count} columns to cut, "
+                         f"more than the limit of {SECTION_SCAN_LIMIT}")
+    out = []
+    for r, s, a, e, left, right in stretches:
+        xs = range(a, e) if e - a <= left + right else chain(range(a, a + left), range(e - right, e))
+        out += _cut_columns(r, s, xs)
+    return out
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     """Hull of the level-m semigroup points: the int hull, checked once by ``convex_hull_2d``,
-    scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The lower chain of
-    the lows and the upper chain of the highs of ``_hull_columns``, the columns that can hold a
-    vertex, hold every vertex of the sections' hull; the unimodular valuation maps it onto
-    the hull of the values, so only those chain points are valued. The two chains meet in one
-    point at an end column with lo == hi, which is dropped from the upper chain: the ends are
-    then the hull's vertex cycle itself, unless every section lies on one line."""
+    scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The level is read
+    with ``operator.index`` first. The unimodular valuation maps the hull of the sections onto
+    the hull of their values, so only the vertices of the former are valued. When every vertex
+    of ``_section_polygon`` is a lattice point, as for every nef D, that cycle without repeats
+    is its own integer hull. Otherwise the lower chain of the lows and the upper chain of the
+    highs of ``_hull_columns`` hold every vertex; the two meet in one point at an end column
+    with lo == hi, which is dropped from the upper chain, so the ends are then the hull's
+    vertex cycle itself, unless every section lies on one line."""
+    m = index(m)
     w = flag_valuation(D.fan, flag)
-    cols = _hull_columns(D, m)
-    if not cols:
+    if m < 1:
+        raise ValueError(f"level must be a positive integer, got {m}")
+    cycle = _section_polygon(D, m)
+    ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
+    if len(ends) == len(cycle):
+        ends = [p for p, q in zip(ends, ends[-1:] + ends[:-1]) if p != q] or ends[:1]
+    elif cols := _hull_columns(cycle, m):
+        (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
+        upper = monotone_chain((x, hi) for x, _, hi in reversed(cols))
+        # a one-point end column ends both chains: the lower chain keeps it
+        upper = upper[lo1 == hi1:len(upper) - (lo0 == hi0)]
+        ends = monotone_chain((x, lo) for x, lo, _ in cols) + upper
+    else:
+        ends = []
+    if not ends:
         raise ValueError(f"no sections at level {m}")
-    (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
-    upper = monotone_chain((x, hi) for x, _, hi in reversed(cols))
-    # a one-point end column ends both chains: the lower chain keeps it
-    upper = upper[lo1 == hi1:len(upper) - (lo0 == hi0)]
-    ends = monotone_chain((x, lo) for x, lo, _ in cols) + upper
     return convex_hull_2d(map(w.value, ends)).divided(m)

@@ -3,8 +3,9 @@ deterministic hypothesis profile, and the reference implementations the
 faster library code is checked against: the angle-sort winding count, the
 self-intersection from the ray intersection matrix, the pairwise positivity
 scan, the all-Fraction shoelace sum and convex hull, the
-bounding-box section scan, the column scan with its section list and graded
-semigroup (the level hull's guard and messages included), the all-points
+bounding-box section scan, the section polygon from every pairwise crossing of
+the ray lines, the column scan with its section list and graded
+semigroup (with its own box guard and the level hull's messages), the all-points
 level hull and the every-column level hull, the per-call flag chart
 built from the cone's dual basis, the per-flag simplex terms built as
 Fractions, the report writers they feed (the dict the JSON report used to be
@@ -40,12 +41,17 @@ from toricvol import (
     projective_plane_fan,
     star_subdivide,
 )
-from toricvol import lattice, valuation
+from toricvol import lattice
 
-# Same examples on every run, so a tier-1 failure reproduces exactly.
+# Same examples on every run, so a tier-1 failure reproduces exactly. The "seeded" profile
+# draws other examples: `pytest --hypothesis-profile=seeded --hypothesis-seed=N`.
 settings.register_profile("deterministic", derandomize=True, max_examples=100,
                           deadline=None, database=None)
+settings.register_profile("seeded", max_examples=100, deadline=None, database=None)
 settings.load_profile("deterministic")
+
+# Largest bounding box the reference column scan walks, column by column.
+BOX_SCAN_LIMIT = 10 ** 6
 
 
 def random_smooth_fan(rng: random.Random, max_subdivisions: int = 5):
@@ -312,12 +318,27 @@ def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
             if all(x * r[0] + y * r[1] >= b for r, b in zip(D.fan.rays, bounds))]
 
 
+def crossing_polygon(D: TorusDivisor, m: int) -> tuple:
+    """Reference section polygon mP_D = {h : <h, ray_i> >= -m*d_i}, O(n^3): every crossing of
+    two ray lines, in Fractions, that satisfies every inequality, hulled by ``chain_hull``;
+    () when mP_D is empty. Every vertex of a bounded polygon is such a crossing."""
+    rows = [(r, -m * d) for r, d in zip(D.fan.rays, D.coeffs)]
+    corners = []
+    for i, (ri, bi) in enumerate(rows):
+        for rk, bk in rows[i + 1:]:
+            if det := cross(ri, rk):
+                p = Fraction(bi * rk[1] - bk * ri[1], det), Fraction(ri[0] * bk - rk[0] * bi, det)
+                if all(p[0] * r[0] + p[1] * r[1] >= b for r, b in rows):
+                    corners.append(p)
+    return chain_hull(corners).vertices if corners else ()
+
+
 def section_columns(D: TorusDivisor, m: int = 1) -> list[tuple[int, int, int]]:
     """Reference column scan: the nonempty columns (x, lo, hi) of the level-m sections, in
     increasing x. Every column of the bounding box of the scaled cocycle characters is cut
     to the rows [lo, hi] every ray inequality <h, ray> >= -m*d allows (exact floor and
-    ceiling division), O(width * n). A level below 1, and a box of more than
-    ``valuation.SECTION_SCAN_LIMIT`` points, raise the level hull's ValueError first."""
+    ceiling division), O(width * n). A level below 1 raises the level hull's ValueError,
+    and a box of more than ``BOX_SCAN_LIMIT`` points raises ValueError, both before the scan."""
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     h = D.cocycle
@@ -325,9 +346,9 @@ def section_columns(D: TorusDivisor, m: int = 1) -> list[tuple[int, int, int]]:
     ys = [m * e[1] for e in h]
     x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
     box = (x1 - x0 + 1) * (y1 - y0 + 1)
-    if box > valuation.SECTION_SCAN_LIMIT:
+    if box > BOX_SCAN_LIMIT:
         raise ValueError(f"level {m} has a box of {box} candidate points, "
-                         f"more than the limit of {valuation.SECTION_SCAN_LIMIT}")
+                         f"more than the limit of {BOX_SCAN_LIMIT}")
     out = []
     for x in range(x0, x1 + 1):
         lo, hi = y0, y1

@@ -16,7 +16,7 @@ from toricvol import (
     semigroup_level_hull,
     TFlag,
 )
-from toricvol import valuation
+import conftest
 from conftest import (
     box_section_points,
     cech_cocycle,
@@ -229,19 +229,22 @@ class TestSectionLatticePoints:
             section_lattice_points(ruled_divisor(1, 1, 2), 0)
 
     def test_size_guard_raises_before_the_scan(self):
-        # about 5*10**9 points: the guard must fire on the box size alone
-        D = ruled_divisor(1, 10**5, 10**5 + 5)
+        # about 5*10**9 points: the scan's guard must fire on the box size alone, while the
+        # level hull of this ample divisor is its polygon, cut from no box
+        a, b = 10**5, 10**5 + 5
+        D = ruled_divisor(1, a, b)
         with pytest.raises(ValueError, match="candidate points"):
             section_lattice_points(D)
-        with pytest.raises(ValueError, match="candidate points"):
-            semigroup_level_hull(D, TFlag(2, 1), 1)
+        hull = semigroup_level_hull(D, TFlag(2, 1), 1)
+        assert set(hull.vertices) == {(0, 0), (-b, 0), (-b, -a), (-a, -a)}
+        assert hull.area == Fraction(2 * a * b - a * a, 2)
 
     def test_size_guard_boundary(self, monkeypatch):
         # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
         D = ruled_divisor(1, 1, 2)
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 15)
+        monkeypatch.setattr(conftest, "BOX_SCAN_LIMIT", 15)
         assert len(section_lattice_points(D, 2)) == 12
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 14)
+        monkeypatch.setattr(conftest, "BOX_SCAN_LIMIT", 14)
         with pytest.raises(ValueError, match="15 candidate points"):
             section_lattice_points(D, 2)
 

@@ -26,7 +26,9 @@ from toricvol import divisors, lattice, valuation
 from conftest import (
     all_points_level_hull,
     box_section_points,
+    chain_hull,
     column_end_level_hull,
+    crossing_polygon,
     deep_ample_instance,
     graded_semigroup,
     hirzebruch_grid,
@@ -284,22 +286,24 @@ class TestGradedSemigroup:
 
     @staticmethod
     def assert_level_hull_matches_every_column(D, levels, flags=None):
-        # the every-column hull is the oracle, error text included, and the helper
-        # cuts only section_columns columns, with their ends, in increasing x
+        # the every-column hull is the oracle, error text included, and the column path,
+        # on any nonempty section polygon, cuts only section_columns columns, with their
+        # ends, in increasing x, and among them every vertex of the sections' hull
         def outcome(f, *args):
             try:
                 got = f(*args)
             except ValueError as e:
                 return str(e)
-            return got if isinstance(got, list) else (got.vertices, got.area)
+            return got.vertices, got.area
 
         for m in levels:
-            kept, cols = outcome(valuation._hull_columns, D, m), outcome(section_columns, D, m)
-            if isinstance(cols, str):
-                assert kept == cols
-            else:
+            if m >= 1 and (cycle := valuation._section_polygon(D, m)):
+                kept, cols = valuation._hull_columns(cycle, m), section_columns(D, m)
                 assert set(kept) <= set(cols)
                 assert all(u[0] < v[0] for u, v in zip(kept, kept[1:]))
+                if cols:
+                    assert (chain_hull((x, y) for x, lo, hi in kept for y in (lo, hi))
+                            == chain_hull((x, y) for x, lo, hi in cols for y in (lo, hi)))
             for flag in flags or D.fan.charts:
                 assert (outcome(semigroup_level_hull, D, flag, m)
                         == outcome(column_end_level_hull, D, flag, m))
@@ -329,7 +333,7 @@ class TestGradedSemigroup:
         D = divisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
         assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
         assert min(x for x, _ in D.cocycle) == -18
-        assert valuation._hull_columns(D, 1)[0] == (-8, -3, 6)
+        assert valuation._hull_columns(valuation._section_polygon(D, 1), 1)[0] == (-8, -3, 6)
         self.assert_level_hull_matches_every_column(D, range(1, 9))
         self.assert_level_hull_matches_oracle(D, (1, 2))
 
@@ -344,20 +348,27 @@ class TestGradedSemigroup:
         self.assert_level_hull_matches_oracle(D, range(1, 4))
 
     def test_level_hull_cost_does_not_follow_the_width(self, monkeypatch):
-        # (0, 2, b, 0) at level 5 has 5*b + 1 columns; the level hull cuts as many for every b
+        # (0, 2, b, 0) at level 5 has 5*b + 1 columns and is nef: no column is cut. (0, b, b, 0)
+        # on F_l is not: its level-5 polygon is the triangle (0, 0), (5b, 0), (0, -5b/l), whose
+        # last vertex is no lattice point for these l and b, and one stretch bounded by the rows
+        # of (-1, l) and (0, -1) is cut at 2*l columns for every b
         cut, real = [], valuation._cut_columns
 
-        def spy(rows, xs, y0, y1):
+        def spy(r, s, xs):
             xs = list(xs)
             cut.append(len(xs))
-            return real(rows, xs, y0, y1)
+            return real(r, s, xs)
 
         monkeypatch.setattr(valuation, "_cut_columns", spy)
-        for l, width in ((1, 4), (3, 8)):
-            for b in (10, 100, 1000, 10_000):
+        for b in (10, 100, 1000, 10_000):
+            for l in (1, 3):
                 cut.clear()
                 semigroup_level_hull(ruled_divisor(l, 2, b), TFlag(2, 1), 5)
-                assert cut == [width]
+                assert cut == []
+            for l in (3, 7):
+                cut.clear()
+                semigroup_level_hull(ruled_divisor(l, b, b), TFlag(2, 1), 5)
+                assert cut == [2 * l]
 
     def test_level_hull_checks_convexity_once(self, monkeypatch):
         # the int hull is checked; its 1/m copy is not checked again
@@ -403,14 +414,98 @@ class TestGradedSemigroup:
                 assert log == [("convex",)] * 5
 
     def test_level_hull_size_guard_boundary(self, monkeypatch):
-        # the level-2 box of F_1 with (0, 1, 2, 0) is 5 x 3 points
-        D = ruled_divisor(1, 1, 2)
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 15)
-        assert semigroup_level_hull(D, TFlag(2, 1), 2).area == Fraction(3, 2)
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 14)
+        # (0, 100, 100, 0) on F_3 is not nef: level 1 is the triangle (0, 0), (100, 0),
+        # (0, -100/3), whose 101 columns hold 6 that the guard counts before any is cut
+        D = ruled_divisor(3, 100, 100)
+        want = column_end_level_hull(D, TFlag(2, 1), 1)
+        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 6)
+        got = semigroup_level_hull(D, TFlag(2, 1), 1)
+        assert (got.vertices, got.area) == (want.vertices, want.area)
+        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 5)
+        monkeypatch.setattr(valuation, "_cut_columns", None)
         with pytest.raises(ValueError) as err:
-            semigroup_level_hull(D, TFlag(2, 1), 2)
-        assert str(err.value) == "level 2 has a box of 15 candidate points, more than the limit of 14"
+            semigroup_level_hull(D, TFlag(2, 1), 1)
+        assert str(err.value) == "level 1 has 6 columns to cut, more than the limit of 5"
+        # a nef divisor cuts no column, whatever the limit
+        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 0)
+        assert semigroup_level_hull(ruled_divisor(1, 1, 2), TFlag(2, 1), 2).area == Fraction(3, 2)
+
+    def test_level_hull_reads_the_level_by_index(self):
+        # before the flag is looked up: TFlag(0, 1) is no flag of F_1
+        D = ruled_divisor(1, 1, 2)
+        for m in ("2", 2.0, Fraction(2)):
+            for flag in (TFlag(2, 1), TFlag(0, 1)):
+                with pytest.raises(TypeError):
+                    semigroup_level_hull(D, flag, m)
+        assert semigroup_level_hull(D, TFlag(2, 1), True) == semigroup_level_hull(D, TFlag(2, 1), 1)
+
+    @staticmethod
+    def assert_level_hull_is_the_polygon(D, flags, monkeypatch):
+        # a nef divisor's level hull is its trivialization polytope at every level, with no column cut
+        def spy(*args):
+            raise AssertionError("a lattice polygon is its own integer hull: no column is cut")
+
+        monkeypatch.setattr(valuation, "_cut_columns", spy)
+        for flag in flags:
+            want = trivialization_polytope(D, flag).vertices
+            for m in range(1, 6):
+                assert semigroup_level_hull(D, flag, m).vertices == want
+
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_level_hull_reaches_deep_fans(self, n, monkeypatch):
+        # boxes of 10^11 points and more: the box scan refuses level 1
+        D = deep_ample_instance(random.Random(1009 + n), n)
+        with pytest.raises(ValueError, match="candidate points"):
+            section_columns(D, 1)
+        flags = random.Random(n).sample(list(D.fan.charts), 4)
+        self.assert_level_hull_is_the_polygon(D, flags, monkeypatch)
+
+    def test_level_hull_of_a_small_polygon_on_a_deep_fan(self, monkeypatch):
+        # the nef divisor of a random polygon in [-3, 3]^2 on a 64-ray fan, whose ray lines
+        # cross between nearly every two columns
+        rng = random.Random(3)
+        fan = deep_ample_instance(rng, 64).fan
+        q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+        D = divisor(fan, [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays])
+        self.assert_level_hull_is_the_polygon(D, rng.sample(list(fan.charts), 8), monkeypatch)
+
+    @staticmethod
+    def assert_section_polygon_matches_crossings(D, m):
+        # each vertex lies on its row's line and the next row's, the rows are rays' rows in
+        # ray order, and the cycle without repeats, from its least vertex, is the crossing hull
+        cycle = valuation._section_polygon(D, m)
+        rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
+        at = [rows.index(row) for row, _ in cycle]
+        assert at == sorted(at) and len(set(at)) == len(at)
+        for (row, (X, Y, W)), (after, _) in zip(cycle, cycle[1:] + cycle[:1]):
+            assert W > 0
+            assert all(X * r0 + Y * r1 == b * W for r0, r1, b in (row, after))
+        pts = [(Fraction(X, W), Fraction(Y, W)) for _, (X, Y, W) in cycle]
+        pts = [p for p, q in zip(pts, pts[-1:] + pts[:-1]) if p != q] or pts[:1]
+        k = pts.index(min(pts)) if pts else 0
+        assert tuple(pts[k:] + pts[:k]) == crossing_polygon(D, m)
+        return pts
+
+    @given(st.integers(0, 2 ** 32), st.integers(1, 8))
+    def test_section_polygon_equals_crossing_polygon(self, seed, m):
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        self.assert_section_polygon_matches_crossings(D, m)
+
+    @pytest.mark.parametrize("rays, coeffs, shape", [
+        (((1, 0), (0, 1), (-1, -1)), (-1, 0, 0), 0),
+        (((1, 0), (0, 1), (-1, 0), (0, -1)), (-1, 0, 0, 0), 0),
+        (((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 0, 0), 1),
+        (((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 4, 0), 2),
+        (((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 0, 4), 2),
+        (((1, 0), (0, 1), (-1, 3), (0, -1)), (0, 2, 5, 0), 3),
+        (((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (0, -1)), (-2, 5, 5, 5, 4, 5), 4),
+    ], ids=["empty", "empty-strip", "point", "segment", "vertical", "non-nef", "two-removals"])
+    def test_section_polygon_on_every_shape(self, rays, coeffs, shape):
+        D = divisor(Fan2D(rays), coeffs)
+        for m in range(1, 6):
+            assert len(self.assert_section_polygon_matches_crossings(D, m)) == shape
 
     def test_level_hull_rejects_empty_level(self):
         D = divisor(projective_plane_fan(), (-1, 0, 0))
