@@ -17,8 +17,10 @@ Trivialization hulls keep int vertices; the cocycle is valued with the chart unp
 once. Level-m hulls start from the section polygon mP_D, walked once around its boundary
 lines in ray order in exact ints. A polygon whose vertices are all lattice points, as every
 nef D's is, is its own integer hull; only a polygon with another vertex has its section
-columns cut, and only those that can hold a vertex. Only the hull's vertices are valued, and
-that checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
+columns cut, and only the max(r1, |s1|) at each end of each stretch between two vertices,
+above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as no other holds a
+vertex. Only the hull's vertices are valued, and that checked int hull is scaled by 1/m with ``Polygon.divided``,
+which checks nothing again.
 Both hulls' inputs are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks
 once and does not chain.
 """
@@ -33,7 +35,7 @@ from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
 # Most section columns a level hull cuts: only a polygon with a vertex off the lattice has
-# columns cut, at most 2*(r1 + |s1|) per stretch, which grows with the ray coordinates.
+# columns cut, at most 2*max(r1, |s1|) per stretch, which grows with the ray coordinates.
 SECTION_SCAN_LIMIT = 10 ** 6
 
 Row = tuple[int, int, int]     # (r0, r1, b): the half-plane <h, (r0, r1)> >= b
@@ -128,18 +130,17 @@ def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
 
 def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, int, int]]:
     """The nonempty columns (x, lo, hi) of the lattice points in the nonempty level-m section
-    polygon ``cycle`` that can hold a vertex of their hull, in increasing x: at most
-    2*(r1 + |s1|) per stretch below, whatever the width. More than SECTION_SCAN_LIMIT such
-    columns raise ValueError before any is cut.
+    polygon ``cycle`` that can hold a vertex of their hull, in increasing x: the first and last
+    q = max(r1, |s1|) of every stretch below, or all of a stretch narrower than 2*q, whatever
+    the width. More than SECTION_SCAN_LIMIT such columns raise ValueError before any is cut.
 
     The lower edges (r1 > 0) run left to right, the upper ones (r1 < 0) right to left, so the
     stretches between the floors of their vertices' x-coordinates come in order, and one lower
-    row r and one upper row s bound every column of a stretch. The section lattice repeats
-    along r's line every r1 columns and along s's every |s1|, so a column end is the midpoint
-    of its two shifts along either line when both are sections, and no vertex. For an end
-    q = max(r1, |s1|) columns from both ends of the stretch one pair is, unless its slacks to
-    r and to s are both below |cross(r, s)|, which puts it within r1 + |s1| columns of the
-    narrowing end (q if r1 or |s1| is 1). Only end columns are cut.
+    row r and one upper row s bound every column of a stretch. Inside a stretch every lattice
+    point of r's line is a section on the polygon's boundary, one every r1 columns, so a low
+    end strictly between two of them lies on or above the segment joining them and is no
+    vertex; so for high ends and s, every |s1| columns. So every vertex lies within q columns
+    of a stretch end.
     """
     first = next(j for j in range(len(cycle)) if cycle[j][0][1] > 0 >= cycle[j - 1][0][1])
     cycle = cycle[first:] + cycle[:first]
@@ -156,19 +157,15 @@ def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, in
             j += 1
         (e, r), (f, s) = lows[i], highs[j]
         e = min(e, f) + 1
-        (r0, r1, _), (s0, s1, _) = r, s
-        q, c = max(r1, -s1), r0 * s1 - r1 * s0  # the width falls to the right if c > 0
-        far = q if min(r1, -s1) == 1 else r1 - s1
-        left, right = far if c < 0 else q, far if c > 0 else q
-        stretches.append((r, s, a, e, left, right))
+        stretches.append((r, s, a, e, max(r[1], -s[1])))
         a = e
-    count = sum(min(e - a, left + right) for _, _, a, e, left, right in stretches)
+    count = sum(min(e - a, 2 * q) for _, _, a, e, q in stretches)
     if count > SECTION_SCAN_LIMIT:
         raise ValueError(f"level {m} has {count} columns to cut, "
                          f"more than the limit of {SECTION_SCAN_LIMIT}")
     out = []
-    for r, s, a, e, left, right in stretches:
-        xs = range(a, e) if e - a <= left + right else chain(range(a, a + left), range(e - right, e))
+    for r, s, a, e, q in stretches:
+        xs = range(a, e) if e - a <= 2 * q else chain(range(a, a + q), range(e - q, e))
         out += _cut_columns(r, s, xs)
     return out
 

@@ -45,6 +45,19 @@ def ruled_divisor(l, a, b):
     return divisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
+def spy_cut_columns(monkeypatch):
+    """Record (r, s, number of columns) for every ``_cut_columns`` call."""
+    cut, real = [], valuation._cut_columns
+
+    def spy(r, s, xs):
+        xs = list(xs)
+        cut.append((r, s, len(xs)))
+        return real(r, s, xs)
+
+    monkeypatch.setattr(valuation, "_cut_columns", spy)
+    return cut
+
+
 class TestFlagValuation:
     def test_curve_ray_comes_first(self):
         fan = hirzebruch_fan(2)
@@ -298,7 +311,12 @@ class TestGradedSemigroup:
 
         for m in levels:
             if m >= 1 and (cycle := valuation._section_polygon(D, m)):
-                kept, cols = valuation._hull_columns(cycle, m), section_columns(D, m)
+                with pytest.MonkeyPatch.context() as mp:
+                    cut = spy_cut_columns(mp)
+                    kept = valuation._hull_columns(cycle, m)
+                # no stretch is cut at more than max(r1, |s1|) columns at either end
+                assert all(n <= 2 * max(r[1], -s[1]) for r, s, n in cut)
+                cols = section_columns(D, m)
                 assert set(kept) <= set(cols)
                 assert all(u[0] < v[0] for u, v in zip(kept, kept[1:]))
                 if cols:
@@ -352,14 +370,7 @@ class TestGradedSemigroup:
         # on F_l is not: its level-5 polygon is the triangle (0, 0), (5b, 0), (0, -5b/l), whose
         # last vertex is no lattice point for these l and b, and one stretch bounded by the rows
         # of (-1, l) and (0, -1) is cut at 2*l columns for every b
-        cut, real = [], valuation._cut_columns
-
-        def spy(r, s, xs):
-            xs = list(xs)
-            cut.append(len(xs))
-            return real(r, s, xs)
-
-        monkeypatch.setattr(valuation, "_cut_columns", spy)
+        cut = spy_cut_columns(monkeypatch)
         for b in (10, 100, 1000, 10_000):
             for l in (1, 3):
                 cut.clear()
@@ -368,7 +379,27 @@ class TestGradedSemigroup:
             for l in (3, 7):
                 cut.clear()
                 semigroup_level_hull(ruled_divisor(l, b, b), TFlag(2, 1), 5)
-                assert cut == [2 * l]
+                assert [n for _, _, n in cut] == [2 * l]
+
+    @pytest.mark.parametrize("rays, coeffs, r, s, width", [
+        (((1, 0), (1, 1), (1, 2), (0, 1), (-1, -1), (0, -1), (1, -2), (1, -1)),
+         (8, 2, 3, 5, 7, 7, -2, 6), (1, 2, -3), (1, -2, 2), 4),
+        (((1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-2, -1), (-3, -2), (-1, -1)),
+         (8, 7, -1, -1, -1, 7, -4, 2), (-1, 2, 1), (-3, -2, 4), 4),
+        (((1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (-2, -3), (-1, -2), (0, -1)),
+         (4, 6, 2, 4, 8, 7, 6, 6, 8), (-1, 2, -2), (-2, -3, -6), 6),
+        (((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2), (-1, -1)),
+         (8, 4, -3, 3, -4, 6, 2, 1, 7), (1, 2, 3), (-3, -2, -1), 4),
+    ], ids=["eight-rays-a", "eight-rays-b", "nine-rays-a", "nine-rays-b"])
+    def test_level_hull_cuts_max_r1_s1_at_both_ends(self, rays, coeffs, r, s, width, monkeypatch):
+        # the long stretch between the rows r and s is cut at q = max(r1, |s1|) columns at
+        # each end, its narrowing end too, where r1 + |s1| columns would be 6, 6, 7 and 5
+        D = divisor(Fan2D(rays), coeffs)
+        cut = spy_cut_columns(monkeypatch)
+        semigroup_level_hull(D, TFlag(0, 0), 1)
+        assert [n for u, v, n in cut if (u, v) == (r, s)] == [width]
+        monkeypatch.undo()
+        self.assert_level_hull_matches_every_column(D, range(1, 4))
 
     def test_level_hull_checks_convexity_once(self, monkeypatch):
         # the int hull is checked; its 1/m copy is not checked again
