@@ -225,18 +225,6 @@ def _parse_flag(text: str) -> TFlag:
     return TFlag(i, j)
 
 
-def _report_dict(report: VolumeReport) -> dict:
-    """The report's JSON fields, without the flag lists (see _report_json)."""
-    out: dict = {"ample": report.ample, "agree": report.agree}
-    if not report.ample:
-        out["diagnostics"] = list(report.diagnostics)
-        return out
-    out["values"] = dict(zip(ROUTES, map(half, report.twice)))
-    out["self_intersection"] = report.twice[_DSQ]
-    out["display_flag"] = {"ray": report.display_flag.ray, "cone": report.display_flag.cone}
-    return out
-
-
 def _flag_json(ray, cone, a0, a1, a2, u0, u1, v0, v1, x0, x1, d0, d1, d2, twice) -> str:
     """One per-flag block, laid out as json.dumps(..., indent=2) lays it out, from 15 strings.
 
@@ -267,14 +255,15 @@ def _flag_json(ray, cone, a0, a1, a2, u0, u1, v0, v1, x0, x1, d0, d1, d2, twice)
 def _report_json(report: VolumeReport) -> str:
     """The report as json.dumps(..., indent=2) lays it out, byte for byte.
 
-    The small head goes through json.dumps; the contributing flags and the
-    per-flag blocks, where every leaf is an int or a p/q string, are written
-    from templates, with each index from one table of strings, and spliced
-    in before the closing brace.
+    An ample report, where every leaf is a bool, an int or a p/q string, is
+    written from one template, with the per-flag blocks from _flag_json and
+    each index from one table of strings. Only a non-ample report, whose
+    diagnostics are free text that may need escaping, goes through json.dumps.
     """
-    head = json.dumps(_report_dict(report), indent=2)
     if not report.ample:
-        return head
+        return json.dumps({"ample": False, "agree": False, "diagnostics": list(report.diagnostics)},
+                          indent=2)
+    values = ",\n".join(f'    "{k}": "{half(x)}"' for k, x in zip(ROUTES, report.twice))
     idx = list(map(str, range(len(report.per_flag))))
     cf = ",\n".join(f"    [\n      {idx[r]},\n      {idx[c]}\n    ]" for r, c in report.contributing_flags)
     cf = f"[\n{cf}\n  ]" if cf else "[]"
@@ -282,7 +271,11 @@ def _report_json(report: VolumeReport) -> str:
         _flag_json(idx[r], idx[c], idx[a0], idx[a1], idx[a2], str(u0), str(u1), str(v0), str(v1),
                    str(x0), str(x1), half(d0), half(d1), half(d2), half(t))
         for (r, c), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), t in report.per_flag)
-    return f'{head[:-2]},\n  "contributing_flags": {cf},\n  "per_flag": [\n{flags}\n  ]\n}}'
+    return (f'{{\n  "ample": true,\n  "agree": {"true" if report.agree else "false"},\n'
+            f'  "values": {{\n{values}\n  }},\n  "self_intersection": {report.twice[_DSQ]},\n'
+            f'  "display_flag": {{\n    "ray": {report.display_flag.ray},\n'
+            f'    "cone": {report.display_flag.cone}\n  }},\n'
+            f'  "contributing_flags": {cf},\n  "per_flag": [\n{flags}\n  ]\n}}')
 
 
 def _flag_text(c: FlagContribution) -> str:

@@ -17,7 +17,7 @@ from itertools import islice
 from operator import index
 
 from .fan import Fan2D
-from .lattice import Polygon, Vec, convex_hull_2d, cross
+from .lattice import Polygon, Vec, convex_hull_2d
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
@@ -65,9 +65,9 @@ class TorusDivisor:
         positive, and globally generated (nef) iff every degree is >= 0.
         """
         rays, d = self.fan.rays, self.coeffs
-        n = len(rays)
-        return tuple(d[i - 1] + d[(i + 1) % n] - cross(rays[i - 1], rays[(i + 1) % n]) * d[i]
-                     for i in range(n))
+        # a_i inline on the fan's validated int rays, as fan_violations takes it
+        return tuple(dp + dn - (u0 * v1 - u1 * v0) * di for dp, di, dn, (u0, u1), (v0, v1)
+                     in zip(d[-1:] + d[:-1], d, d[1:] + d[:1], rays[-1:] + rays[:-1], rays[1:] + rays[:1]))
 
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:

@@ -140,8 +140,8 @@ class Fan2D:
         return len(self.rays)
 
     def cone(self, j: int) -> tuple[Vec, Vec]:
-        """The two spanning rays of maximal cone j, in counterclockwise order."""
-        n = len(self.rays)
+        """The two spanning rays of maximal cone j, counterclockwise; j is read with ``operator.index``."""
+        n, j = len(self.rays), index(j)
         return self.rays[j % n], self.rays[(j + 1) % n]
 
     @cached_property
@@ -176,9 +176,9 @@ def projective_plane_fan() -> Fan2D:
 
 
 def star_subdivide(fan: Fan2D, j: int) -> Fan2D:
-    """Insert the primitive ray u+v inside cone j (blowup of its fixed point)."""
-    n = fan.n_rays
-    j %= n
+    """Insert the primitive ray u+v inside cone j (blowup of its fixed point);
+    j is read with ``operator.index``, so a float raises TypeError."""
+    j = index(j) % fan.n_rays
     u, v = fan.cone(j)
     new_ray = (u[0] + v[0], u[1] + v[1])
     rays = list(fan.rays)

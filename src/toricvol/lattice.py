@@ -2,8 +2,9 @@
 
 Everything works over Python ints and ``fractions.Fraction``; there is no
 floating point anywhere in this package. Vectors and points are plain tuples.
-A point is read as every integer input of the package is, each coordinate by
-``operator.index``: a ``Fraction``, float, ``Decimal`` or string raises ``TypeError``.
+A point, and each vector of ``cross`` and ``dot``, is read as every integer input of
+the package is, each coordinate by ``operator.index``: a ``Fraction``, float,
+``Decimal`` or string raises ``TypeError``, and a point that is not a pair ``ValueError``.
 A polygon is built from its int vertices alone, checks that they form a strictly
 convex counterclockwise cycle and derives its exact shoelace area from the same
 ints; ``Polygon.area`` is the one public shoelace sum. Only ``Polygon.divided``
@@ -24,24 +25,24 @@ Vec = tuple[int, int]
 Point = tuple[int | Fraction, int | Fraction]
 
 
-def cross(u: Sequence[int], v: Sequence[int]) -> int:
-    """2x2 determinant u1*v2 - u2*v1 of two plane vectors."""
-    if len(u) != 2 or len(v) != 2:
-        raise ValueError("cross product needs two plane vectors")
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Pairing of a character (exponent vector) with a ray."""
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def _coords(p: Sequence) -> Vec:
     """A plane point with int coordinates, each read by ``operator.index``."""
     if len(p) != 2:
         raise ValueError(f"not a plane point: {p!r}")
     x, y = p
     return index(x), index(y)
+
+
+def cross(u: Sequence[int], v: Sequence[int]) -> int:
+    """2x2 determinant u1*v2 - u2*v1 of two plane vectors, each read as a point."""
+    (u0, u1), (v0, v1) = _coords(u), _coords(v)
+    return u0 * v1 - u1 * v0
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Pairing of a character (exponent vector) with a ray, each read as a point."""
+    (u0, u1), (v0, v1) = _coords(u), _coords(v)
+    return u0 * v0 + u1 * v1
 
 
 def _int_pairs(pts: Sequence) -> bool:
@@ -151,7 +152,6 @@ def convex_hull_2d(points: Iterable[Sequence]) -> Polygon:
     if not pts:
         raise ValueError("convex hull of an empty point set")
     hull = monotone_chain(pts)[:-1] + monotone_chain(pts[::-1])[:-1]
-    if len(hull) < 3:
-        # all points collinear: keep the two extremes, or the single point
-        hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
-    return Polygon(tuple(hull))
+    # two or more distinct points keep both extremes in the chains, which pop collinear
+    # middles; a single point leaves both chains empty
+    return Polygon(tuple(hull or pts))

@@ -324,11 +324,11 @@ class TestReportTakesTheIntPaths:
         for flag in D.fan.charts:
             volume.flag_contribution(D, flag, dec)
         assert calls == []
-        # the spies fire: the oracle values three local equations, and a new
-        # divisor's 64 curve degrees call the library's cross once each
+        # the spies fire: the oracle values three local equations, and the
+        # package's cross is the spy
         reference_flag_contribution(D, TFlag(0, 0), dec)
-        divisor(D.fan, D.coeffs).curve_degrees
-        assert calls.count("value") == 3 and calls.count("cross") == 64
+        toricvol.cross((1, 0), (0, 1))
+        assert calls.count("value") == 3 and calls.count("cross") == 1
 
     def test_charts_build_no_flag(self, monkeypatch):
         import toricvol.fan as fan_module
@@ -735,6 +735,24 @@ class TestJsonWriter:
 
     def test_non_ample_report(self):
         assert_writer_matches_dict(non_ample_report())
+
+    def test_disagreeing_report(self, monkeypatch):
+        # route 4 off by two, as in TestReportDisagreement: the template writes "agree": false
+        import toricvol.volume as volume
+        real = volume.intersection_number_via_symbols
+        monkeypatch.setattr(volume, "intersection_number_via_symbols", lambda D, dec: real(D, dec) + 2)
+        report = okounkov_volume_report(divisor(hirzebruch_fan(1), (0, 1, 2, 0)))
+        assert report.ample and not report.agree
+        assert_writer_matches_dict(report)
+        assert '\n  "agree": false,\n' in _report_json(report)
+
+    def test_every_display_flag_of_f1(self):
+        D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
+        assert len(D.fan.charts) == 8
+        for flag in D.fan.charts:
+            report = okounkov_volume_report(D, display_flag=flag)
+            assert report.display_flag == flag
+            assert_writer_matches_dict(report)
 
 
 class TestTextWriter:

@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -350,6 +352,21 @@ class TestStarSubdivide:
         for _ in range(30):
             fan = random_smooth_fan(rng, max_subdivisions=6)
             assert fan_violations(fan.rays) == []
+
+    @pytest.mark.parametrize("j", [1.0, Fraction(1), Decimal(1), "1", None])
+    def test_non_int_cone_rejected(self, j):
+        # the one integer input rule: j is read with operator.index before any use
+        fan = hirzebruch_fan(1)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            star_subdivide(fan, j)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            fan.cone(j)
+
+    def test_bool_cone_is_its_int(self):
+        fan = hirzebruch_fan(1)
+        assert star_subdivide(fan, True) == star_subdivide(fan, 1)
+        assert star_subdivide(fan, False) == star_subdivide(fan, 0)
+        assert fan.cone(True) == fan.cone(1)
 
 
 class TestOrbitDecomposition:

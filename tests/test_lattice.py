@@ -10,6 +10,7 @@ from toricvol import (
     Polygon,
     convex_hull_2d,
     cross,
+    dot,
 )
 from toricvol.lattice import _area, monotone_chain
 from conftest import fraction_hull, fraction_shoelace, spy_hull_passes
@@ -46,6 +47,30 @@ class TestCross:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             cross((1, 0, 0), (0, 1, 0))
+
+    # cross and dot read their vectors as every point is read: one not a pair
+    # raises ValueError, a coordinate operator.index refuses raises TypeError
+    @pytest.mark.parametrize("fn", [cross, dot])
+    @pytest.mark.parametrize("u, v", [((1, 2, 3), (1, 2)), ((1, 2), (1, 2, 3)), ((1,), (1, 2)),
+                                      ((1, 2), ())])
+    def test_non_pair_rejected(self, fn, u, v):
+        with pytest.raises(ValueError, match="not a plane point"):
+            fn(u, v)
+
+    @pytest.mark.parametrize("fn", [cross, dot])
+    @pytest.mark.parametrize("coord", [1.5, 1.0, Fraction(3, 2), Fraction(1), Decimal(1), "1", None])
+    @pytest.mark.parametrize("at", range(4))
+    def test_non_int_coordinate_rejected(self, fn, coord, at):
+        c = [1, 0, 0, 1]
+        c[at] = coord
+        with pytest.raises(TypeError):
+            fn((c[0], c[1]), (c[2], c[3]))
+
+    def test_bools_are_read_as_ints(self):
+        for u, v in [((True, False), (False, True)), ((True, 2), (3, True)), ((-1, True), (True, True))]:
+            iu, iv = tuple(map(int, u)), tuple(map(int, v))
+            assert cross(u, v) == cross(iu, iv) and type(cross(u, v)) is int
+            assert dot(u, v) == dot(iu, iv) and type(dot(u, v)) is int
 
 
 class TestConvexHull:
