@@ -97,9 +97,6 @@ def parse_instance(text: str) -> InstanceDocument:
     for key in ("rays", "divisor"):
         if key not in raw:
             raise DocumentError(f"missing field {key!r}")
-    def is_int(x) -> bool:
-        return type(x) is int  # bool is an int subclass, reject it
-
     # one pass per type set, as lattice._int_pairs reads points; an empty list passes
     rays = raw["rays"]
     if not (isinstance(rays, list) and set(map(type, rays)) <= {list} and set(map(len, rays)) <= {2}
@@ -112,13 +109,12 @@ def parse_instance(text: str) -> InstanceDocument:
     if len(coeffs) != len(rays):
         raise DocumentError(
             f"field 'divisor' has {len(coeffs)} entries for {len(rays)} rays")
-    flag = None
-    if "flag" in raw and raw["flag"] is not None:
-        fr = raw["flag"]
-        if (not isinstance(fr, dict) or set(fr) != {"ray", "cone"}
-                or not all(is_int(fr[k]) for k in ("ray", "cone"))):
+    flag = raw.get("flag")
+    if flag is not None:
+        if not (isinstance(flag, dict) and set(flag) == {"ray", "cone"}
+                and set(map(type, flag.values())) == {int}):
             raise DocumentError("field 'flag' must be an object {\"ray\": i, \"cone\": j}")
-        flag = TFlag(fr["ray"], fr["cone"])
+        flag = TFlag(flag["ray"], flag["cone"])
     variant = raw.get("decomposition_variant")
     if variant is not None and not isinstance(variant, str):
         raise DocumentError("field 'decomposition_variant' must be a string")

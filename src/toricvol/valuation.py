@@ -175,27 +175,23 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The level is read
     with ``operator.index`` first. The unimodular valuation maps the hull of the sections onto
     the hull of their values, so only the vertices of the former are valued. When every vertex
-    of ``_section_polygon`` is a lattice point, as for every nef D, that cycle without repeats
-    is its own integer hull. Otherwise the lower chain of the lows and the upper chain of the
-    highs of ``_hull_columns`` hold every vertex; the two meet in one point at an end column
-    with lo == hi, which is dropped from the upper chain, so the ends are then the hull's
-    vertex cycle itself, unless every section lies on one line."""
+    of ``_section_polygon`` is a lattice point, as for every nef D, that cycle is its own
+    integer hull. Otherwise the lower chain of the lows and the upper chain of the highs of
+    ``_hull_columns``, joined, hold every vertex. Either cycle repeats a point only where it
+    meets itself (an edge of length 0, or the two chains at an end column with lo == hi), and
+    one rule drops each repeat, so the ends are the hull's vertex cycle itself, unless every
+    section lies on one line."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     cycle = _section_polygon(D, m)
     ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
-    if len(ends) == len(cycle):
-        ends = [p for p, q in zip(ends, ends[-1:] + ends[:-1]) if p != q] or ends[:1]
-    elif cols := _hull_columns(cycle, m):
-        (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
-        upper = monotone_chain((x, hi) for x, _, hi in reversed(cols))
-        # a one-point end column ends both chains: the lower chain keeps it
-        upper = upper[lo1 == hi1:len(upper) - (lo0 == hi0)]
-        ends = monotone_chain((x, lo) for x, lo, _ in cols) + upper
-    else:
-        ends = []
+    if len(ends) < len(cycle):
+        cols = _hull_columns(cycle, m)
+        ends = (monotone_chain((x, lo) for x, lo, _ in cols)
+                + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+    ends = [p for p, q in zip(ends, ends[-1:] + ends[:-1]) if p != q] or ends[:1]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     return convex_hull_2d(map(w.value, ends)).divided(m)

@@ -101,6 +101,11 @@ class TestDocuments:
         '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0]}',
         '{"rays":[[1,0],[0,1.5],[-1,-1]],"divisor":[1,0,0]}',
         '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":1}}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":true,"cone":1}}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":1.0,"cone":1}}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":"2","cone":1}}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":[2,1]}',
+        '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"flag":{"ray":2,"cone":1,"x":0}}',
         '[1,2,3]',
         '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,"0"]}',
         '{"rays":[[1,0],[0,1],[-1,-1]],"divisor":[1,0,0],"decomposition_variant":3}',

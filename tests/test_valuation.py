@@ -40,6 +40,12 @@ from conftest import (
     spy_hull_passes,
 )
 
+# a big divisor that is not nef, curve degrees (1, -1, 1, -1, 1, -1, 1, -1, 0), whose
+# level-1 section polygon holds no lattice point
+LATTICE_FREE_RAYS = ((2, -1), (1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-1, -1), (0, -1),
+                     (1, -1))
+LATTICE_FREE_COEFFS = (-1, 0, 0, 1, 2, 2, 1, 1, 0)
+
 
 def ruled_divisor(l, a, b):
     return divisor(hirzebruch_fan(l), (0, a, b, 0))
@@ -365,6 +371,19 @@ class TestGradedSemigroup:
         self.assert_level_hull_matches_every_column(D, range(1, 9))
         self.assert_level_hull_matches_oracle(D, range(1, 4))
 
+    def test_level_hull_of_a_lattice_free_level(self):
+        # big, not nef, and no section at level 1: P_D is the triangle (1/2, 0), (2/3, 0),
+        # (3/5, 1/5), whose columns the column path cuts and finds empty; level 30 clears its
+        # denominators, so that level hull is the Okounkov body
+        D = divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
+        assert len(D.fan.charts) == 18
+        for flag in D.fan.charts:
+            with pytest.raises(ValueError, match="^no sections at level 1$"):
+                semigroup_level_hull(D, flag, 1)
+            assert len(semigroup_level_hull(D, flag, 2).vertices) == 1
+            assert semigroup_level_hull(D, flag, 30).area == Fraction(1, 60)
+        self.assert_level_hull_matches_every_column(D, range(1, 9))
+
     def test_level_hull_cost_does_not_follow_the_width(self, monkeypatch):
         # (0, 2, b, 0) at level 5 has 5*b + 1 columns and is nef: no column is cut. (0, b, b, 0)
         # on F_l is not: its level-5 polygon is the triangle (0, 0), (5b, 0), (0, -5b/l), whose
@@ -532,7 +551,9 @@ class TestGradedSemigroup:
         (((1, 0), (0, 1), (-1, 0), (0, -1)), (0, 0, 0, 4), 2),
         (((1, 0), (0, 1), (-1, 3), (0, -1)), (0, 2, 5, 0), 3),
         (((1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (0, -1)), (-2, 5, 5, 5, 4, 5), 4),
-    ], ids=["empty", "empty-strip", "point", "segment", "vertical", "non-nef", "two-removals"])
+        (LATTICE_FREE_RAYS, LATTICE_FREE_COEFFS, 3),
+    ], ids=["empty", "empty-strip", "point", "segment", "vertical", "non-nef", "two-removals",
+            "lattice-free"])
     def test_section_polygon_on_every_shape(self, rays, coeffs, shape):
         D = divisor(Fan2D(rays), coeffs)
         for m in range(1, 6):
