@@ -15,8 +15,8 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .divisors import (
     NotGloballyGenerated,
@@ -59,8 +59,7 @@ def _document(check, *args):
         raise DocumentError(str(e)) from None
 
 
-@dataclass(frozen=True)
-class InstanceDocument:
+class InstanceDocument(NamedTuple):
     rays: tuple[tuple[int, int], ...]
     divisor: tuple[int, ...]
     flag: TFlag | None = None

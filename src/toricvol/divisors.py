@@ -7,17 +7,20 @@ divisor polytope of a globally generated divisor is exactly the convex hull
 of the cocycle characters h_j, and the transition cocycle of the line bundle
 is f_ab = h_b - h_a in exponents, with h_j in the dual basis of ``Fan2D.charts``.
 Positivity has one API: the two witness lists; ``valuation`` cuts the sections.
+A ``TorusDivisor`` is the checked record ``(fan, coeffs)`` (see ``lattice``): it
+equals and hashes like that pair, a changed copy is made with ``_replace``, and
+its fields and cached values cannot be set or deleted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import index
+from typing import NamedTuple
 
 from .fan import Fan2D
-from .lattice import Polygon, Vec, convex_hull_2d
+from .lattice import Polygon, Vec, _Checked, convex_hull_2d
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 
@@ -31,20 +34,22 @@ class NotGloballyGenerated(ValueError):
             f"violates the inequality of ray {ray}")
 
 
-@dataclass(frozen=True)
-class TorusDivisor:
-    """Integer coefficient per ray: the divisor sum(d_i * D_i), stored as a tuple
-    of ints (a coefficient that is not an int raises TypeError). Derived data
-    is computed on first use and cached: write-once, deterministic."""
-
+class _FanCoeffs(NamedTuple):
     fan: Fan2D
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
-        if len(self.coeffs) != self.fan.n_rays:
-            raise ValueError(
-                f"{len(self.coeffs)} coefficients for {self.fan.n_rays} rays")
+
+class TorusDivisor(_Checked, _FanCoeffs):
+    """Integer coefficient per ray: the divisor sum(d_i * D_i), stored as a tuple
+    of ints (a coefficient that is not an int raises TypeError). Derived data
+    is computed on first use and cached in the record's ``__dict__``: write-once,
+    deterministic."""
+
+    def __new__(cls, fan: Fan2D, coeffs):
+        coeffs = tuple(map(index, coeffs))
+        if len(coeffs) != fan.n_rays:
+            raise ValueError(f"{len(coeffs)} coefficients for {fan.n_rays} rays")
+        return tuple.__new__(cls, (fan, coeffs))
 
     @cached_property
     def cocycle(self) -> Cocycle:

@@ -10,24 +10,28 @@ r_(i+1)) = -D_i^2 gives the winding (Poonen, Rodriguez-Villegas 2000).
 
 A fan owns its 2n flags and their charts: ``Fan2D.charts`` builds that table
 once, the one place that writes the flag order and the dual basis.
+
+``Fan2D``, ``TFlag`` and ``OrbitDecomposition`` are checked records and
+``FanViolation`` and ``Rank2Valuation`` plain ``NamedTuple`` ones (see ``lattice``):
+each equals and hashes like the tuple of its fields, a changed copy is made with
+``_replace``, and no field or cached value can be set or deleted, so the chart
+table is written once.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .lattice import Vec, _int_pairs
+from .lattice import Vec, _Checked, _int_pairs
 
 
-@dataclass(frozen=True)
-class FanViolation:
+class FanViolation(NamedTuple):
     kind: str  # "too-few-rays" | "non-primitive" | "bad-cross" | "bad-winding"
     index: int | None
     message: str
@@ -81,7 +85,7 @@ class _RayCone(NamedTuple):
     cone: int
 
 
-class TFlag(_RayCone):
+class TFlag(_Checked, _RayCone):
     """Torus-invariant flag: curve = closure of ray orbit, point = cone's fixed point.
     Both fields are read with ``operator.index``: a float raises TypeError. A flag
     is the int pair (ray, cone), so it equals and hashes like that tuple."""
@@ -90,11 +94,6 @@ class TFlag(_RayCone):
 
     def __new__(cls, ray: int, cone: int):
         return tuple.__new__(cls, (index(ray), index(cone)))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which must read the fields as __new__ does
-        return cls(*iterable)
 
 
 class Rank2Valuation(NamedTuple):
@@ -118,22 +117,24 @@ class Rank2Valuation(NamedTuple):
         return e1 * r1 + e2 * r2, e1 * s1 + e2 * s2
 
 
-@dataclass(frozen=True)
-class Fan2D:
-    """Validated smooth complete fan; an invalid one raises FanValidationError."""
-
+class _Rays(NamedTuple):
     rays: tuple[Vec, ...]
 
-    def __post_init__(self):
+
+class Fan2D(_Checked, _Rays):
+    """Validated smooth complete fan; an invalid one raises FanValidationError.
+    The record ``(rays,)``; its ``__dict__`` holds the cached chart table."""
+
+    def __new__(cls, rays: Iterable[Sequence[int]]):
         # read the input once: a one-shot ray becomes a tuple, any other is kept for the messages
-        rays = [tuple(r) if isinstance(r, Iterator) else r for r in self.rays]
+        rays = [tuple(r) if isinstance(r, Iterator) else r for r in rays]
         if not _int_pairs(rays):  # int pairs are taken as they are
             with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
                 rays = [tuple(map(index, r)) for r in rays]
         violations = fan_violations(rays)
         if violations:
             raise FanValidationError(violations)
-        object.__setattr__(self, "rays", tuple(rays))
+        return tuple.__new__(cls, (tuple(rays),))
 
     @property
     def n_rays(self) -> int:
@@ -186,8 +187,12 @@ def star_subdivide(fan: Fan2D, j: int) -> Fan2D:
     return Fan2D(rays)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class _Owners(NamedTuple):
+    generic_owner: int
+    ray_owner: tuple[int, ...]
+
+
+class OrbitDecomposition(_Checked, _Owners):
     """Assignment of every torus orbit to a chart whose closure contains it.
 
     The 2n+1 orbits are the dense one, one per ray, one fixed point per
@@ -199,19 +204,18 @@ class OrbitDecomposition:
     n = len(ray_owner), so a decomposition serves every fan with n rays.
     Owners are read with ``operator.index`` into a tuple: a float raises TypeError."""
 
-    generic_owner: int
-    ray_owner: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generic_owner", index(self.generic_owner))
-        object.__setattr__(self, "ray_owner", tuple(index(j) for j in self.ray_owner))
-        n = len(self.ray_owner)
-        if not 0 <= self.generic_owner < n:
-            raise ValueError(f"generic orbit assigned to nonexistent cone {self.generic_owner}")
-        for i, j in enumerate(self.ray_owner):
+    def __new__(cls, generic_owner: int, ray_owner: Iterable[int]):
+        generic_owner, ray_owner = index(generic_owner), tuple(index(j) for j in ray_owner)
+        n = len(ray_owner)
+        if not 0 <= generic_owner < n:
+            raise ValueError(f"generic orbit assigned to nonexistent cone {generic_owner}")
+        for i, j in enumerate(ray_owner):
             if j not in (i, (i - 1) % n):
                 raise ValueError(
                     f"ray {i} assigned to cone {j}, which does not have it as a face")
+        return tuple.__new__(cls, (generic_owner, ray_owner))
 
 
 def check_decomposition(fan: Fan2D, dec: OrbitDecomposition) -> None:

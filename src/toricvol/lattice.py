@@ -11,15 +11,20 @@ ints; ``Polygon.area`` is the one public shoelace sum. Only ``Polygon.divided``
 makes rational vertices. Int pairs that already are a strictly convex cycle, as
 every hull input of an ample divisor is, are their own hull after one convexity
 check; only other inputs are sorted and chained, then checked as a ``Polygon``.
+
+Every record of the package is a ``NamedTuple``: it equals and hashes like the
+tuple of its fields, its repr names each field, ``_fields`` and ``_replace`` take
+the place of ``dataclasses.fields`` and ``replace``, and no field, cached value or
+new name can be set or deleted. A record that checks its input, such as ``Polygon``,
+is a ``_Checked`` subclass of a private ``NamedTuple`` that checks in ``__new__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[int, int]
 Point = tuple[int | Fraction, int | Fraction]
@@ -72,25 +77,66 @@ def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
             and sum(b and not a for a, b in zip(up[-1:] + up[:-1], up)) == 1)
 
 
-@dataclass(frozen=True)
-class Polygon:
+class _Checked:
+    """First base of a checked record, ahead of the ``NamedTuple`` whose ``_make`` it
+    replaces: ``_make``, and so ``_replace``, builds through the constructor's check,
+    and setting or deleting any attribute raises AttributeError. A record with a
+    ``__dict__`` keeps it for ``cached_property``, which writes it directly, once."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _VerticesArea(NamedTuple):
+    vertices: tuple[Point, ...]
+    area: Fraction
+
+
+class Polygon(_Checked, _VerticesArea):
     """Strictly convex polygon: counterclockwise vertices, every turn left and
     winding once. The vertices are int points, read as in ``convex_hull_2d``;
     ``divided`` alone makes a polygon with ``Fraction`` vertices. Degenerate hulls
     (a point or a segment of two distinct vertices) are legal with area 0; zero
-    vertices are not."""
+    vertices are not. The record ``(vertices, area)`` is built from the vertices
+    alone, so the area is always theirs."""
 
-    vertices: tuple[Point, ...]
-    area: Fraction = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        vertices = _read(self.vertices)
+    def __new__(cls, vertices: Iterable[Sequence]):
+        vertices = _read(vertices)
         xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
         convex = 0 < len(vertices) < 3 or _strictly_convex(xs, ys)
         if not convex or len(set(vertices)) < len(vertices):
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "area", _area(xs, ys))
+        return tuple.__new__(cls, (vertices, _area(xs, ys)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # both fields, read as __new__ reads the vertices; an area other than theirs raises
+        vertices, area = iterable
+        out = cls(vertices)
+        if area != out.area:
+            raise ValueError(f"area {area} is not the area {out.area} of the vertices")
+        return out
+
+    def _replace(self, **fields):
+        # the constructor's one field: an area given raises its TypeError
+        return type(self)(**{"vertices": self.vertices, **fields})
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record as it is, Fraction vertices included
+        return _checked, tuple(self)
 
     def divided(self, m: int) -> Polygon:
         """This polygon times 1/m for an int m >= 1, with no second check: a positive scaling keeps
@@ -104,10 +150,7 @@ class Polygon:
 def _checked(vertices: tuple, area: Fraction) -> Polygon:
     """A Polygon of vertices already known to be a strictly convex counterclockwise cycle
     and of their area, built with no second check."""
-    out = object.__new__(Polygon)
-    object.__setattr__(out, "vertices", vertices)
-    object.__setattr__(out, "area", area)
-    return out
+    return tuple.__new__(Polygon, (vertices, area))
 
 
 def monotone_chain(points: Iterable[Sequence]) -> list:

@@ -10,12 +10,14 @@ agreement report of the routes to one volume, in ``ROUTES`` order:
 A report holds each route's value as an int, twice the volume (twice a
 lattice polygon's area is an int), and its verdict is exact equality of
 those ints. Each route reads only the divisor, the decomposition and the
-display flag, never another route's value.
+display flag, never another route's value. ``FlagContribution`` and
+``VolumeReport`` are plain ``NamedTuple`` records: each equals and hashes like
+the tuple of its fields, its fields cannot be set, and a changed copy is made
+with ``_replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -45,8 +47,7 @@ class FlagContribution(NamedTuple):
     twice: int
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(NamedTuple):
     """``twice`` holds each route's value as twice the volume, in ``ROUTES``
     order; it is empty for non-ample input, which has only ``diagnostics``."""
 
