@@ -252,8 +252,8 @@ def _report_json(report: VolumeReport) -> str:
 
     An ample report, where every leaf is a bool, an int or a p/q string, is
     written from one template, with the per-flag blocks from _flag_json and
-    each index from one table of strings. Only a non-ample report, whose
-    diagnostics are free text that may need escaping, goes through json.dumps.
+    each index from one table of strings. Diagnostics, free text that may need escaping,
+    go through json.dumps: a non-ample report whole, an ample one's one by one.
     """
     if not report.ample:
         return json.dumps({"ample": False, "agree": False, "diagnostics": list(report.diagnostics)},
@@ -266,8 +266,10 @@ def _report_json(report: VolumeReport) -> str:
         _flag_json(idx[r], idx[c], idx[a0], idx[a1], idx[a2], str(u0), str(u1), str(v0), str(v1),
                    str(x0), str(x1), half(d0), half(d1), half(d2), half(t))
         for (r, c), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), t in report.per_flag)
+    diags = ",\n".join(f"    {json.dumps(d)}" for d in report.diagnostics)
+    diags = diags and f'  "diagnostics": [\n{diags}\n  ],\n'
     return (f'{{\n  "ample": true,\n  "agree": {"true" if report.agree else "false"},\n'
-            f'  "values": {{\n{values}\n  }},\n  "self_intersection": {report.twice[_DSQ]},\n'
+            f'{diags}  "values": {{\n{values}\n  }},\n  "self_intersection": {report.twice[_DSQ]},\n'
             f'  "display_flag": {{\n    "ray": {report.display_flag.ray},\n'
             f'    "cone": {report.display_flag.cone}\n  }},\n'
             f'  "contributing_flags": {cf},\n  "per_flag": [\n{flags}\n  ]\n}}')
@@ -292,6 +294,7 @@ def _report_text(report: VolumeReport) -> str:
           for line, x in zip(_TEXT_LINES, report.twice, strict=True)),
         f"contributing flags     : {cf or 'none'}",
         *map(_flag_text, report.per_flag),
+        *report.diagnostics,
         f"agree: {'true' if report.agree else 'false'}"])
 
 
@@ -400,11 +403,13 @@ def _svg_polygon(poly: Polygon, style: str) -> str:
 
 
 def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
-    """SVG drawing of the divisor polytope, optionally with a flag's image.
+    """SVG drawing of the divisor polytope of a nef D, optionally with a flag's image.
 
-    All polytope vertices in scope are lattice points, so coordinates are
-    integers times a fixed pixel scale: nothing is rounded.
+    All its polytope vertices are lattice points, so coordinates are integers times a fixed
+    pixel scale: nothing is rounded. Any other D raises ``NotGloballyGenerated``.
     """
+    if bad := generation_violations(D):
+        raise NotGloballyGenerated(*bad[0])
     polys = [(divisor_polytope(D), 'fill="#c8dcff" stroke="#1f4e9c" fill-opacity="0.7"')]
     caption = f"area = {polys[0][0].area}"
     if flag is not None:

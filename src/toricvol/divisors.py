@@ -1,11 +1,11 @@
-"""Torus-invariant divisors: local equations, polytopes, positivity.
+"""Torus-invariant divisors: local equations, the divisor polytope, positivity.
 
 Sign convention, used everywhere downstream: the local equation h_j of the
 divisor on the chart of cone j is the unique character with
-<h_j, ray> = -d_ray on both rays of the cone. With this convention the
-divisor polytope of a globally generated divisor is exactly the convex hull
-of the cocycle characters h_j, and the transition cocycle of the line bundle
-is f_ab = h_b - h_a in exponents, with h_j in the dual basis of ``Fan2D.charts``.
+<h_j, ray> = -d_ray on both rays of the cone, in the dual basis of ``Fan2D.charts``;
+the transition cocycle of the line bundle is f_ab = h_b - h_a in exponents. The
+divisor polytope P_D = {h : <h, ray_i> >= -d_i} is walked from the rays and the
+coefficients, never a local equation or a chart; for ample D its vertices are the h_j.
 Positivity has one API: the two witness lists; ``valuation`` cuts the sections.
 A ``TorusDivisor`` is the checked record ``(fan, coeffs)`` (see ``lattice``): it
 equals and hashes like that pair, a changed copy is made with ``_replace``, and
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
+from math import lcm
 from operator import index
 from typing import NamedTuple
 
@@ -23,6 +24,8 @@ from .fan import Fan2D
 from .lattice import Polygon, Vec, _Checked, convex_hull_2d
 
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
+Row = tuple[int, int, int]     # (r0, r1, b): the half-plane <h, (r0, r1)> >= b
+Vertex = tuple[int, int, int]  # (X, Y, W): the point (X/W, Y/W), W > 0
 
 
 class NotGloballyGenerated(ValueError):
@@ -84,25 +87,65 @@ def generation_violations(D: TorusDivisor) -> list[tuple[int, int]]:
 
     As r_{i-1} + r_{i+1} = a_i*r_i, that pair's slack is exactly D.D_i.
     """
-    n = D.fan.n_rays
-    deg = D.curve_degrees
+    n, deg = D.fan.n_rays, D.curve_degrees
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] < 0]
 
 
 def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     """Witnesses as in ``generation_violations``, one per curve of degree <= 0."""
-    n = D.fan.n_rays
-    deg = D.curve_degrees
+    n, deg = D.fan.n_rays, D.curve_degrees
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
 
 
-def divisor_polytope(D: TorusDivisor) -> Polygon:
-    """Convex hull of the cocycle characters.
+def _section_polygon(D: TorusDivisor, m: int) -> list[tuple[Row, Vertex]]:
+    """The vertex cycle of mP_D = {h : <h, ray_i> >= -m*d_i}, counterclockwise, in exact ints:
+    one pair (row, vertex) per boundary line, in ray order, the vertex where the row's edge
+    meets the next row's line. Edges of length 0 stay, so a vertex may repeat; an empty mP_D
+    gives []. It reads the rays, the coefficients and the curve degrees, no local equation.
 
-    Equals the half-plane intersection {h : <h,ray> >= -d_ray} precisely when
-    D is globally generated, so that is demanded up front.
-    """
-    bad = generation_violations(D)
-    if bad:
-        raise NotGloballyGenerated(*bad[0])
-    return convex_hull_2d(D.cocycle)
+    The edge on line i between its neighbours' lines is m*D.D_i long in lattice units: for nef
+    D every line stays, and consecutive lines meet at the lattice point m*h_j (W = 1).
+    Otherwise each line whose edge between its live neighbours p and q has negative length
+    E(p, i, q) is removed, and p and q are checked again, so a line is removed at most once.
+    If the turn from p to q is less than a half turn, H_p and H_q meet inside H_i and i goes;
+    if not, p, i and q bound an empty triangle or strip, and so is mP_D empty."""
+    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
+    todo = [i for i, degree in enumerate(D.curve_degrees) if degree < 0]
+    if todo:
+        n = len(rows)
+        prev, succ, live = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)], [True] * n
+        while todo:
+            i = todo.pop()
+            if not live[i]:
+                continue
+            p, q = prev[i], succ[i]
+            (p0, p1, bp), (i0, i1, bi), (q0, q1, bq) = rows[p], rows[i], rows[q]
+            cpq = p0 * q1 - p1 * q0
+            # E(p, i, q) = bi*cross(p, q) - bp*cross(i, q) - bq*cross(p, i) >= 0: the edge stays
+            if bi * cpq >= bp * (i0 * q1 - i1 * q0) + bq * (p0 * i1 - p1 * i0):
+                continue
+            if cpq <= 0:
+                return []
+            live[i] = False
+            succ[p], prev[q] = q, p
+            todo += p, q
+        rows = [row for row, alive in zip(rows, live) if alive]
+    return [((p0, p1, bp), (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0))
+            for (p0, p1, bp), (q0, q1, bq) in zip(rows, rows[1:] + rows[:1])]
+
+
+def _lattice_ends(cycle: list[tuple[Row, Vertex]]) -> list[Vec] | None:
+    """The vertices of a ``_section_polygon`` cycle, in its order, if each is a lattice point."""
+    ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
+    return ends if len(ends) == len(cycle) else None
+
+
+def divisor_polytope(D: TorusDivisor) -> Polygon:
+    """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of ``_section_polygon(D, 1)``, so of no
+    local equation: int vertices when all are lattice points, as for every nef D, else the int hull
+    of the vertices times their common denominator k, divided by k. An empty P_D raises ValueError."""
+    cycle = _section_polygon(D, 1)
+    if (ends := _lattice_ends(cycle)) is not None:
+        return convex_hull_2d(ends)
+    k = lcm(*(W for _, (_, _, W) in cycle))
+    return convex_hull_2d([(X * (k // W), Y * (k // W)) for _, (X, Y, W) in cycle]).divided(k)

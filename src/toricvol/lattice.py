@@ -144,7 +144,7 @@ class Polygon(_Checked, _VerticesArea):
         if (m := index(m)) < 1:
             raise ValueError(f"a polygon is divided by a positive integer, got {m}")
         return _checked(tuple((Fraction(x, m), Fraction(y, m)) for x, y in self.vertices),
-                        self.area / (m * m))
+                        Fraction(self.area.numerator, self.area.denominator * m * m))
 
 
 def _checked(vertices: tuple, area: Fraction) -> Polygon:

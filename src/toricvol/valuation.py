@@ -13,14 +13,14 @@ every computation is canonical and reproducible.
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
 ``TFlag``, looks its chart up and explains a miss.
-Trivialization hulls keep int vertices; the cocycle is valued with the chart unpacked
-once. Level-m hulls start from the section polygon mP_D, walked once around its boundary
-lines in ray order in exact ints. A polygon whose vertices are all lattice points, as every
-nef D's is, is its own integer hull; only a polygon with another vertex has its section
-columns cut, and only the max(r1, |s1|) at each end of each stretch between two vertices,
-above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as no other holds a
-vertex. Only the hull's vertices are valued, and that checked int hull is scaled by 1/m with ``Polygon.divided``,
-which checks nothing again.
+Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
+chart unpacked once. Level-m hulls start from the section polygon mP_D, walked around its
+boundary lines in ray order by ``divisors._section_polygon``, as P_D is. A polygon whose
+vertices are all lattice points, as every nef D's is, is its own integer hull; only a
+polygon with another vertex has its section columns cut, and only the max(r1, |s1|) at each
+end of each stretch between two vertices, above one lower row (r0, r1, b) and below one
+upper row (s0, s1, c), as no other holds a vertex. Only the hull's vertices are valued, and
+that checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
 Both hulls' inputs are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks
 once and does not chain.
 """
@@ -30,16 +30,13 @@ from __future__ import annotations
 from itertools import chain
 from operator import index
 
-from .divisors import NotGloballyGenerated, TorusDivisor, generation_violations
+from .divisors import Row, TorusDivisor, Vertex, _lattice_ends, _section_polygon
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
 # Most section columns a level hull cuts: only a polygon with a vertex off the lattice has
 # columns cut, at most 2*max(r1, |s1|) per stretch, which grows with the ray coordinates.
 SECTION_SCAN_LIMIT = 10 ** 6
-
-Row = tuple[int, int, int]     # (r0, r1, b): the half-plane <h, (r0, r1)> >= b
-Vertex = tuple[int, int, int]  # (X, Y, W): the point (X/W, Y/W), W > 0
 
 
 def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
@@ -58,62 +55,14 @@ def flag_valuation(fan: Fan2D, flag: TFlag) -> Rank2Valuation:
 
 
 def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
-    """Hull of the flag valuations of the local equations of the divisor.
+    """Hull of the flag valuations of the local equations of the divisor, for every divisor.
 
-    The valuation map is unimodular on exponents, so the area always equals
-    the divisor polytope's area, whatever the flag. Global generation is
-    what makes the local-equation hull the right polytope, so that is the
-    gate here (the zero divisor is fine; only the flag sums over in
-    ``volume`` insist on ampleness).
+    The valuation map is unimodular on exponents, so the area does not depend on
+    the flag. For nef D the local equations are the vertices of P_D, so the area is the
+    divisor polytope's; otherwise the hull is of the local equations alone.
     """
-    bad = generation_violations(D)
-    if bad:
-        raise NotGloballyGenerated(*bad[0])
     (r1, r2), (s1, s2), _, _ = flag_valuation(D.fan, flag)
     return convex_hull_2d([(e1 * r1 + e2 * r2, e1 * s1 + e2 * s2) for e1, e2 in D.cocycle])
-
-
-def _section_polygon(D: TorusDivisor, m: int) -> list[tuple[Row, Vertex]]:
-    """The vertex cycle of mP_D = {h : <h, ray_i> >= -m*d_i}, counterclockwise, in exact ints:
-    one pair (row, vertex) per boundary line, in ray order, the vertex where the row's edge
-    meets the next row's line. Edges of length 0 stay, so a vertex may repeat; an empty mP_D
-    gives [].
-
-    Consecutive lines of the unimodular fan meet at the lattice point m*h_j, and the edge on
-    line i between them is m*D.D_i long in lattice units: for nef D that is the whole cycle.
-    Otherwise each line whose edge between its live neighbours p and q has negative length
-    E(p, i, q) is removed, and p and q are checked again, so a line is removed at most once.
-    If the turn from p to q is less than a half turn, H_p and H_q meet inside H_i and i goes;
-    if not, p, i and q bound an empty triangle or strip, and so is mP_D empty."""
-    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
-    todo = [i for i, degree in enumerate(D.curve_degrees) if degree < 0]
-    if not todo:
-        return list(zip(rows, [(m * x, m * y, 1) for x, y in D.cocycle]))
-    n = len(rows)
-    prev, succ, live = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)], [True] * n
-    while todo:
-        i = todo.pop()
-        if not live[i]:
-            continue
-        p, q = prev[i], succ[i]
-        (p0, p1, bp), (i0, i1, bi), (q0, q1, bq) = rows[p], rows[i], rows[q]
-        cpq = p0 * q1 - p1 * q0
-        # E(p, i, q) = bi*cross(p, q) - bp*cross(i, q) - bq*cross(p, i) >= 0: the edge stays
-        if bi * cpq >= bp * (i0 * q1 - i1 * q0) + bq * (p0 * i1 - p1 * i0):
-            continue
-        if cpq <= 0:
-            return []
-        live[i] = False
-        succ[p], prev[q] = q, p
-        todo += p, q
-    first = live.index(True)
-    out, i = [], first
-    while True:
-        q = succ[i]
-        (p0, p1, bp), (q0, q1, bq) = rows[i], rows[q]
-        out.append((rows[i], (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0)))
-        if (i := q) == first:
-            return out
 
 
 def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
@@ -186,8 +135,7 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     cycle = _section_polygon(D, m)
-    ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
-    if len(ends) < len(cycle):
+    if (ends := _lattice_ends(cycle)) is None:
         cols = _hull_columns(cycle, m)
         ends = (monotone_chain((x, lo) for x, lo, _ in cols)
                 + monotone_chain((x, hi) for x, _, hi in reversed(cols)))

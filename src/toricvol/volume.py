@@ -7,13 +7,13 @@ agreement report of the routes to one volume, in ``ROUTES`` order:
   4. half the iterated-tame-boundary intersection number,
   5. area of the trivialization polytope of a display flag.
 
-A report holds each route's value as an int, twice the volume (twice a
-lattice polygon's area is an int), and its verdict is exact equality of
-those ints. Each route reads only the divisor, the decomposition and the
-display flag, never another route's value. ``FlagContribution`` and
-``VolumeReport`` are plain ``NamedTuple`` records: each equals and hashes like
-the tuple of its fields, its fields cannot be set, and a changed copy is made
-with ``_replace``.
+A report holds each route's value as an int, twice the volume (twice a lattice polygon's
+area is an int), and its verdict is exact equality of those ints. Each route reads only
+the divisor, the decomposition and the display flag, never another route's value.
+Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be
+P_D's vertices, cone by cone. ``FlagContribution`` and ``VolumeReport`` are plain
+``NamedTuple`` records: each equals and hashes like the tuple of its fields, its fields
+cannot be set, and a changed copy is made with ``_replace``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .divisors import TorusDivisor, ampleness_violations, divisor_polytope, generation_violations
+from .divisors import TorusDivisor, _section_polygon, ampleness_violations, divisor_polytope
+from .divisors import generation_violations
 from .fan import OrbitDecomposition, check_decomposition, standard_decomposition
 from .lattice import Vec
 from .milnor_k import intersection_number_via_symbols
@@ -49,7 +50,8 @@ class FlagContribution(NamedTuple):
 
 class VolumeReport(NamedTuple):
     """``twice`` holds each route's value as twice the volume, in ``ROUTES``
-    order; it is empty for non-ample input, which has only ``diagnostics``."""
+    order; it is empty for non-ample input, which has only ``diagnostics``. An ample
+    report has a diagnostic only where its local equations are not P_D's vertices."""
 
     twice: tuple[int, ...]
     display_flag: TFlag
@@ -62,8 +64,8 @@ class VolumeReport(NamedTuple):
 
     @property
     def agree(self) -> bool:
-        """The verdict: ample, and every route gives the same volume."""
-        return self.ample and len(set(self.twice)) == 1
+        """The verdict: ample, no diagnostic, and every route gives the same volume."""
+        return self.ample and not self.diagnostics and len(set(self.twice)) == 1
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -138,4 +140,7 @@ def okounkov_volume_report(
         intersection_number_via_symbols(D, dec),
         int(2 * trivialization_polytope(D, display_flag).area),
     )
-    return VolumeReport(twice, display_flag, per_flag)
+    # for ample D, vertex j of P_D's walk is cone j's lattice point (X, Y), W = 1
+    faithful = [(X, Y) for _, (X, Y, _) in _section_polygon(D, 1)] == list(D.cocycle)
+    return VolumeReport(twice, display_flag, per_flag, () if faithful else (
+        "area_polytope: the vertices of P_D are not the local equations",))

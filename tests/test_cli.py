@@ -596,6 +596,41 @@ class TestReportDisagreement:
         assert out.splitlines()[1] == "3/2,3,3/2,5/2,3/2,false"
 
 
+class TestReportSharedDataFault:
+    # every local equation negated: on F_0 with D = (1, 1, 1, 1), P_D = [-1, 1]^2 is symmetric
+    # about 0, so all five routes still read 4; the report must say why it does not agree
+
+    F0_1111 = '{"rays":[[1,0],[0,1],[-1,0],[0,-1]],"divisor":[1,1,1,1]}'
+    WHY = "area_polytope: the vertices of P_D are not the local equations"
+
+    @pytest.fixture(autouse=True)
+    def negated_cocycle(self, monkeypatch):
+        cocycle = toricvol.TorusDivisor.cocycle.func
+        monkeypatch.setattr(toricvol.TorusDivisor, "cocycle",
+                            property(lambda D: tuple((-x, -y) for x, y in cocycle(D))))
+
+    def run(self, tmp_path, capsys, fmt):
+        assert main(["report", write(tmp_path, self.F0_1111), "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and err == ""
+        return out
+
+    def test_text(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "text")
+        assert [line.split(" = ")[1].split()[0] for line in out.splitlines()[:5]] == ["4"] * 5
+        assert out.endswith(f"\n{self.WHY}\nagree: false\n")
+
+    def test_json(self, tmp_path, capsys):
+        out = self.run(tmp_path, capsys, "json")
+        data = json.loads(out)
+        assert data["agree"] is False and data["diagnostics"] == [self.WHY]
+        assert set(data["values"].values()) == {"4"}
+        assert out == json.dumps(data, indent=2) + "\n"
+
+    def test_csv(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, "csv").splitlines()[1] == "4,8,4,4,4,false"
+
+
 class TestInputSize:
     # the report's largest printed integers are the per-flag determinants;
     # INPUT_DIGITS keeps them inside Python's int-to-str digit limit
@@ -1032,6 +1067,12 @@ class TestPolytopeCommand:
         D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
         svg = polytope_svg(D, TFlag(2, 1))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+
+    def test_svg_helper_refuses_a_divisor_that_is_not_nef(self):
+        # its P_D may have vertices off the lattice, which no integer pixel can draw
+        with pytest.raises(toricvol.NotGloballyGenerated) as info:
+            polytope_svg(divisor(hirzebruch_fan(1), (0, 1, 0, 0)))
+        assert (info.value.cone, info.value.ray) == (0, 2)
 
 
 # ------------------------------------------------------------- main itself

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toricvol import (
-    NotGloballyGenerated,
     TorusDivisor,
     ampleness_violations,
     divisor,
@@ -20,6 +20,8 @@ import conftest
 from conftest import (
     box_section_points,
     cech_cocycle,
+    chain_hull,
+    crossing_polygon,
     deep_ample_instance,
     hirzebruch_grid,
     pairwise_violations,
@@ -204,10 +206,23 @@ class TestDivisorPolytope:
             assert divisor_polytope(ruled_divisor(l, a, b)).area \
                 == Fraction(2 * a * b - l * a * a, 2)
 
-    def test_rejects_non_generated_with_witness(self):
-        with pytest.raises(NotGloballyGenerated) as info:
-            divisor_polytope(ruled_divisor(1, 1, 0))
-        assert info.value.cone in range(4) and info.value.ray in range(4)
+    @given(st.integers(0, 2 ** 32))
+    def test_divisor_polytope_is_the_half_plane_polygon(self, seed):
+        # every divisor, nef or not: the vertices of the crossing hull, ints exactly when all
+        # are lattice points, and ValueError for an empty P_D
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        want = crossing_polygon(D, 1)
+        if not want:
+            with pytest.raises(ValueError, match="^convex hull of an empty point set$"):
+                divisor_polytope(D)
+            return
+        got = divisor_polytope(D)
+        assert set(got.vertices) == set(want)
+        assert got.area == chain_hull(want).area
+        on_lattice = all(c.denominator == 1 for v in want for c in v)
+        assert all(type(c) is (int if on_lattice else Fraction) for v in got.vertices for c in v)
 
 
 class TestSectionLatticePoints:

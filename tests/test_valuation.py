@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from toricvol import (
     Fan2D,
     FlagContribution,
-    NotGloballyGenerated,
     Rank2Valuation,
     TFlag,
     divisor,
@@ -195,9 +194,29 @@ class TestTrivializationPolytope:
         area = divisor_polytope(D).area
         assert trivialization_polytope(D, TFlag(2, 1)).area == area == Fraction(1, 2)
 
-    def test_rejects_non_generated(self):
-        with pytest.raises(NotGloballyGenerated):
-            trivialization_polytope(ruled_divisor(1, 1, 0), TFlag(1, 0))
+    def test_non_nef_is_the_hull_of_the_valued_local_equations(self):
+        # no gate: each local equation solved from its cone's two rays by Cramer's rule,
+        # paired with the flag's curve ray, then its cone's other ray, and hulled by the oracle
+        rng = random.Random(67)
+        draws = [ruled_divisor(1, 1, 0)]
+        while len(draws) < 20:
+            fan = random_smooth_fan(rng)
+            D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+            if min(D.curve_degrees) < 0:
+                draws.append(D)
+        for D in draws:
+            rays, d, n = D.fan.rays, D.coeffs, D.fan.n_rays
+            local = []
+            for j in range(n):
+                (u0, u1), (v0, v1), a, b = rays[j], rays[(j + 1) % n], -d[j], -d[(j + 1) % n]
+                det = u0 * v1 - u1 * v0
+                local.append((Fraction(a * v1 - b * u1, det), Fraction(u0 * b - v0 * a, det)))
+            for ray, cone in D.fan.charts:
+                r, s = rays[ray], rays[cone if ray != cone else (cone + 1) % n]
+                want = chain_hull((h[0] * r[0] + h[1] * r[1], h[0] * s[0] + h[1] * s[1])
+                                  for h in local)
+                got = trivialization_polytope(D, TFlag(ray, cone))
+                assert set(got.vertices) == set(want.vertices) and got.area == want.area
 
 
 class TestGradedSemigroup:

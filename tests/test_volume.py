@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import toricvol.volume as volume
+from toricvol import divisors, valuation
 from toricvol import (
     Fan2D,
     FlagContribution,
@@ -27,6 +28,7 @@ from toricvol import (
     self_intersection_classical,
     standard_decomposition,
     star_subdivide,
+    trivialization_polytope,
 )
 from conftest import (
     cech_cocycle,
@@ -327,6 +329,130 @@ class TestOnePositivityGate:
             okounkov_volume_report(D, display_flag=TFlag(7, 7))
         with pytest.raises(ValueError, match="ray 0 is not a face of cone 2: not a flag"):
             okounkov_volume_report(D, display_flag=TFlag(0, 2))
+
+
+def _negated(v):
+    return -v[0], -v[1]
+
+
+class TestSharedData:
+    """Route 1 walks P_D from the rays and coefficients, so the report sees a fault in the
+    local equations or the chart table, which routes 3-5 share and which moves no volume."""
+
+    # what each route reads, in ROUTES order: "charts" is the whole chart table, "display
+    # chart" one lookup of the display flag's; the cocycle's own chart reads are the cocycle's
+    READS = ({"degrees"}, {"degrees"}, {"cocycle", "charts"}, {"cocycle", "charts"},
+             {"cocycle", "display chart"})
+    # each route as the report runs it
+    CALLS = (lambda D, dec, flag: divisor_polytope(D),
+             lambda D, dec, flag: self_intersection_classical(D),
+             lambda D, dec, flag: simplex_twice(D, dec),
+             lambda D, dec, flag: intersection_number_via_symbols(D, dec),
+             lambda D, dec, flag: trivialization_polytope(D, flag))
+
+    @staticmethod
+    def spy(monkeypatch, log: set) -> None:
+        """Log "cocycle", "degrees", "charts" for a pass over the chart table and the flag
+        of each chart looked up; the spies are properties, so nothing is cached."""
+        cocycle, degrees, charts = (TorusDivisor.cocycle.func, TorusDivisor.curve_degrees.func,
+                                    Fan2D.charts.func)
+        inside = []  # set while the cocycle reads the table
+
+        class Table(dict):
+            def get(self, key, default=None):
+                log.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                log.add(key)
+                return super().__getitem__(key)
+
+            def __iter__(self):
+                log.add("charts")
+                return super().__iter__()
+
+            def items(self):
+                log.add("charts")
+                return super().items()
+
+            def values(self):
+                log.add("charts")
+                return super().values()
+
+        def read_cocycle(D):
+            log.add("cocycle")
+            inside.append(D)
+            try:
+                return cocycle(D)
+            finally:
+                inside.pop()
+
+        def read_degrees(D):
+            log.add("degrees")
+            return degrees(D)
+
+        monkeypatch.setattr(TorusDivisor, "cocycle", property(read_cocycle))
+        monkeypatch.setattr(TorusDivisor, "curve_degrees", property(read_degrees))
+        monkeypatch.setattr(Fan2D, "charts", property(lambda fan: charts(fan) if inside
+                                                      else Table(charts(fan))))
+
+    def test_each_route_reads_its_declared_data(self, monkeypatch):
+        base, flag = deep_ample_instance(random.Random(16), 16), TFlag(3, 2)
+        log: set = set()
+        self.spy(monkeypatch, log)
+        got = []
+        for route in self.CALLS:
+            D = TorusDivisor(Fan2D(base.fan.rays), base.coeffs)  # fresh: nothing read yet
+            dec = standard_decomposition(D.fan)
+            log.clear()
+            route(D, dec, flag)
+            reads = {x for x in log if isinstance(x, str)}
+            if "charts" not in reads:  # a lookup in a table read whole adds nothing
+                reads |= {"display chart" if key == flag else "charts" for key in log - reads}
+            got.append(reads)
+        assert tuple(got) == self.READS
+
+    @pytest.mark.parametrize("fault", ["cocycle", "charts"])
+    def test_report_sees_a_fault_in_shared_data(self, monkeypatch, fault):
+        # every local equation negated, directly or through the charts' dual basis: an
+        # area-preserving map, so all five routes still give the volume. On F_0 and dP6 with
+        # D = (1, ..., 1), P_D is symmetric about 0: the negated local equations are its
+        # vertices again, each at the opposite cone's place
+        instances = [deep_ample_instance(random.Random(seed), n)
+                     for n in range(3, 25) for seed in range(5)]
+        instances += [divisor(Fan2D(rays), (1,) * len(rays)) for rays in (
+            ((1, 0), (0, 1), (-1, 0), (0, -1)), ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)))]
+        assert all(okounkov_volume_report(D).agree for D in instances)
+        if fault == "cocycle":
+            cocycle = TorusDivisor.cocycle.func
+            monkeypatch.setattr(TorusDivisor, "cocycle",
+                                property(lambda D: tuple(map(_negated, cocycle(D)))))
+        else:
+            charts = Fan2D.charts.func
+            monkeypatch.setattr(Fan2D, "charts", property(lambda fan: {
+                f: w._replace(pi1=_negated(w.pi1), pi2=_negated(w.pi2))
+                for f, w in charts(fan).items()}))
+        for D in instances:
+            report = okounkov_volume_report(TorusDivisor(Fan2D(D.fan.rays), D.coeffs))
+            assert report.ample and not report.agree
+            assert len(set(report.twice)) == 1
+            assert report.diagnostics == ("area_polytope: the vertices of P_D are not the "
+                                          "local equations",)
+
+    def test_no_route_gates_positivity(self, monkeypatch):
+        # a big divisor that is not nef: every route is defined, and none reads a witness list
+        def gate(D):
+            pytest.fail("a route ran a positivity gate")
+
+        for module in (divisors, valuation, volume):
+            for name in ("generation_violations", "ampleness_violations"):
+                monkeypatch.setattr(module, name, gate, raising=False)
+        rays = ((2, -1), (1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-1, -1), (0, -1), (1, -1))
+        D = divisor(Fan2D(rays), (-1, 0, 0, 1, 2, 2, 1, 1, 0))
+        dec = standard_decomposition(D.fan)
+        assert divisor_polytope(D).area == Fraction(1, 60)
+        for route in self.CALLS:
+            route(D, dec, TFlag(1, 0))
 
 
 def assert_matches_fraction_oracle(D, dec):
