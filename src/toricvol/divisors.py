@@ -1,12 +1,12 @@
 """Torus-invariant divisors: local equations, the divisor polytope, positivity.
 
-Sign convention, used everywhere downstream: the local equation h_j of the
-divisor on the chart of cone j is the unique character with
-<h_j, ray> = -d_ray on both rays of the cone, in the dual basis of ``Fan2D.charts``;
-the transition cocycle of the line bundle is f_ab = h_b - h_a in exponents. The
-divisor polytope P_D = {h : <h, ray_i> >= -d_i} is walked from the rays and the
-coefficients, never a local equation or a chart; for ample D its vertices are the h_j.
-Positivity has one API: the two witness lists; ``valuation`` cuts the sections.
+Sign convention, used everywhere downstream: the local equation h_j of the divisor on
+the chart of cone j is the unique character with <h_j, ray> = -d_ray on both rays of the
+cone, in the dual basis of ``Fan2D.charts``; the transition cocycle of the line bundle is
+f_ab = h_b - h_a in exponents. The divisor polytope P_D = {h : <h, ray_i> >= -d_i} is
+walked from the rays and coefficients alone, once per divisor, into the cached level-1
+cycle ``TorusDivisor._section_polygon``, which ``valuation`` scales by m to cut sections;
+for ample D its vertices are the h_j. Positivity has one API: the two witness lists.
 A ``TorusDivisor`` is the checked record ``(fan, coeffs)`` (see ``lattice``): it
 equals and hashes like that pair, a changed copy is made with ``_replace``, and
 its fields and cached values cannot be set or deleted.
@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import islice
 from math import lcm
 from operator import index
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .fan import Fan2D
 from .lattice import Polygon, Vec, _Checked, convex_hull_2d
@@ -77,6 +77,43 @@ class TorusDivisor(_Checked, _FanCoeffs):
         return tuple(dp + dn - (u0 * v1 - u1 * v0) * di for dp, di, dn, (u0, u1), (v0, v1)
                      in zip(d[-1:] + d[:-1], d, d[1:] + d[:1], rays[-1:] + rays[:-1], rays[1:] + rays[:1]))
 
+    @cached_property
+    def _section_polygon(self) -> tuple[tuple[Row, Vertex], ...]:
+        """The vertex cycle of P_D = {h : <h, ray_i> >= -d_i}, counterclockwise, in exact ints:
+        one pair (row, vertex) per boundary line, in ray order, the vertex where the row's edge
+        meets the next row's line. Edges of length 0 stay, so a vertex may repeat; an empty P_D
+        gives (). It reads the rays, the coefficients and the curve degrees, no local equation.
+
+        The edge on line i between its neighbours' lines is D.D_i long in lattice units: for nef
+        D every line stays, and consecutive lines meet at the lattice point h_j (W = 1).
+        Otherwise each line whose edge between its live neighbours p and q has negative length
+        E(p, i, q) is removed, and p and q are checked again, so a line is removed at most once.
+        If the turn from p to q is less than a half turn, H_p and H_q meet inside H_i and i goes;
+        if not, p, i and q bound an empty triangle or strip, and so is P_D empty."""
+        rows = [(r0, r1, -d) for (r0, r1), d in zip(self.fan.rays, self.coeffs)]
+        todo = [i for i, degree in enumerate(self.curve_degrees) if degree < 0]
+        if todo:
+            n = len(rows)
+            prev, succ, live = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)], [True] * n
+            while todo:
+                i = todo.pop()
+                if not live[i]:
+                    continue
+                p, q = prev[i], succ[i]
+                (p0, p1, bp), (i0, i1, bi), (q0, q1, bq) = rows[p], rows[i], rows[q]
+                cpq = p0 * q1 - p1 * q0
+                # E(p, i, q) = bi*cross(p, q) - bp*cross(i, q) - bq*cross(p, i) >= 0: the edge stays
+                if bi * cpq >= bp * (i0 * q1 - i1 * q0) + bq * (p0 * i1 - p1 * i0):
+                    continue
+                if cpq <= 0:
+                    return ()
+                live[i] = False
+                succ[p], prev[q] = q, p
+                todo += p, q
+            rows = [row for row, alive in zip(rows, live) if alive]
+        return tuple(((p0, p1, bp), (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0))
+                     for (p0, p1, bp), (q0, q1, bq) in zip(rows, rows[1:] + rows[:1]))
+
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
     return TorusDivisor(fan, coeffs)
@@ -97,54 +134,17 @@ def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
 
 
-def _section_polygon(D: TorusDivisor, m: int) -> list[tuple[Row, Vertex]]:
-    """The vertex cycle of mP_D = {h : <h, ray_i> >= -m*d_i}, counterclockwise, in exact ints:
-    one pair (row, vertex) per boundary line, in ray order, the vertex where the row's edge
-    meets the next row's line. Edges of length 0 stay, so a vertex may repeat; an empty mP_D
-    gives []. It reads the rays, the coefficients and the curve degrees, no local equation.
-
-    The edge on line i between its neighbours' lines is m*D.D_i long in lattice units: for nef
-    D every line stays, and consecutive lines meet at the lattice point m*h_j (W = 1).
-    Otherwise each line whose edge between its live neighbours p and q has negative length
-    E(p, i, q) is removed, and p and q are checked again, so a line is removed at most once.
-    If the turn from p to q is less than a half turn, H_p and H_q meet inside H_i and i goes;
-    if not, p, i and q bound an empty triangle or strip, and so is mP_D empty."""
-    rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
-    todo = [i for i, degree in enumerate(D.curve_degrees) if degree < 0]
-    if todo:
-        n = len(rows)
-        prev, succ, live = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)], [True] * n
-        while todo:
-            i = todo.pop()
-            if not live[i]:
-                continue
-            p, q = prev[i], succ[i]
-            (p0, p1, bp), (i0, i1, bi), (q0, q1, bq) = rows[p], rows[i], rows[q]
-            cpq = p0 * q1 - p1 * q0
-            # E(p, i, q) = bi*cross(p, q) - bp*cross(i, q) - bq*cross(p, i) >= 0: the edge stays
-            if bi * cpq >= bp * (i0 * q1 - i1 * q0) + bq * (p0 * i1 - p1 * i0):
-                continue
-            if cpq <= 0:
-                return []
-            live[i] = False
-            succ[p], prev[q] = q, p
-            todo += p, q
-        rows = [row for row, alive in zip(rows, live) if alive]
-    return [((p0, p1, bp), (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0))
-            for (p0, p1, bp), (q0, q1, bq) in zip(rows, rows[1:] + rows[:1])]
-
-
-def _lattice_ends(cycle: list[tuple[Row, Vertex]]) -> list[Vec] | None:
-    """The vertices of a ``_section_polygon`` cycle, in its order, if each is a lattice point."""
+def _lattice_ends(cycle: Sequence[tuple[Row, Vertex]]) -> list[Vec] | None:
+    """The vertices of a ``_section_polygon`` cycle at any level, in order, if all lie on the lattice."""
     ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
     return ends if len(ends) == len(cycle) else None
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:
-    """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of ``_section_polygon(D, 1)``, so of no
-    local equation: int vertices when all are lattice points, as for every nef D, else the int hull
-    of the vertices times their common denominator k, divided by k. An empty P_D raises ValueError."""
-    cycle = _section_polygon(D, 1)
+    """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of ``D._section_polygon``, so of no local
+    equation: int vertices when all are lattice points, as for every nef D, else the int hull of
+    the vertices times their common denominator k, divided by k. An empty P_D raises ValueError."""
+    cycle = D._section_polygon
     if (ends := _lattice_ends(cycle)) is not None:
         return convex_hull_2d(ends)
     k = lcm(*(W for _, (_, _, W) in cycle))

@@ -14,15 +14,15 @@ Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
 ``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
-chart unpacked once. Level-m hulls start from the section polygon mP_D, walked around its
-boundary lines in ray order by ``divisors._section_polygon``, as P_D is. A polygon whose
-vertices are all lattice points, as every nef D's is, is its own integer hull; only a
-polygon with another vertex has its section columns cut, and only the max(r1, |s1|) at each
-end of each stretch between two vertices, above one lower row (r0, r1, b) and below one
-upper row (s0, s1, c), as no other holds a vertex. Only the hull's vertices are valued, and
-that checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
-Both hulls' inputs are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks
-once and does not chain.
+chart unpacked once. Level-m hulls start from the section polygon mP_D, the cached level-1
+walk ``TorusDivisor._section_polygon`` scaled by m. A polygon whose vertices are all
+lattice points, as every nef D's is, is its own integer hull; only a polygon with another
+vertex has its section columns cut, and only the max(r1, |s1|) at each end of each stretch
+between two vertices, above one lower row (r0, r1, b) and below one upper row (s0, s1, c),
+as no other holds a vertex. Only the hull's vertices are valued, and that checked int hull
+is scaled by 1/m with ``Polygon.divided``, which checks nothing again. Both hulls' inputs
+are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks once and does not
+chain.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import index
 
-from .divisors import Row, TorusDivisor, Vertex, _lattice_ends, _section_polygon
+from .divisors import Row, TorusDivisor, Vertex, _lattice_ends
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
@@ -124,17 +124,19 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The level is read
     with ``operator.index`` first. The unimodular valuation maps the hull of the sections onto
     the hull of their values, so only the vertices of the former are valued. When every vertex
-    of ``_section_polygon`` is a lattice point, as for every nef D, that cycle is its own
-    integer hull. Otherwise the lower chain of the lows and the upper chain of the highs of
-    ``_hull_columns``, joined, hold every vertex. Either cycle repeats a point only where it
-    meets itself (an edge of length 0, or the two chains at an end column with lo == hi), and
-    one rule drops each repeat, so the ends are the hull's vertex cycle itself, unless every
-    section lies on one line."""
+    of the level-m cycle, ``D._section_polygon`` times m, is a lattice point, as for every nef
+    D, that cycle is its own integer hull. Otherwise the lower chain of the lows and the upper
+    chain of the highs of ``_hull_columns``, joined, hold every vertex. Either cycle repeats a
+    point only where it meets itself (an edge of length 0, or the two chains at an end column
+    with lo == hi), and one rule drops each repeat, so the ends are the hull's vertex cycle
+    itself, unless every section lies on one line."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    cycle = _section_polygon(D, m)
+    # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test reads
+    # none, so the same lines stay at every level: each b and each X, Y times m, W unchanged
+    cycle = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in D._section_polygon]
     if (ends := _lattice_ends(cycle)) is None:
         cols = _hull_columns(cycle, m)
         ends = (monotone_chain((x, lo) for x, lo, _ in cols)

@@ -10,10 +10,10 @@ agreement report of the routes to one volume, in ``ROUTES`` order:
 A report holds each route's value as an int, twice the volume (twice a lattice polygon's
 area is an int), and its verdict is exact equality of those ints. Each route reads only
 the divisor, the decomposition and the display flag, never another route's value.
-Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be
-P_D's vertices, cone by cone. ``FlagContribution`` and ``VolumeReport`` are plain
-``NamedTuple`` records: each equals and hashes like the tuple of its fields, its fields
-cannot be set, and a changed copy is made with ``_replace``.
+Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be the
+vertices of the one cached walk ``TorusDivisor._section_polygon`` that route 1 hulls, cone by
+cone. ``FlagContribution`` and ``VolumeReport`` are ``NamedTuple`` records: each equals and hashes
+like the tuple of its fields, its fields cannot be set, and a changed copy is made with ``_replace``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .divisors import TorusDivisor, _section_polygon, ampleness_violations, divisor_polytope
+from .divisors import TorusDivisor, ampleness_violations, divisor_polytope
 from .divisors import generation_violations
 from .fan import OrbitDecomposition, check_decomposition, standard_decomposition
 from .lattice import Vec
@@ -141,6 +141,6 @@ def okounkov_volume_report(
         int(2 * trivialization_polytope(D, display_flag).area),
     )
     # for ample D, vertex j of P_D's walk is cone j's lattice point (X, Y), W = 1
-    faithful = [(X, Y) for _, (X, Y, _) in _section_polygon(D, 1)] == list(D.cocycle)
+    faithful = [(X, Y) for _, (X, Y, _) in D._section_polygon] == list(D.cocycle)
     return VolumeReport(twice, display_flag, per_flag, () if faithful else (
         "area_polytope: the vertices of P_D are not the local equations",))

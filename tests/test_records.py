@@ -44,7 +44,7 @@ FIELDS = {
     "VolumeReport": ("twice", "display_flag", "per_flag", "diagnostics"),
     "InstanceDocument": ("rays", "divisor", "flag", "decomposition_variant"),
 }
-CACHES = {"Fan2D": ("charts",), "TorusDivisor": ("cocycle", "curve_degrees")}
+CACHES = {"Fan2D": ("charts",), "TorusDivisor": ("cocycle", "curve_degrees", "_section_polygon")}
 
 F1 = ((1, 0), (0, 1), (-1, 1), (0, -1))
 TRIANGLE = ((0, 0), (2, 0), (0, 2))
@@ -154,6 +154,7 @@ class TestChangedCopiesAreChecked:
             getattr(x, c)
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x
+            assert all(getattr(y, c) == getattr(x, c) for c in CACHES.get(name, ()))
 
     def test_copy_of_a_divided_polygon(self):
         half = convex_hull_2d(TRIANGLE).divided(2)

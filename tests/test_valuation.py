@@ -50,6 +50,11 @@ def ruled_divisor(l, a, b):
     return divisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
+def level_cycle(D, m):
+    """mP_D's vertex cycle, m >= 1: the cached level-1 walk with each b and each X, Y times m."""
+    return [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in D._section_polygon]
+
+
 def spy_cut_columns(monkeypatch):
     """Record (r, s, number of columns) for every ``_cut_columns`` call."""
     cut, real = [], valuation._cut_columns
@@ -335,7 +340,7 @@ class TestGradedSemigroup:
             return got.vertices, got.area
 
         for m in levels:
-            if m >= 1 and (cycle := valuation._section_polygon(D, m)):
+            if m >= 1 and (cycle := level_cycle(D, m)):
                 with pytest.MonkeyPatch.context() as mp:
                     cut = spy_cut_columns(mp)
                     kept = valuation._hull_columns(cycle, m)
@@ -376,7 +381,7 @@ class TestGradedSemigroup:
         D = divisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
         assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
         assert min(x for x, _ in D.cocycle) == -18
-        assert valuation._hull_columns(valuation._section_polygon(D, 1), 1)[0] == (-8, -3, 6)
+        assert valuation._hull_columns(level_cycle(D, 1), 1)[0] == (-8, -3, 6)
         self.assert_level_hull_matches_every_column(D, range(1, 9))
         self.assert_level_hull_matches_oracle(D, (1, 2))
 
@@ -402,6 +407,16 @@ class TestGradedSemigroup:
             assert len(semigroup_level_hull(D, flag, 2).vertices) == 1
             assert semigroup_level_hull(D, flag, 30).area == Fraction(1, 60)
         self.assert_level_hull_matches_every_column(D, range(1, 9))
+
+    def test_lattice_path_is_chosen_on_the_scaled_cycle(self, monkeypatch):
+        # the lattice-free triangle's vertices have denominators 2, 3 and 5: its level-m cycle
+        # is on the lattice, and no column is cut, exactly when 30 divides m
+        D = divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
+        cut = spy_cut_columns(monkeypatch)
+        for m in (10, 15, 29, 30, 31, 45, 60, 90):
+            cut.clear()
+            semigroup_level_hull(D, TFlag(1, 0), m)
+            assert (cut == []) == (m % 30 == 0)
 
     def test_level_hull_cost_does_not_follow_the_width(self, monkeypatch):
         # (0, 2, b, 0) at level 5 has 5*b + 1 columns and is nef: no column is cut. (0, b, b, 0)
@@ -540,9 +555,10 @@ class TestGradedSemigroup:
 
     @staticmethod
     def assert_section_polygon_matches_crossings(D, m):
-        # each vertex lies on its row's line and the next row's, the rows are rays' rows in
-        # ray order, and the cycle without repeats, from its least vertex, is the crossing hull
-        cycle = valuation._section_polygon(D, m)
+        # the cached walk scaled by m: each vertex lies on its row's line and the next row's, the
+        # rows are rays' rows in ray order, and the cycle without repeats, from its least vertex,
+        # is the crossing hull of level m
+        cycle = level_cycle(D, m)
         rows = [(r0, r1, -m * d) for (r0, r1), d in zip(D.fan.rays, D.coeffs)]
         at = [rows.index(row) for row, _ in cycle]
         assert at == sorted(at) and len(set(at)) == len(at)

@@ -26,6 +26,7 @@ from toricvol import (
     okounkov_volume_report,
     projective_plane_fan,
     self_intersection_classical,
+    semigroup_level_hull,
     standard_decomposition,
     star_subdivide,
     trivialization_polytope,
@@ -337,11 +338,14 @@ def _negated(v):
 
 class TestSharedData:
     """Route 1 walks P_D from the rays and coefficients, so the report sees a fault in the
-    local equations or the chart table, which routes 3-5 share and which moves no volume."""
+    local equations or the chart table, which routes 3-5 share and which moves no volume.
+    The walk is one cached value per divisor, read by route 1, the vertex check and the
+    level hulls."""
 
-    # what each route reads, in ROUTES order: "charts" is the whole chart table, "display
-    # chart" one lookup of the display flag's; the cocycle's own chart reads are the cocycle's
-    READS = ({"degrees"}, {"degrees"}, {"cocycle", "charts"}, {"cocycle", "charts"},
+    # what each route reads, in ROUTES order: "walk" is ``TorusDivisor._section_polygon``,
+    # which reads the degrees, "charts" the whole chart table, "display chart" one lookup of
+    # the display flag's; the cocycle's own chart reads are the cocycle's
+    READS = ({"walk", "degrees"}, {"degrees"}, {"cocycle", "charts"}, {"cocycle", "charts"},
              {"cocycle", "display chart"})
     # each route as the report runs it
     CALLS = (lambda D, dec, flag: divisor_polytope(D),
@@ -352,10 +356,10 @@ class TestSharedData:
 
     @staticmethod
     def spy(monkeypatch, log: set) -> None:
-        """Log "cocycle", "degrees", "charts" for a pass over the chart table and the flag
-        of each chart looked up; the spies are properties, so nothing is cached."""
-        cocycle, degrees, charts = (TorusDivisor.cocycle.func, TorusDivisor.curve_degrees.func,
-                                    Fan2D.charts.func)
+        """Log "cocycle", "degrees", "walk", "charts" for a pass over the chart table and the
+        flag of each chart looked up; the spies are properties, so nothing is cached."""
+        cocycle, degrees, walk, charts = (TorusDivisor.cocycle.func, TorusDivisor.curve_degrees.func,
+                                          TorusDivisor._section_polygon.func, Fan2D.charts.func)
         inside = []  # set while the cocycle reads the table
 
         class Table(dict):
@@ -391,8 +395,13 @@ class TestSharedData:
             log.add("degrees")
             return degrees(D)
 
+        def read_walk(D):
+            log.add("walk")
+            return walk(D)
+
         monkeypatch.setattr(TorusDivisor, "cocycle", property(read_cocycle))
         monkeypatch.setattr(TorusDivisor, "curve_degrees", property(read_degrees))
+        monkeypatch.setattr(TorusDivisor, "_section_polygon", property(read_walk))
         monkeypatch.setattr(Fan2D, "charts", property(lambda fan: charts(fan) if inside
                                                       else Table(charts(fan))))
 
@@ -438,6 +447,44 @@ class TestSharedData:
             assert len(set(report.twice)) == 1
             assert report.diagnostics == ("area_polytope: the vertices of P_D are not the "
                                           "local equations",)
+
+    @staticmethod
+    def spy_walks(monkeypatch) -> list:
+        """Each divisor the walk runs on; the property still caches its value."""
+        walks, walk = [], TorusDivisor._section_polygon.func
+
+        def counted(D):
+            walks.append(D)
+            return walk(D)
+
+        monkeypatch.setattr(TorusDivisor._section_polygon, "func", counted)
+        return walks
+
+    def test_report_walks_p_d_once(self, monkeypatch):
+        # route 1 and the vertex check read one walk
+        walks = self.spy_walks(monkeypatch)
+        for D in (deep_ample_instance(random.Random(7), 16), ruled_divisor(1, 2, 5)):
+            walks.clear()
+            report = okounkov_volume_report(D)
+            assert report.agree and walks == [D]
+            okounkov_volume_report(D)
+            divisor_polytope(D)
+            assert walks == [D]
+
+    @pytest.mark.parametrize("base", [ruled_divisor(1, 2, 5), ruled_divisor(3, 100, 100),
+                                      deep_ample_instance(random.Random(7), 16)],
+                             ids=["ample", "off-lattice", "deep"])
+    def test_level_hulls_walk_p_d_once(self, monkeypatch, base):
+        # levels 1-5 scale one walk, and leave it as route 1 and the report read it
+        D, fresh = (TorusDivisor(Fan2D(base.fan.rays), base.coeffs) for _ in range(2))
+        walks = self.spy_walks(monkeypatch)
+        hulls = [semigroup_level_hull(D, TFlag(0, 0), m) for m in range(1, 6)]
+        assert walks == [D]
+        assert hulls == [semigroup_level_hull(fresh, TFlag(0, 0), m) for m in range(1, 6)]
+        assert divisor_polytope(D) == divisor_polytope(fresh)
+        report, want = okounkov_volume_report(D), okounkov_volume_report(fresh)
+        assert (report.agree, report.diagnostics) == (want.agree, want.diagnostics)
+        assert walks == [D, fresh]
 
     def test_no_route_gates_positivity(self, monkeypatch):
         # a big divisor that is not nef: every route is defined, and none reads a witness list
