@@ -96,7 +96,7 @@ def parse_instance(text: str) -> InstanceDocument:
     for key in ("rays", "divisor"):
         if key not in raw:
             raise DocumentError(f"missing field {key!r}")
-    # one pass per type set, as lattice._int_pairs reads points; an empty list passes
+    # one set each of the ray types, the ray lengths and the coordinate types; an empty list passes
     rays = raw["rays"]
     if not (isinstance(rays, list) and set(map(type, rays)) <= {list} and set(map(len, rays)) <= {2}
             and set(map(type, chain.from_iterable(rays))) <= {int}):

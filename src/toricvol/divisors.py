@@ -134,10 +134,17 @@ def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
 
 
-def _lattice_ends(cycle: Sequence[tuple[Row, Vertex]]) -> list[Vec] | None:
-    """The vertices of a ``_section_polygon`` cycle at any level, in order, if all lie on the lattice."""
-    ends = [(X // W, Y // W) for _, (X, Y, W) in cycle if not (X % W or Y % W)]
-    return ends if len(ends) == len(cycle) else None
+def _lattice_ends(cycle: Sequence[tuple[Row, Vertex]], m: int) -> list[Vec] | None:
+    """The vertices of the level-1 ``_section_polygon`` cycle times the level m, in order, if all
+    are lattice points: each X and Y times m, tested W | mX, mY, and no row scaled. One pass,
+    which stops at the first vertex off the lattice."""
+    ends = []
+    for _, (X, Y, W) in cycle:
+        X, Y = m * X, m * Y
+        if X % W or Y % W:
+            return None
+        ends.append((X // W, Y // W))
+    return ends
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:
@@ -145,7 +152,7 @@ def divisor_polytope(D: TorusDivisor) -> Polygon:
     equation: int vertices when all are lattice points, as for every nef D, else the int hull of
     the vertices times their common denominator k, divided by k. An empty P_D raises ValueError."""
     cycle = D._section_polygon
-    if (ends := _lattice_ends(cycle)) is not None:
+    if (ends := _lattice_ends(cycle, 1)) is not None:
         return convex_hull_2d(ends)
     k = lcm(*(W for _, (_, _, W) in cycle))
     return convex_hull_2d([(X * (k // W), Y * (k // W)) for _, (X, Y, W) in cycle]).divided(k)

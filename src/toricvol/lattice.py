@@ -11,6 +11,8 @@ ints; ``Polygon.area`` is the one public shoelace sum. Only ``Polygon.divided``
 makes rational vertices. Int pairs that already are a strictly convex cycle, as
 every hull input of an ample divisor is, are their own hull after one convexity
 check; only other inputs are sorted and chained, then checked as a ``Polygon``.
+The read of the points and the convexity check are one loop each, which stops at
+the first point that is not an int pair, or the first turn that is not left.
 
 Every record of the package is a ``NamedTuple``: it equals and hashes like the
 tuple of its fields, its repr names each field, ``_fields`` and ``_replace`` take
@@ -22,7 +24,6 @@ is a ``_Checked`` subclass of a private ``NamedTuple`` that checks in ``__new__`
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -51,9 +52,12 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def _int_pairs(pts: Sequence) -> bool:
-    """Every point a tuple of two ints, bools excluded: ``_coords`` can be skipped."""
-    return (set(map(type, pts)) == {tuple} and set(map(len, pts)) == {2}
-            and set(map(type, chain.from_iterable(pts))) == {int})
+    """Some points, each a tuple of two ints, bools excluded: ``_coords`` can be skipped.
+    One pass, which stops at the first point that is not."""
+    for p in pts:
+        if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            return False
+    return len(pts) > 0
 
 
 def _read(points: Iterable[Sequence]) -> tuple[Vec, ...]:
@@ -69,12 +73,22 @@ def _area(xs: list[int], ys: list[int]) -> Fraction:
 
 
 def _strictly_convex(xs: list[int], ys: list[int]) -> bool:
-    """Every turn left and the edges winding once. A left turn is less than a half
-    turn, so the winding counts the edges entering the upper half-plane [0, pi)."""
-    e = [(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) for i in range(len(xs))]
-    up = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in e]
-    return (all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(e[-1:] + e[:-1], e))
-            and sum(b and not a for a, b in zip(up[-1:] + up[:-1], up)) == 1)
+    """Every turn left and the edges winding once, in one pass over the edges, which stops at
+    the first turn that is not left. A left turn is less than a half turn, so the winding counts
+    the edges entering the upper half-plane [0, pi). Fewer than three vertices turn by 0."""
+    if len(xs) < 3:
+        return False
+    px, py = xs[-1], ys[-1]
+    ax, ay = px - xs[-2], py - ys[-2]
+    up, entries = ay > 0 or (ay == 0 and ax > 0), 0
+    for x, y in zip(xs, ys):
+        bx, by = x - px, y - py
+        if ax * by - ay * bx <= 0:
+            return False
+        was, up = up, by > 0 or (by == 0 and bx > 0)
+        entries += up and not was
+        ax, ay, px, py = bx, by, x, y
+    return entries == 1
 
 
 class _Checked:

@@ -15,12 +15,16 @@ and the first boundary taken on them, sign and coefficient included. Three
 loops the library replaced stay here as oracles too: the per-ray fan
 validation, route 3's flag contribution through ``Rank2Valuation.value``
 and ``cross``, and route 4 flag by flag, the object oracle on two
-``cech_cocycle`` transition characters. ``spy_hull_passes`` logs the
-chain and convexity passes a convex hull makes."""
+``cech_cocycle`` transition characters. The set-based int-pair test and the
+four-pass convexity check, which one loop each replaced in ``lattice``, stay
+here too, with ``reference_kernels`` to put them back in a hull or a
+``Polygon``. ``spy_hull_passes`` logs the chain and convexity passes a
+convex hull makes."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import index
 
@@ -286,6 +290,29 @@ def chain_hull(points) -> FractionHull:
 def fraction_hull(points) -> FractionHull:
     """Reference convex hull: every point is promoted to a Fraction pair first."""
     return chain_hull((Fraction(p[0]), Fraction(p[1])) for p in points)
+
+
+def set_int_pairs(pts) -> bool:
+    """Reference int-pair test: the sets of the point types, the point lengths and the
+    coordinate types are {tuple}, {2} and {int}; no points is no int pairs."""
+    return (set(map(type, pts)) == {tuple} and set(map(len, pts)) == {2}
+            and set(map(type, chain.from_iterable(pts))) == {int})
+
+
+def four_pass_strictly_convex(xs, ys) -> bool:
+    """Reference convexity check: the edge list, the list of edges in the upper half-plane
+    [0, pi), every turn left, and the winding, the edges entering that half-plane, once."""
+    e = [(xs[i] - xs[i - 1], ys[i] - ys[i - 1]) for i in range(len(xs))]
+    up = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in e]
+    return (all(ax * by - ay * bx > 0 for (ax, ay), (bx, by) in zip(e[-1:] + e[:-1], e))
+            and sum(b and not a for a, b in zip(up[-1:] + up[:-1], up)) == 1)
+
+
+def reference_kernels(mp) -> None:
+    """Put ``set_int_pairs`` and ``four_pass_strictly_convex`` in place of the one-loop
+    ``lattice`` kernels, for ``convex_hull_2d`` and ``Polygon``."""
+    mp.setattr(lattice, "_int_pairs", set_int_pairs)
+    mp.setattr(lattice, "_strictly_convex", four_pass_strictly_convex)
 
 
 def spy_hull_passes(mp) -> list:

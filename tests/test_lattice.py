@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,8 +13,16 @@ from toricvol import (
     cross,
     dot,
 )
-from toricvol.lattice import _area, monotone_chain
-from conftest import fraction_hull, fraction_shoelace, spy_hull_passes
+from toricvol.lattice import _area, _int_pairs, _strictly_convex, monotone_chain
+from conftest import (
+    deep_ample_instance,
+    four_pass_strictly_convex,
+    fraction_hull,
+    fraction_shoelace,
+    reference_kernels,
+    set_int_pairs,
+    spy_hull_passes,
+)
 
 
 def shoelace(vertices):
@@ -368,6 +377,92 @@ class TestShoelaceAgainstFractionShoelace:
 
 
 PENTAGRAM = ((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3))
+
+
+tiny = st.integers(-3, 3)
+
+
+@st.composite
+def kernel_points(draw) -> list:
+    """0-8 int points in [-3, 3]^2: any points, repeats included; a collinear run; a hull cycle,
+    from any vertex, either way round; or a hull cycle in step-2 order, which winds twice when
+    its length is odd, as a pentagram does."""
+    kind = draw(st.sampled_from(["any", "collinear", "cycle", "clockwise", "star"]))
+    if kind == "any":
+        return draw(st.lists(st.tuples(tiny, tiny), max_size=8))
+    if kind == "collinear":
+        unit = st.integers(-1, 1)
+        (x, y), (dx, dy) = draw(st.tuples(tiny, tiny)), draw(st.tuples(unit, unit))
+        run = [(x + t * dx, y + t * dy) for t in draw(st.lists(tiny, max_size=8))]
+        return [(a, b) for a, b in run if -3 <= a <= 3 and -3 <= b <= 3]
+    cycle = int_hull_cycle(draw(st.lists(st.tuples(tiny, tiny), min_size=1, max_size=8)))
+    r = draw(st.integers(0, len(cycle) - 1))
+    cycle = cycle[r:] + cycle[:r]
+    if kind == "star":
+        return cycle[::2] + cycle[1::2]
+    return cycle[::-1] if kind == "clockwise" else cycle
+
+
+class NamedPoint(NamedTuple):
+    x: int
+    y: int
+
+
+# every form a point may take: an int pair is read as it is, every other form by _coords
+POINT_FORMS = {"pair": lambda x, y: (x, y), "list": lambda x, y: [x, y],
+               "bool": lambda x, y: (x > 0, y), "triple": lambda x, y: (x, y, 0),
+               "named": NamedPoint, "fraction": lambda x, y: (x, Fraction(y)),
+               "index": lambda x, y: (Index(x), y)}
+mixed_points = st.lists(st.tuples(tiny, tiny, st.sampled_from(["pair"] * 4 + sorted(POINT_FORMS))),
+                        max_size=8).map(lambda rows: [POINT_FORMS[f](x, y) for x, y, f in rows])
+
+
+def kernel_outcomes(points) -> list:
+    """The hull and the Polygon of the points, vertices, area and coordinate types, or the
+    error's type and text."""
+    out = []
+    for build in (convex_hull_2d, Polygon):
+        try:
+            p = build(points)
+        except (TypeError, ValueError) as e:
+            out.append((type(e), str(e)))
+        else:
+            out.append((p.vertices, p.area, [tuple(map(type, v)) for v in p.vertices]))
+    return out
+
+
+def assert_kernels_as_references(points):
+    # each one-loop kernel and its reference agree, on the points either way round, and so
+    # does every hull and Polygon built on them
+    for pts in (points, points[::-1]):
+        for form in (pts, tuple(pts)):
+            assert _int_pairs(form) is set_int_pairs(form)
+        if set_int_pairs(pts) or not pts:
+            xs, ys = [x for x, _ in pts], [y for _, y in pts]
+            assert _strictly_convex(xs, ys) is four_pass_strictly_convex(xs, ys)
+        got = kernel_outcomes(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            reference_kernels(mp)
+            assert kernel_outcomes(pts) == got
+
+
+class TestOnePassKernels:
+    # the int-pair read and the convexity check are one loop each; the set-based test and the
+    # four-pass check in conftest are their oracles, and swapped in, the oracle of every hull
+    # and Polygon, error texts included
+
+    @given(st.one_of(kernel_points(), mixed_points))
+    @example([])
+    @example(list(PENTAGRAM))
+    def test_int_pairs_and_strictly_convex_as_references(self, points):
+        assert_kernels_as_references(points)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_int_pairs_and_strictly_convex_on_deep_cocycles(self, n):
+        # a convex cycle either way round under every flag's valuation, far past [-3, 3]
+        D = deep_ample_instance(random.Random(n), n)
+        for w in D.fan.charts.values():
+            assert_kernels_as_references([w.value(e) for e in D.cocycle])
 
 
 class TestPolygonArea:
