@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -134,25 +134,18 @@ def ampleness_violations(D: TorusDivisor) -> list[tuple[int, int]]:
     return [(j, (j + 2) % n) for j in range(n) if deg[(j + 1) % n] <= 0]
 
 
-def _lattice_ends(cycle: Sequence[tuple[Row, Vertex]], m: int) -> list[Vec] | None:
-    """The vertices of the level-1 ``_section_polygon`` cycle times the level m, in order, if all
-    are lattice points: each X and Y times m, tested W | mX, mY, and no row scaled. One pass,
-    which stops at the first vertex off the lattice."""
-    ends = []
-    for _, (X, Y, W) in cycle:
-        X, Y = m * X, m * Y
-        if X % W or Y % W:
-            return None
-        ends.append((X // W, Y // W))
-    return ends
+def _denominator(cycle: Sequence[tuple[Row, Vertex]]) -> int:
+    """The least k >= 1 for which k times the walked cycle ``D._section_polygon`` is a lattice
+    polygon: the lcm of its vertices' denominators in lowest terms, W // gcd(W, X, Y). So mP_D
+    is a lattice polygon exactly when k divides m; an empty P_D gives 1."""
+    return lcm(*(W // gcd(W, X, Y) for _, (X, Y, W) in cycle if W > 1))
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:
     """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of ``D._section_polygon``, so of no local
-    equation: int vertices when all are lattice points, as for every nef D, else the int hull of
-    the vertices times their common denominator k, divided by k. An empty P_D raises ValueError."""
+    equation: the int hull of kP_D for its denominator k, divided by k only when k > 1, so int
+    vertices when all are lattice points, as for every nef D. An empty P_D raises ValueError."""
     cycle = D._section_polygon
-    if (ends := _lattice_ends(cycle, 1)) is not None:
-        return convex_hull_2d(ends)
-    k = lcm(*(W for _, (_, _, W) in cycle))
-    return convex_hull_2d([(X * (k // W), Y * (k // W)) for _, (X, Y, W) in cycle]).divided(k)
+    k = _denominator(cycle)
+    hull = convex_hull_2d([(k * X // W, k * Y // W) for _, (X, Y, W) in cycle])
+    return hull.divided(k) if k > 1 else hull

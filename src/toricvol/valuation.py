@@ -15,15 +15,16 @@ keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` thro
 ``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
 chart unpacked once. Level-m hulls start from the section polygon mP_D, the cached level-1
-walk ``TorusDivisor._section_polygon`` scaled by m. The lattice test ``_lattice_ends`` takes
-the level and scales only the vertices: a polygon whose vertices are all lattice points, as
-every nef D's is, is its own integer hull. Only a polygon with another vertex has its rows
-scaled too, for the column path, which cuts only the max(r1, |s1|) section columns at each
-end of each stretch between two vertices, above one lower row (r0, r1, b) and below one
-upper row (s0, s1, c), as no other holds a vertex. Only the hull's vertices are valued, and
-that checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
-Both hulls' inputs are vertex cycles for an ample divisor, which ``convex_hull_2d`` checks
-once and does not chain.
+walk ``TorusDivisor._section_polygon`` scaled by m. The one lattice rule is P_D's denominator
+k, ``divisors._denominator``: mP_D is a lattice polygon exactly when k divides m, and is then
+its own integer hull, with only its vertices scaled. Otherwise the rows are scaled too, for
+the column path, which cuts only the max(r1, |s1|) section columns at each end of each
+stretch between two vertices, above one lower row (r0, r1, b) and below one upper row
+(s0, s1, c), as no other holds a vertex. Only the hull's vertices are valued, and that
+checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
+``convex_hull_2d`` drops repeated and collinear points, so neither path drops any itself;
+for an ample divisor both hulls' inputs are vertex cycles, which it checks once and does not
+chain.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import index
 
-from .divisors import Row, TorusDivisor, Vertex, _lattice_ends
+from .divisors import Row, TorusDivisor, Vertex, _denominator
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
@@ -124,28 +125,26 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     """Hull of the level-m semigroup points: the int hull, checked once by ``convex_hull_2d``,
     scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The level is read
     with ``operator.index`` first. The unimodular valuation maps the hull of the sections onto
-    the hull of their values, so only the vertices of the former are valued. When every vertex
-    of ``D._section_polygon`` times m is a lattice point, as for every nef D, which
-    ``_lattice_ends`` tests on the vertices alone, that cycle is its own integer hull.
-    Otherwise its rows are scaled by m too, and the lower chain of the lows and the upper
-    chain of the highs of ``_hull_columns``, joined, hold every vertex. Either cycle repeats a
-    point only where it meets itself (an edge of length 0, or the two chains at an end column
-    with lo == hi), and one rule drops each repeat, so the ends are the hull's vertex cycle
-    itself, unless every section lies on one line."""
+    the hull of their values, so only the vertices of the former are valued. When the
+    denominator k of ``D._section_polygon`` divides m, as k = 1 does for every nef D, mP_D is a
+    lattice polygon and its own integer hull. Otherwise its rows are scaled by m too, and the
+    lower chain of the lows and the upper chain of the highs of ``_hull_columns`` hold every
+    vertex; ``convex_hull_2d`` drops the point where the two chains meet, as it drops any
+    repeat."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test reads
-    # none, so the same lines stay at every level: each b and each X, Y times m, W unchanged;
-    # the lattice test scales only the vertices, and only the column path the rows
+    # none, so the same lines stay at every level: each b and each X, Y times m, W unchanged
     cycle = D._section_polygon
-    if (ends := _lattice_ends(cycle, m)) is None:
+    if m % _denominator(cycle) == 0:
+        ends = [(m * X // W, m * Y // W) for _, (X, Y, W) in cycle]
+    else:
         scaled = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in cycle]
         cols = _hull_columns(scaled, m)
         ends = (monotone_chain((x, lo) for x, lo, _ in cols)
                 + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
-    ends = [p for p, q in zip(ends, ends[-1:] + ends[:-1]) if p != q] or ends[:1]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     return convex_hull_2d(map(w.value, ends)).divided(m)

@@ -333,6 +333,19 @@ def spy_hull_passes(mp) -> list:
     return calls
 
 
+def lattice_ends(cycle, m: int) -> list[tuple[int, int]] | None:
+    """Reference lattice test, vertex by vertex: the vertices of the level-1 walked cycle
+    ``TorusDivisor._section_polygon`` times the level m, in order, if W divides mX and mY
+    for every one, else None."""
+    ends = []
+    for _, (X, Y, W) in cycle:
+        X, Y = m * X, m * Y
+        if X % W or Y % W:
+            return None
+        ends.append((X // W, Y // W))
+    return ends
+
+
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:
     """Reference section scan: every point of the bounding box of the scaled
     cocycle characters tested against every ray inequality, O(box * n)."""

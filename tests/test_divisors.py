@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from toricvol import (
+    Fan2D,
     TorusDivisor,
     ampleness_violations,
     divisor,
@@ -16,6 +17,7 @@ from toricvol import (
     semigroup_level_hull,
     TFlag,
 )
+from toricvol import valuation
 import conftest
 from conftest import (
     box_section_points,
@@ -223,6 +225,27 @@ class TestDivisorPolytope:
         assert got.area == chain_hull(want).area
         on_lattice = all(c.denominator == 1 for v in want for c in v)
         assert all(type(c) is (int if on_lattice else Fraction) for v in got.vertices for c in v)
+
+    def test_divisor_polytope_of_lattice_vertices_with_w_above_1(self, monkeypatch):
+        # the walk meets the line of (-1, 1) at (2/2, 6/2) = (1, 3): W = 1, 2, 1, yet every
+        # vertex is a lattice point, so P_D's denominator is 1, route 1 keeps int vertices and
+        # no level hull cuts a column
+        D = divisor(Fan2D(((1, 0), (0, 1), (-1, 1), (-1, 0), (-1, -1))), (0, 9, -2, 4, 4))
+        assert [W for _, (_, _, W) in D._section_polygon] == [1, 2, 1]
+        P = divisor_polytope(D)
+        assert P.vertices == ((0, 2), (1, 3), (0, 4))
+        assert all(type(c) is int for v in P.vertices for c in v)
+        cut, real = [], valuation._cut_columns
+
+        def spy(r, s, xs):
+            cut.append((r, s))
+            return real(r, s, xs)
+
+        monkeypatch.setattr(valuation, "_cut_columns", spy)
+        for flag in D.fan.charts:
+            for m in range(1, 6):
+                semigroup_level_hull(D, flag, m)
+        assert cut == []
 
 
 class TestSectionLatticePoints:

@@ -31,6 +31,7 @@ from conftest import (
     deep_ample_instance,
     graded_semigroup,
     hirzebruch_grid,
+    lattice_ends,
     random_ample_instance,
     random_smooth_fan,
     reference_tflags,
@@ -417,6 +418,52 @@ class TestGradedSemigroup:
             cut.clear()
             semigroup_level_hull(D, TFlag(1, 0), m)
             assert (cut == []) == (m % 30 == 0)
+
+    @given(st.integers(0, 2 ** 32))
+    def test_denominator_is_the_per_vertex_lattice_test(self, seed):
+        # the level-m cycle is on the lattice, tested vertex by vertex, exactly when P_D's
+        # denominator k divides m, so k is the least such level; the level hull then values
+        # the tested ends themselves, in order
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        cycle = D._section_polygon
+        k = divisors._denominator(cycle)
+        w = flag_valuation(fan, flag := rng.choice(list(fan.charts)))
+        valued, hull = [], lattice.convex_hull_2d
+
+        def spy(points):
+            valued.append(list(points))
+            return hull(valued[-1])
+
+        levels = [m for m in range(1, 61) if lattice_ends(cycle, m) is not None]
+        assert levels == [m for m in range(1, 61) if m % k == 0]
+        assert min(levels, default=None) == (k if k <= 60 else None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(valuation, "convex_hull_2d", spy)
+            for m in levels:
+                if ends := lattice_ends(cycle, m):
+                    valued.clear()
+                    semigroup_level_hull(D, flag, m)
+                    assert valued == [list(map(w.value, ends))]
+
+    @given(st.integers(0, 2 ** 32))
+    def test_level_hull_at_a_multiple_of_the_denominator_is_p_d(self, seed):
+        # a divisor that is not nef with a nonempty P_D: at m = k and 2k for P_D's denominator k,
+        # the level hull is the Okounkov body, route 1's polygon P_D under the flag's valuation
+        rng = random.Random(seed)
+        while True:
+            fan = random_smooth_fan(rng)
+            D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+            if min(D.curve_degrees) < 0 and D._section_polygon:
+                break
+        P, k = divisor_polytope(D), divisors._denominator(D._section_polygon)
+        for flag in fan.charts:
+            w = flag_valuation(fan, flag)
+            for m in (k, 2 * k):
+                hull = semigroup_level_hull(D, flag, m)
+                assert set(hull.vertices) == {w.value(v) for v in P.vertices}
+                assert hull.area == P.area
 
     def test_level_hull_cost_does_not_follow_the_width(self, monkeypatch):
         # (0, 2, b, 0) at level 5 has 5*b + 1 columns and is nef: no column is cut. (0, b, b, 0)
