@@ -154,9 +154,13 @@ class Polygon(_Checked, _VerticesArea):
 
     def divided(self, m: int) -> Polygon:
         """This polygon times 1/m for an int m >= 1, with no second check: a positive scaling keeps
-        the vertex order, strict convexity, winding and distinctness, and divides the area by m^2."""
+        the vertex order, strict convexity, winding and distinctness, and divides the area by m^2.
+        For m = 1 the vertices become ``Fraction(x)``, equal to ``Fraction(x, 1)`` with no gcd, and
+        the area is the polygon's own."""
         if (m := index(m)) < 1:
             raise ValueError(f"a polygon is divided by a positive integer, got {m}")
+        if m == 1:
+            return _checked(tuple((Fraction(x), Fraction(y)) for x, y in self.vertices), self.area)
         return _checked(tuple((Fraction(x, m), Fraction(y, m)) for x, y in self.vertices),
                         Fraction(self.area.numerator, self.area.denominator * m * m))
 

@@ -14,14 +14,16 @@ Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
 ``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
-chart unpacked once. Level-m hulls start from the section polygon mP_D, the cached level-1
-walk ``TorusDivisor._section_polygon`` scaled by m. The one lattice rule is P_D's denominator
-k, ``divisors._denominator``: mP_D is a lattice polygon exactly when k divides m, and is then
-its own integer hull, with only its vertices scaled. Otherwise the rows are scaled too, for
-the column path, which cuts only the max(r1, |s1|) section columns at each end of each
-stretch between two vertices, above one lower row (r0, r1, b) and below one upper row
-(s0, s1, c), as no other holds a vertex. Only the hull's vertices are valued, and that
-checked int hull is scaled by 1/m with ``Polygon.divided``, which checks nothing again.
+chart unpacked once. Level-m hulls start from the cached level-1 walk
+``TorusDivisor._section_polygon``. The one lattice rule is P_D's denominator k,
+``divisors._denominator``: mP_D is a lattice polygon exactly when k divides m, and then the
+level-m hull divided by m is kP_D's, the walk's vertices scaled by k, divided by k, the same
+polygon at every such m. Otherwise the rows are scaled by m too, for the column path, which
+cuts only the max(r1, |s1|) section columns at each end of each stretch between two vertices,
+above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as no other holds a
+vertex. Only the hull's vertices are valued, with the chart unpacked once, and that checked
+int hull is divided by k when k | m, by m on the column path, with ``Polygon.divided``, which
+checks nothing again.
 ``convex_hull_2d`` drops repeated and collinear points, so neither path drops any itself;
 for an ample divisor both hulls' inputs are vertex cycles, which it checks once and does not
 chain.
@@ -122,29 +124,34 @@ def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, in
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
-    """Hull of the level-m semigroup points: the int hull, checked once by ``convex_hull_2d``,
-    scaled by 1/m into Fractions by ``Polygon.divided`` with no second check. The level is read
-    with ``operator.index`` first. The unimodular valuation maps the hull of the sections onto
-    the hull of their values, so only the vertices of the former are valued. When the
-    denominator k of ``D._section_polygon`` divides m, as k = 1 does for every nef D, mP_D is a
-    lattice polygon and its own integer hull. Otherwise its rows are scaled by m too, and the
-    lower chain of the lows and the upper chain of the highs of ``_hull_columns`` hold every
-    vertex; ``convex_hull_2d`` drops the point where the two chains meet, as it drops any
-    repeat."""
+    """Hull of the level-m semigroup points: an int hull, checked once by ``convex_hull_2d``,
+    divided by k when k | m, by m on the column path, into Fractions by ``Polygon.divided`` with
+    no second check. The level is read with ``operator.index`` first. The unimodular valuation
+    maps the hull of the sections onto the hull of their values, so only the vertices of the
+    former are valued. When the denominator k of ``D._section_polygon`` divides m, as k = 1 does
+    for every nef D, mP_D is a lattice polygon and its own integer hull, so the level-m hull over
+    m is kP_D's over k, whatever m: no level-m point is made. Otherwise the rows are scaled by m
+    too, and the lower chain of the lows and the upper chain of the highs of ``_hull_columns``
+    hold every vertex; ``convex_hull_2d`` drops the point where the two chains meet, as it drops
+    any repeat."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test reads
-    # none, so the same lines stay at every level: each b and each X, Y times m, W unchanged
     cycle = D._section_polygon
-    if m % _denominator(cycle) == 0:
-        ends = [(m * X // W, m * Y // W) for _, (X, Y, W) in cycle]
+    k = _denominator(cycle)
+    if m % k == 0:
+        ends = [(k * X // W, k * Y // W) for _, (X, Y, W) in cycle]
     else:
+        # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test
+        # reads none, so the same lines stay at every level: each b and each X, Y times m, W
+        # unchanged; this hull is mP_D's, divided by m
+        k = m
         scaled = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in cycle]
         cols = _hull_columns(scaled, m)
         ends = (monotone_chain((x, lo) for x, lo, _ in cols)
                 + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
     if not ends:
         raise ValueError(f"no sections at level {m}")
-    return convex_hull_2d(map(w.value, ends)).divided(m)
+    (r1, r2), (s1, s2), _, _ = w
+    return convex_hull_2d([(x * r1 + y * r2, x * s1 + y * s2) for x, y in ends]).divided(k)

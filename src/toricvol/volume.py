@@ -7,6 +7,11 @@ agreement report of the routes to one volume, in ``ROUTES`` order:
   4. half the iterated-tame-boundary intersection number,
   5. area of the trivialization polytope of a display flag.
 
+Route 5 is not one of the four independent routes: it follows from the report's vertex check
+below and restates route 1. That check makes the local equations the vertices of the walk whose
+hull is route 1's polygon, and route 5 is their area under a unimodular valuation, so whenever
+the check passes route 5 equals route 1.
+
 A report holds each route's value as an int, twice the volume (twice a lattice polygon's
 area is an int), and its verdict is exact equality of those ints. Each route reads only
 the divisor, the decomposition and the display flag, never another route's value.

@@ -19,7 +19,9 @@ and ``cross``, and route 4 flag by flag, the object oracle on two
 four-pass convexity check, which one loop each replaced in ``lattice``, stay
 here too, with ``reference_kernels`` to put them back in a hull or a
 ``Polygon``. ``spy_hull_passes`` logs the chain and convexity passes a
-convex hull makes."""
+convex hull makes. The level hull's lattice path that scaled mP_D's vertices
+by m and divided by m, which one hull of kP_D divided by k replaced, stays as
+``m_scaled_level_hull``."""
 
 import random
 from dataclasses import dataclass
@@ -45,7 +47,7 @@ from toricvol import (
     projective_plane_fan,
     star_subdivide,
 )
-from toricvol import lattice
+from toricvol import lattice, valuation
 
 # Same examples on every run, so a tier-1 failure reproduces exactly. The "seeded" profile
 # draws other examples: `pytest --hypothesis-profile=seeded --hypothesis-seed=N`.
@@ -344,6 +346,30 @@ def lattice_ends(cycle, m: int) -> list[tuple[int, int]] | None:
             return None
         ends.append((X // W, Y // W))
     return ends
+
+
+def m_scaled_level_hull(D: TorusDivisor, flag, m: int) -> lattice.Polygon:
+    """Reference level hull, the level-m lattice path the library replaced: where the level-m
+    cycle passes the per-vertex ``lattice_ends`` test, its ends, each valued by one
+    ``Rank2Valuation.value`` call, hulled in ints and divided by m as ``Fraction(x, m)`` with the
+    area over m^2, at every such m; any other level through the library's column path, divided
+    the same way. The level, the flag and an empty level raise the library's errors."""
+    m = index(m)
+    w = flag_valuation(D.fan, flag)
+    if m < 1:
+        raise ValueError(f"level must be a positive integer, got {m}")
+    cycle = D._section_polygon
+    ends = lattice_ends(cycle, m)
+    if ends is None:
+        scaled = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in cycle]
+        cols = valuation._hull_columns(scaled, m)
+        ends = (lattice.monotone_chain((x, lo) for x, lo, _ in cols)
+                + lattice.monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+    if not ends:
+        raise ValueError(f"no sections at level {m}")
+    hull = lattice.convex_hull_2d(map(w.value, ends))
+    area = Fraction(hull.area.numerator, hull.area.denominator * m * m)
+    return lattice._checked(tuple((Fraction(x, m), Fraction(y, m)) for x, y in hull.vertices), area)
 
 
 def box_section_points(D: TorusDivisor, m: int) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from toricvol import (
     standard_decomposition,
 )
 from toricvol.cli import InstanceDocument
+from toricvol.lattice import _checked
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -160,6 +161,29 @@ class TestChangedCopiesAreChecked:
         half = convex_hull_2d(TRIANGLE).divided(2)
         for y in (copy.deepcopy(half), pickle.loads(pickle.dumps(half))):
             assert y == half and y.area == Fraction(1, 2)
+
+    def test_divided_by_one_is_the_fraction_over_one_construction(self):
+        # divided(1) builds Fraction(x), with no gcd, where m > 1 builds Fraction(x, m): the
+        # same record as the Fraction(x, 1) construction in every respect but the work
+        P = convex_hull_2d(((0, 0), (3, -1), (2, 4), (-1, 2)))
+        old = _checked(tuple((Fraction(x, 1), Fraction(y, 1)) for x, y in P.vertices),
+                       Fraction(P.area.numerator, P.area.denominator))
+        one = P.divided(1)
+        assert all(type(c) is Fraction for v in one.vertices for c in v)
+        assert repr(one) == repr(old) and one == old == P and hash(one) == hash(old)
+        assert one.area == P.area and type(one.area) is Fraction
+        for a, b in ((one, old), (pickle.loads(pickle.dumps(one)), pickle.loads(pickle.dumps(old))),
+                     (copy.deepcopy(one), copy.deepcopy(old))):
+            assert type(a) is Polygon and repr(a) == repr(b) and a == b
+        # a Fraction vertex is no hull point, for either construction, through _replace or
+        # copy.replace alike
+        replaces = [lambda p: p._replace()] + ([copy.replace] if hasattr(copy, "replace") else [])
+        for replace in replaces:
+            for p in (one, old):
+                with pytest.raises(TypeError):
+                    replace(p)
+        with pytest.raises(ValueError, match="^a polygon is divided by a positive integer, got 0$"):
+            P.divided(0)
 
 
 class TestRecordContract:

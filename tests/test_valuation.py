@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from toricvol import (
     Fan2D,
     FlagContribution,
-    Rank2Valuation,
     TFlag,
     divisor,
     divisor_polytope,
@@ -32,6 +31,7 @@ from conftest import (
     graded_semigroup,
     hirzebruch_grid,
     lattice_ends,
+    m_scaled_level_hull,
     random_ample_instance,
     random_smooth_fan,
     reference_tflags,
@@ -311,22 +311,22 @@ class TestGradedSemigroup:
 
     def test_level_hull_values_only_column_ends(self, monkeypatch):
         # level 5 of (0, 4, 9, 0) on F_1 has 756 sections in 46 columns: the
-        # level hull values at most two per column
+        # level hull values, and hulls, at most two points per column
         D = ruled_divisor(1, 4, 9)
         assert len(section_lattice_points(D, 5)) > 750
         columns = {m: len(section_columns(D, m)) for m in range(1, 6)}
-        calls, value = [], Rank2Valuation.value
+        points, hull = [], lattice.convex_hull_2d
 
-        def spy(self, exponent):
-            calls.append(exponent)
-            return value(self, exponent)
+        def spy(pts):
+            points.append(list(pts))
+            return hull(points[-1])
 
-        monkeypatch.setattr(Rank2Valuation, "value", spy)
+        monkeypatch.setattr(valuation, "convex_hull_2d", spy)
         for flag in D.fan.charts:
             for m, width in columns.items():
-                calls.clear()
+                points.clear()
                 semigroup_level_hull(D, flag, m)
-                assert 0 < len(calls) <= 2 * width
+                assert len(points) == 1 and 0 < len(points[0]) <= 2 * width
 
     @staticmethod
     def assert_level_hull_matches_every_column(D, levels, flags=None):
@@ -422,8 +422,8 @@ class TestGradedSemigroup:
     @given(st.integers(0, 2 ** 32))
     def test_denominator_is_the_per_vertex_lattice_test(self, seed):
         # the level-m cycle is on the lattice, tested vertex by vertex, exactly when P_D's
-        # denominator k divides m, so k is the least such level; the level hull then values
-        # the tested ends themselves, in order
+        # denominator k divides m, so k is the least such level; the level hull at every such m,
+        # k, 2k and 3k included, then values the ends tested at level k, in order
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
         D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
@@ -439,13 +439,63 @@ class TestGradedSemigroup:
         levels = [m for m in range(1, 61) if lattice_ends(cycle, m) is not None]
         assert levels == [m for m in range(1, 61) if m % k == 0]
         assert min(levels, default=None) == (k if k <= 60 else None)
+        ends = lattice_ends(cycle, k)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(valuation, "convex_hull_2d", spy)
-            for m in levels:
-                if ends := lattice_ends(cycle, m):
-                    valued.clear()
+            for m in sorted({k, 2 * k, 3 * k, *levels}):
+                valued.clear()
+                if ends:
                     semigroup_level_hull(D, flag, m)
-                    assert valued == [list(map(w.value, ends))]
+                else:
+                    with pytest.raises(ValueError, match=f"^no sections at level {m}$"):
+                        semigroup_level_hull(D, flag, m)
+                assert valued == ([list(map(w.value, ends))] if ends else [])
+
+    @staticmethod
+    def assert_level_hull_matches_m_scaled(D, levels, flags=None):
+        # the m-scaled lattice path is the oracle: the same repr, so the same vertices in the
+        # same order and the same area, every coordinate a Fraction as there, and the same error
+        def outcome(f, *args):
+            try:
+                got = f(*args)
+            except ValueError as e:
+                return str(e)
+            return repr(got), [type(c) for v in got.vertices for c in v]
+
+        for m in levels:
+            for flag in flags or D.fan.charts:
+                assert (outcome(semigroup_level_hull, D, flag, m)
+                        == outcome(m_scaled_level_hull, D, flag, m))
+
+    @given(st.integers(0, 2 ** 32))
+    def test_level_hull_equals_m_scaled_oracle(self, seed):
+        # every level 1..12 and k, 2k, 3k for P_D's denominator k: the lattice path at the
+        # multiples of k, the column path, divided(1) included, at the others
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        k = divisors._denominator(D._section_polygon)
+        self.assert_level_hull_matches_m_scaled(D, sorted({*range(1, 13), k, 2 * k, 3 * k}))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_level_hull_equals_m_scaled_oracle_on_deep_fans(self, n):
+        # on a deep fan, at 16 of its flags: its ample divisor (k = 1), and as in the row scan's
+        # test the nef divisor of a random small polygon Q, perturbed by -1..1 per ray, drawn
+        # until its P_D has a denominator k > 1
+        rng = random.Random(n)
+        D = deep_ample_instance(rng, n)
+        fan = D.fan
+        flags = rng.sample(list(fan.charts), 16)
+        while True:
+            q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
+            nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
+            E = divisor(fan, [d + rng.randint(-1, 1) for d in nef])
+            if divisors._denominator(E._section_polygon) > 1:
+                break
+        for F in (D, E):
+            k = divisors._denominator(F._section_polygon)
+            self.assert_level_hull_matches_m_scaled(F, sorted({*range(1, 13), k, 2 * k, 3 * k}),
+                                                    flags)
 
     @given(st.integers(0, 2 ** 32))
     def test_level_hull_at_a_multiple_of_the_denominator_is_p_d(self, seed):
