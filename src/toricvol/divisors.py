@@ -6,7 +6,10 @@ cone, in the dual basis of ``Fan2D.charts``; the transition cocycle of the line 
 f_ab = h_b - h_a in exponents. The divisor polytope P_D = {h : <h, ray_i> >= -d_i} is
 walked from the rays and coefficients alone, once per divisor, into the cached level-1
 cycle ``TorusDivisor._section_polygon``, which ``valuation`` scales by m to cut sections;
-for ample D its vertices are the h_j. Positivity has one API: the two witness lists.
+for ample D its vertices are the h_j. Beside it, the cached ``TorusDivisor._lattice_cycle``
+is the one place where P_D's denominator k and kP_D's int vertex cycle are made, read by
+``divisor_polytope`` and by every level hull at a multiple of k. Positivity has one API:
+the two witness lists.
 A ``TorusDivisor`` is the checked record ``(fan, coeffs)`` (see ``lattice``): it
 equals and hashes like that pair, a changed copy is made with ``_replace``, and
 its fields and cached values cannot be set or deleted.
@@ -114,6 +117,14 @@ class TorusDivisor(_Checked, _FanCoeffs):
         return tuple(((p0, p1, bp), (bp * q1 - bq * p1, p0 * bq - q0 * bp, p0 * q1 - p1 * q0))
                      for (p0, p1, bp), (q0, q1, bq) in zip(rows, rows[1:] + rows[:1]))
 
+    @cached_property
+    def _lattice_cycle(self) -> tuple[int, tuple[Vec, ...]]:
+        """(k, kP_D's int vertex cycle): P_D's denominator k, ``_denominator`` of the walk, and
+        the walk's vertices times k, in its order, repeats kept; an empty P_D gives (1, ())."""
+        cycle = self._section_polygon
+        k = _denominator(cycle)
+        return k, tuple((k * X // W, k * Y // W) for _, (X, Y, W) in cycle)
+
 
 def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
     return TorusDivisor(fan, coeffs)
@@ -142,10 +153,10 @@ def _denominator(cycle: Sequence[tuple[Row, Vertex]]) -> int:
 
 
 def divisor_polytope(D: TorusDivisor) -> Polygon:
-    """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of ``D._section_polygon``, so of no local
-    equation: the int hull of kP_D for its denominator k, divided by k only when k > 1, so int
-    vertices when all are lattice points, as for every nef D. An empty P_D raises ValueError."""
-    cycle = D._section_polygon
-    k = _denominator(cycle)
-    hull = convex_hull_2d([(k * X // W, k * Y // W) for _, (X, Y, W) in cycle])
+    """P_D = {h : <h, ray_i> >= -d_i} for every D, the hull of the walk, so of no local equation:
+    the int hull of kP_D's cycle ``D._lattice_cycle``, divided by its denominator k only when
+    k > 1, so int vertices when all are lattice points, as for every nef D. An empty P_D raises
+    ValueError."""
+    k, ends = D._lattice_cycle
+    hull = convex_hull_2d(ends)
     return hull.divided(k) if k > 1 else hull

@@ -126,9 +126,10 @@ class Fan2D(_Checked, _Rays):
     The record ``(rays,)``; its ``__dict__`` holds the cached chart table."""
 
     def __new__(cls, rays: Iterable[Sequence[int]]):
-        # read the input once: a one-shot ray becomes a tuple, any other is kept for the messages
-        rays = [tuple(r) if isinstance(r, Iterator) else r for r in rays]
-        if not _int_pairs(rays):  # int pairs are taken as they are
+        # read the input once; int pairs, as every parsed document holds, are taken as they are
+        if not _int_pairs(rays := list(rays)):
+            # a one-shot ray becomes a tuple, any other is kept for the messages
+            rays = [tuple(r) if isinstance(r, Iterator) else r for r in rays]
             with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
                 rays = [tuple(map(index, r)) for r in rays]
         violations = fan_violations(rays)

@@ -14,19 +14,20 @@ Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
 ``TFlag``, looks its chart up and explains a miss.
 Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
-chart unpacked once. Level-m hulls start from the cached level-1 walk
-``TorusDivisor._section_polygon``. The one lattice rule is P_D's denominator k,
-``divisors._denominator``: mP_D is a lattice polygon exactly when k divides m, and then the
-level-m hull divided by m is kP_D's, the walk's vertices scaled by k, divided by k, the same
-polygon at every such m. Otherwise the rows are scaled by m too, for the column path, which
-cuts only the max(r1, |s1|) section columns at each end of each stretch between two vertices,
-above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as no other holds a
-vertex. Only the hull's vertices are valued, with the chart unpacked once, and that checked
-int hull is divided by k when k | m, by m on the column path, with ``Polygon.divided``, which
-checks nothing again.
-``convex_hull_2d`` drops repeated and collinear points, so neither path drops any itself;
-for an ample divisor both hulls' inputs are vertex cycles, which it checks once and does not
-chain.
+chart unpacked once. Level-m hulls start from two cached level-1 values. The one lattice rule
+is P_D's denominator k: mP_D is a lattice polygon exactly when k divides m, and then the
+level-m hull divided by m is kP_D's divided by k, the same polygon at every such m. Both k and
+kP_D's int vertex cycle are read from ``TorusDivisor._lattice_cycle``, the one place where they
+are made. Otherwise the walk ``TorusDivisor._section_polygon`` is scaled by m, rows too, for the
+column path, which cuts only the max(r1, |s1|) section columns at each end of each stretch
+between two vertices, above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as
+no other holds a vertex; the lower chain of the column lows and the upper chain of the highs
+are joined into a vertex cycle, a point two chains share taken once. Only the hull's vertices
+are valued, with the chart unpacked once, and that checked int hull is divided by k when
+k | m, by m on the column path, with ``Polygon.divided``, which checks nothing again.
+``convex_hull_2d`` drops repeated and collinear points, so the lattice path drops none itself;
+for an ample divisor, and on the column path wherever the hull has three or more vertices,
+the hull's input is a vertex cycle, which it checks once and does not chain.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 from itertools import chain
 from operator import index
 
-from .divisors import Row, TorusDivisor, Vertex, _denominator
+from .divisors import Row, TorusDivisor, Vertex
 from .fan import Fan2D, Rank2Valuation, TFlag
 from .lattice import Polygon, convex_hull_2d, monotone_chain
 
@@ -128,29 +129,32 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     divided by k when k | m, by m on the column path, into Fractions by ``Polygon.divided`` with
     no second check. The level is read with ``operator.index`` first. The unimodular valuation
     maps the hull of the sections onto the hull of their values, so only the vertices of the
-    former are valued. When the denominator k of ``D._section_polygon`` divides m, as k = 1 does
-    for every nef D, mP_D is a lattice polygon and its own integer hull, so the level-m hull over
-    m is kP_D's over k, whatever m: no level-m point is made. Otherwise the rows are scaled by m
-    too, and the lower chain of the lows and the upper chain of the highs of ``_hull_columns``
-    hold every vertex; ``convex_hull_2d`` drops the point where the two chains meet, as it drops
-    any repeat."""
+    former are valued. When P_D's denominator k divides m, as k = 1 does for every nef D, mP_D
+    is a lattice polygon and its own integer hull, so the level-m hull over m is kP_D's over k,
+    whatever m: the cycle of ``D._lattice_cycle``, the one place where kP_D's int cycle is made,
+    is valued and no level-m point is made. Otherwise the walk ``D._section_polygon`` is scaled
+    by m, rows too, and the lower chain of the lows and the upper chain of the highs of
+    ``_hull_columns`` hold every vertex; where an end column has lo == hi the two chains share
+    that point, which is taken once, so a hull of three or more vertices is handed their cycle."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
-    cycle = D._section_polygon
-    k = _denominator(cycle)
-    if m % k == 0:
-        ends = [(k * X // W, k * Y // W) for _, (X, Y, W) in cycle]
-    else:
+    k, ends = D._lattice_cycle
+    if m % k:
         # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test
         # reads none, so the same lines stay at every level: each b and each X, Y times m, W
         # unchanged; this hull is mP_D's, divided by m
         k = m
-        scaled = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in cycle]
-        cols = _hull_columns(scaled, m)
-        ends = (monotone_chain((x, lo) for x, lo, _ in cols)
-                + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+        scaled = [((r0, r1, m * b), (m * X, m * Y, W))
+                  for (r0, r1, b), (X, Y, W) in D._section_polygon]
+        cols, ends = _hull_columns(scaled, m), []
+        if cols:
+            (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
+            highs = monotone_chain((x, hi) for x, _, hi in reversed(cols))
+            # an end column of one point ends both chains: the highs' chain drops it
+            ends = (monotone_chain((x, lo) for x, lo, _ in cols)
+                    + highs[lo1 == hi1:len(highs) - (lo0 == hi0)])
     if not ends:
         raise ValueError(f"no sections at level {m}")
     (r1, r2), (s1, s2), _, _ = w

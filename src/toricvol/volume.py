@@ -16,9 +16,10 @@ A report holds each route's value as an int, twice the volume (twice a lattice p
 area is an int), and its verdict is exact equality of those ints. Each route reads only
 the divisor, the decomposition and the display flag, never another route's value.
 Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be the
-vertices of the one cached walk ``TorusDivisor._section_polygon`` that route 1 hulls, cone by
-cone. ``FlagContribution`` and ``VolumeReport`` are ``NamedTuple`` records: each equals and hashes
-like the tuple of its fields, its fields cannot be set, and a changed copy is made with ``_replace``.
+vertices of the one cached walk ``TorusDivisor._section_polygon``, cone by cone; route 1 hulls
+that walk scaled by P_D's denominator, ``TorusDivisor._lattice_cycle``. ``FlagContribution``
+and ``VolumeReport`` are ``NamedTuple`` records: each equals and hashes like the tuple of its
+fields, its fields cannot be set, and a changed copy is made with ``_replace``.
 """
 
 from __future__ import annotations

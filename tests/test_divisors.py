@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toricvol import (
     Fan2D,
@@ -17,7 +17,7 @@ from toricvol import (
     semigroup_level_hull,
     TFlag,
 )
-from toricvol import valuation
+from toricvol import divisors, valuation
 import conftest
 from conftest import (
     box_section_points,
@@ -246,6 +246,31 @@ class TestDivisorPolytope:
             for m in range(1, 6):
                 semigroup_level_hull(D, flag, m)
         assert cut == []
+
+    @given(st.integers(0, 2 ** 32))
+    @example(2)   # an empty P_D
+    @example(10)  # a denominator k = 2
+    def test_lattice_cycle_is_the_scaled_walk(self, seed):
+        # the cached pair is P_D's denominator k and the walk's vertices times k, in the walk's
+        # order, repeats kept, as route 1 and the level hulls each made it before it was cached
+        rng = random.Random(seed)
+        fan = random_smooth_fan(rng)
+        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        cycle = D._section_polygon
+        k = divisors._denominator(cycle)
+        assert D._lattice_cycle == (k, tuple((k * X // W, k * Y // W) for _, (X, Y, W) in cycle))
+        assert all(type(c) is int for v in D._lattice_cycle[1] for c in v)
+
+    @pytest.mark.parametrize("rays, coeffs, want", [
+        (((1, 0), (0, 1), (-1, -1)), (-1, 0, 0), (1, ())),
+        (((1, 0), (0, 1), (-1, 3), (0, -1)), (0, 2, 5, 0), (3, ((0, -5), (15, 0), (0, 0)))),
+        (((2, -1), (1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-1, -1), (0, -1), (1, -1)),
+         (-1, 0, 0, 1, 2, 2, 1, 1, 0), (30, ((15, 0), (20, 0), (18, 6)))),
+    ], ids=["empty", "denominator-3", "lattice-free"])
+    def test_lattice_cycle_worked_instances(self, rays, coeffs, want):
+        # the empty P_D is (1, ()); F_3's (0, 2, 5, 0) is the triangle (0, -5/3), (5, 0), (0, 0),
+        # one line removed; the lattice-free triangle has denominators 2, 3 and 5
+        assert divisor(Fan2D(rays), coeffs)._lattice_cycle == want
 
 
 class TestSectionLatticePoints:

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -91,7 +92,8 @@ class TestValidateFan:
     @pytest.mark.parametrize("rays", [((1, 0), (0, 1), (-1, -1)), [(1, 0), (0, 1), (-1, -1)]],
                              ids=["tuple", "list"])
     def test_int_pairs_are_not_read(self, monkeypatch, rays):
-        # int tuples, as every parsed document holds, are taken as they are
+        # int tuples, as every parsed document holds, are taken as they are: no coordinate is
+        # read and no ray is tested for a one-shot iterator
         import toricvol.fan as fan_module
 
         calls, real = [], fan_module.index
@@ -100,7 +102,13 @@ class TestValidateFan:
             calls.append(c)
             return real(c)
 
+        class OneShot(type):
+            def __instancecheck__(cls, r):
+                calls.append(r)
+                return isinstance(r, Iterator)
+
         monkeypatch.setattr(fan_module, "index", spy)
+        monkeypatch.setattr(fan_module, "Iterator", OneShot("Iterator", (), {}))
         assert Fan2D(rays) == projective_plane_fan() and calls == []
 
     def test_non_iterable_ray_reported_with_index(self):

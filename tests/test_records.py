@@ -45,7 +45,8 @@ FIELDS = {
     "VolumeReport": ("twice", "display_flag", "per_flag", "diagnostics"),
     "InstanceDocument": ("rays", "divisor", "flag", "decomposition_variant"),
 }
-CACHES = {"Fan2D": ("charts",), "TorusDivisor": ("cocycle", "curve_degrees", "_section_polygon")}
+CACHES = {"Fan2D": ("charts",), "TorusDivisor": ("cocycle", "curve_degrees", "_section_polygon",
+                                                    "_lattice_cycle")}
 
 F1 = ((1, 0), (0, 1), (-1, 1), (0, -1))
 TRIANGLE = ((0, 0), (2, 0), (0, 2))

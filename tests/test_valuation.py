@@ -451,6 +451,33 @@ class TestGradedSemigroup:
                         semigroup_level_hull(D, flag, m)
                 assert valued == ([list(map(w.value, ends))] if ends else [])
 
+    def test_lattice_cycle_denominator_runs_once_per_divisor(self, monkeypatch):
+        # P_D's denominator is found once per divisor, by its cached lattice cycle, whatever
+        # route 1, the report and the level hulls at every flag and level read from it
+        calls, real = [], divisors._denominator
+
+        def spy(cycle):
+            calls.append(cycle)
+            return real(cycle)
+
+        monkeypatch.setattr(divisors, "_denominator", spy)
+        for D in (ruled_divisor(1, 2, 5), ruled_divisor(3, 100, 100),
+                  divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS),
+                  divisor(projective_plane_fan(), (-1, 0, 0))):
+            calls.clear()
+            for route in (divisor_polytope, okounkov_volume_report):
+                try:
+                    route(D)
+                except ValueError:
+                    assert not D._section_polygon
+            for flag in D.fan.charts:
+                for m in range(1, 9):
+                    try:
+                        semigroup_level_hull(D, flag, m)
+                    except ValueError as e:
+                        assert str(e) == f"no sections at level {m}"
+            assert calls == [D._section_polygon]
+
     @staticmethod
     def assert_level_hull_matches_m_scaled(D, levels, flags=None):
         # the m-scaled lattice path is the oracle: the same repr, so the same vertices in the
@@ -593,6 +620,25 @@ class TestGradedSemigroup:
                 for m in range(1, 6):
                     semigroup_level_hull(D, flag, m)
                 assert log == [("convex",)] * 5
+        # column-path levels with an end column of one point, lo == hi, where the lows' lower
+        # chain meets the highs' upper chain: that point is taken once, so a level hull of three
+        # or more vertices is checked once, whether one end column or both hold one point
+        ends = set()
+        for D, levels in ((ruled_divisor(3, 100, 100), range(1, 9)),
+                          (ruled_divisor(7, 10, 10), range(1, 9)),
+                          (divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS), (8,)),
+                          (divisor(Fan2D(((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1))),
+                                   (8, 3, 7, 2, -4)), range(1, 9))):
+            k = D._lattice_cycle[0]
+            for m in (m for m in levels if m % k):
+                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(level_cycle(D, m), m)
+                assert lo0 == hi0 or lo1 == hi1
+                ends.add((lo0 == hi0, lo1 == hi1))
+                for flag in D.fan.charts:
+                    log.clear()
+                    assert len(semigroup_level_hull(D, flag, m).vertices) >= 3
+                    assert log == [("convex",)]
+        assert ends == {(True, False), (False, True), (True, True)}
 
     def test_level_hull_size_guard_boundary(self, monkeypatch):
         # (0, 100, 100, 0) on F_3 is not nef: level 1 is the triangle (0, 0), (100, 0),
