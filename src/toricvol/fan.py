@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import suppress
 from functools import cached_property
 from math import gcd
 from operator import index
@@ -46,22 +45,28 @@ class FanValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+def _read_rays(rays: list) -> tuple[list[Vec], list[FanViolation]]:
+    """The rays read once, a one-shot one into a tuple and each coordinate with ``operator.index``,
+    and a violation for each ray that cannot be read, named as given or as that tuple."""
+    clean, out = [], []
+    for i, r in enumerate(rays):
+        r = tuple(r) if isinstance(r, Iterator) else r
+        try:
+            clean.append(tuple(index(c) for c in r))
+        except TypeError:
+            out.append(FanViolation("non-primitive", i, f"ray {i} = {r!r} has non-integer coordinates"))
+    return clean, out
+
+
 def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
-    """All axioms violated by a candidate ray list, each with its index; rays
-    that are not all int pairs already are read with ``operator.index``."""
-    out: list[FanViolation] = []
+    """All axioms violated by a candidate ray list, each with its index; rays that are not
+    all int pairs already are read by ``_read_rays``, and any it cannot read are the violations."""
     if not _int_pairs(rays := list(rays)):
-        clean: list[Vec] = []
-        for i, r in enumerate(rays):
-            try:
-                clean.append(tuple(index(c) for c in r))
-            except TypeError:
-                out.append(FanViolation(
-                    "non-primitive", i, f"ray {i} = {r!r} has non-integer coordinates"))
+        rays, out = _read_rays(rays)
         if out:
             return out
-        rays = clean
     n = len(rays)
+    out = []
     if n < 3:
         out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
     out += [FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive")
@@ -126,12 +131,12 @@ class Fan2D(_Checked, _Rays):
     The record ``(rays,)``; its ``__dict__`` holds the cached chart table."""
 
     def __new__(cls, rays: Iterable[Sequence[int]]):
-        # read the input once; int pairs, as every parsed document holds, are taken as they are
+        # read the input once; int pairs, as every parsed document holds, are taken as they are,
+        # and any other rays are read by fan_violations' own reader, whose violations end here
         if not _int_pairs(rays := list(rays)):
-            # a one-shot ray becomes a tuple, any other is kept for the messages
-            rays = [tuple(r) if isinstance(r, Iterator) else r for r in rays]
-            with suppress(TypeError):  # else kept as given: fan_violations names the bad rays
-                rays = [tuple(map(index, r)) for r in rays]
+            rays, violations = _read_rays(rays)
+            if violations:
+                raise FanValidationError(violations)
         violations = fan_violations(rays)
         if violations:
             raise FanValidationError(violations)

@@ -21,13 +21,12 @@ kP_D's int vertex cycle are read from ``TorusDivisor._lattice_cycle``, the one p
 are made. Otherwise the walk ``TorusDivisor._section_polygon`` is scaled by m, rows too, for the
 column path, which cuts only the max(r1, |s1|) section columns at each end of each stretch
 between two vertices, above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as
-no other holds a vertex; the lower chain of the column lows and the upper chain of the highs
-are joined into a vertex cycle, a point two chains share taken once. Only the hull's vertices
-are valued, with the chart unpacked once, and that checked int hull is divided by k when
-k | m, by m on the column path, with ``Polygon.divided``, which checks nothing again.
-``convex_hull_2d`` drops repeated and collinear points, so the lattice path drops none itself;
-for an ample divisor, and on the column path wherever the hull has three or more vertices,
-the hull's input is a vertex cycle, which it checks once and does not chain.
+no other holds a vertex. The hull's input, kP_D's vertices when k | m and both ends of every
+cut column otherwise, is valued with the chart unpacked once, and that checked int hull is
+divided by k when k | m, by m on the column path, with ``Polygon.divided``, which checks nothing
+again. ``convex_hull_2d`` drops repeated and collinear points, so neither path drops any; it
+checks a vertex cycle, as an ample divisor's input is, once and does not chain it, and sorts
+and chains column ends.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from operator import index
 
 from .divisors import Row, TorusDivisor, Vertex
 from .fan import Fan2D, Rank2Valuation, TFlag
-from .lattice import Polygon, convex_hull_2d, monotone_chain
+from .lattice import Polygon, convex_hull_2d
 
 # Most section columns a level hull cuts: only a polygon with a vertex off the lattice has
 # columns cut, at most 2*max(r1, |s1|) per stretch, which grows with the ray coordinates.
@@ -84,9 +83,11 @@ def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
 
 def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, int, int]]:
     """The nonempty columns (x, lo, hi) of the lattice points in the nonempty level-m section
-    polygon ``cycle`` that can hold a vertex of their hull, in increasing x: the first and last
-    q = max(r1, |s1|) of every stretch below, or all of a stretch narrower than 2*q, whatever
-    the width. More than SECTION_SCAN_LIMIT such columns raise ValueError before any is cut.
+    polygon ``cycle`` that can hold a vertex of their hull: the first and last q = max(r1, |s1|)
+    of every stretch below, or all of a stretch narrower than 2*q, whatever the width. More than
+    SECTION_SCAN_LIMIT such columns raise ValueError before any is cut. They come in increasing
+    x, an order the level hull does not need, as ``convex_hull_2d`` sorts their ends; the
+    every-column oracle of the tests compares that order.
 
     The lower edges (r1 > 0) run left to right, the upper ones (r1 < 0) right to left, so the
     stretches between the floors of their vertices' x-coordinates come in order, and one lower
@@ -128,14 +129,13 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     """Hull of the level-m semigroup points: an int hull, checked once by ``convex_hull_2d``,
     divided by k when k | m, by m on the column path, into Fractions by ``Polygon.divided`` with
     no second check. The level is read with ``operator.index`` first. The unimodular valuation
-    maps the hull of the sections onto the hull of their values, so only the vertices of the
-    former are valued. When P_D's denominator k divides m, as k = 1 does for every nef D, mP_D
-    is a lattice polygon and its own integer hull, so the level-m hull over m is kP_D's over k,
-    whatever m: the cycle of ``D._lattice_cycle``, the one place where kP_D's int cycle is made,
-    is valued and no level-m point is made. Otherwise the walk ``D._section_polygon`` is scaled
-    by m, rows too, and the lower chain of the lows and the upper chain of the highs of
-    ``_hull_columns`` hold every vertex; where an end column has lo == hi the two chains share
-    that point, which is taken once, so a hull of three or more vertices is handed their cycle."""
+    maps the hull of the sections onto the hull of their values, so only points that hold every
+    vertex of the former are valued. When P_D's denominator k divides m, as k = 1 does for every
+    nef D, mP_D is a lattice polygon and its own integer hull, so the level-m hull over m is
+    kP_D's over k, whatever m: the cycle of ``D._lattice_cycle``, the one place where kP_D's int
+    cycle is made, is valued and no level-m point is made. Otherwise the walk
+    ``D._section_polygon`` is scaled by m, rows too, and both ends of every column of
+    ``_hull_columns`` are valued and hulled: they hold every vertex."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
@@ -148,13 +148,7 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
         k = m
         scaled = [((r0, r1, m * b), (m * X, m * Y, W))
                   for (r0, r1, b), (X, Y, W) in D._section_polygon]
-        cols, ends = _hull_columns(scaled, m), []
-        if cols:
-            (_, lo0, hi0), (_, lo1, hi1) = cols[0], cols[-1]
-            highs = monotone_chain((x, hi) for x, _, hi in reversed(cols))
-            # an end column of one point ends both chains: the highs' chain drops it
-            ends = (monotone_chain((x, lo) for x, lo, _ in cols)
-                    + highs[lo1 == hi1:len(highs) - (lo0 == hi0)])
+        ends = [(x, y) for x, lo, hi in _hull_columns(scaled, m) for y in (lo, hi)]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     (r1, r2), (s1, s2), _, _ = w

@@ -8,17 +8,17 @@ agreement report of the routes to one volume, in ``ROUTES`` order:
   5. area of the trivialization polytope of a display flag.
 
 Route 5 is not one of the four independent routes: it follows from the report's vertex check
-below and restates route 1. That check makes the local equations the vertices of the walk whose
+below and restates route 1. That check makes the local equations the vertices of the cycle whose
 hull is route 1's polygon, and route 5 is their area under a unimodular valuation, so whenever
 the check passes route 5 equals route 1.
 
 A report holds each route's value as an int, twice the volume (twice a lattice polygon's
 area is an int), and its verdict is exact equality of those ints. Each route reads only
 the divisor, the decomposition and the display flag, never another route's value.
-Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be the
-vertices of the one cached walk ``TorusDivisor._section_polygon``, cone by cone; route 1 hulls
-that walk scaled by P_D's denominator, ``TorusDivisor._lattice_cycle``. ``FlagContribution``
-and ``VolumeReport`` are ``NamedTuple`` records: each equals and hashes like the tuple of its
+Route 1 reads no local equation, so the verdict also asks that those of routes 3-5 be, cone by
+cone, the int cycle route 1 hulls, ``TorusDivisor._lattice_cycle``, over P_D's denominator 1; a
+wrong denominator, which route 1's area cannot show, fails that too. ``FlagContribution`` and
+``VolumeReport`` are ``NamedTuple`` records: each equals and hashes like the tuple of its
 fields, its fields cannot be set, and a changed copy is made with ``_replace``.
 """
 
@@ -146,7 +146,8 @@ def okounkov_volume_report(
         intersection_number_via_symbols(D, dec),
         int(2 * trivialization_polytope(D, display_flag).area),
     )
-    # for ample D, vertex j of P_D's walk is cone j's lattice point (X, Y), W = 1
-    faithful = [(X, Y) for _, (X, Y, _) in D._section_polygon] == list(D.cocycle)
+    # for ample D, P_D is a lattice polygon, k = 1, and vertex j of the cycle route 1 hulls
+    # is cone j's local equation
+    faithful = D._lattice_cycle == (1, D.cocycle)
     return VolumeReport(twice, display_flag, per_flag, () if faithful else (
         "area_polytope: the vertices of P_D are not the local equations",))

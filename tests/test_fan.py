@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toricvol import (
     Fan2D,
@@ -75,7 +75,9 @@ class TestValidateFan:
         assert hash(fan) == hash(projective_plane_fan())
 
     def test_each_coordinate_read_once(self, monkeypatch):
-        # Fan2D reads the rays, and fan_violations takes the int pairs as they are
+        # Fan2D reads the rays with fan_violations' own reader, and fan_violations takes the int
+        # pairs as they are; a ray that cannot be read stops at its first bad coordinate, and
+        # Fan2D raises the reader's violations
         import toricvol.fan as fan_module
 
         calls, real = [], fan_module.index
@@ -88,6 +90,11 @@ class TestValidateFan:
         fan = Fan2D([[1, 0], [0, True], iter([-1, -1])])
         assert len(calls) == 6 and fan == projective_plane_fan()
         assert all(type(c) is int for r in fan.rays for c in r)
+        calls.clear()
+        with pytest.raises(FanValidationError) as e:
+            Fan2D([[1, 0], [0, 1.5], [-1, -1]])
+        assert calls == [1, 0, 0, 1.5, -1, -1]
+        assert list(e.value.violations) == fan_violations([[1, 0], [0, 1.5], [-1, -1]])
 
     @pytest.mark.parametrize("rays", [((1, 0), (0, 1), (-1, -1)), [(1, 0), (0, 1), (-1, -1)]],
                              ids=["tuple", "list"])
@@ -206,6 +213,28 @@ class TestViolationsAgainstLoop:
     @given(_malformed_rays())
     def test_same_violations_as_the_loop(self, rays):
         assert fan_violations(rays) == reference_fan_violations(rays)
+
+    @given(_malformed_rays(), st.sampled_from(["list", "outer-iterator", "ray-iterators",
+                                               "generator"]))
+    @example([[1, 0], [0, 1.5], [-1, -1]], "ray-iterators")
+    @example([[1, 0], 5, [-1, -1]], "generator")
+    def test_fan_raises_exactly_the_violations(self, rays, form):
+        # Fan2D and fan_violations read the rays alike, one-shot ones included: each gets its
+        # own copy of the rays in that form
+        def given_form():
+            if form == "outer-iterator":
+                return iter(rays)
+            if form == "ray-iterators":
+                return [iter(r) for r in rays]
+            return (r for r in rays) if form == "generator" else rays
+
+        violations = fan_violations(given_form())
+        try:
+            Fan2D(given_form())
+        except FanValidationError as e:
+            assert e.violations == tuple(violations) != ()
+        else:
+            assert violations == []
 
     @pytest.mark.parametrize("rays", [[], [(1, 0)], [(1, 0), (0, 1)], [(0, 0), (2, 2), (1, 0)],
                                       [(1, 0), (0, -1), (-1, 1), (0, 1)],

@@ -13,7 +13,7 @@ from toricvol import (
     cross,
     dot,
 )
-from toricvol.lattice import _area, _int_pairs, _strictly_convex, monotone_chain
+from toricvol.lattice import _area, _int_pairs, _strictly_convex
 from conftest import (
     deep_ample_instance,
     four_pass_strictly_convex,
@@ -246,28 +246,27 @@ class TestConvexCycleIsItsOwnHull:
         assert calls == ["chain", "chain"]
 
 
-class TestMonotoneChainOnColumnEnds:
-    # the level hull's pass: the lower chain of the column lows left to right and
-    # the upper chain of the highs right to left, against the hull of every point
+class TestHullOfColumnEnds:
+    # the level hull's column pass: convex_hull_2d of both ends of every column, against the
+    # hull of every point
 
     @given(st.dictionaries(small, st.tuples(small, st.integers(0, 6)), min_size=1, max_size=12))
     def test_column_ends_hold_every_vertex(self, spans):
         cols = [(x, lo, lo + h) for x, (lo, h) in sorted(spans.items())]
-        ends = (monotone_chain((x, lo) for x, lo, _ in cols)
-                + monotone_chain((x, hi) for x, _, hi in reversed(cols)))
+        ends = [(x, y) for x, lo, hi in cols for y in (lo, hi)]
         want = fraction_hull([(x, y) for x, lo, hi in cols for y in range(lo, hi + 1)])
-        assert len(ends) <= 2 * len(cols) and set(want.vertices) <= set(ends)
+        assert set(want.vertices) <= set(ends)
         got = convex_hull_2d(ends)
         assert (got.vertices, got.area) == (want.vertices, want.area)
 
     @given(st.tuples(small, small), st.tuples(st.integers(1, 4), st.integers(-4, 4)),
            st.integers(1, 10))
     def test_collinear_column_ends(self, base, step, count):
-        # every column a single point, all of them on one line
+        # every column a single point, lo == hi, all of them on one line
         pts = [(base[0] + t * step[0], base[1] + t * step[1]) for t in range(count)]
-        ends = monotone_chain(pts) + monotone_chain(pts[::-1])
-        assert set(ends) == {pts[0], pts[-1]}
-        got, want = convex_hull_2d(ends), fraction_hull(pts)
+        got = convex_hull_2d([(x, y) for x, y0 in pts for y in (y0, y0)])
+        want = fraction_hull(pts)
+        assert set(got.vertices) == {pts[0], pts[-1]}
         assert (got.vertices, got.area) == (want.vertices, want.area)
 
 

@@ -375,6 +375,24 @@ class TestGradedSemigroup:
         for coeffs in (nef, [d + rng.randint(-1, 1) for d in nef]):
             self.assert_level_hull_matches_every_column(divisor(fan, coeffs), range(1, 9), flags)
 
+    def test_level_hull_with_one_point_end_columns(self):
+        # column-path levels whose first or last column, or both, hold one point, lo == hi, on
+        # fans with long and short stretches, under the every-column oracle
+        ends = set()
+        for D, levels in ((ruled_divisor(3, 100, 100), range(1, 7)),
+                          (ruled_divisor(7, 10, 10), range(1, 9)),
+                          (divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS), (8,)),
+                          (divisor(Fan2D(((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1))),
+                                   (8, 3, 7, 2, -4)), range(1, 9))):
+            k = D._lattice_cycle[0]
+            levels = [m for m in levels if m % k]
+            for m in levels:
+                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(level_cycle(D, m), m)
+                assert lo0 == hi0 or lo1 == hi1
+                ends.add((lo0 == hi0, lo1 == hi1))
+            self.assert_level_hull_matches_every_column(D, levels)
+        assert ends == {(True, False), (False, True), (True, True)}
+
     def test_horizontal_rays_narrow_the_box(self):
         # the box spans x = -18..1, the rays (1, 0) and (-1, 0) allow only -8..-3: a
         # stretch cut from the box alone missed the columns -8 and -7
@@ -620,26 +638,6 @@ class TestGradedSemigroup:
                 for m in range(1, 6):
                     semigroup_level_hull(D, flag, m)
                 assert log == [("convex",)] * 5
-        # column-path levels with an end column of one point, lo == hi, where the lows' lower
-        # chain meets the highs' upper chain: that point is taken once, so a level hull of three
-        # or more vertices is checked once, whether one end column or both hold one point
-        ends = set()
-        for D, levels in ((ruled_divisor(3, 100, 100), range(1, 9)),
-                          (ruled_divisor(7, 10, 10), range(1, 9)),
-                          (divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS), (8,)),
-                          (divisor(Fan2D(((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1))),
-                                   (8, 3, 7, 2, -4)), range(1, 9))):
-            k = D._lattice_cycle[0]
-            for m in (m for m in levels if m % k):
-                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(level_cycle(D, m), m)
-                assert lo0 == hi0 or lo1 == hi1
-                ends.add((lo0 == hi0, lo1 == hi1))
-                for flag in D.fan.charts:
-                    log.clear()
-                    assert len(semigroup_level_hull(D, flag, m).vertices) >= 3
-                    assert log == [("convex",)]
-        assert ends == {(True, False), (False, True), (True, True)}
-
     def test_level_hull_size_guard_boundary(self, monkeypatch):
         # (0, 100, 100, 0) on F_3 is not nef: level 1 is the triangle (0, 0), (100, 0),
         # (0, -100/3), whose 101 columns hold 6 that the guard counts before any is cut

@@ -448,6 +448,17 @@ class TestSharedData:
             assert report.diagnostics == ("area_polytope: the vertices of P_D are not the "
                                           "local equations",)
 
+    def test_report_sees_a_wrong_denominator(self, monkeypatch):
+        # a doubled denominator doubles kP_D and halves it again: route 1's area stays 3/2, as
+        # every route's does, but the cycle route 1 hulls is no longer the local equations
+        denominator = divisors._denominator
+        monkeypatch.setattr(divisors, "_denominator", lambda cycle: 2 * denominator(cycle))
+        report = okounkov_volume_report(ruled_divisor(1, 1, 2))
+        assert report.ample and not report.agree
+        assert report.twice == (3,) * len(volume.ROUTES)
+        assert report.diagnostics == ("area_polytope: the vertices of P_D are not the "
+                                      "local equations",)
+
     @staticmethod
     def spy_walks(monkeypatch) -> list:
         """Each divisor the walk runs on; the property still caches its value."""
