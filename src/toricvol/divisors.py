@@ -126,8 +126,7 @@ class TorusDivisor(_Checked, _FanCoeffs):
         return k, tuple((k * X // W, k * Y // W) for _, (X, Y, W) in cycle)
 
 
-def divisor(fan: Fan2D, coeffs) -> TorusDivisor:
-    return TorusDivisor(fan, coeffs)
+divisor = TorusDivisor
 
 
 def generation_violations(D: TorusDivisor) -> list[tuple[int, int]]:

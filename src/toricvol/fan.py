@@ -1,12 +1,12 @@
 """Smooth complete fans in the plane and their orbit bookkeeping.
 
-A fan is stored as its cyclically ordered primitive rays; maximal cone ``j``
-is spanned by ``rays[j]`` and ``rays[(j+1) % n]``, so the cone list is
-implicit. ``Fan2D(rays)`` validates the rays and stores them as int pairs.
-Valid means every ray primitive, every consecutive cross exactly 1 (smooth,
-positively oriented) and winding number 1 (complete). Once the crosses are
-1, Noether's formula sum a_i = 3n - 12 * winding with a_i = cross(r_(i-1),
-r_(i+1)) = -D_i^2 gives the winding (Poonen, Rodriguez-Villegas 2000).
+A fan is stored as its cyclically ordered primitive rays; maximal cone ``j`` is spanned by
+``rays[j]`` and ``rays[(j+1) % n]``, so the cone list is implicit. ``Fan2D(rays)`` validates
+the rays and stores them as int pairs; it and ``fan_violations`` read them with one reader,
+``_read_rays``. Valid means every ray primitive, every consecutive cross exactly 1 (smooth,
+positively oriented) and winding number 1 (complete). Once the crosses are 1, Noether's
+formula sum a_i = 3n - 12 * winding with a_i = cross(r_(i-1), r_(i+1)) = -D_i^2 gives the
+winding (Poonen, Rodriguez-Villegas 2000).
 
 A fan owns its 2n flags and their charts: ``Fan2D.charts`` builds that table
 once, the one place that writes the flag order and the dual basis.
@@ -46,8 +46,10 @@ class FanValidationError(ValueError):
 
 
 def _read_rays(rays: list) -> tuple[list[Vec], list[FanViolation]]:
-    """The rays read once, a one-shot one into a tuple and each coordinate with ``operator.index``,
-    and a violation for each ray that cannot be read, named as given or as that tuple."""
+    """The ray list read once: int pairs as they are, any other ray by ``operator.index`` (a one-shot
+    ray as a tuple), with a violation for each that cannot be read, named as given or as that tuple."""
+    if _int_pairs(rays):
+        return rays, []
     clean, out = [], []
     for i, r in enumerate(rays):
         r = tuple(r) if isinstance(r, Iterator) else r
@@ -59,17 +61,16 @@ def _read_rays(rays: list) -> tuple[list[Vec], list[FanViolation]]:
 
 
 def fan_violations(rays: Sequence[Sequence[int]]) -> list[FanViolation]:
-    """All axioms violated by a candidate ray list, each with its index; rays that are not
-    all int pairs already are read by ``_read_rays``, and any it cannot read are the violations."""
-    if not _int_pairs(rays := list(rays)):
-        rays, out = _read_rays(rays)
-        if out:
-            return out
+    """All axioms violated by a candidate ray list, each with its index; rays that
+    ``_read_rays`` cannot read are the violations."""
+    rays, out = _read_rays(list(rays))
+    if out:
+        return out
     n = len(rays)
-    out = []
     if n < 3:
         out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
-    out += [FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive")
+    out += [FanViolation("non-primitive", i, f"ray {i} = {r} is not " + (
+                "primitive" if len(r) == 2 else "a pair of integers"))
             for i, r in enumerate(rays) if len(r) != 2 or gcd(*r) != 1]
     if out:
         return out
@@ -131,13 +132,9 @@ class Fan2D(_Checked, _Rays):
     The record ``(rays,)``; its ``__dict__`` holds the cached chart table."""
 
     def __new__(cls, rays: Iterable[Sequence[int]]):
-        # read the input once; int pairs, as every parsed document holds, are taken as they are,
-        # and any other rays are read by fan_violations' own reader, whose violations end here
-        if not _int_pairs(rays := list(rays)):
-            rays, violations = _read_rays(rays)
-            if violations:
-                raise FanValidationError(violations)
-        violations = fan_violations(rays)
+        # read once by fan_violations' reader; fan_violations runs only on rays it could read
+        rays, violations = _read_rays(list(rays))
+        violations = violations or fan_violations(rays)
         if violations:
             raise FanValidationError(violations)
         return tuple.__new__(cls, (tuple(rays),))

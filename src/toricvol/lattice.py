@@ -116,20 +116,19 @@ class _VerticesArea(NamedTuple):
 
 
 class Polygon(_Checked, _VerticesArea):
-    """Strictly convex polygon: counterclockwise vertices, every turn left and
-    winding once. The vertices are int points, read as in ``convex_hull_2d``;
-    ``divided`` alone makes a polygon with ``Fraction`` vertices. Degenerate hulls
-    (a point or a segment of two distinct vertices) are legal with area 0; zero
-    vertices are not. The record ``(vertices, area)`` is built from the vertices
-    alone, so the area is always theirs."""
+    """Strictly convex polygon: counterclockwise vertices, every turn left and winding once,
+    which alone proves three or more vertices distinct. The vertices are int points, read as in
+    ``convex_hull_2d``; ``divided`` alone makes a polygon with ``Fraction`` vertices. Degenerate
+    hulls (a point or a segment of two distinct vertices) are legal with area 0; zero vertices
+    are not. The record ``(vertices, area)`` is built from the vertices alone, so the area is
+    always theirs."""
 
     __slots__ = ()
 
     def __new__(cls, vertices: Iterable[Sequence]):
         vertices = _read(vertices)
         xs, ys = [x for x, _ in vertices], [y for _, y in vertices]
-        convex = 0 < len(vertices) < 3 or _strictly_convex(xs, ys)
-        if not convex or len(set(vertices)) < len(vertices):
+        if not (0 < len(vertices) < 3 and len(set(vertices)) == len(vertices) or _strictly_convex(xs, ys)):
             raise ValueError("vertices are not a strictly convex counterclockwise cycle")
         return tuple.__new__(cls, (vertices, _area(xs, ys)))
 

@@ -128,8 +128,8 @@ def okounkov_volume_report(
     if dec is None:
         dec = standard_decomposition(D.fan)
     check_decomposition(D.fan, dec)
+    display_flag = TFlag(*display_flag)
     flag_valuation(D.fan, display_flag)
-    display_flag = TFlag(*display_flag)  # a (ray, cone) tuple the lookup accepted
     bad = ampleness_violations(D)
     if bad:
         diags = [f"not ample: cone {j}'s local equation is not strictly inside ray {i}'s half-plane"

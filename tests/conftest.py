@@ -208,7 +208,8 @@ def reference_fan_violations(rays) -> list[FanViolation]:
         out.append(FanViolation("too-few-rays", None, f"{n} rays, a complete fan needs at least 3"))
     for i, r in enumerate(rays):
         if len(r) != 2 or gcd(*(abs(c) for c in r)) != 1:
-            out.append(FanViolation("non-primitive", i, f"ray {i} = {r} is not primitive"))
+            out.append(FanViolation("non-primitive", i, f"ray {i} = {r} is not "
+                                    + ("primitive" if len(r) == 2 else "a pair of integers")))
     if out:
         return out
     crosses_ok = True

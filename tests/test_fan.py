@@ -143,6 +143,9 @@ class TestValidateFan:
         assert any(v.kind == "non-primitive" and v.index == 1 for v in violations)
         with pytest.raises(FanValidationError):
             Fan2D([(1, 0), (0, 2), (-1, 0), (0, -1)])
+        # a ray that is not a pair keeps the kind and says what it is
+        assert fan_violations([(1, 0, 0), (0, 1), (-1, -1)]) == [
+            ("non-primitive", 0, "ray 0 = (1, 0, 0) is not a pair of integers")]
 
     def test_bad_cross_reported_with_index(self):
         # clockwise order: every consecutive cross is -1

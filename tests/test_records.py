@@ -25,6 +25,7 @@ from toricvol import (
     Polygon,
     TorusDivisor,
     convex_hull_2d,
+    divisor,
     fan_violations,
     hirzebruch_fan,
     okounkov_volume_report,
@@ -133,6 +134,10 @@ class TestChangedCopiesAreChecked:
         # the copy has its own cache, and the original's is untouched
         assert E.cocycle == TorusDivisor(D.fan, (0, 2, 3, 0)).cocycle != cocycle
         assert D.cocycle is cocycle
+
+    def test_divisor_alias_is_the_class(self):
+        # one constructor under two names: the alias builds the checked record itself
+        assert divisor is TorusDivisor
 
     def test_polygon(self):
         P = convex_hull_2d(TRIANGLE)

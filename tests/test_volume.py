@@ -194,6 +194,21 @@ class TestVolumeReport:
                    for f in D.fan.charts]
         assert len({r.values for r in reports}) == 1
 
+    def test_display_flag_tuple_builds_one_flag(self, monkeypatch):
+        # the report reads a plain (ray, cone) pair into a TFlag once and looks that flag up
+        D = ruled_divisor(1, 1, 2)
+        D.fan.charts  # the table builds its 2n keys first
+        built, real_new = [], TFlag.__new__
+
+        def spy_new(cls, *args):
+            built.append(args)
+            return real_new(cls, *args)
+        monkeypatch.setattr(TFlag, "__new__", staticmethod(spy_new))
+        report = okounkov_volume_report(D, display_flag=(2, 1))
+        assert built == [(2, 1)] and type(report.display_flag) is TFlag and report.agree
+        # so a one-shot pair is read once, too
+        assert okounkov_volume_report(D, display_flag=iter((2, 1))) == report
+
     def test_random_instances_agree(self):
         rng = random.Random(109)
         for _ in range(15):
