@@ -340,14 +340,10 @@ def cmd_hirzebruch(args) -> int:
 
 
 def _parse_range(text: str) -> range:
-    parts = text.split("..")
+    # "K" is "K..K"; a second ".." is left in hi, which _decimal rejects
+    lo, dots, hi = text.partition("..")
     try:
-        if len(parts) == 1:
-            lo = hi = _decimal(parts[0])
-        elif len(parts) == 2:
-            lo, hi = _decimal(parts[0]), _decimal(parts[1])
-        else:
-            raise ValueError
+        lo, hi = _decimal(lo), _decimal(hi if dots else lo)
     except ValueError:
         raise DocumentError(f"range must be 'K' or 'K1..K2', got {text!r}") from None
     if hi < lo:
@@ -413,6 +409,7 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
     polys = [(divisor_polytope(D), 'fill="#c8dcff" stroke="#1f4e9c" fill-opacity="0.7"')]
     caption = f"area = {polys[0][0].area}"
     if flag is not None:
+        flag = flag if type(flag) is TFlag else TFlag(*flag)
         tp = trivialization_polytope(D, flag)
         polys.append((tp, 'fill="#ffd9b0" stroke="#b35900" fill-opacity="0.5"'))
         caption += (f"; flag (ray {flag.ray}, cone {flag.cone}) image area = {tp.area}"

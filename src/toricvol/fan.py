@@ -242,17 +242,14 @@ def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecompo
     "generic-at=K": like default but the dense orbit goes to cone K.
     """
     n = fan.n_rays
+    if variant == "successor":
+        return OrbitDecomposition(0, tuple((i - 1) % n for i in range(n)))
     generic = 0
-    if variant == "default":
-        owners = tuple(range(n))
-    elif variant == "successor":
-        owners = tuple((i - 1) % n for i in range(n))
-    elif variant.startswith("generic-at="):
+    if variant.startswith("generic-at="):
         try:
             generic = _decimal(variant.split("=", 1)[1])
         except ValueError:
             raise ValueError(f"bad decomposition variant {variant!r}") from None
-        owners = tuple(range(n))
-    else:
+    elif variant != "default":
         raise ValueError(f"unknown decomposition variant {variant!r}")
-    return OrbitDecomposition(generic, owners)
+    return OrbitDecomposition(generic, tuple(range(n)))

@@ -12,21 +12,9 @@ every computation is canonical and reproducible.
 
 Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
 keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
-``TFlag``, looks its chart up and explains a miss.
-Trivialization hulls, for every divisor, keep int vertices; the cocycle is valued with the
-chart unpacked once. Level-m hulls start from two cached level-1 values. The one lattice rule
-is P_D's denominator k: mP_D is a lattice polygon exactly when k divides m, and then the
-level-m hull divided by m is kP_D's divided by k, the same polygon at every such m. Both k and
-kP_D's int vertex cycle are read from ``TorusDivisor._lattice_cycle``, the one place where they
-are made. Otherwise the walk ``TorusDivisor._section_polygon`` is scaled by m, rows too, for the
-column path, which cuts only the max(r1, |s1|) section columns at each end of each stretch
-between two vertices, above one lower row (r0, r1, b) and below one upper row (s0, s1, c), as
-no other holds a vertex. The hull's input, kP_D's vertices when k | m and both ends of every
-cut column otherwise, is valued with the chart unpacked once, and that checked int hull is
-divided by k when k | m, by m on the column path, with ``Polygon.divided``, which checks nothing
-again. ``convex_hull_2d`` drops repeated and collinear points, so neither path drops any; it
-checks a vertex cycle, as an ample divisor's input is, once and does not chain it, and sorts
-and chains column ends.
+``TFlag``, looks its chart up and explains a miss. The module holds the trivialization hull of
+every divisor and the level-m hull of the sections, with the column cut it uses where mP_D is
+no lattice polygon.
 """
 
 from __future__ import annotations
@@ -82,12 +70,13 @@ def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
 
 
 def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, int, int]]:
-    """The nonempty columns (x, lo, hi) of the lattice points in the nonempty level-m section
-    polygon ``cycle`` that can hold a vertex of their hull: the first and last q = max(r1, |s1|)
-    of every stretch below, or all of a stretch narrower than 2*q, whatever the width. More than
-    SECTION_SCAN_LIMIT such columns raise ValueError before any is cut. They come in increasing
-    x, an order the level hull does not need, as ``convex_hull_2d`` sorts their ends; the
-    every-column oracle of the tests compares that order.
+    """The nonempty columns (x, lo, hi) of the lattice points in m times the nonempty section
+    polygon ``cycle``, the level-1 walk ``TorusDivisor._section_polygon``, that can hold a vertex
+    of their hull: the first and last q = max(r1, |s1|) of every stretch below, or all of a
+    stretch narrower than 2*q, whatever the width. More than SECTION_SCAN_LIMIT such columns
+    raise ValueError before any is cut. They come in increasing x, an order the level hull does
+    not need, as ``convex_hull_2d`` sorts their ends; the every-column oracle of the tests
+    compares that order.
 
     The lower edges (r1 > 0) run left to right, the upper ones (r1 < 0) right to left, so the
     stretches between the floors of their vertices' x-coordinates come in order, and one lower
@@ -96,15 +85,20 @@ def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, in
     end strictly between two of them lies on or above the segment joining them and is no
     vertex; so for high ends and s, every |s1| columns. So every vertex lies within q columns
     of a stretch end.
+
+    The walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test reads
+    none, so the same rows and vertices serve every level: mP_D's vertex (X, Y, W) is
+    (m*X, m*Y, W) and its row (r0, r1, b) is (r0, r1, m*b). So the floors and ceilings read
+    m*X over W, and b is scaled only in the rows each stretch is cut with.
     """
     first = next(j for j in range(len(cycle)) if cycle[j][0][1] > 0 >= cycle[j - 1][0][1])
     cycle = cycle[first:] + cycle[:first]
     # each edge with the floor of its right end's x: the lower edge's end, the upper one's start
-    lows = [(X // W, row) for row, (X, _, W) in cycle if row[1] > 0]
-    highs = [(X // W, row) for (row, _), (_, (X, _, W)) in zip(cycle, cycle[-1:] + cycle[:-1])
+    lows = [(m * X // W, row) for row, (X, _, W) in cycle if row[1] > 0]
+    highs = [(m * X // W, row) for (row, _), (_, (X, _, W)) in zip(cycle, cycle[-1:] + cycle[:-1])
              if row[1] < 0][::-1]
     (X, _, W), x1 = cycle[-1][1], lows[-1][0]
-    stretches, a, i, j = [], -(-X // W), 0, 0
+    stretches, a, i, j = [], -(-m * X // W), 0, 0
     while a <= x1:
         while lows[i][0] < a:
             i += 1
@@ -119,9 +113,9 @@ def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, in
         raise ValueError(f"level {m} has {count} columns to cut, "
                          f"more than the limit of {SECTION_SCAN_LIMIT}")
     out = []
-    for r, s, a, e, q in stretches:
+    for (r0, r1, b), (s0, s1, c), a, e, q in stretches:
         xs = range(a, e) if e - a <= 2 * q else chain(range(a, a + q), range(e - q, e))
-        out += _cut_columns(r, s, xs)
+        out += _cut_columns((r0, r1, m * b), (s0, s1, m * c), xs)
     return out
 
 
@@ -133,22 +127,18 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     vertex of the former are valued. When P_D's denominator k divides m, as k = 1 does for every
     nef D, mP_D is a lattice polygon and its own integer hull, so the level-m hull over m is
     kP_D's over k, whatever m: the cycle of ``D._lattice_cycle``, the one place where kP_D's int
-    cycle is made, is valued and no level-m point is made. Otherwise the walk
-    ``D._section_polygon`` is scaled by m, rows too, and both ends of every column of
-    ``_hull_columns`` are valued and hulled: they hold every vertex."""
+    cycle is made, is valued and no level-m point is made. Otherwise both ends of every column
+    ``_hull_columns`` cuts from the walk ``D._section_polygon`` at level m are valued and
+    hulled: they hold every vertex."""
     m = index(m)
     w = flag_valuation(D.fan, flag)
     if m < 1:
         raise ValueError(f"level must be a positive integer, got {m}")
     k, ends = D._lattice_cycle
     if m % k:
-        # the walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test
-        # reads none, so the same lines stay at every level: each b and each X, Y times m, W
-        # unchanged; this hull is mP_D's, divided by m
+        # this hull is mP_D's, divided by m
         k = m
-        scaled = [((r0, r1, m * b), (m * X, m * Y, W))
-                  for (r0, r1, b), (X, Y, W) in D._section_polygon]
-        ends = [(x, y) for x, lo, hi in _hull_columns(scaled, m) for y in (lo, hi)]
+        ends = [(x, y) for x, lo, hi in _hull_columns(D._section_polygon, m) for y in (lo, hi)]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     (r1, r2), (s1, s2), _, _ = w

@@ -128,7 +128,7 @@ def okounkov_volume_report(
     if dec is None:
         dec = standard_decomposition(D.fan)
     check_decomposition(D.fan, dec)
-    display_flag = TFlag(*display_flag)
+    display_flag = display_flag if type(display_flag) is TFlag else TFlag(*display_flag)
     flag_valuation(D.fan, display_flag)
     bad = ampleness_violations(D)
     if bad:

@@ -362,8 +362,7 @@ def m_scaled_level_hull(D: TorusDivisor, flag, m: int) -> lattice.Polygon:
     cycle = D._section_polygon
     ends = lattice_ends(cycle, m)
     if ends is None:
-        scaled = [((r0, r1, m * b), (m * X, m * Y, W)) for (r0, r1, b), (X, Y, W) in cycle]
-        ends = [(x, y) for x, lo, hi in valuation._hull_columns(scaled, m) for y in (lo, hi)]
+        ends = [(x, y) for x, lo, hi in valuation._hull_columns(cycle, m) for y in (lo, hi)]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     hull = lattice.convex_hull_2d(map(w.value, ends))

@@ -473,7 +473,8 @@ class TestDecimalSpellings:
     @pytest.mark.parametrize("option", ["--l", "--a", "--b-extra"])
     def test_bad_sweep_range_spelling_is_input_error(self, tmp_path, capsys, option, k):
         argv = {"--l": "1", "--a": "1", "--b-extra": "1", "--csv": str(tmp_path / "out.csv")}
-        for text in (k, f"{k}..2", f"1..{k}"):
+        # the whole spellings with no K, or with a ".." too many, fail the same way
+        for text in (k, f"{k}..2", f"1..{k}", "1..2..3", "1....2", "..", "1..", "..3"):
             argv[option] = text
             assert main(["sweep", *(f"{name}={value}" for name, value in argv.items())]) == 2
             assert capsys.readouterr() == ("", f"error: range must be 'K' or 'K1..K2', got {text!r}\n")
@@ -1067,6 +1068,11 @@ class TestPolytopeCommand:
         D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
         svg = polytope_svg(D, TFlag(2, 1))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
+        # a pair is read through TFlag, as every entry that takes a flag reads it
+        for pair in ((2, 1), [2, 1], iter((2, 1))):
+            assert polytope_svg(D, pair) == svg
+        with pytest.raises(TypeError):
+            polytope_svg(D, (2.0, 1))
 
     def test_svg_helper_refuses_a_divisor_that_is_not_nef(self):
         # its P_D may have vertices off the lattice, which no integer pixel can draw

@@ -341,10 +341,10 @@ class TestGradedSemigroup:
             return got.vertices, got.area
 
         for m in levels:
-            if m >= 1 and (cycle := level_cycle(D, m)):
+            if m >= 1 and D._section_polygon:
                 with pytest.MonkeyPatch.context() as mp:
                     cut = spy_cut_columns(mp)
-                    kept = valuation._hull_columns(cycle, m)
+                    kept = valuation._hull_columns(D._section_polygon, m)
                 # no stretch is cut at more than max(r1, |s1|) columns at either end
                 assert all(n <= 2 * max(r[1], -s[1]) for r, s, n in cut)
                 cols = section_columns(D, m)
@@ -387,7 +387,7 @@ class TestGradedSemigroup:
             k = D._lattice_cycle[0]
             levels = [m for m in levels if m % k]
             for m in levels:
-                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(level_cycle(D, m), m)
+                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(D._section_polygon, m)
                 assert lo0 == hi0 or lo1 == hi1
                 ends.add((lo0 == hi0, lo1 == hi1))
             self.assert_level_hull_matches_every_column(D, levels)
@@ -400,7 +400,7 @@ class TestGradedSemigroup:
         D = divisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
         assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
         assert min(x for x, _ in D.cocycle) == -18
-        assert valuation._hull_columns(level_cycle(D, 1), 1)[0] == (-8, -3, 6)
+        assert valuation._hull_columns(D._section_polygon, 1)[0] == (-8, -3, 6)
         self.assert_level_hull_matches_every_column(D, range(1, 9))
         self.assert_level_hull_matches_oracle(D, (1, 2))
 

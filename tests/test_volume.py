@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 import toricvol.volume as volume
 from toricvol import divisors, valuation
+from toricvol.cli import main
 from toricvol import (
     Fan2D,
     FlagContribution,
@@ -208,6 +209,23 @@ class TestVolumeReport:
         assert built == [(2, 1)] and type(report.display_flag) is TFlag and report.agree
         # so a one-shot pair is read once, too
         assert okounkov_volume_report(D, display_flag=iter((2, 1))) == report
+
+    def test_display_tflag_is_taken_as_is(self, monkeypatch, tmp_path, capsys):
+        # a TFlag builds no second one: neither in the report nor behind `report --flag`,
+        # which builds the one flag it parses
+        D = ruled_divisor(1, 1, 2)
+        flag, built, real_new = TFlag(2, 1), [], TFlag.__new__
+
+        def spy_new(cls, *args):
+            built.append(args)
+            return real_new(cls, *args)
+        monkeypatch.setattr(TFlag, "__new__", staticmethod(spy_new))
+        assert okounkov_volume_report(D, display_flag=flag).display_flag is flag
+        assert built == []
+        doc = tmp_path / "f1.json"
+        doc.write_text('{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2,0]}')
+        assert main(["report", str(doc), "--flag", "2,1"]) == 0
+        assert built == [(2, 1)] and "(ray 2, cone 1)" in capsys.readouterr().out
 
     def test_random_instances_agree(self):
         rng = random.Random(109)
