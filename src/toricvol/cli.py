@@ -4,8 +4,8 @@ Exit codes form a stable contract: 0 when everything agrees (or is ample,
 for check), 1 for a mathematical failure (non-ample input, fan axiom
 violation, disagreement between routes), 2 for unreadable or ill-formed
 input and usage errors. A command returns only its verdict; every failure
-it raises is mapped to its exit code in `main`. Rationals are always
-printed as exact p/q strings.
+it raises, a library `ValueError` included, is mapped to its exit code in
+`main`. Rationals are always printed as exact p/q strings.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ _INPUT_BOUND = 10 ** INPUT_DIGITS
 def _check_input_size(values) -> None:
     if any(abs(v) >= _INPUT_BOUND for v in values):
         raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits")
-
-
-def _document(check, *args):
-    """check(*args), with the ValueError a library argument check raises as a DocumentError."""
-    try:
-        return check(*args)
-    except ValueError as e:
-        raise DocumentError(str(e)) from None
 
 
 class InstanceDocument(NamedTuple):
@@ -181,17 +173,22 @@ _DSQ = 1
 # ---------------------------------------------------------------- commands
 
 
+def _decomposition(args, fan: Fan2D, fallback: str | None = None):
+    """fan's orbit decomposition named by --decomposition, else by fallback, else "default"."""
+    # an empty variant is malformed, not absent: only None falls back
+    variant = fallback if args.decomposition is None else args.decomposition
+    return standard_decomposition(fan, "default" if variant is None else variant)
+
+
 def _instance(args, flag_text: str | None = None):
     """(D, flag, dec) from the document at args.path, the command line winning
     over it; an invalid fan raises FanValidationError."""
     doc = load_instance(args.path)
     flag = _parse_flag(flag_text) if flag_text is not None else doc.flag
     fan = Fan2D(doc.rays)
-    # an empty variant is malformed, not absent: only None falls back to "default"
-    variant = doc.decomposition_variant if args.decomposition is None else args.decomposition
-    dec = _document(standard_decomposition, fan, "default" if variant is None else variant)
+    dec = _decomposition(args, fan, doc.decomposition_variant)
     if flag is not None:
-        _document(flag_valuation, fan, flag)
+        flag_valuation(fan, flag)  # a pair that is no flag of fan raises
     return TorusDivisor(fan, doc.divisor), flag, dec
 
 
@@ -333,6 +330,7 @@ def cmd_hirzebruch(args) -> int:
         raise DocumentError("--l must be >= 1")
     _check_input_size([args.l, args.a, args.b])
     fan = hirzebruch_fan(args.l)
+    _decomposition(args, fan)  # read before --emit opens: a bad variant writes no document
     doc = InstanceDocument(rays=fan.rays, divisor=(0, args.a, args.b, 0))
     with _output(args.emit) as fh:
         print(instance_json(doc), file=fh)
@@ -361,9 +359,8 @@ def cmd_sweep(args) -> int:
     _check_input_size([ls[-1], As[0], As[-1], *(l * a + e for l in (ls[0], ls[-1])
                                                   for a in (As[0], As[-1])
                                                   for e in (extras[0], extras[-1]))])
-    variant = "default" if args.decomposition is None else args.decomposition
     # every F_l has four rays, so one decomposition serves the whole sweep
-    dec = _document(standard_decomposition, hirzebruch_fan(ls.start), variant)
+    dec = _decomposition(args, hirzebruch_fan(ls.start))
     # rows go out as they are computed; the file is line buffered so each
     # finished row is on disk before the next report starts
     with _output(args.csv, buffering=1) as fh:
@@ -490,15 +487,15 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a rebound cmd_* (a span, a test spy) runs
         return globals()[f"cmd_{args.command}"](args)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except FanValidationError as e:
         print("\n".join(["fan: invalid", *(f"  {v}" for v in e.violations)]))
         return 1
     except NotGloballyGenerated as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:  # below its two subclasses: a DocumentError or a library check
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -41,7 +41,6 @@ from toricvol import (
     TorusDivisor,
     ampleness_violations,
     cross,
-    divisor,
     dot,
     flag_valuation,
     projective_plane_fan,
@@ -71,7 +70,7 @@ def random_smooth_fan(rng: random.Random, max_subdivisions: int = 5):
 def sample_ample_divisor(rng: random.Random, fan, bound: int = 6, tries: int = 400):
     """Rejection-sample an ample divisor with small coefficients, or None."""
     for _ in range(tries):
-        D = divisor(fan, [rng.randint(-bound, bound) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-bound, bound) for _ in range(fan.n_rays)])
         if not ampleness_violations(D):
             return D
     return None
@@ -112,12 +111,12 @@ def deep_ample_instance(rng: random.Random, n: int) -> TorusDivisor:
         fan = star_subdivide(fan, j)
         for k in (1, 2):
             new_d = [k * x for x in d[:j + 1]] + [k * dw - 1] + [k * x for x in d[j + 1:]]
-            if not ampleness_violations(divisor(fan, new_d)):
+            if not ampleness_violations(TorusDivisor(fan, new_d)):
                 break
         else:
             raise AssertionError("k = 2 must give an ample divisor")
         d = new_d
-    return divisor(fan, d)
+    return TorusDivisor(fan, d)
 
 
 @st.composite

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from toricvol import (
     TFlag,
+    TorusDivisor,
     cross,
-    divisor,
     divisor_polytope,
     dot,
     flag_contribution,
@@ -48,7 +48,7 @@ def criterion(number, description):
 
 def grid_instances():
     for l, a, b in hirzebruch_grid():
-        yield l, a, b, divisor(hirzebruch_fan(l), (0, a, b, 0))
+        yield l, a, b, TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def test_criterion_1_grid_exactness():
@@ -107,7 +107,7 @@ def test_criterion_3_determinant_formula_property():
 
 def test_criterion_4_cocycle_expansion_identity():
     with criterion(4, "transition symbol equals alternating expansion, 8 flags x 64 triples"):
-        D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
+        D = TorusDivisor(hirzebruch_fan(1), (0, 1, 2, 0))
         h = D.cocycle
         n = D.fan.n_rays
         checked = 0

@@ -29,8 +29,8 @@ from toricvol.cli import (
     _report_text,
 )
 from toricvol import (
+    TorusDivisor,
     cross,
-    divisor,
     hirzebruch_fan,
     okounkov_volume_report,
     projective_plane_fan,
@@ -261,7 +261,7 @@ class TestChartsBuiltOncePerFan:
         built.clear()
         _report_json(okounkov_volume_report(D))
         assert len(built) == 1 and len(built[0]) == 128
-        E = divisor(D.fan, [2 * d for d in D.coeffs])
+        E = TorusDivisor(D.fan, [2 * d for d in D.coeffs])
         report = okounkov_volume_report(E, standard_decomposition(D.fan, "successor"), TFlag(5, 4))
         _report_json(report)
         _report_text(report)
@@ -428,19 +428,22 @@ class TestEmptyStrings:
 
     @pytest.mark.parametrize("argv, err", [
         (["report", "{doc}", "--flag="], "flag must be 'ray,cone', got ''"),
-        (["polytope", "{doc}", "--svg", "{svg}", "--flag="], "flag must be 'ray,cone', got ''"),
+        (["polytope", "{doc}", "--svg", "{out}", "--flag="], "flag must be 'ray,cone', got ''"),
         (["--decomposition=", "report", "{doc}"], "unknown decomposition variant ''"),
         (["--decomposition=", "sweep", "--l", "1", "--a", "1", "--b-extra", "1"],
          "unknown decomposition variant ''"),
+        (["--decomposition=", "hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", "{out}"],
+         "unknown decomposition variant ''"),
         (["report", "{variant_doc}"], "unknown decomposition variant ''"),
-    ], ids=["report-flag", "polytope-flag", "report-variant", "sweep-variant", "document-variant"])
+    ], ids=["report-flag", "polytope-flag", "report-variant", "sweep-variant", "hirzebruch-variant",
+            "document-variant"])
     def test_empty_string_is_input_error(self, tmp_path, capsys, argv, err):
-        paths = {"doc": write(tmp_path, HIRZ_112), "svg": str(tmp_path / "p.svg"),
+        paths = {"doc": write(tmp_path, HIRZ_112), "out": str(tmp_path / "out"),
                  "variant_doc": write(tmp_path, HIRZ_112[:-1] + ',"decomposition_variant":""}',
                                       "variant.json")}
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: {err}\n")
-        assert not (tmp_path / "p.svg").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_null_document_flag_is_absent(self, tmp_path, capsys):
         path = write(tmp_path, HIRZ_112[:-1] + ',"flag":null}')
@@ -455,9 +458,12 @@ class TestDecimalSpellings:
 
     @pytest.mark.parametrize("k", [" 1", "1 ", "+1", "1_0", "\u0663", "1\n", "0x1", "1.0", "", "-"])
     def test_bad_generic_owner_is_input_error(self, tmp_path, capsys, k):
-        path = write(tmp_path, HIRZ_112)
-        assert main(["--decomposition", f"generic-at={k}", "report", path]) == 2
-        assert capsys.readouterr() == ("", f"error: bad decomposition variant {f'generic-at={k}'!r}\n")
+        path, emit = write(tmp_path, HIRZ_112), tmp_path / "f.json"
+        for command in (["report", path],
+                        ["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", str(emit)]):
+            assert main(["--decomposition", f"generic-at={k}", *command]) == 2
+            assert capsys.readouterr() == ("", f"error: bad decomposition variant {f'generic-at={k}'!r}\n")
+        assert not emit.exists()
 
     @pytest.mark.parametrize("flag", ["+2,1", " 2,1", "2, 1", "2,1 ", "2_0,1", "\u0662,1", "2,\u0661",
                                       "2,-", "2,1,0"])
@@ -497,6 +503,11 @@ class TestDecimalSpellings:
             assert main(["--decomposition", f"generic-at={k}", "report", path, "--flag", "2,1"]) == 0
         assert main(["--decomposition", "generic-at=-1", "report", path]) == 2
         assert capsys.readouterr().err == "error: generic orbit assigned to nonexistent cone -1\n"
+        emit = tmp_path / "f.json"  # F_l has four cones, whatever l is
+        assert main(["--decomposition=generic-at=9", "hirzebruch", "--l", "1", "--a", "1", "--b", "2",
+                     "--emit", str(emit)]) == 2
+        assert capsys.readouterr() == ("", "error: generic orbit assigned to nonexistent cone 9\n")
+        assert not emit.exists()
         assert main(["sweep", "--l", "1", "--a=-1..1", "--b-extra", "1"]) == 1  # a <= 0 is not ample
         assert capsys.readouterr().out.splitlines()[1:] == [
             "1,-1,0,-,-,-,-,false", "1,0,1,-,-,-,-,false", "1,1,2,3/2,3,3/2,3/2,true"]
@@ -539,7 +550,7 @@ class TestOneDocumentPath:
 
 
 class TestFailuresMappedInMain:
-    # main maps the failures check, report and polytope raise to exit 1, with
+    # main maps the failures every command raises to their exit codes, with
     # the same bytes from each command and no file written
 
     @pytest.mark.parametrize("command", [["check", "{doc}"], ["report", "{doc}"],
@@ -561,6 +572,26 @@ class TestFailuresMappedInMain:
         assert capsys.readouterr() == ("", "error: divisor is not globally generated: local "
                                            "equation of cone 1 violates the inequality of ray 3\n")
         assert not svg.exists()
+
+    @pytest.mark.parametrize("name, command", [
+        ("ampleness_violations", ["check", "{doc}"]),
+        ("okounkov_volume_report", ["report", "{doc}"]),
+        ("divisor_polytope", ["polytope", "{doc}", "--svg", "{out}"]),
+        ("hirzebruch_fan", ["sweep", "--l", "1", "--a", "1", "--b-extra", "1", "--csv", "{out}"]),
+        ("hirzebruch_fan", ["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", "{out}"]),
+    ], ids=["check", "report", "polytope", "sweep", "hirzebruch"])
+    def test_library_value_error(self, tmp_path, capsys, monkeypatch, name, command):
+        # a library argument check no command foresaw exits 2, not with a traceback
+        import toricvol.cli as cli
+
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, name, boom)
+        paths = {"doc": write(tmp_path, HIRZ_112), "out": str(tmp_path / "out")}
+        assert main([a.format(**paths) for a in command]) == 2
+        assert capsys.readouterr() == ("", "error: boom\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportDisagreement:
@@ -720,7 +751,7 @@ def assert_csv_writer_matches_reference(report):
 
 def grid_reports(variant):
     for l, a, b in hirzebruch_grid():
-        D = divisor(hirzebruch_fan(l), (0, a, b, 0))
+        D = TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
         dec = standard_decomposition(D.fan, variant)
         for display in (TFlag(0, 0), TFlag(2, 1)):
             yield okounkov_volume_report(D, dec, display)
@@ -746,14 +777,14 @@ def shifted_deep_report(seed, n, shift, variant, data):
     D = deep_ample_instance(random.Random(seed), n)
     # adding the principal divisor of a character keeps D ample and moves
     # every local equation, so matrix entries take either sign
-    D = divisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
+    D = TorusDivisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
                         for d, r in zip(D.coeffs, D.fan.rays)])
     display = data.draw(st.sampled_from(list(D.fan.charts)))
     return okounkov_volume_report(D, standard_decomposition(D.fan, variant), display)
 
 
 def non_ample_report():
-    report = okounkov_volume_report(divisor(hirzebruch_fan(2), (0, 1, 2, 0)))
+    report = okounkov_volume_report(TorusDivisor(hirzebruch_fan(2), (0, 1, 2, 0)))
     assert not report.ample
     return report
 
@@ -782,13 +813,13 @@ class TestJsonWriter:
         import toricvol.volume as volume
         real = volume.intersection_number_via_symbols
         monkeypatch.setattr(volume, "intersection_number_via_symbols", lambda D, dec: real(D, dec) + 2)
-        report = okounkov_volume_report(divisor(hirzebruch_fan(1), (0, 1, 2, 0)))
+        report = okounkov_volume_report(TorusDivisor(hirzebruch_fan(1), (0, 1, 2, 0)))
         assert report.ample and not report.agree
         assert_writer_matches_dict(report)
         assert '\n  "agree": false,\n' in _report_json(report)
 
     def test_every_display_flag_of_f1(self):
-        D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
+        D = TorusDivisor(hirzebruch_fan(1), (0, 1, 2, 0))
         assert len(D.fan.charts) == 8
         for flag in D.fan.charts:
             report = okounkov_volume_report(D, display_flag=flag)
@@ -843,7 +874,7 @@ class TestTupleDisplayFlag:
     @pytest.mark.parametrize("writer", [_report_text, _report_json, _report_csv],
                              ids=["text", "json", "csv"])
     def test_writes_the_bytes_of_a_flag(self, writer, coeffs):
-        D = divisor(hirzebruch_fan(1), coeffs)
+        D = TorusDivisor(hirzebruch_fan(1), coeffs)
         report = okounkov_volume_report(D, display_flag=(2, 1))
         assert type(report.display_flag) is TFlag
         assert writer(report) == writer(okounkov_volume_report(D, display_flag=TFlag(2, 1)))
@@ -1065,7 +1096,7 @@ class TestPolytopeCommand:
         assert capsys.readouterr().err == f"error: cannot write {path}: {strerror}\n"
 
     def test_svg_helper_direct(self):
-        D = divisor(hirzebruch_fan(1), (0, 1, 2, 0))
+        D = TorusDivisor(hirzebruch_fan(1), (0, 1, 2, 0))
         svg = polytope_svg(D, TFlag(2, 1))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         # a pair is read through TFlag, as every entry that takes a flag reads it
@@ -1077,7 +1108,7 @@ class TestPolytopeCommand:
     def test_svg_helper_refuses_a_divisor_that_is_not_nef(self):
         # its P_D may have vertices off the lattice, which no integer pixel can draw
         with pytest.raises(toricvol.NotGloballyGenerated) as info:
-            polytope_svg(divisor(hirzebruch_fan(1), (0, 1, 0, 0)))
+            polytope_svg(TorusDivisor(hirzebruch_fan(1), (0, 1, 0, 0)))
         assert (info.value.cone, info.value.ray) == (0, 2)
 
 
@@ -1307,5 +1338,7 @@ class TestExitContract:
             data.draw,
             {**dict.fromkeys(params, st.integers(-1, 6).map(str)), "--emit": _OUTPUTS},
             {**dict.fromkeys(params, st.none() | _NUMBERS), "--emit": _UNWRITABLE})
-        argv = ["hirzebruch", *_options(values, workdir, "--emit")]
+        variant = data.draw(st.none() | _ODD_VARIANTS)
+        pre = [] if variant is None else ["--decomposition", variant]
+        argv = [*pre, "hirzebruch", *_options(values, workdir, "--emit")]
         assert _exit_code(argv) in (0, 1, 2), argv

@@ -8,7 +8,6 @@ from toricvol import (
     Fan2D,
     TorusDivisor,
     ampleness_violations,
-    divisor,
     divisor_polytope,
     dot,
     generation_violations,
@@ -35,7 +34,7 @@ from conftest import (
 
 
 def ruled_divisor(l, a, b):
-    return divisor(hirzebruch_fan(l), (0, a, b, 0))
+    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 class TestCoefficients:
@@ -43,7 +42,7 @@ class TestCoefficients:
         fan = hirzebruch_fan(1)
         D = TorusDivisor(fan, [0, 1, 2, 0])
         assert D.coeffs == (0, 1, 2, 0)
-        assert D == divisor(fan, (0, 1, 2, 0)) and hash(D) == hash(divisor(fan, (0, 1, 2, 0)))
+        assert D == TorusDivisor(fan, (0, 1, 2, 0)) and hash(D) == hash(TorusDivisor(fan, (0, 1, 2, 0)))
 
     def test_non_integer_coefficient_raises_at_construction(self):
         fan = hirzebruch_fan(1)
@@ -51,7 +50,7 @@ class TestCoefficients:
             with pytest.raises(TypeError):
                 TorusDivisor(fan, bad)
             with pytest.raises(TypeError):
-                divisor(fan, bad)
+                TorusDivisor(fan, bad)
 
     def test_coefficient_count_must_match_the_rays(self):
         with pytest.raises(ValueError, match="^3 coefficients for 4 rays$"):
@@ -113,7 +112,7 @@ class TestPositivity:
             for a in range(-2, 4):
                 for b in range(-2, 8):
                     expected = a > 0 and b - l * a > 0
-                    assert (not ampleness_violations(divisor(fan, (0, a, b, 0)))) is expected
+                    assert (not ampleness_violations(TorusDivisor(fan, (0, a, b, 0)))) is expected
 
     def test_nef_boundary_not_ample(self):
         assert ampleness_violations(ruled_divisor(1, 1, 1))
@@ -157,7 +156,7 @@ class TestCurveDegreeCriterion:
         verdicts = set()
         for _ in range(2000):
             fan = random_smooth_fan(rng)
-            D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+            D = TorusDivisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
             bad += self.mismatches(D)
             verdicts.add((not ampleness_violations(D), not generation_violations(D)))
         assert bad == 0
@@ -174,7 +173,7 @@ class TestCurveDegreeCriterion:
             d = list(D.coeffs)
             for _ in range(rng.randint(1, 3)):
                 d[rng.randrange(len(d))] += rng.choice((-2, -1, 1, 2))
-            perturbed = divisor(D.fan, d)
+            perturbed = TorusDivisor(D.fan, d)
             bad += self.mismatches(perturbed)
             verdicts.add((not ampleness_violations(perturbed), not generation_violations(perturbed)))
         assert bad == 0
@@ -184,7 +183,7 @@ class TestCurveDegreeCriterion:
         rng = random.Random(61)
         for _ in range(200):
             fan = random_smooth_fan(rng)
-            D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+            D = TorusDivisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
             h, n = D.cocycle, fan.n_rays
             for j, i in ampleness_violations(D):
                 assert i == (j + 2) % n
@@ -214,7 +213,7 @@ class TestDivisorPolytope:
         # are lattice points, and ValueError for an empty P_D
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         want = crossing_polygon(D, 1)
         if not want:
             with pytest.raises(ValueError, match="^convex hull of an empty point set$"):
@@ -230,7 +229,7 @@ class TestDivisorPolytope:
         # the walk meets the line of (-1, 1) at (2/2, 6/2) = (1, 3): W = 1, 2, 1, yet every
         # vertex is a lattice point, so P_D's denominator is 1, route 1 keeps int vertices and
         # no level hull cuts a column
-        D = divisor(Fan2D(((1, 0), (0, 1), (-1, 1), (-1, 0), (-1, -1))), (0, 9, -2, 4, 4))
+        D = TorusDivisor(Fan2D(((1, 0), (0, 1), (-1, 1), (-1, 0), (-1, -1))), (0, 9, -2, 4, 4))
         assert [W for _, (_, _, W) in D._section_polygon] == [1, 2, 1]
         P = divisor_polytope(D)
         assert P.vertices == ((0, 2), (1, 3), (0, 4))
@@ -255,7 +254,7 @@ class TestDivisorPolytope:
         # order, repeats kept, as route 1 and the level hulls each made it before it was cached
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         cycle = D._section_polygon
         k = divisors._denominator(cycle)
         assert D._lattice_cycle == (k, tuple((k * X // W, k * Y // W) for _, (X, Y, W) in cycle))
@@ -270,7 +269,7 @@ class TestDivisorPolytope:
     def test_lattice_cycle_worked_instances(self, rays, coeffs, want):
         # the empty P_D is (1, ()); F_3's (0, 2, 5, 0) is the triangle (0, -5/3), (5, 0), (0, 0),
         # one line removed; the lattice-free triangle has denominators 2, 3 and 5
-        assert divisor(Fan2D(rays), coeffs)._lattice_cycle == want
+        assert TorusDivisor(Fan2D(rays), coeffs)._lattice_cycle == want
 
 
 class TestSectionLatticePoints:
@@ -363,8 +362,8 @@ class TestSectionLatticePoints:
             D = deep_ample_instance(rng, n)
             q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
             nef = [-min(dot(p, r) for p in q) for r in D.fan.rays]
-            cases = [divisor(D.fan, nef),
-                     divisor(D.fan, [d + rng.randint(-1, 1) for d in nef])]
+            cases = [TorusDivisor(D.fan, nef),
+                     TorusDivisor(D.fan, [d + rng.randint(-1, 1) for d in nef])]
             if n == 8:
                 cases.append(D)
             for E in cases:
@@ -382,7 +381,7 @@ class TestSectionLatticePoints:
         seen = 0
         while seen < 40:
             fan = random_smooth_fan(rng)
-            D = divisor(fan, [rng.randint(-3, 4) for _ in range(fan.n_rays)])
+            D = TorusDivisor(fan, [rng.randint(-3, 4) for _ in range(fan.n_rays)])
             if not generation_violations(D):
                 continue
             seen += 1
@@ -391,7 +390,7 @@ class TestSectionLatticePoints:
 
     def test_empty_level(self):
         # -H on P^2 and -D_2 on F_l have no sections at any level
-        for D in (divisor(projective_plane_fan(), (-1, 0, 0)), ruled_divisor(2, 0, -1)):
+        for D in (TorusDivisor(projective_plane_fan(), (-1, 0, 0)), ruled_divisor(2, 0, -1)):
             for m in (1, 2, 3):
                 assert section_lattice_points(D, m) == box_section_points(D, m) == []
                 assert section_columns(D, m) == []

@@ -12,8 +12,8 @@ from toricvol import (
     OrbitDecomposition,
     Rank2Valuation,
     TFlag,
+    TorusDivisor,
     cross,
-    divisor,
     dot,
     fan_violations,
     flag_contribution,
@@ -60,7 +60,7 @@ class TestValidateFan:
         fan = Fan2D([[1, 0], [0, 1], [-1, -1]])
         assert fan == projective_plane_fan()
         assert hash(fan) == hash(projective_plane_fan())
-        D = divisor(fan, (1, 0, 0))
+        D = TorusDivisor(fan, (1, 0, 0))
         dec = standard_decomposition(projective_plane_fan())
         assert flag_contribution(D, TFlag(0, 0), dec).flag == TFlag(0, 0)
 

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 import toricvol
 from toricvol import (
     TFlag,
+    TorusDivisor,
     cross,
-    divisor,
     dot,
     flag_valuation,
     hirzebruch_fan,
@@ -40,7 +40,7 @@ from conftest import (
 
 
 def ruled_divisor(l, a, b):
-    return divisor(hirzebruch_fan(l), (0, a, b, 0))
+    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def exponent_terms(terms):
@@ -400,7 +400,7 @@ class TestIntersectionNumber:
             dec = standard_decomposition(fan)
             for a in (1, 2):
                 for b in (l * a + 1, l * a + 3):
-                    D = divisor(fan, (0, a, b, 0))
+                    D = TorusDivisor(fan, (0, a, b, 0))
                     assert intersection_number_via_symbols(D, dec) == 2 * a * b - l * a * a
 
     def test_decomposition_invariance(self):
@@ -420,7 +420,7 @@ class TestIntersectionNumber:
         D = deep_ample_instance(rng, n)
         span = max(map(abs, D.coeffs))
         for coeffs in (D.coeffs, *([rng.randint(-span, span) for _ in range(n)] for _ in range(3))):
-            E = divisor(D.fan, coeffs)
+            E = TorusDivisor(D.fan, coeffs)
             for variant in ("default", "successor", "generic-at=0", f"generic-at={rng.randrange(n)}",
                             f"generic-at={n - 1}"):
                 dec = standard_decomposition(D.fan, variant)

@@ -8,7 +8,7 @@ from toricvol import (
     Fan2D,
     FlagContribution,
     TFlag,
-    divisor,
+    TorusDivisor,
     divisor_polytope,
     flag_contribution,
     flag_valuation,
@@ -48,7 +48,7 @@ LATTICE_FREE_COEFFS = (-1, 0, 0, 1, 2, 2, 1, 1, 0)
 
 
 def ruled_divisor(l, a, b):
-    return divisor(hirzebruch_fan(l), (0, a, b, 0))
+    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def level_cycle(D, m):
@@ -207,7 +207,7 @@ class TestTrivializationPolytope:
         draws = [ruled_divisor(1, 1, 0)]
         while len(draws) < 20:
             fan = random_smooth_fan(rng)
-            D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+            D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
             if min(D.curve_degrees) < 0:
                 draws.append(D)
         for D in draws:
@@ -268,7 +268,7 @@ class TestGradedSemigroup:
     def test_level_hull_equals_hull_of_every_valued_section(self, seed):
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-3, 6) for _ in range(fan.n_rays)])
         self.assert_level_hull_matches_oracle(D, (1, 2, 3, 4, 5, 8))
         for m in (0, -1):
             with pytest.raises(ValueError, match="positive integer"):
@@ -287,7 +287,7 @@ class TestGradedSemigroup:
         q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
         nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
         for coeffs in (nef, [d + rng.randint(-1, 1) for d in nef]):
-            self.assert_level_hull_matches_oracle(divisor(fan, coeffs), range(1, 6))
+            self.assert_level_hull_matches_oracle(TorusDivisor(fan, coeffs), range(1, 6))
 
     @pytest.mark.parametrize("rays, coeffs, shape", [
         # one column {0} x [0, 4]: the square's fan, a vertical segment
@@ -300,7 +300,7 @@ class TestGradedSemigroup:
         (((1, 0), (0, 1), (-1, 1), (0, -1)), (0, 0, 0, 0), "one column"),
     ], ids=["vertical", "horizontal", "antidiagonal", "point"])
     def test_level_hull_on_degenerate_levels(self, rays, coeffs, shape):
-        D = divisor(Fan2D(rays), coeffs)
+        D = TorusDivisor(Fan2D(rays), coeffs)
         for m in range(1, 6):
             cols = section_columns(D, m)
             if shape == "one column":
@@ -361,7 +361,7 @@ class TestGradedSemigroup:
     def test_level_hull_equals_every_column_hull(self, seed):
         rng = random.Random(seed)
         fan = random_smooth_fan(rng, max_subdivisions=6)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         self.assert_level_hull_matches_every_column(D, range(-1, 9))
 
     @settings(max_examples=8)
@@ -373,7 +373,7 @@ class TestGradedSemigroup:
         nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
         flags = rng.sample(list(fan.charts), 4)  # the columns do not depend on the flag
         for coeffs in (nef, [d + rng.randint(-1, 1) for d in nef]):
-            self.assert_level_hull_matches_every_column(divisor(fan, coeffs), range(1, 9), flags)
+            self.assert_level_hull_matches_every_column(TorusDivisor(fan, coeffs), range(1, 9), flags)
 
     def test_level_hull_with_one_point_end_columns(self):
         # column-path levels whose first or last column, or both, hold one point, lo == hi, on
@@ -381,8 +381,8 @@ class TestGradedSemigroup:
         ends = set()
         for D, levels in ((ruled_divisor(3, 100, 100), range(1, 7)),
                           (ruled_divisor(7, 10, 10), range(1, 9)),
-                          (divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS), (8,)),
-                          (divisor(Fan2D(((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1))),
+                          (TorusDivisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS), (8,)),
+                          (TorusDivisor(Fan2D(((1, 0), (0, 1), (-1, -1), (0, -1), (1, -1))),
                                    (8, 3, 7, 2, -4)), range(1, 9))):
             k = D._lattice_cycle[0]
             levels = [m for m in levels if m % k]
@@ -397,7 +397,7 @@ class TestGradedSemigroup:
         # the box spans x = -18..1, the rays (1, 0) and (-1, 0) allow only -8..-3: a
         # stretch cut from the box alone missed the columns -8 and -7
         rays = ((1, 0), (0, 1), (-1, 0), (-2, -1), (-3, -2), (-4, -3), (-1, -1), (0, -1))
-        D = divisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
+        D = TorusDivisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
         assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
         assert min(x for x, _ in D.cocycle) == -18
         assert valuation._hull_columns(D._section_polygon, 1)[0] == (-8, -3, 6)
@@ -408,7 +408,7 @@ class TestGradedSemigroup:
     def test_thin_polygon_with_empty_middle_columns(self, coeffs):
         # between the lines of (-1, 3) and (1, -3) every third column (the sliver)
         # or two in three (the segment on y = x/3) hold no lattice point
-        D = divisor(Fan2D(((0, 1), (-1, 3), (-1, 2), (1, -3))), coeffs)
+        D = TorusDivisor(Fan2D(((0, 1), (-1, 3), (-1, 2), (1, -3))), coeffs)
         xs = [x for x, _, _ in section_columns(D, 1)]
         assert len(xs) < xs[-1] - xs[0] + 1
         self.assert_level_hull_matches_every_column(D, range(1, 9))
@@ -418,7 +418,7 @@ class TestGradedSemigroup:
         # big, not nef, and no section at level 1: P_D is the triangle (1/2, 0), (2/3, 0),
         # (3/5, 1/5), whose columns the column path cuts and finds empty; level 30 clears its
         # denominators, so that level hull is the Okounkov body
-        D = divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
+        D = TorusDivisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
         assert len(D.fan.charts) == 18
         for flag in D.fan.charts:
             with pytest.raises(ValueError, match="^no sections at level 1$"):
@@ -430,7 +430,7 @@ class TestGradedSemigroup:
     def test_lattice_path_is_chosen_on_the_scaled_cycle(self, monkeypatch):
         # the lattice-free triangle's vertices have denominators 2, 3 and 5: its level-m cycle
         # is on the lattice, and no column is cut, exactly when 30 divides m
-        D = divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
+        D = TorusDivisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS)
         cut = spy_cut_columns(monkeypatch)
         for m in (10, 15, 29, 30, 31, 45, 60, 90):
             cut.clear()
@@ -444,7 +444,7 @@ class TestGradedSemigroup:
         # k, 2k and 3k included, then values the ends tested at level k, in order
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         cycle = D._section_polygon
         k = divisors._denominator(cycle)
         w = flag_valuation(fan, flag := rng.choice(list(fan.charts)))
@@ -480,8 +480,8 @@ class TestGradedSemigroup:
 
         monkeypatch.setattr(divisors, "_denominator", spy)
         for D in (ruled_divisor(1, 2, 5), ruled_divisor(3, 100, 100),
-                  divisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS),
-                  divisor(projective_plane_fan(), (-1, 0, 0))):
+                  TorusDivisor(Fan2D(LATTICE_FREE_RAYS), LATTICE_FREE_COEFFS),
+                  TorusDivisor(projective_plane_fan(), (-1, 0, 0))):
             calls.clear()
             for route in (divisor_polytope, okounkov_volume_report):
                 try:
@@ -518,7 +518,7 @@ class TestGradedSemigroup:
         # multiples of k, the column path, divided(1) included, at the others
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         k = divisors._denominator(D._section_polygon)
         self.assert_level_hull_matches_m_scaled(D, sorted({*range(1, 13), k, 2 * k, 3 * k}))
 
@@ -534,7 +534,7 @@ class TestGradedSemigroup:
         while True:
             q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
             nef = [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays]
-            E = divisor(fan, [d + rng.randint(-1, 1) for d in nef])
+            E = TorusDivisor(fan, [d + rng.randint(-1, 1) for d in nef])
             if divisors._denominator(E._section_polygon) > 1:
                 break
         for F in (D, E):
@@ -549,7 +549,7 @@ class TestGradedSemigroup:
         rng = random.Random(seed)
         while True:
             fan = random_smooth_fan(rng)
-            D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+            D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
             if min(D.curve_degrees) < 0 and D._section_polygon:
                 break
         P, k = divisor_polytope(D), divisors._denominator(D._section_polygon)
@@ -589,7 +589,7 @@ class TestGradedSemigroup:
     def test_level_hull_cuts_max_r1_s1_at_both_ends(self, rays, coeffs, r, s, width, monkeypatch):
         # the long stretch between the rows r and s is cut at q = max(r1, |s1|) columns at
         # each end, its narrowing end too, where r1 + |s1| columns would be 6, 6, 7 and 5
-        D = divisor(Fan2D(rays), coeffs)
+        D = TorusDivisor(Fan2D(rays), coeffs)
         cut = spy_cut_columns(monkeypatch)
         semigroup_level_hull(D, TFlag(0, 0), 1)
         assert [n for u, v, n in cut if (u, v) == (r, s)] == [width]
@@ -691,7 +691,7 @@ class TestGradedSemigroup:
         rng = random.Random(3)
         fan = deep_ample_instance(rng, 64).fan
         q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(4)]
-        D = divisor(fan, [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays])
+        D = TorusDivisor(fan, [-min(p[0] * r[0] + p[1] * r[1] for p in q) for r in fan.rays])
         self.assert_level_hull_is_the_polygon(D, rng.sample(list(fan.charts), 8), monkeypatch)
 
     @staticmethod
@@ -716,7 +716,7 @@ class TestGradedSemigroup:
     def test_section_polygon_equals_crossing_polygon(self, seed, m):
         rng = random.Random(seed)
         fan = random_smooth_fan(rng)
-        D = divisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
+        D = TorusDivisor(fan, [rng.randint(-5, 9) for _ in range(fan.n_rays)])
         self.assert_section_polygon_matches_crossings(D, m)
 
     @pytest.mark.parametrize("rays, coeffs, shape", [
@@ -731,12 +731,12 @@ class TestGradedSemigroup:
     ], ids=["empty", "empty-strip", "point", "segment", "vertical", "non-nef", "two-removals",
             "lattice-free"])
     def test_section_polygon_on_every_shape(self, rays, coeffs, shape):
-        D = divisor(Fan2D(rays), coeffs)
+        D = TorusDivisor(Fan2D(rays), coeffs)
         for m in range(1, 6):
             assert len(self.assert_section_polygon_matches_crossings(D, m)) == shape
 
     def test_level_hull_rejects_empty_level(self):
-        D = divisor(projective_plane_fan(), (-1, 0, 0))
+        D = TorusDivisor(projective_plane_fan(), (-1, 0, 0))
         for flag in D.fan.charts:
             with pytest.raises(ValueError):
                 semigroup_level_hull(D, flag, 2)

@@ -16,7 +16,6 @@ from toricvol import (
     ampleness_violations,
     convex_hull_2d,
     cross,
-    divisor,
     divisor_polytope,
     flag_contribution,
     flag_valuation,
@@ -46,7 +45,7 @@ from conftest import (
 
 
 def ruled_divisor(l, a, b):
-    return divisor(hirzebruch_fan(l), (0, a, b, 0))
+    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def simplex_twice(D, dec) -> int:
@@ -64,11 +63,11 @@ class TestSelfIntersection:
     def test_single_ray_self_intersections(self):
         for l in (1, 2, 3):
             fan = hirzebruch_fan(l)
-            assert self_intersection_classical(divisor(fan, (0, 1, 0, 0))) == -l
-            assert self_intersection_classical(divisor(fan, (0, 0, 1, 0))) == 0
+            assert self_intersection_classical(TorusDivisor(fan, (0, 1, 0, 0))) == -l
+            assert self_intersection_classical(TorusDivisor(fan, (0, 0, 1, 0))) == 0
 
     def test_plane_hyperplane_class(self):
-        assert self_intersection_classical(divisor(projective_plane_fan(), (1, 0, 0))) == 1
+        assert self_intersection_classical(TorusDivisor(projective_plane_fan(), (1, 0, 0))) == 1
 
     @given(seed=st.integers(0, 2**32), n=st.integers(3, 32),
            kind=st.sampled_from(["ample", "nef", "non-nef", "any"]))
@@ -81,9 +80,9 @@ class TestSelfIntersection:
             j = rng.randrange(n)
             d = list(D.coeffs)
             d.insert(j + 1, d[j] + d[(j + 1) % n] + (kind == "non-nef"))
-            D = divisor(star_subdivide(D.fan, j), d)
+            D = TorusDivisor(star_subdivide(D.fan, j), d)
         elif kind == "any":
-            D = divisor(D.fan, [rng.randint(-9, 9) for _ in range(n)])
+            D = TorusDivisor(D.fan, [rng.randint(-9, 9) for _ in range(n)])
         nef, ample = not generation_violations(D), not ampleness_violations(D)
         assert {"ample": ample, "nef": nef and not ample, "non-nef": not nef, "any": True}[kind]
         assert self_intersection_classical(D) == reference_self_intersection(D)
@@ -157,7 +156,7 @@ class TestSimplexSum:
             assert simplex_twice(D, standard_decomposition(D.fan)) == 2 * a * b - l * a * a
 
     def test_plane_hyperplane(self):
-        D = divisor(projective_plane_fan(), (1, 0, 0))
+        D = TorusDivisor(projective_plane_fan(), (1, 0, 0))
         assert simplex_twice(D, standard_decomposition(D.fan)) == 1
 
     def test_decomposition_independence(self):
@@ -250,7 +249,7 @@ def any_divisor(draw):
     fan = projective_plane_fan()
     for j in draw(st.lists(st.integers(0, 63), max_size=6)):
         fan = star_subdivide(fan, j % fan.n_rays)
-    return divisor(fan, draw(st.lists(st.integers(-4, 6), min_size=fan.n_rays,
+    return TorusDivisor(fan, draw(st.lists(st.integers(-4, 6), min_size=fan.n_rays,
                                       max_size=fan.n_rays)))
 
 
@@ -259,7 +258,7 @@ def perturbed_deep_divisor(draw):
     """An ample divisor on a deep fan with 3 to 64 rays, each coefficient then
     moved by -1, 0 or 1: often not nef, as its curves have small degrees."""
     D = deep_ample_instance(random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(3, 64)))
-    return divisor(D.fan, [d + draw(st.integers(-1, 1)) for d in D.coeffs])
+    return TorusDivisor(D.fan, [d + draw(st.integers(-1, 1)) for d in D.coeffs])
 
 
 @st.composite
@@ -306,7 +305,7 @@ class TestLocalIdentity:
         rng = random.Random(seed)
         D = deep_ample_instance(rng, n)
         span = data.draw(st.sampled_from([1, 5, max(map(abs, D.coeffs))]))
-        E = divisor(D.fan, [rng.randint(-span, span) for _ in range(n)])
+        E = TorusDivisor(D.fan, [rng.randint(-span, span) for _ in range(n)])
         self.assert_local_identity(E, data.draw(random_decompositions(n)))
 
 
@@ -355,7 +354,7 @@ class TestOnePositivityGate:
         def gate(D):
             pytest.fail("the ampleness gate ran before the arguments were checked")
 
-        D = divisor(hirzebruch_fan(1), coeffs)
+        D = TorusDivisor(hirzebruch_fan(1), coeffs)
         monkeypatch.setattr(volume, "ampleness_violations", gate)
         with pytest.raises(ValueError, match="decomposition of 3 rays for a fan of 4"):
             okounkov_volume_report(D, standard_decomposition(projective_plane_fan()))
@@ -462,7 +461,7 @@ class TestSharedData:
         # vertices again, each at the opposite cone's place
         instances = [deep_ample_instance(random.Random(seed), n)
                      for n in range(3, 25) for seed in range(5)]
-        instances += [divisor(Fan2D(rays), (1,) * len(rays)) for rays in (
+        instances += [TorusDivisor(Fan2D(rays), (1,) * len(rays)) for rays in (
             ((1, 0), (0, 1), (-1, 0), (0, -1)), ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)))]
         assert all(okounkov_volume_report(D).agree for D in instances)
         if fault == "cocycle":
@@ -539,7 +538,7 @@ class TestSharedData:
             for name in ("generation_violations", "ampleness_violations"):
                 monkeypatch.setattr(module, name, gate, raising=False)
         rays = ((2, -1), (1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-1, -1), (0, -1), (1, -1))
-        D = divisor(Fan2D(rays), (-1, 0, 0, 1, 2, 2, 1, 1, 0))
+        D = TorusDivisor(Fan2D(rays), (-1, 0, 0, 1, 2, 2, 1, 1, 0))
         dec = standard_decomposition(D.fan)
         assert divisor_polytope(D).area == Fraction(1, 60)
         for route in self.CALLS:
