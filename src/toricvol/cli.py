@@ -326,8 +326,6 @@ def _int_option(text: str) -> int:
 
 
 def cmd_hirzebruch(args) -> int:
-    if args.l < 1:
-        raise DocumentError("--l must be >= 1")
     _check_input_size([args.l, args.a, args.b])
     fan = hirzebruch_fan(args.l)
     _decomposition(args, fan)  # read before --emit opens: a bad variant writes no document
@@ -353,8 +351,6 @@ def cmd_sweep(args) -> int:
     ls = _parse_range(args.l)
     As = _parse_range(args.a)
     extras = _parse_range(args.b_extra)
-    if ls.start < 1:
-        raise DocumentError("--l values must be >= 1")
     # b = l*a + extra is bilinear, so its extremes over the grid are at the corners
     _check_input_size([ls[-1], As[0], As[-1], *(l * a + e for l in (ls[0], ls[-1])
                                                   for a in (As[0], As[-1])

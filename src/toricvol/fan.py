@@ -165,13 +165,12 @@ class Fan2D(_Checked, _Rays):
 
 
 def hirzebruch_fan(l: int) -> Fan2D:
-    """The fan with rays (1,0), (0,1), (-1,l), (0,-1) for l >= 1.
-
-    Ray 1 and ray 2 carry the two independent divisor classes; cone j is
-    spanned by rays j and j+1. l = 1 is the blowup of the projective plane.
-    """
+    """The fan of the ruled surface F_l, rays (1,0), (0,1), (-1,l), (0,-1), for an int l >= 1.
+    Any other l raises ValueError("l must be a positive integer, got <l>"): the one check of l,
+    which the ``hirzebruch`` and ``sweep`` commands print as their error. Ray 1 and ray 2 carry
+    the two divisor classes; cone j is spanned by rays j and j+1; F_1 is P^2 blown up at a point."""
     if index(l) < 1:
-        raise ValueError(f"parameter must be a positive integer, got {l}")
+        raise ValueError(f"l must be a positive integer, got {l}")
     return Fan2D(((1, 0), (0, 1), (-1, l), (0, -1)))
 
 

@@ -21,7 +21,8 @@ here too, with ``reference_kernels`` to put them back in a hull or a
 ``Polygon``. ``spy_hull_passes`` logs the chain and convexity passes a
 convex hull makes. The level hull's lattice path that scaled mP_D's vertices
 by m and divided by m, which one hull of kP_D divided by k replaced, stays as
-``m_scaled_level_hull``."""
+``m_scaled_level_hull``. The deep-fan generator that re-validated the fan and re-checked
+every degree at each step stays as ``stepwise_deep_ample_instance``."""
 
 import random
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from operator import index
 from hypothesis import settings, strategies as st
 
 from toricvol import (
+    Fan2D,
     FanViolation,
     FlagContribution,
     OrbitDecomposition,
@@ -95,12 +97,42 @@ def deep_ample_instance(rng: random.Random, n: int) -> TorusDivisor:
 
     Each step inserts u+v into a random cone (u, v) and replaces D by
     k*pi^*D - E for the smallest k in {1, 2} that is ample. pi^*D gives the
-    new ray d_u + d_v and E is the new ray's curve. k = 2 always works: E
-    has degree 1, its two neighbours lose 1 from k times a positive degree,
-    and every other degree is scaled by k. These fans are out of reach of
+    new ray d_u + d_v and E is the new ray's curve. E has degree 1, its two
+    neighbours lose 1 from k times their degree, and every other degree is
+    scaled by k. So k = 1 exactly when both neighbours have degree >= 2, and
+    k = 2 always works. The rays, coefficients and degrees are kept as lists
+    and the fan is validated once, at the end; ``stepwise_deep_ample_instance``
+    makes the same draws and is its oracle. These fans are out of reach of
     ``random_ample_instance``, whose small coefficients stop being ample
     after a few blowups of one point.
     """
+    rays = list(projective_plane_fan().rays)
+    d = [0, 0, 0]
+    while sum(d) <= 0:
+        d = [rng.randint(0, 3) for _ in range(3)]
+    degrees = [sum(d)] * 3  # each line of P^2 meets D in d_0 + d_1 + d_2
+    while len(rays) < n:
+        j = rng.randrange(len(rays))
+        i = (j + 1) % len(rays)
+        (u0, u1), (v0, v1) = rays[j], rays[i]
+        dw = d[j] + d[i]
+        if degrees[j] < 2 or degrees[i] < 2:  # k = 2
+            dw, d, degrees = 2 * dw, [2 * x for x in d], [2 * x for x in degrees]
+        degrees[j] -= 1
+        degrees[i] -= 1
+        rays.insert(j + 1, (u0 + v0, u1 + v1))
+        d.insert(j + 1, dw - 1)
+        degrees.insert(j + 1, 1)
+    D = TorusDivisor(Fan2D(rays), d)
+    if ampleness_violations(D) or D.curve_degrees != tuple(degrees):
+        raise AssertionError("k*pi^*D - E must have the degrees the closed form gives")
+    return D
+
+
+def stepwise_deep_ample_instance(rng: random.Random, n: int) -> TorusDivisor:
+    """``deep_ample_instance`` as it was, the oracle of its closed form: each step
+    re-validates the fan through ``star_subdivide`` and tries k = 1, then k = 2, on a fresh
+    divisor, so it is quadratic in n."""
     fan = projective_plane_fan()
     d = [0, 0, 0]
     while sum(d) <= 0:

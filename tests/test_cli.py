@@ -170,8 +170,24 @@ class TestHirzebruchCommand:
         assert main(["check", path]) == 1
         assert "ample: false" in capsys.readouterr().out
 
-    def test_rejects_bad_parameter(self):
-        assert main(["hirzebruch", "--l", "0", "--a", "1", "--b", "2"]) == 2
+    @pytest.mark.parametrize("l, argv", [
+        (0, ["hirzebruch", "--l", "0", "--a", "1", "--b", "2", "--emit", "OUT"]),
+        (0, ["sweep", "--l=0..2", "--a", "1", "--b-extra", "1", "--csv", "OUT"]),
+        (-2, ["sweep", "--l=-2..-1", "--a", "1", "--b-extra", "1"]),
+    ], ids=["hirzebruch-emit", "sweep-csv", "sweep-negative"])
+    def test_rejects_bad_parameter(self, tmp_path, capsys, l, argv):
+        # hirzebruch_fan alone checks l >= 1; both commands call it before any output opens
+        assert main([str(tmp_path / "out") if a == "OUT" else a for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: l must be a positive integer, got {l}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["hirzebruch", "sweep"])
+    def test_input_size_is_read_before_l(self, capsys, command):
+        big = "1" + "0" * INPUT_DIGITS  # INPUT_DIGITS + 1 digits
+        argv = (["hirzebruch", "--l", "0", "--a", big, "--b", "2"] if command == "hirzebruch"
+                else ["sweep", "--l=0..1", "--a", big, "--b-extra", "1"])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
 
     @UNWRITABLE
     def test_unwritable_emit_path_is_input_error(self, tmp_path, capsys, where, strerror):

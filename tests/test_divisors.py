@@ -30,6 +30,7 @@ from conftest import (
     random_smooth_fan,
     section_columns,
     section_lattice_points,
+    stepwise_deep_ample_instance,
 )
 
 
@@ -188,6 +189,17 @@ class TestCurveDegreeCriterion:
             for j, i in ampleness_violations(D):
                 assert i == (j + 2) % n
                 assert dot(h[j], fan.rays[i]) + D.coeffs[i] == D.curve_degrees[(j + 1) % n] <= 0
+
+
+class TestDeepAmpleInstance:
+    """The closed-form deep-fan generator against the stepwise one it replaced."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_same_divisor_and_draws_as_stepwise_oracle(self, n):
+        for seed in range(1, 11):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert deep_ample_instance(fast, n) == stepwise_deep_ample_instance(slow, n)
+            assert fast.getstate() == slow.getstate()
 
 
 class TestDivisorPolytope:

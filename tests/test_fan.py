@@ -258,7 +258,7 @@ class TestHirzebruch:
             assert cross(*fan.cone(j)) == 1
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^l must be a positive integer, got 0$"):
             hirzebruch_fan(0)
 
 
