@@ -15,7 +15,7 @@ import contextlib
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, product
 from typing import NamedTuple
 
 from .divisors import (
@@ -44,6 +44,10 @@ class DocumentError(ValueError):
 # 0 means no limit, and then the default bound is kept).
 INPUT_DIGITS = ((sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - 2) // 6
 _INPUT_BOUND = 10 ** INPUT_DIGITS
+
+# Most rows one sweep runs: a grid of more rows exits 2 before any report, even
+# when every end of its ranges is within the input bound.
+SWEEP_ROW_LIMIT = 10 ** 6
 
 
 def _check_input_size(values) -> None:
@@ -129,16 +133,17 @@ def load_instance(path: str) -> InstanceDocument:
 
 
 @contextlib.contextmanager
-def _output(path: str | None, **kwargs):
-    """The text file at path, or stdout when path is None.
+def _output(path: str | None):
+    """The text file at path, line buffered, or stdout when path is None.
 
+    Each line, a sweep's row among them, is on disk before the next is computed.
     A failure to open, write or close the file raises DocumentError.
     """
     if path is None:
         yield sys.stdout
         return
     try:
-        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+        with open(path, "w", encoding="utf-8", buffering=1) as fh:
             yield fh
     except OSError as e:
         raise DocumentError(f"cannot write {path}: {e.strerror}") from None
@@ -180,11 +185,11 @@ def _decomposition(args, fan: Fan2D, fallback: str | None = None):
     return standard_decomposition(fan, "default" if variant is None else variant)
 
 
-def _instance(args, flag_text: str | None = None):
-    """(D, flag, dec) from the document at args.path, the command line winning
-    over it; an invalid fan raises FanValidationError."""
+def _instance(args):
+    """(D, flag, dec) from the document at args.path, --flag and --decomposition
+    winning over it; an invalid fan raises FanValidationError."""
     doc = load_instance(args.path)
-    flag = _parse_flag(flag_text) if flag_text is not None else doc.flag
+    flag = doc.flag if args.flag is None else _parse_flag(args.flag)
     fan = Fan2D(doc.rays)
     dec = _decomposition(args, fan, doc.decomposition_variant)
     if flag is not None:
@@ -311,7 +316,7 @@ _WRITERS = {"text": _report_text, "json": _report_json, "csv": _report_csv}
 
 
 def cmd_report(args) -> int:
-    D, flag, dec = _instance(args, args.flag)
+    D, flag, dec = _instance(args)
     report = okounkov_volume_report(D, dec, flag or TFlag(0, 0))
     print(_WRITERS[args.format](report))
     return 0 if report.agree else 1
@@ -348,18 +353,16 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_sweep(args) -> int:
-    ls = _parse_range(args.l)
-    As = _parse_range(args.a)
-    extras = _parse_range(args.b_extra)
-    # b = l*a + extra is bilinear, so its extremes over the grid are at the corners
-    _check_input_size([ls[-1], As[0], As[-1], *(l * a + e for l in (ls[0], ls[-1])
-                                                  for a in (As[0], As[-1])
-                                                  for e in (extras[0], extras[-1]))])
+    ls, As, extras = map(_parse_range, (args.l, args.a, args.b_extra))
+    # b = l*a + extra is bilinear, so its extremes over the grid are at the corner rows
+    for l, a, extra in product(*((r[0], r[-1]) for r in (ls, As, extras))):
+        _check_input_size([l, a, l * a + extra])
+    # stop - start, as len() of a range past sys.maxsize raises OverflowError
+    if (ls.stop - ls.start) * (As.stop - As.start) * (extras.stop - extras.start) > SWEEP_ROW_LIMIT:
+        raise DocumentError(f"grid has more than {SWEEP_ROW_LIMIT} rows")
     # every F_l has four rays, so one decomposition serves the whole sweep
     dec = _decomposition(args, hirzebruch_fan(ls.start))
-    # rows go out as they are computed; the file is line buffered so each
-    # finished row is on disk before the next report starts
-    with _output(args.csv, buffering=1) as fh:
+    with _output(args.csv) as fh:
         print("l,a,b,area,dsq,simplex_sum,symbol_sum,agree", file=fh)
         all_agree = True
         for l in ls:
@@ -425,7 +428,7 @@ def polytope_svg(D: TorusDivisor, flag: TFlag | None = None) -> str:
 
 
 def cmd_polytope(args) -> int:
-    D, flag, _ = _instance(args, args.flag)
+    D, flag, _ = _instance(args)
     svg = polytope_svg(D, flag)  # drawn before the file opens, so a failure writes none
     with _output(args.svg) as fh:
         print(svg, file=fh)
@@ -446,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a fan+divisor document, test positivity")
     p.add_argument("path")
+    p.set_defaults(flag=None)  # no --flag option: _instance takes the document's
 
     p = sub.add_parser("report", help="compute the four volume routes and verify agreement")
     p.add_argument("path")

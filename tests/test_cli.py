@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, strategies as st
 import toricvol
 from toricvol.cli import (
     INPUT_DIGITS,
+    SWEEP_ROW_LIMIT,
     DocumentError,
     InstanceDocument,
     TFlag,
@@ -181,12 +182,14 @@ class TestHirzebruchCommand:
         assert capsys.readouterr() == ("", f"error: l must be a positive integer, got {l}\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["hirzebruch", "sweep"])
-    def test_input_size_is_read_before_l(self, capsys, command):
+    @pytest.mark.parametrize("argv", [
+        ["hirzebruch", "--l", "0", "--a", "BIG", "--b", "2"],
+        ["sweep", "--l=0..1", "--a", "BIG", "--b-extra", "1"],
+        ["sweep", "--l=-BIG..1", "--a", "0", "--b-extra", "0"],  # the first l of the range
+    ], ids=["hirzebruch", "sweep", "sweep-first-l"])
+    def test_input_size_is_read_before_l(self, capsys, argv):
         big = "1" + "0" * INPUT_DIGITS  # INPUT_DIGITS + 1 digits
-        argv = (["hirzebruch", "--l", "0", "--a", big, "--b", "2"] if command == "hirzebruch"
-                else ["sweep", "--l=0..1", "--a", big, "--b-extra", "1"])
-        assert main(argv) == 2
+        assert main([a.replace("BIG", big) for a in argv]) == 2
         assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
 
     @UNWRITABLE
@@ -1024,6 +1027,30 @@ class TestSweepCommand:
             assert written == rows[:4]
         assert len(rows) == 5
 
+    def test_grid_over_the_row_bound_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # 10**20 + 1 rows: refused before any report and before the CSV opens
+        import toricvol.cli as cli
+
+        reports = []
+        monkeypatch.setattr(cli, "okounkov_volume_report", lambda *args: reports.append(args))
+        out = tmp_path / "huge.csv"
+        argv = ["sweep", "--l", "1", "--a", "0", "--b-extra=-99999999999999999999..1", "--csv", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: grid has more than {SWEEP_ROW_LIMIT} rows\n")
+        assert not out.exists() and reports == []
+
+    def test_grid_at_the_row_bound_runs(self, monkeypatch):
+        import toricvol.cli as cli
+
+        class FirstReport(Exception):
+            pass
+
+        def spy(*args):
+            raise FirstReport
+        monkeypatch.setattr(cli, "okounkov_volume_report", spy)
+        with pytest.raises(FirstReport):
+            main(["sweep", "--l", "1", "--a", "1", "--b-extra", f"1..{SWEEP_ROW_LIMIT}"])
+
     @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=3"])
     def test_one_decomposition_per_sweep(self, capsys, monkeypatch, variant):
         # every F_l has four rays, so one decomposition serves every l
@@ -1264,8 +1291,9 @@ _FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
 # sweep and hirzebruch arguments: usual values, with a random subset of the
 # arguments replaced by odd ones: int() spellings ('1_0', an Arabic-Indic
 # three), values at and past the input bound and past the 4300-digit
-# int-to-str limit, empty strings, malformed ranges, unknown variants and
-# unwritable outputs (paths are relative to a scratch directory)
+# int-to-str limit, empty strings, malformed ranges, a range of more rows
+# than the sweep row bound, unknown variants and unwritable outputs (paths
+# are relative to a scratch directory)
 _BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
                  st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
 _NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG
@@ -1273,6 +1301,9 @@ _ODD_RANGES = st.one_of(
     _NUMBERS,
     st.tuples(_NUMBERS, _NUMBERS).map("..".join),
     st.sampled_from(["1..", "..2", "2..1", "1..2..3", ".."]),
+    # one value more than the row bound, or far more, each end far inside the input bound
+    st.builds(lambda lo, k: f"{lo}..{lo + k}", st.integers(-2, 2),
+              st.sampled_from([SWEEP_ROW_LIMIT, 10 ** 20])),
 )
 _SMALL_RANGES = st.integers(1, 4).map(str) | st.builds(
     lambda lo, span: f"{lo}..{lo + span}", st.integers(0, 4), st.integers(0, 2))
@@ -1341,11 +1372,13 @@ class TestExitContract:
             {**dict.fromkeys(ranges, _SMALL_RANGES), "--csv": _OUTPUTS},
             {**dict.fromkeys(ranges, _ODD_RANGES), "--csv": _UNWRITABLE})
         sizes = [_range_size(values[name]) for name in ranges]
-        assume(sizes[0] * sizes[1] * sizes[2] <= _MAX_REPORTS)
+        rows = sizes[0] * sizes[1] * sizes[2]
+        assume(rows <= _MAX_REPORTS or rows > SWEEP_ROW_LIMIT)
         variant = data.draw(st.none() | _ODD_VARIANTS)
         pre = [] if variant is None else ["--decomposition", variant]
         argv = [*pre, "sweep", *_options(values, workdir, "--csv")]
-        assert _exit_code(argv) in (0, 1, 2), argv
+        # a grid over the row bound exits 2 at once, whatever else is wrong with it
+        assert _exit_code(argv) in ((0, 1, 2) if rows <= _MAX_REPORTS else (2,)), argv
 
     @given(data=st.data())
     def test_hirzebruch_exits_0_1_or_2(self, workdir, data):
