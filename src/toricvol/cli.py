@@ -55,6 +55,18 @@ def _check_input_size(values) -> None:
         raise DocumentError(f"integer too large: more than {INPUT_DIGITS} digits")
 
 
+def _read_int(text: str) -> int:
+    """An int written -?[0-9]+, as ``fan._decimal`` reads it. A well-formed spelling of more
+    than L digits, L the interpreter's int-to-str limit, which ``int`` refuses, reads as
+    +-10**L: past the size bound, and too far past it for l*a + extra to come back within it."""
+    try:
+        return _decimal(text)
+    except ValueError as e:
+        if str(e).startswith("not a decimal integer"):  # _decimal's own: malformed
+            raise
+    return (-1 if text[0] == "-" else 1) * 10 ** sys.get_int_max_str_digits()
+
+
 class InstanceDocument(NamedTuple):
     rays: tuple[tuple[int, int], ...]
     divisor: tuple[int, ...]
@@ -109,6 +121,7 @@ def parse_instance(text: str) -> InstanceDocument:
         if not (isinstance(flag, dict) and set(flag) == {"ray", "cone"}
                 and set(map(type, flag.values())) == {int}):
             raise DocumentError("field 'flag' must be an object {\"ray\": i, \"cone\": j}")
+        _check_input_size(flag.values())
         flag = TFlag(flag["ray"], flag["cone"])
     variant = raw.get("decomposition_variant")
     if variant is not None and not isinstance(variant, str):
@@ -216,9 +229,10 @@ def cmd_check(args) -> int:
 
 def _parse_flag(text: str) -> TFlag:
     try:
-        i, j = map(_decimal, text.split(","))
+        i, j = map(_read_int, text.split(","))
     except ValueError:
         raise DocumentError(f"flag must be 'ray,cone', got {text!r}") from None
+    _check_input_size((i, j))
     return TFlag(i, j)
 
 
@@ -323,9 +337,9 @@ def cmd_report(args) -> int:
 
 
 def _int_option(text: str) -> int:
-    """An integer option's value, written -?[0-9]+ as ``fan._decimal`` reads it."""
+    """An integer option's value, as ``_read_int`` reads it."""
     try:
-        return _decimal(text)
+        return _read_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -344,7 +358,7 @@ def _parse_range(text: str) -> range:
     # "K" is "K..K"; a second ".." is left in hi, which _decimal rejects
     lo, dots, hi = text.partition("..")
     try:
-        lo, hi = _decimal(lo), _decimal(hi if dots else lo)
+        lo, hi = _read_int(lo), _read_int(hi if dots else lo)
     except ValueError:
         raise DocumentError(f"range must be 'K' or 'K1..K2', got {text!r}") from None
     if hi < lo:

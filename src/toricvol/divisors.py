@@ -5,11 +5,11 @@ the chart of cone j is the unique character with <h_j, ray> = -d_ray on both ray
 cone, in the dual basis of ``Fan2D.charts``; the transition cocycle of the line bundle is
 f_ab = h_b - h_a in exponents. The divisor polytope P_D = {h : <h, ray_i> >= -d_i} is
 walked from the rays and coefficients alone, once per divisor, into the cached level-1
-cycle ``TorusDivisor._section_polygon``, which ``valuation`` scales by m to cut sections;
-for ample D its vertices are the h_j. Beside it, the cached ``TorusDivisor._lattice_cycle``
-is the one place where P_D's denominator k and kP_D's int vertex cycle are made, read by
-``divisor_polytope`` and by every level hull at a multiple of k. Positivity has one API:
-the two witness lists.
+cycle ``TorusDivisor._section_polygon``; for ample D its vertices are the h_j. Beside it, the
+cached ``TorusDivisor._lattice_cycle`` is the one place where P_D's denominator k and kP_D's int
+vertex cycle are made. The sections of mD are the lattice points of mP_D: ``_level_ends`` alone
+picks those that hold their hull's vertices, kP_D's cycle when k | m, else the ends of the
+columns ``_hull_columns`` cuts. Positivity has one API: the two witness lists.
 A ``TorusDivisor`` is the checked record ``(fan, coeffs)`` (see ``lattice``): it
 equals and hashes like that pair, a changed copy is made with ``_replace``, and
 its fields and cached values cannot be set or deleted.
@@ -18,7 +18,7 @@ its fields and cached values cannot be set or deleted.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import index
 from typing import NamedTuple, Sequence
@@ -29,6 +29,10 @@ from .lattice import Polygon, Vec, _Checked, convex_hull_2d
 Cocycle = tuple[Vec, ...]  # one character exponent per maximal cone
 Row = tuple[int, int, int]     # (r0, r1, b): the half-plane <h, (r0, r1)> >= b
 Vertex = tuple[int, int, int]  # (X, Y, W): the point (X/W, Y/W), W > 0
+
+# Most section columns a level hull cuts: only a polygon with a vertex off the lattice has
+# columns cut, at most 2*max(r1, |s1|) per stretch, which grows with the ray coordinates.
+SECTION_SCAN_LIMIT = 10 ** 6
 
 
 class NotGloballyGenerated(ValueError):
@@ -159,3 +163,76 @@ def divisor_polytope(D: TorusDivisor) -> Polygon:
     k, ends = D._lattice_cycle
     hull = convex_hull_2d(ends)
     return hull.divided(k) if k > 1 else hull
+
+
+def _cut_columns(r: Row, s: Row, xs) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) among xs, [lo, hi] the rows above the lower row r
+    (r1 > 0) and below the upper row s (s1 < 0)."""
+    (r0, r1, b), (s0, s1, c) = r, s
+    out = []
+    for x in xs:
+        lo, hi = -((x * r0 - b) // r1), (x * s0 - c) // -s1
+        if lo <= hi:
+            out.append((x, lo, hi))
+    return out
+
+
+def _hull_columns(cycle: list[tuple[Row, Vertex]], m: int) -> list[tuple[int, int, int]]:
+    """The nonempty columns (x, lo, hi) of the lattice points in m times the nonempty section
+    polygon ``cycle``, the level-1 walk ``TorusDivisor._section_polygon``, that can hold a vertex
+    of their hull: the first and last q = max(r1, |s1|) of every stretch below, or all of a
+    stretch narrower than 2*q, whatever the width. More than SECTION_SCAN_LIMIT such columns
+    raise ValueError before any is cut. They come in increasing x, an order the level hull does
+    not need, as ``convex_hull_2d`` sorts their ends; the every-column oracle of the tests
+    compares that order.
+
+    The lower edges (r1 > 0) run left to right, the upper ones (r1 < 0) right to left, so the
+    stretches between the floors of their vertices' x-coordinates come in order, and one lower
+    row r and one upper row s bound every column of a stretch. Inside a stretch every lattice
+    point of r's line is a section on the polygon's boundary, one every r1 columns, so a low
+    end strictly between two of them lies on or above the segment joining them and is no
+    vertex; so for high ends and s, every |s1| columns. So every vertex lies within q columns
+    of a stretch end.
+
+    The walk's removal test E(p, i, q) >= 0 is homogeneous in the b's and its turn test reads
+    none, so the same rows and vertices serve every level: mP_D's vertex (X, Y, W) is
+    (m*X, m*Y, W) and its row (r0, r1, b) is (r0, r1, m*b). So the floors and ceilings read
+    m*X over W, and b is scaled only in the rows each stretch is cut with.
+    """
+    first = next(j for j in range(len(cycle)) if cycle[j][0][1] > 0 >= cycle[j - 1][0][1])
+    cycle = cycle[first:] + cycle[:first]
+    # each edge with the floor of its right end's x: the lower edge's end, the upper one's start
+    lows = [(m * X // W, row) for row, (X, _, W) in cycle if row[1] > 0]
+    highs = [(m * X // W, row) for (row, _), (_, (X, _, W)) in zip(cycle, cycle[-1:] + cycle[:-1])
+             if row[1] < 0][::-1]
+    (X, _, W), x1 = cycle[-1][1], lows[-1][0]
+    stretches, a, i, j = [], -(-m * X // W), 0, 0
+    while a <= x1:
+        while lows[i][0] < a:
+            i += 1
+        while highs[j][0] < a:
+            j += 1
+        (e, r), (f, s) = lows[i], highs[j]
+        e = min(e, f) + 1
+        stretches.append((r, s, a, e, max(r[1], -s[1])))
+        a = e
+    count = sum(min(e - a, 2 * q) for _, _, a, e, q in stretches)
+    if count > SECTION_SCAN_LIMIT:
+        raise ValueError(f"level {m} has {count} columns to cut, "
+                         f"more than the limit of {SECTION_SCAN_LIMIT}")
+    out = []
+    for (r0, r1, b), (s0, s1, c), a, e, q in stretches:
+        xs = range(a, e) if e - a <= 2 * q else chain(range(a, a + q), range(e - q, e))
+        out += _cut_columns((r0, r1, m * b), (s0, s1, m * c), xs)
+    return out
+
+
+def _level_ends(D: TorusDivisor, m: int) -> tuple[int, Sequence[Vec]]:
+    """(k, points) at a level m >= 1, int points whose hull over k is mP_D's integer hull over m:
+    kP_D's cycle ``D._lattice_cycle`` when P_D's denominator k divides m, as k = 1 does for every
+    nef D, for mP_D is then a lattice polygon and no level-m point is made; else m and both ends
+    of every column ``_hull_columns`` cuts from the walk ``D._section_polygon`` at level m."""
+    k, ends = D._lattice_cycle
+    if m % k:
+        return m, [(x, y) for x, lo, hi in _hull_columns(D._section_polygon, m) for y in (lo, hi)]
+    return k, ends

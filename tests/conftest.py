@@ -48,7 +48,7 @@ from toricvol import (
     projective_plane_fan,
     star_subdivide,
 )
-from toricvol import lattice, valuation
+from toricvol import divisors, lattice
 
 # Same examples on every run, so a tier-1 failure reproduces exactly. The "seeded" profile
 # draws other examples: `pytest --hypothesis-profile=seeded --hypothesis-seed=N`.
@@ -393,7 +393,7 @@ def m_scaled_level_hull(D: TorusDivisor, flag, m: int) -> lattice.Polygon:
     cycle = D._section_polygon
     ends = lattice_ends(cycle, m)
     if ends is None:
-        ends = [(x, y) for x, lo, hi in valuation._hull_columns(cycle, m) for y in (lo, hi)]
+        ends = [(x, y) for x, lo, hi in divisors._hull_columns(cycle, m) for y in (lo, hi)]
     if not ends:
         raise ValueError(f"no sections at level {m}")
     hull = lattice.convex_hull_2d(map(w.value, ends))

@@ -734,6 +734,31 @@ class TestInputSize:
         assert main(["sweep", "--l", "1", "--a", "9" * 4000, "--b-extra", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("error: integer too large") == 2
+        # past the interpreter's 4300-digit limit, which int() will not read; the extra cannot
+        # bring b = l*a + extra back within the bound
+        for argv in (["--a", "9" * 5000, "--b-extra", "0"],
+                     ["--a", "9" * INPUT_DIGITS, "--b-extra=-" + "9" * 5000]):
+            assert main(["sweep", "--l", "1", *argv]) == 2
+            assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
+
+    @pytest.mark.parametrize("digits", [INPUT_DIGITS + 1, 5000])
+    @pytest.mark.parametrize("where", ["option", "document"])
+    def test_flag_past_the_bound_is_input_error(self, tmp_path, capsys, where, digits):
+        nines = "9" * digits
+        if where == "option":
+            argv = ["report", write(tmp_path, HIRZ_112), "--flag", f"1,{nines}"]
+        else:
+            argv = ["report", write(tmp_path, HIRZ_112[:-1] + f',"flag":{{"ray":1,"cone":{nines}}}}}')]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
+
+    def test_flag_size_is_read_in_field_order(self):
+        # after the divisor's length, before the decomposition variant
+        flag = f',"flag":{{"ray":1,"cone":{"9" * (INPUT_DIGITS + 1)}}}'
+        with pytest.raises(DocumentError, match="^field 'divisor' has 3 entries for 4 rays$"):
+            parse_instance('{"rays":[[1,0],[0,1],[-1,1],[0,-1]],"divisor":[0,1,2]' + flag + "}")
+        with pytest.raises(DocumentError, match="^integer too large"):
+            parse_instance(HIRZ_112[:-1] + flag + ',"decomposition_variant":3}')
 
     def test_hirzebruch_emits_only_documents_report_reads(self, tmp_path, capsys):
         emit = tmp_path / "inst.json"
@@ -741,6 +766,9 @@ class TestInputSize:
         assert main([*argv, str(10 ** INPUT_DIGITS)]) == 2      # one digit past the bound
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: integer too large: more than {INPUT_DIGITS} digits\n"
+        assert not emit.exists()
+        assert main([*argv, "9" * 5000]) == 2                    # past the interpreter's limit
+        assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
         assert not emit.exists()
         assert main([*argv, "9" * INPUT_DIGITS]) == 0
         assert main(["report", str(emit), "--format", "csv"]) == 0

@@ -16,7 +16,7 @@ from toricvol import (
     semigroup_level_hull,
     TFlag,
 )
-from toricvol import divisors, valuation
+from toricvol import divisors
 import conftest
 from conftest import (
     box_section_points,
@@ -246,13 +246,13 @@ class TestDivisorPolytope:
         P = divisor_polytope(D)
         assert P.vertices == ((0, 2), (1, 3), (0, 4))
         assert all(type(c) is int for v in P.vertices for c in v)
-        cut, real = [], valuation._cut_columns
+        cut, real = [], divisors._cut_columns
 
         def spy(r, s, xs):
             cut.append((r, s))
             return real(r, s, xs)
 
-        monkeypatch.setattr(valuation, "_cut_columns", spy)
+        monkeypatch.setattr(divisors, "_cut_columns", spy)
         for flag in D.fan.charts:
             for m in range(1, 6):
                 semigroup_level_hull(D, flag, m)

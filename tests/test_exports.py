@@ -1,7 +1,8 @@
 """Every name that ``toricvol/__init__.py`` imports has a user outside its own
 definition: package code, a ``python`` block of README.md, or a benchmark script
 ``bench/*.py``, which this test only reads. A name only the tests call belongs in
-``tests/conftest.py``, not in the package's API."""
+``tests/conftest.py``, not in the package's API. And one module owns the lattice points of
+P_D: no other package module names the walk or the column cut."""
 
 import ast
 import re
@@ -56,3 +57,14 @@ USERS = users()
 @pytest.mark.parametrize("name", exports())
 def test_every_export_has_a_user(name):
     assert name in USERS, f"{name} is exported, but no package code, README example or bench script uses it"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "divisors"],
+                         ids=lambda p: p.stem)
+def test_only_divisors_names_the_section_walk(path):
+    # every identifier the module reads, defines or imports: a Name's id, an attribute, a
+    # def's, class's or import alias's name
+    named = {getattr(n, field) for n in ast.walk(parse(path)) for field in ("id", "attr", "name")
+             if isinstance(getattr(n, field, None), str)}
+    owned = named & {"_section_polygon", "_hull_columns", "_cut_columns", "SECTION_SCAN_LIMIT"}
+    assert not owned, f"{path.name} names {sorted(owned)}; only divisors may"

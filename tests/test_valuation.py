@@ -58,14 +58,14 @@ def level_cycle(D, m):
 
 def spy_cut_columns(monkeypatch):
     """Record (r, s, number of columns) for every ``_cut_columns`` call."""
-    cut, real = [], valuation._cut_columns
+    cut, real = [], divisors._cut_columns
 
     def spy(r, s, xs):
         xs = list(xs)
         cut.append((r, s, len(xs)))
         return real(r, s, xs)
 
-    monkeypatch.setattr(valuation, "_cut_columns", spy)
+    monkeypatch.setattr(divisors, "_cut_columns", spy)
     return cut
 
 
@@ -344,7 +344,7 @@ class TestGradedSemigroup:
             if m >= 1 and D._section_polygon:
                 with pytest.MonkeyPatch.context() as mp:
                     cut = spy_cut_columns(mp)
-                    kept = valuation._hull_columns(D._section_polygon, m)
+                    kept = divisors._hull_columns(D._section_polygon, m)
                 # no stretch is cut at more than max(r1, |s1|) columns at either end
                 assert all(n <= 2 * max(r[1], -s[1]) for r, s, n in cut)
                 cols = section_columns(D, m)
@@ -387,7 +387,7 @@ class TestGradedSemigroup:
             k = D._lattice_cycle[0]
             levels = [m for m in levels if m % k]
             for m in levels:
-                (_, lo0, hi0), *_, (_, lo1, hi1) = valuation._hull_columns(D._section_polygon, m)
+                (_, lo0, hi0), *_, (_, lo1, hi1) = divisors._hull_columns(D._section_polygon, m)
                 assert lo0 == hi0 or lo1 == hi1
                 ends.add((lo0 == hi0, lo1 == hi1))
             self.assert_level_hull_matches_every_column(D, levels)
@@ -400,7 +400,7 @@ class TestGradedSemigroup:
         D = TorusDivisor(Fan2D(rays), (8, 3, -3, -3, 0, 3, 7, 6))
         assert [x for x, _, _ in section_columns(D, 1)] == [-8, -7, -6, -5, -4, -3]
         assert min(x for x, _ in D.cocycle) == -18
-        assert valuation._hull_columns(D._section_polygon, 1)[0] == (-8, -3, 6)
+        assert divisors._hull_columns(D._section_polygon, 1)[0] == (-8, -3, 6)
         self.assert_level_hull_matches_every_column(D, range(1, 9))
         self.assert_level_hull_matches_oracle(D, (1, 2))
 
@@ -643,16 +643,16 @@ class TestGradedSemigroup:
         # (0, -100/3), whose 101 columns hold 6 that the guard counts before any is cut
         D = ruled_divisor(3, 100, 100)
         want = column_end_level_hull(D, TFlag(2, 1), 1)
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 6)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 6)
         got = semigroup_level_hull(D, TFlag(2, 1), 1)
         assert (got.vertices, got.area) == (want.vertices, want.area)
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 5)
-        monkeypatch.setattr(valuation, "_cut_columns", None)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 5)
+        monkeypatch.setattr(divisors, "_cut_columns", None)
         with pytest.raises(ValueError) as err:
             semigroup_level_hull(D, TFlag(2, 1), 1)
         assert str(err.value) == "level 1 has 6 columns to cut, more than the limit of 5"
         # a nef divisor cuts no column, whatever the limit
-        monkeypatch.setattr(valuation, "SECTION_SCAN_LIMIT", 0)
+        monkeypatch.setattr(divisors, "SECTION_SCAN_LIMIT", 0)
         assert semigroup_level_hull(ruled_divisor(1, 1, 2), TFlag(2, 1), 2).area == Fraction(3, 2)
 
     def test_level_hull_reads_the_level_by_index(self):
@@ -670,7 +670,7 @@ class TestGradedSemigroup:
         def spy(*args):
             raise AssertionError("a lattice polygon is its own integer hull: no column is cut")
 
-        monkeypatch.setattr(valuation, "_cut_columns", spy)
+        monkeypatch.setattr(divisors, "_cut_columns", spy)
         for flag in flags:
             want = trivialization_polytope(D, flag).vertices
             for m in range(1, 6):
