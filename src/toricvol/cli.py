@@ -6,6 +6,8 @@ violation, disagreement between routes), 2 for unreadable or ill-formed
 input and usage errors. A command returns only its verdict; every failure
 it raises, a library `ValueError` included, is mapped to its exit code in
 `main`. Rationals are always printed as exact p/q strings.
+Every integer typed, the K of ``generic-at=K`` too, is read here by
+`_read_int` and meets the size rule; the library reads no integer from text.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from itertools import chain, product
 from typing import NamedTuple
@@ -25,7 +28,7 @@ from .divisors import (
     generation_violations,
     ampleness_violations,
 )
-from .fan import Fan2D, FanValidationError, _decimal, hirzebruch_fan, standard_decomposition
+from .fan import Fan2D, FanValidationError, hirzebruch_fan, standard_decomposition
 from .lattice import Polygon, dot
 from .valuation import TFlag, flag_valuation, trivialization_polytope
 from .volume import ROUTES, FlagContribution, VolumeReport, okounkov_volume_report
@@ -56,15 +59,15 @@ def _check_input_size(values) -> None:
 
 
 def _read_int(text: str) -> int:
-    """An int written -?[0-9]+, as ``fan._decimal`` reads it. A well-formed spelling of more
-    than L digits, L the interpreter's int-to-str limit, which ``int`` refuses, reads as
-    +-10**L: past the size bound, and too far past it for l*a + extra to come back within it."""
+    """An int written -?[0-9]+, the one integer grammar here; other text raises ValueError. A
+    spelling of more than L digits, L the interpreter's int-to-str limit, which ``int`` refuses,
+    reads as +-10**L: past the size bound, too far past it for l*a + extra to come back within it."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
     try:
-        return _decimal(text)
-    except ValueError as e:
-        if str(e).startswith("not a decimal integer"):  # _decimal's own: malformed
-            raise
-    return (-1 if text[0] == "-" else 1) * 10 ** sys.get_int_max_str_digits()
+        return int(text)
+    except ValueError:  # the pattern matched, so the digit limit
+        return (-1 if text[0] == "-" else 1) * 10 ** sys.get_int_max_str_digits()
 
 
 class InstanceDocument(NamedTuple):
@@ -192,10 +195,18 @@ _DSQ = 1
 
 
 def _decomposition(args, fan: Fan2D, fallback: str | None = None):
-    """fan's orbit decomposition named by --decomposition, else by fallback, else "default"."""
+    """fan's orbit decomposition named by --decomposition, else by fallback, else "default";
+    the library names two, and "generic-at=K", read here, is the default with the dense orbit at K."""
     # an empty variant is malformed, not absent: only None falls back
     variant = fallback if args.decomposition is None else args.decomposition
-    return standard_decomposition(fan, "default" if variant is None else variant)
+    if variant is None or not variant.startswith("generic-at="):
+        return standard_decomposition(fan, "default" if variant is None else variant)
+    try:
+        k = _read_int(variant.removeprefix("generic-at="))
+    except ValueError:
+        raise DocumentError(f"bad decomposition variant {variant!r}") from None
+    _check_input_size((k,))
+    return standard_decomposition(fan)._replace(generic_owner=k)
 
 
 def _instance(args):
@@ -355,13 +366,14 @@ def cmd_hirzebruch(args) -> int:
 
 
 def _parse_range(text: str) -> range:
-    # "K" is "K..K"; a second ".." is left in hi, which _decimal rejects
+    # "K" is "K..K"; a second ".." is left in hi, which _read_int rejects
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = _read_int(lo), _read_int(hi if dots else lo)
     except ValueError:
         raise DocumentError(f"range must be 'K' or 'K1..K2', got {text!r}") from None
     if hi < lo:
+        _check_input_size((lo, hi))  # an over-long end is named by the size rule, not echoed
         raise DocumentError(f"empty range {text!r}")
     return range(lo, hi + 1)
 

@@ -20,7 +20,6 @@ table is written once.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd
@@ -226,29 +225,16 @@ def check_decomposition(fan: Fan2D, dec: OrbitDecomposition) -> None:
         raise ValueError(f"decomposition of {len(dec.ray_owner)} rays for a fan of {fan.n_rays}")
 
 
-def _decimal(text: str) -> int:
-    """An int written as -?[0-9]+; ``int`` alone also takes spaces, '+', '_' and non-ASCII digits."""
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def standard_decomposition(fan: Fan2D, variant: str = "default") -> OrbitDecomposition:
-    """Named orbit decompositions.
+    """The two named orbit decompositions; any other name raises ValueError.
 
     "default": cone j owns its first ray, cone 0 owns the dense orbit.
     "successor": cone j owns its second ray instead.
-    "generic-at=K": like default but the dense orbit goes to cone K.
+    ``_replace(generic_owner=K)`` moves the dense orbit to cone K (the CLI's ``generic-at=K``).
     """
     n = fan.n_rays
     if variant == "successor":
         return OrbitDecomposition(0, tuple((i - 1) % n for i in range(n)))
-    generic = 0
-    if variant.startswith("generic-at="):
-        try:
-            generic = _decimal(variant.split("=", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad decomposition variant {variant!r}") from None
-    elif variant != "default":
+    if variant != "default":
         raise ValueError(f"unknown decomposition variant {variant!r}")
-    return OrbitDecomposition(generic, tuple(range(n)))
+    return OrbitDecomposition(0, tuple(range(n)))

@@ -133,8 +133,8 @@ def test_criterion_5_decomposition_and_flag_independence():
             area = divisor_polytope(D).area
             half_dsq = Fraction(self_intersection_classical(D), 2)
             assert area == half_dsq, D
-            for v in ("default", "successor", "generic-at=1"):
-                dec = standard_decomposition(D.fan, v)
+            for dec in (standard_decomposition(D.fan), standard_decomposition(D.fan, "successor"),
+                        standard_decomposition(D.fan)._replace(generic_owner=1)):
                 twice = sum(flag_contribution(D, f, dec).twice for f in D.fan.charts)
                 assert Fraction(twice, 2) == area, D
                 assert Fraction(intersection_number_via_symbols(D, dec), 2) == area, D

@@ -742,6 +742,47 @@ class TestInputSize:
             assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
 
     @pytest.mark.parametrize("digits", [INPUT_DIGITS + 1, 5000])
+    @pytest.mark.parametrize("option", ["--l", "--a", "--b-extra"])
+    def test_empty_range_past_the_bound_is_input_error(self, tmp_path, capsys, option, digits):
+        # an empty range's over-long end gets the size line, not the whole range echoed
+        nines = "9" * digits
+        csv = tmp_path / "out.csv"
+        argv = {"--l": "1", "--a": "1", "--b-extra": "0", "--csv": str(csv)}
+        for text in (f"{nines}..5", f"5..-{nines}", f"-{nines}..-{nines}9", f"{nines}9..{nines}"):
+            argv[option] = text
+            assert main(["sweep", *(f"{name}={value}" for name, value in argv.items())]) == 2
+            assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
+        assert not csv.exists()
+
+    def test_over_long_range_keeps_the_order_of_checks(self, capsys):
+        # a non-empty range is size-checked after every range is read, so a later malformed one wins
+        nines = "9" * (INPUT_DIGITS + 1)
+        assert main(["sweep", "--l", f"1..{nines}", "--a", "x", "--b-extra", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: range must be 'K' or 'K1..K2', got 'x'\n")
+        assert main(["sweep", "--l", "2..1", "--a", f"{nines}..5", "--b-extra", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: empty range '2..1'\n")
+
+    @pytest.mark.parametrize("digits", [INPUT_DIGITS + 1, 5000])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_generic_owner_past_the_bound_is_input_error(self, tmp_path, capsys, sign, digits):
+        variant = f"generic-at={sign}{'9' * digits}"
+        out = tmp_path / "out"
+        path = write(tmp_path, HIRZ_112)
+        doc = write(tmp_path, HIRZ_112[:-1] + f',"decomposition_variant":"{variant}"}}', "variant.json")
+        on_document = (["report", "{}"], ["report", "{}", "--format", "json"], ["check", "{}"],
+                       ["polytope", "{}", "--svg", str(out), "--flag", "2,1"])
+        runs = [["--decomposition", variant, *(a.format(path) for a in argv)] for argv in on_document]
+        runs += [[a.format(doc) for a in argv] for argv in on_document]
+        runs += [["--decomposition", variant, "hirzebruch", "--l", "1", "--a", "1", "--b", "2",
+                  "--emit", str(out)],
+                 ["--decomposition", variant, "sweep", "--l", "1", "--a", "1", "--b-extra", "1",
+                  "--csv", str(out)]]
+        for argv in runs:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", f"error: integer too large: more than {INPUT_DIGITS} digits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [INPUT_DIGITS + 1, 5000])
     @pytest.mark.parametrize("where", ["option", "document"])
     def test_flag_past_the_bound_is_input_error(self, tmp_path, capsys, where, digits):
         nines = "9" * digits
@@ -796,10 +837,16 @@ def assert_csv_writer_matches_reference(report):
     assert_same_report("CSV", _report_csv(report), report_csv(report))
 
 
-def grid_reports(variant):
+# the three decompositions --decomposition default, successor and generic-at=2 name, as values
+_GRID_DECOMPOSITIONS = pytest.mark.parametrize(
+    "variant, generic_owner", [("default", 0), ("successor", 0), ("default", 2)],
+    ids=["default", "successor", "generic-at=2"])
+
+
+def grid_reports(variant, generic_owner):
     for l, a, b in hirzebruch_grid():
         D = TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
-        dec = standard_decomposition(D.fan, variant)
+        dec = standard_decomposition(D.fan, variant)._replace(generic_owner=generic_owner)
         for display in (TFlag(0, 0), TFlag(2, 1)):
             yield okounkov_volume_report(D, dec, display)
 
@@ -817,7 +864,7 @@ def deep_report(n):
 _DEEP_FAN_ARGS = dict(
     seed=st.integers(0, 2**32), n=st.integers(3, 40),
     shift=st.tuples(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40)),
-    variant=st.sampled_from(["default", "successor", "generic-at=1"]), data=st.data())
+    variant=st.sampled_from([("default", 0), ("successor", 0), ("default", 1)]), data=st.data())
 
 
 def shifted_deep_report(seed, n, shift, variant, data):
@@ -827,7 +874,9 @@ def shifted_deep_report(seed, n, shift, variant, data):
     D = TorusDivisor(D.fan, [d + shift[0] * r[0] + shift[1] * r[1]
                         for d, r in zip(D.coeffs, D.fan.rays)])
     display = data.draw(st.sampled_from(list(D.fan.charts)))
-    return okounkov_volume_report(D, standard_decomposition(D.fan, variant), display)
+    name, generic_owner = variant
+    dec = standard_decomposition(D.fan, name)._replace(generic_owner=generic_owner)
+    return okounkov_volume_report(D, dec, display)
 
 
 def non_ample_report():
@@ -839,9 +888,9 @@ def non_ample_report():
 class TestJsonWriter:
     # json.dumps over the whole report dict, kept in conftest, is the reference
 
-    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
-    def test_hirzebruch_grid(self, variant):
-        for report in grid_reports(variant):
+    @_GRID_DECOMPOSITIONS
+    def test_hirzebruch_grid(self, variant, generic_owner):
+        for report in grid_reports(variant, generic_owner):
             assert_writer_matches_dict(report)
 
     @pytest.mark.parametrize("n", [8, 32, 64, 128])
@@ -877,9 +926,9 @@ class TestJsonWriter:
 class TestTextWriter:
     # the text report printed line by line, kept in conftest, is the reference
 
-    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
-    def test_hirzebruch_grid(self, variant):
-        for report in grid_reports(variant):
+    @_GRID_DECOMPOSITIONS
+    def test_hirzebruch_grid(self, variant, generic_owner):
+        for report in grid_reports(variant, generic_owner):
             assert_text_writer_matches_reference(report)
 
     @pytest.mark.parametrize("n", [8, 32, 64, 128])
@@ -897,9 +946,9 @@ class TestTextWriter:
 class TestCsvWriter:
     # the header and a row built from report.values, kept in conftest, is the reference
 
-    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
-    def test_hirzebruch_grid(self, variant):
-        for report in grid_reports(variant):
+    @_GRID_DECOMPOSITIONS
+    def test_hirzebruch_grid(self, variant, generic_owner):
+        for report in grid_reports(variant, generic_owner):
             assert_csv_writer_matches_reference(report)
 
     @pytest.mark.parametrize("n", [8, 32, 64, 128])
@@ -1263,9 +1312,12 @@ class TestMainEntry:
 
 # ------------------------------------------------------- exit-code contract
 
-_VARIANTS = st.sampled_from(["default", "successor", "generic-at=0", "generic-at=2",
-                             "generic-at=-1", "generic-at=9", "generic-at=x", "bogus"])
 _SMALL = st.integers(-50, 50)
+# a value at or past the input bound or past the 4300-digit int-to-str limit, either sign
+_BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
+                 st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
+_VARIANTS = st.sampled_from(["default", "successor", "generic-at=0", "generic-at=2", "generic-at=-1",
+                             "generic-at=9", "generic-at=x", "bogus"]) | _BIG.map("generic-at={}".format)
 
 
 @st.composite
@@ -1322,13 +1374,13 @@ _FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
 # int-to-str limit, empty strings, malformed ranges, a range of more rows
 # than the sweep row bound, unknown variants and unwritable outputs (paths
 # are relative to a scratch directory)
-_BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
-                 st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
 _NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG
 _ODD_RANGES = st.one_of(
     _NUMBERS,
     st.tuples(_NUMBERS, _NUMBERS).map("..".join),
     st.sampled_from(["1..", "..2", "2..1", "1..2..3", ".."]),
+    # empty, with a _BIG end: a positive one as the low end, a negative one as the high end
+    _BIG.map(lambda big: f"5..{big}" if big[0] == "-" else f"{big}..5"),
     # one value more than the row bound, or far more, each end far inside the input bound
     st.builds(lambda lo, k: f"{lo}..{lo + k}", st.integers(-2, 2),
               st.sampled_from([SWEEP_ROW_LIMIT, 10 ** 20])),

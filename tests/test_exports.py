@@ -2,7 +2,9 @@
 definition: package code, a ``python`` block of README.md, or a benchmark script
 ``bench/*.py``, which this test only reads. A name only the tests call belongs in
 ``tests/conftest.py``, not in the package's API. And one module owns the lattice points of
-P_D: no other package module names the walk or the column cut."""
+P_D: no other package module names the walk or the column cut. Only ``cli`` reads an
+integer from text: no other package module imports ``re``, and ``cli`` imports no private
+name from ``fan``."""
 
 import ast
 import re
@@ -68,3 +70,19 @@ def test_only_divisors_names_the_section_walk(path):
              if isinstance(getattr(n, field, None), str)}
     owned = named & {"_section_polygon", "_hull_columns", "_cut_columns", "SECTION_SCAN_LIMIT"}
     assert not owned, f"{path.name} names {sorted(owned)}; only divisors may"
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "cli"],
+                         ids=lambda p: p.stem)
+def test_only_cli_imports_re(path):
+    nodes = list(ast.walk(parse(path)))
+    imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+    assert "re" not in imported, f"{path.name} imports re; only cli reads integers from text"
+
+
+def test_cli_imports_no_private_name_from_fan():
+    private = [a.name for n in ast.walk(parse(PACKAGE / "cli.py"))
+               if isinstance(n, ast.ImportFrom) and n.module == "fan" for a in n.names
+               if a.name.startswith("_")]
+    assert not private, f"cli imports {private} from fan"

@@ -408,8 +408,8 @@ class TestIntersectionNumber:
         for _ in range(15):
             D = random_ample_instance(rng)
             classical = self_intersection_classical(D)
-            for variant in ("default", "successor", "generic-at=1", "generic-at=2"):
-                dec = standard_decomposition(D.fan, variant)
+            for variant, generic_owner in (("default", 0), ("successor", 0), ("default", 1), ("default", 2)):
+                dec = standard_decomposition(D.fan, variant)._replace(generic_owner=generic_owner)
                 assert intersection_number_via_symbols(D, dec) == classical
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 33, 64])
@@ -421,9 +421,9 @@ class TestIntersectionNumber:
         span = max(map(abs, D.coeffs))
         for coeffs in (D.coeffs, *([rng.randint(-span, span) for _ in range(n)] for _ in range(3))):
             E = TorusDivisor(D.fan, coeffs)
-            for variant in ("default", "successor", "generic-at=0", f"generic-at={rng.randrange(n)}",
-                            f"generic-at={n - 1}"):
-                dec = standard_decomposition(D.fan, variant)
+            for variant, generic_owner in (("default", 0), ("successor", 0),
+                                           ("default", rng.randrange(n)), ("default", n - 1)):
+                dec = standard_decomposition(D.fan, variant)._replace(generic_owner=generic_owner)
                 assert intersection_number_via_symbols(E, dec) == reference_symbol_sum(E, dec)
 
 

@@ -164,8 +164,9 @@ class TestSimplexSum:
         for _ in range(10):
             D = random_ample_instance(rng)
             totals = {
-                simplex_twice(D, standard_decomposition(D.fan, v))
-                for v in ("default", "successor", "generic-at=1")
+                simplex_twice(D, dec)
+                for dec in (standard_decomposition(D.fan), standard_decomposition(D.fan, "successor"),
+                            standard_decomposition(D.fan)._replace(generic_owner=1))
             }
             assert len(totals) == 1
 
@@ -275,7 +276,7 @@ class TestOneQuadraticForm:
     @example((ruled_divisor(1, 1, 2), standard_decomposition(hirzebruch_fan(1), "successor")))  # ample
     @example((ruled_divisor(1, 1, 1), standard_decomposition(hirzebruch_fan(1))))  # nef, not ample
     @example((ruled_divisor(2, -1, 3),
-              standard_decomposition(hirzebruch_fan(2), "generic-at=2")))  # not nef
+              standard_decomposition(hirzebruch_fan(2))._replace(generic_owner=2)))  # not nef
     def test_routes_2_3_4_agree_on_every_divisor(self, case):
         D, dec = case
         assert simplex_twice(D, dec) == self_intersection_classical(D) \
@@ -585,15 +586,19 @@ class TestAgainstFractionOracle:
            variant=st.sampled_from(["default", "successor", "generic-at"]))
     def test_deep_fans(self, seed, n, k, variant):
         D = deep_ample_instance(random.Random(seed), n)
-        if variant == "generic-at":
-            variant = f"generic-at={k % n}"
-        assert_matches_fraction_oracle(D, standard_decomposition(D.fan, variant))
+        if variant == "generic-at":  # the default, with the dense orbit at cone k % n
+            dec = standard_decomposition(D.fan)._replace(generic_owner=k % n)
+        else:
+            dec = standard_decomposition(D.fan, variant)
+        assert_matches_fraction_oracle(D, dec)
 
-    @pytest.mark.parametrize("variant", ["default", "successor", "generic-at=2"])
-    def test_hirzebruch_grid(self, variant):
+    @pytest.mark.parametrize("variant, generic_owner", [("default", 0), ("successor", 0), ("default", 2)],
+                             ids=["default", "successor", "generic-at=2"])
+    def test_hirzebruch_grid(self, variant, generic_owner):
         for l, a, b in hirzebruch_grid():
             D = ruled_divisor(l, a, b)
-            assert_matches_fraction_oracle(D, standard_decomposition(D.fan, variant))
+            dec = standard_decomposition(D.fan, variant)._replace(generic_owner=generic_owner)
+            assert_matches_fraction_oracle(D, dec)
 
     def test_simplex_sum_is_half_the_int_total(self):
         D = deep_ample_instance(random.Random(7), 32)
