@@ -48,6 +48,11 @@ class DocumentError(ValueError):
 INPUT_DIGITS = ((sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits) - 2) // 6
 _INPUT_BOUND = 10 ** INPUT_DIGITS
 
+# Longest error line written whole: two integers within the size bound, signed, and the text
+# around them. The longest line of such an input, `error: empty range '<nines>..-<nines>'`, has
+# 2 * INPUT_DIGITS + 24 characters. A longer line echoes over-long text, and _error_line cuts it.
+ERROR_LINE_LIMIT = 2 * INPUT_DIGITS + 100
+
 # Most rows one sweep runs: a grid of more rows exits 2 before any report, even
 # when every end of its ranges is within the input bound.
 SWEEP_ROW_LIMIT = 10 ** 6
@@ -163,15 +168,6 @@ def _output(path: str | None):
             yield fh
     except OSError as e:
         raise DocumentError(f"cannot write {path}: {e.strerror}") from None
-
-
-def instance_json(doc: InstanceDocument) -> str:
-    out: dict = {"rays": [list(r) for r in doc.rays], "divisor": list(doc.divisor)}
-    if doc.flag is not None:
-        out["flag"] = {"ray": doc.flag.ray, "cone": doc.flag.cone}
-    if doc.decomposition_variant is not None:
-        out["decomposition_variant"] = doc.decomposition_variant
-    return json.dumps(out, separators=(",", ":"))
 
 
 def half(x: int) -> str:
@@ -359,9 +355,9 @@ def cmd_hirzebruch(args) -> int:
     _check_input_size([args.l, args.a, args.b])
     fan = hirzebruch_fan(args.l)
     _decomposition(args, fan)  # read before --emit opens: a bad variant writes no document
-    doc = InstanceDocument(rays=fan.rays, divisor=(0, args.a, args.b, 0))
+    doc = {"rays": [list(r) for r in fan.rays], "divisor": [0, args.a, args.b, 0]}
     with _output(args.emit) as fh:
-        print(instance_json(doc), file=fh)
+        print(json.dumps(doc, separators=(",", ":")), file=fh)
     return 0
 
 
@@ -464,8 +460,25 @@ def cmd_polytope(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _error_line(line: str) -> str:
+    """line if it has at most ERROR_LINE_LIMIT characters, else its start and how many it left out."""
+    if len(line) <= ERROR_LINE_LIMIT:
+        return line
+    kept = ERROR_LINE_LIMIT - 40  # the note takes fewer than 40
+    return f"{line[:kept]}... ({len(line) - kept} characters left out)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage error line is cut as main's error line is; add_subparsers
+    makes the subcommands' parsers of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, _error_line(f"{self.prog}: error: {message}") + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricvol",
         description="Exact volume certification for ample divisors on smooth complete toric surfaces.")
     parser.add_argument(
@@ -516,12 +529,9 @@ def main(argv=None) -> int:
     except FanValidationError as e:
         print("\n".join(["fan: invalid", *(f"  {v}" for v in e.violations)]))
         return 1
-    except NotGloballyGenerated as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:  # below its two subclasses: a DocumentError or a library check
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except ValueError as e:  # a divisor that is not nef exits 1, a DocumentError or library check 2
+        print(_error_line(f"error: {e}"), file=sys.stderr)
+        return 1 if isinstance(e, NotGloballyGenerated) else 2
 
 
 def entry() -> None:

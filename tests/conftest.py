@@ -45,6 +45,7 @@ from toricvol import (
     cross,
     dot,
     flag_valuation,
+    hirzebruch_fan,
     projective_plane_fan,
     star_subdivide,
 )
@@ -705,6 +706,11 @@ def random_monomial(rng: random.Random, span: int = 10) -> Monomial:
 
 def random_flag(rng: random.Random, fan):
     return rng.choice(list(fan.charts))
+
+
+def ruled_divisor(l, a, b):
+    """a D_1 + b D_2 on F_l, the divisors of the Hirzebruch grid."""
+    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def hirzebruch_grid():

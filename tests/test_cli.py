@@ -13,12 +13,12 @@ from hypothesis import assume, example, given, strategies as st
 
 import toricvol
 from toricvol.cli import (
+    ERROR_LINE_LIMIT,
     INPUT_DIGITS,
     SWEEP_ROW_LIMIT,
     DocumentError,
     InstanceDocument,
     TFlag,
-    instance_json,
     load_instance,
     main,
     parse_instance,
@@ -67,6 +67,16 @@ def write(tmp_path, text, name="inst.json"):
     return str(path)
 
 
+def document_json(doc: InstanceDocument) -> str:
+    """doc as a JSON document, written by json.dumps: the oracle that parse_instance reads back."""
+    out: dict = {"rays": [list(r) for r in doc.rays], "divisor": list(doc.divisor)}
+    if doc.flag is not None:
+        out["flag"] = {"ray": doc.flag.ray, "cone": doc.flag.cone}
+    if doc.decomposition_variant is not None:
+        out["decomposition_variant"] = doc.decomposition_variant
+    return json.dumps(out)
+
+
 class TestDocuments:
     def test_parse_minimal(self):
         doc = parse_instance(HIRZ_112)
@@ -78,7 +88,7 @@ class TestDocuments:
         doc = InstanceDocument(
             rays=((1, 0), (0, 1), (-1, -1)), divisor=(1, 0, 0),
             flag=TFlag(1, 0), decomposition_variant="successor")
-        assert parse_instance(instance_json(doc)) == doc
+        assert parse_instance(document_json(doc)) == doc
 
     @given(data=st.data(), subdivisions=st.lists(st.integers(0, 30), max_size=6),
            big=st.integers(0, 80), with_flag=st.booleans(),
@@ -94,7 +104,7 @@ class TestDocuments:
             divisor=tuple(data.draw(st.lists(coeffs, min_size=fan.n_rays, max_size=fan.n_rays))),
             flag=data.draw(st.sampled_from(list(fan.charts))) if with_flag else None,
             decomposition_variant=variant)
-        assert parse_instance(instance_json(doc)) == doc
+        assert parse_instance(document_json(doc)) == doc
 
     @pytest.mark.parametrize("text", [
         "not json at all",
@@ -269,7 +279,7 @@ class TestChartsBuiltOncePerFan:
     @pytest.mark.parametrize("n", [4, 64])
     def test_report_builds_2n_charts(self, tmp_path, capsys, built, n, fmt, variant, flag):
         D = deep_ample_instance(random.Random(n), n)
-        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        path = write(tmp_path, document_json(InstanceDocument(D.fan.rays, D.coeffs)))
         built.clear()
         assert main([*variant, "report", path, "--format", fmt, *flag]) == 0
         assert len(built) == 1 and len(built[0]) == 2 * n
@@ -301,7 +311,7 @@ class TestReportTakesTheIntPaths:
             return real(p)
         monkeypatch.setattr(lattice, "_coords", spy)
         D = deep_ample_instance(random.Random(64), 64)
-        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        path = write(tmp_path, document_json(InstanceDocument(D.fan.rays, D.coeffs)))
         assert main(["report", path, "--format", "json"]) == 0
         assert calls == []
         lattice.convex_hull_2d([(0, 0), (1, True)])  # the spy sees a hull that needs it
@@ -815,6 +825,75 @@ class TestInputSize:
         assert main(["report", str(emit), "--format", "csv"]) == 0
         capsys.readouterr()
 
+    # every message that echoes input text; argparse writes the last four, after its usage
+    ECHOES = ("range", "generic-at", "flag", "variant option", "variant field", "unknown field",
+              "repeated field", "cannot read", "int value", "command", "format", "unrecognized")
+
+    @staticmethod
+    def echo(case, t, tmp_path):
+        """An argv whose error line echoes the text t, and that line whole."""
+        f1 = write(tmp_path, HIRZ_112)
+        path = tmp_path / t
+        try:
+            open(path)
+        except OSError as e:
+            strerror = e.strerror
+        return {
+            "range": (["sweep", "--l", "1", "--a", t, "--b-extra", "0"],
+                      f"error: range must be 'K' or 'K1..K2', got {t!r}"),
+            "generic-at": (["--decomposition", f"generic-at={t}", "report", f1],
+                           f"error: bad decomposition variant 'generic-at={t}'"),
+            "flag": (["report", f1, "--flag", t], f"error: flag must be 'ray,cone', got {t!r}"),
+            "variant option": (["--decomposition", t, "check", f1],
+                               f"error: unknown decomposition variant {t!r}"),
+            "variant field": (["report", write(tmp_path, HIRZ_112[:-1] + f',"decomposition_variant":"{t}"}}',
+                                                "variant.json")],
+                              f"error: unknown decomposition variant {t!r}"),
+            "unknown field": (["report", write(tmp_path, HIRZ_112[:-1] + f',"{t}":0}}', "key.json")],
+                              f"error: unknown field {t!r}"),
+            "repeated field": (["check", write(tmp_path, HIRZ_112[:-1] + f',"{t}":0,"{t}":1}}', "twice.json")],
+                               f"error: repeated field {t!r}"),
+            "cannot read": (["report", str(path)], f"error: cannot read {path}: {strerror}"),
+            "int value": (["hirzebruch", "--l", "1", "--a", t, "--b", "2"],
+                          f"toricvol hirzebruch: error: argument --a: invalid int value: {t!r}"),
+            "command": ([t], f"toricvol: error: argument command: invalid choice: {t!r} "
+                             "(choose from 'check', 'report', 'hirzebruch', 'sweep', 'polytope')"),
+            "format": (["report", f1, "--format", t], "toricvol report: error: argument --format: "
+                       f"invalid choice: {t!r} (choose from 'text', 'json', 'csv')"),
+            "unrecognized": (["report", f1, t], f"toricvol: error: unrecognized arguments: {t}"),
+        }[case]
+
+    @staticmethod
+    def stderr_lines(argv) -> list[str]:
+        """The lines argv writes to stderr, after checking that it exits 2 and writes no stdout."""
+        out, err, code, _ = _run(main, argv)
+        assert (code, out) == (2, "") and err.endswith("\n")
+        return err.splitlines()
+
+    @pytest.mark.parametrize("case", ECHOES)
+    def test_echo_past_the_line_bound_is_cut(self, tmp_path, case):
+        # ten characters print whole, after argparse's usage for its own messages
+        argv, line = self.echo(case, "x" * 10, tmp_path)
+        *usage, got = self.stderr_lines(argv)
+        assert got == line and bool(usage) == (not line.startswith("error: "))
+        assert all(u.startswith(("usage: toricvol", " ")) for u in usage)
+        # 5000 are cut to the bound, after the same usage
+        argv, line = self.echo(case, "x" * 5000, tmp_path)
+        *got_usage, got = self.stderr_lines(argv)
+        assert got_usage == usage and len(got) <= ERROR_LINE_LIMIT
+        kept, left_out = re.fullmatch(r"(.*)\.\.\. \((\d+) characters left out\)", got).groups()
+        assert line.startswith(kept) and len(kept) + int(left_out) == len(line)
+
+    def test_longest_lines_within_the_size_bound_print_whole(self, capsys):
+        nines = "9" * INPUT_DIGITS
+        lines = [f"error: generic orbit assigned to nonexistent cone -{nines}",
+                 f"error: empty range '{nines}..-{nines}'"]
+        assert [len(line) for line in lines] == [INPUT_DIGITS + 51, 2 * INPUT_DIGITS + 24]
+        assert main(["--decomposition", f"generic-at=-{nines}",
+                     "hirzebruch", "--l", "1", "--a", "1", "--b", "2"]) == 2
+        assert main(["sweep", "--l", "1", "--a", f"{nines}..-{nines}", "--b-extra", "0"]) == 2
+        assert capsys.readouterr() == ("", "".join(f"{line}\n" for line in lines))
+
 
 def assert_same_report(writer, got, want):
     if got != want:
@@ -981,7 +1060,7 @@ class TestClosedStdout:
         # a 64-ray JSON report is about 150 KB, more than the pipe and stdio
         # buffers hold, so the CLI is still writing when the reader goes away
         D = deep_ample_instance(random.Random(64), 64)
-        path = write(tmp_path, instance_json(InstanceDocument(D.fan.rays, D.coeffs)))
+        path = write(tmp_path, document_json(InstanceDocument(D.fan.rays, D.coeffs)))
         src = str(Path(toricvol.__file__).parents[1])
         with subprocess.Popen(
                 [sys.executable, "-m", "toricvol.cli", "report", path, "--format", "json"],
@@ -1316,8 +1395,11 @@ _SMALL = st.integers(-50, 50)
 # a value at or past the input bound or past the 4300-digit int-to-str limit, either sign
 _BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
                  st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
+# text that every message echoing it must cut to the error-line bound, or print whole
+_LONG = st.sampled_from([800, 5000]).map("x".__mul__)
 _VARIANTS = st.sampled_from(["default", "successor", "generic-at=0", "generic-at=2", "generic-at=-1",
-                             "generic-at=9", "generic-at=x", "bogus"]) | _BIG.map("generic-at={}".format)
+                             "generic-at=9", "generic-at=x", "bogus"]) | _BIG.map("generic-at={}".format) \
+    | _LONG | _LONG.map("generic-at={}".format)
 
 
 @st.composite
@@ -1355,7 +1437,7 @@ _JSON = st.recursive(
     st.none() | st.booleans() | _SMALL | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
         st.sampled_from(["rays", "divisor", "flag", "ray", "cone", "decomposition_variant"])
-        | st.text(max_size=3), inner, max_size=4),
+        | st.text(max_size=3) | _LONG, inner, max_size=4),
     max_leaves=12,
 )
 
@@ -1365,16 +1447,16 @@ _DOCUMENTS = st.one_of(
     st.binary(max_size=12),  # mostly neither UTF-8 nor JSON
 )
 _FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
-    lambda t: f"{t[0]},{t[1]}") | st.text(max_size=4)
+    lambda t: f"{t[0]},{t[1]}") | st.text(max_size=4) | _LONG
 
 
 # sweep and hirzebruch arguments: usual values, with a random subset of the
 # arguments replaced by odd ones: int() spellings ('1_0', an Arabic-Indic
 # three), values at and past the input bound and past the 4300-digit
-# int-to-str limit, empty strings, malformed ranges, a range of more rows
+# int-to-str limit, empty strings, long text, malformed ranges, a range of more rows
 # than the sweep row bound, unknown variants and unwritable outputs (paths
 # are relative to a scratch directory)
-_NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG
+_NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG | _LONG
 _ODD_RANGES = st.one_of(
     _NUMBERS,
     st.tuples(_NUMBERS, _NUMBERS).map("..".join),
@@ -1409,11 +1491,11 @@ def _options(values: dict, workdir, output: str) -> list[str]:
 
 
 def _exit_code(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return main(argv)
-        except SystemExit as e:  # argparse rejects the argv itself
-            return e.code
+    """main's exit code on argv, after checking that no line it writes to stderr is over the
+    error-line bound."""
+    _, err, code, _ = _run(main, argv)
+    assert max(map(len, err.splitlines()), default=0) <= ERROR_LINE_LIMIT, argv
+    return code
 
 
 def _range_size(text: str) -> int:

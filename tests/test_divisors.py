@@ -28,14 +28,11 @@ from conftest import (
     pairwise_violations,
     random_ample_instance,
     random_smooth_fan,
+    ruled_divisor,
     section_columns,
     section_lattice_points,
     stepwise_deep_ample_instance,
 )
-
-
-def ruled_divisor(l, a, b):
-    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 class TestCoefficients:

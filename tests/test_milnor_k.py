@@ -36,11 +36,8 @@ from conftest import (
     reference_iterated_boundary,
     reference_symbol_sum,
     reference_tame_boundary,
+    ruled_divisor,
 )
-
-
-def ruled_divisor(l, a, b):
-    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def exponent_terms(terms):

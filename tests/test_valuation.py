@@ -35,6 +35,7 @@ from conftest import (
     random_ample_instance,
     random_smooth_fan,
     reference_tflags,
+    ruled_divisor,
     section_columns,
     section_lattice_points,
     spy_hull_passes,
@@ -45,10 +46,6 @@ from conftest import (
 LATTICE_FREE_RAYS = ((2, -1), (1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1), (-1, -1), (0, -1),
                      (1, -1))
 LATTICE_FREE_COEFFS = (-1, 0, 0, 1, 2, 2, 1, 1, 0)
-
-
-def ruled_divisor(l, a, b):
-    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def level_cycle(D, m):

@@ -41,11 +41,8 @@ from conftest import (
     random_decompositions,
     reference_flag_contribution,
     reference_self_intersection,
+    ruled_divisor,
 )
-
-
-def ruled_divisor(l, a, b):
-    return TorusDivisor(hirzebruch_fan(l), (0, a, b, 0))
 
 
 def simplex_twice(D, dec) -> int:
@@ -377,9 +374,20 @@ class TestSharedData:
 
     # what each route reads, in ROUTES order: "walk" is ``TorusDivisor._section_polygon``,
     # which reads the degrees, "charts" the whole chart table, "display chart" one lookup of
-    # the display flag's; the cocycle's own chart reads are the cocycle's
-    READS = ({"walk", "degrees"}, {"degrees"}, {"cocycle", "charts"}, {"cocycle", "charts"},
-             {"cocycle", "display chart"})
+    # the display flag's; the cocycle's own chart reads are the cocycle's. This is the ledger of
+    # shared reads: a new one fails here until its change argues for it. Each row's reason:
+    READS = (
+        # route 1: the walk's degree test cuts no line of an ample P_D, so it takes no route 2 value
+        {"walk", "degrees"},
+        # route 2: D.D is the sum of d_i times the degree of curve i, from the coefficients alone
+        {"degrees"},
+        # route 3: each flag's chart and local equations; the vertex check ties those to the walk
+        {"cocycle", "charts"},
+        # route 4: route 3's data read as tame symbols, which the same vertex check guards
+        {"cocycle", "charts"},
+        # route 5: the display flag's one chart applied to the same guarded local equations
+        {"cocycle", "display chart"},
+    )
     # each route as the report runs it
     CALLS = (lambda D, dec, flag: divisor_polytope(D),
              lambda D, dec, flag: self_intersection_classical(D),
