@@ -175,15 +175,8 @@ def half(x: int) -> str:
     return str(x // 2) if x % 2 == 0 else f"{x}/2"
 
 
-# The text report's route lines, in ROUTES order. Route 2's twice-volume,
-# at index _DSQ, is D.D itself, which the JSON, text and CSV reports print.
-_TEXT_LINES = (
-    "area(P_D)              = {}",
-    "D.D / 2                = {}   (D.D = {dsq})",
-    "simplex sum            = {}",
-    "symbol sum / 2         = {}",
-    "trivialization area    = {}   (flag ray {flag.ray}, cone {flag.cone})",
-)
+# Route 2's twice-volume, at index _DSQ of ROUTES, is D.D itself, which the
+# JSON and CSV reports print as well.
 _DSQ = 1
 
 
@@ -271,16 +264,14 @@ def _flag_json(ray, cone, a0, a1, a2, u0, u1, v0, v1, x0, x1, d0, d1, d2, twice)
 
 
 def _report_json(report: VolumeReport) -> str:
-    """The report as json.dumps(..., indent=2) lays it out, byte for byte.
-
-    An ample report, where every leaf is a bool, an int or a p/q string, is
-    written from one template, with the per-flag blocks from _flag_json and
-    each index from one table of strings. Diagnostics, free text that may need escaping,
-    go through json.dumps: a non-ample report whole, an ample one's one by one.
-    """
-    if not report.ample:
-        return json.dumps({"ample": False, "agree": False, "diagnostics": list(report.diagnostics)},
-                          indent=2)
+    """The report as json.dumps(..., indent=2) lays it out, byte for byte. Bools, ints and p/q
+    strings need no escaping, so only the diagnostics go through json.dumps, one by one into one
+    block. A non-ample report is its two verdicts and that block, never empty for it; an ample
+    one's template adds the per-flag blocks from _flag_json, each index from one table of strings."""
+    diags = ",\n".join(f"    {json.dumps(d)}" for d in report.diagnostics)
+    diags = diags and f'  "diagnostics": [\n{diags}\n  ],\n'
+    if not report.ample:  # the block without the comma that leads on to "values"
+        return f'{{\n  "ample": false,\n  "agree": false,\n{diags[:-2]}\n}}'
     values = ",\n".join(f'    "{k}": "{half(x)}"' for k, x in zip(ROUTES, report.twice))
     idx = list(map(str, range(len(report.per_flag))))
     cf = ",\n".join(f"    [\n      {idx[r]},\n      {idx[c]}\n    ]" for r, c in report.contributing_flags)
@@ -289,8 +280,6 @@ def _report_json(report: VolumeReport) -> str:
         _flag_json(idx[r], idx[c], idx[a0], idx[a1], idx[a2], str(u0), str(u1), str(v0), str(v1),
                    str(x0), str(x1), half(d0), half(d1), half(d2), half(t))
         for (r, c), (a0, a1, a2), ((u0, u1), (v0, v1), (x0, x1)), (d0, d1, d2), t in report.per_flag)
-    diags = ",\n".join(f"    {json.dumps(d)}" for d in report.diagnostics)
-    diags = diags and f'  "diagnostics": [\n{diags}\n  ],\n'
     return (f'{{\n  "ample": true,\n  "agree": {"true" if report.agree else "false"},\n'
             f'{diags}  "values": {{\n{values}\n  }},\n  "self_intersection": {report.twice[_DSQ]},\n'
             f'  "display_flag": {{\n    "ray": {report.display_flag.ray},\n'
@@ -309,12 +298,19 @@ def _flag_text(c: FlagContribution) -> str:
 
 
 def _report_text(report: VolumeReport) -> str:
+    """The text report: a non-ample one is its verdict and its diagnostics; an ample one a line
+    per route in ROUTES order, the contributing flags, _flag_text's lines, diagnostics, verdict."""
     if not report.ample:
         return "\n".join(["ample: false", *(f"  {d}" for d in report.diagnostics)])
+    # unpacking raises if ROUTES changes length
+    (area, dsq, simplex, symbol, triv), (ray, cone) = report.twice, report.display_flag
     cf = ", ".join(f"(ray {g.ray}, cone {g.cone})" for g in report.contributing_flags)
     return "\n".join([
-        *(line.format(half(x), dsq=report.twice[_DSQ], flag=report.display_flag)
-          for line, x in zip(_TEXT_LINES, report.twice, strict=True)),
+        f"area(P_D)              = {half(area)}",
+        f"D.D / 2                = {half(dsq)}   (D.D = {dsq})",
+        f"simplex sum            = {half(simplex)}",
+        f"symbol sum / 2         = {half(symbol)}",
+        f"trivialization area    = {half(triv)}   (flag ray {ray}, cone {cone})",
         f"contributing flags     : {cf or 'none'}",
         *map(_flag_text, report.per_flag),
         *report.diagnostics,
@@ -460,8 +456,14 @@ def cmd_polytope(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+# the characters str.splitlines breaks a line at, each mapped to its Python escape
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def _error_line(line: str) -> str:
-    """line if it has at most ERROR_LINE_LIMIT characters, else its start and how many it left out."""
+    """line as one line, each line break written as its escape; past ERROR_LINE_LIMIT characters,
+    its start and how many it left out. An echoed path or argument may hold a line break."""
+    line = line.translate(_LINE_BREAKS)
     if len(line) <= ERROR_LINE_LIMIT:
         return line
     kept = ERROR_LINE_LIMIT - 40  # the note takes fewer than 40

@@ -28,6 +28,7 @@ from toricvol.cli import (
     _report_csv,
     _report_json,
     _report_text,
+    _error_line,
 )
 from toricvol import (
     TorusDivisor,
@@ -827,17 +828,22 @@ class TestInputSize:
 
     # every message that echoes input text; argparse writes the last four, after its usage
     ECHOES = ("range", "generic-at", "flag", "variant option", "variant field", "unknown field",
-              "repeated field", "cannot read", "int value", "command", "format", "unrecognized")
+              "repeated field", "cannot read", "check path", "svg path", "emit path", "csv path",
+              "int value", "command", "format", "unrecognized")
+    # the messages that echo a path or an argument as it was typed, not as its repr
+    RAW_ECHOES = ("cannot read", "check path", "svg path", "emit path", "csv path", "unrecognized")
 
     @staticmethod
     def echo(case, t, tmp_path):
         """An argv whose error line echoes the text t, and that line whole."""
         f1 = write(tmp_path, HIRZ_112)
-        path = tmp_path / t
-        try:
-            open(path)
-        except OSError as e:
-            strerror = e.strerror
+        path, out = tmp_path / t, tmp_path / "missing" / t
+        strerror = {}
+        for p, mode in ((path, "r"), (out, "w")):
+            try:
+                open(p, mode)
+            except OSError as e:
+                strerror[mode] = e.strerror
         return {
             "range": (["sweep", "--l", "1", "--a", t, "--b-extra", "0"],
                       f"error: range must be 'K' or 'K1..K2', got {t!r}"),
@@ -853,7 +859,13 @@ class TestInputSize:
                               f"error: unknown field {t!r}"),
             "repeated field": (["check", write(tmp_path, HIRZ_112[:-1] + f',"{t}":0,"{t}":1}}', "twice.json")],
                                f"error: repeated field {t!r}"),
-            "cannot read": (["report", str(path)], f"error: cannot read {path}: {strerror}"),
+            "cannot read": (["report", str(path)], f"error: cannot read {path}: {strerror['r']}"),
+            "check path": (["check", str(path)], f"error: cannot read {path}: {strerror['r']}"),
+            "svg path": (["polytope", f1, "--svg", str(out)], f"error: cannot write {out}: {strerror['w']}"),
+            "emit path": (["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", str(out)],
+                          f"error: cannot write {out}: {strerror['w']}"),
+            "csv path": (["sweep", "--l", "1", "--a", "1", "--b-extra", "0", "--csv", str(out)],
+                         f"error: cannot write {out}: {strerror['w']}"),
             "int value": (["hirzebruch", "--l", "1", "--a", t, "--b", "2"],
                           f"toricvol hirzebruch: error: argument --a: invalid int value: {t!r}"),
             "command": ([t], f"toricvol: error: argument command: invalid choice: {t!r} "
@@ -883,6 +895,31 @@ class TestInputSize:
         assert got_usage == usage and len(got) <= ERROR_LINE_LIMIT
         kept, left_out = re.fullmatch(r"(.*)\.\.\. \((\d+) characters left out\)", got).groups()
         assert line.startswith(kept) and len(kept) + int(left_out) == len(line)
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\u2028"], ids=["LF", "CRLF", "LS"])
+    @pytest.mark.parametrize("case", RAW_ECHOES)
+    def test_line_break_in_an_echo_is_escaped(self, tmp_path, case, brk):
+        # the echo stays one error line, after argparse's usage for its own message; each break
+        # is written as its escape, and the line is cut to the bound as any other
+        escaped = brk.replace("\r", "\\r").replace("\n", "\\n").replace("\u2028", "\\u2028")
+        for size in (10, 5000):
+            argv, line = self.echo(case, "xxxx" + brk + "x" * (size - 4 - len(brk)), tmp_path)
+            line = line.replace(brk, escaped)
+            *usage, got = self.stderr_lines(argv)
+            assert bool(usage) == (case == "unrecognized") and len(got) <= ERROR_LINE_LIMIT
+            assert all(u.startswith(("usage: toricvol", " ")) for u in usage)
+            if size == 10:
+                assert got == line
+            else:
+                kept, left_out = re.fullmatch(r"(.*)\.\.\. \((\d+) characters left out\)", got).groups()
+                assert escaped in kept and line.startswith(kept) and len(kept) + int(left_out) == len(line)
+
+    def test_error_line_escapes_exactly_the_line_breaks(self):
+        # every character str.splitlines breaks at, and no other, is written as its Python escape
+        for start in range(0, sys.maxunicode + 1, 256):
+            chars = "".join(map(chr, range(start, start + 256)))
+            want = "".join(repr(c)[1:-1] if len(f"a{c}b".splitlines()) == 2 else c for c in chars)
+            assert _error_line(chars) == want
 
     def test_longest_lines_within_the_size_bound_print_whole(self, capsys):
         nines = "9" * INPUT_DIGITS
@@ -958,8 +995,17 @@ def shifted_deep_report(seed, n, shift, variant, data):
     return okounkov_volume_report(D, dec, display)
 
 
-def non_ample_report():
-    report = okounkov_volume_report(TorusDivisor(hirzebruch_fan(2), (0, 1, 2, 0)))
+# non-ample ruled rows F_l, D = (0, a, l*a + extra, 0), l in 1..4: the 20 nef ones (a in 1..5,
+# extra 0) carry one diagnostic each, and the 52 with a = -1 or extra = -1 (a and extra in
+# -1..5) two to eight
+_NON_AMPLE_ROWS = pytest.mark.parametrize("l, a, extra", [
+    *((l, a, 0) for l in range(1, 5) for a in range(1, 6)),
+    *((l, a, extra) for l in range(1, 5) for a in range(-1, 6) for extra in range(-1, 6)
+      if -1 in (a, extra))])
+
+
+def non_ample_report(l, a, extra):
+    report = okounkov_volume_report(TorusDivisor(hirzebruch_fan(l), (0, a, l * a + extra, 0)))
     assert not report.ample
     return report
 
@@ -980,8 +1026,9 @@ class TestJsonWriter:
     def test_deep_fan_property(self, seed, n, shift, variant, data):
         assert_writer_matches_dict(shifted_deep_report(seed, n, shift, variant, data))
 
-    def test_non_ample_report(self):
-        assert_writer_matches_dict(non_ample_report())
+    @_NON_AMPLE_ROWS
+    def test_non_ample_report(self, l, a, extra):
+        assert_writer_matches_dict(non_ample_report(l, a, extra))
 
     def test_disagreeing_report(self, monkeypatch):
         # route 4 off by two, as in TestReportDisagreement: the template writes "agree": false
@@ -1018,8 +1065,9 @@ class TestTextWriter:
     def test_deep_fan_property(self, seed, n, shift, variant, data):
         assert_text_writer_matches_reference(shifted_deep_report(seed, n, shift, variant, data))
 
-    def test_non_ample_report(self):
-        assert_text_writer_matches_reference(non_ample_report())
+    @_NON_AMPLE_ROWS
+    def test_non_ample_report(self, l, a, extra):
+        assert_text_writer_matches_reference(non_ample_report(l, a, extra))
 
 
 class TestCsvWriter:
@@ -1038,8 +1086,9 @@ class TestCsvWriter:
     def test_deep_fan_property(self, seed, n, shift, variant, data):
         assert_csv_writer_matches_reference(shifted_deep_report(seed, n, shift, variant, data))
 
-    def test_non_ample_report(self):
-        assert_csv_writer_matches_reference(non_ample_report())
+    @_NON_AMPLE_ROWS
+    def test_non_ample_report(self, l, a, extra):
+        assert_csv_writer_matches_reference(non_ample_report(l, a, extra))
 
 
 class TestTupleDisplayFlag:
@@ -1397,6 +1446,9 @@ _BIG = st.builds(lambda sign, k: sign + "9" * k, st.sampled_from(["", "-"]),
                  st.sampled_from([INPUT_DIGITS, INPUT_DIGITS + 1, 4400]))
 # text that every message echoing it must cut to the error-line bound, or print whole
 _LONG = st.sampled_from([800, 5000]).map("x".__mul__)
+# a path or argument with a line break in it, which every error line echoing it writes escaped
+_BROKEN = st.builds(lambda k, brk: "x" * k + brk + "y", st.sampled_from([0, 10, 5000]),
+                    st.sampled_from(["\n", "\r\n", "\u2028"]))
 _VARIANTS = st.sampled_from(["default", "successor", "generic-at=0", "generic-at=2", "generic-at=-1",
                              "generic-at=9", "generic-at=x", "bogus"]) | _BIG.map("generic-at={}".format) \
     | _LONG | _LONG.map("generic-at={}".format)
@@ -1453,10 +1505,11 @@ _FLAGS = st.none() | st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(
 # sweep and hirzebruch arguments: usual values, with a random subset of the
 # arguments replaced by odd ones: int() spellings ('1_0', an Arabic-Indic
 # three), values at and past the input bound and past the 4300-digit
-# int-to-str limit, empty strings, long text, malformed ranges, a range of more rows
-# than the sweep row bound, unknown variants and unwritable outputs (paths
-# are relative to a scratch directory)
-_NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG | _LONG
+# int-to-str limit, empty strings, long text, text with a line break, malformed ranges,
+# a range of more rows than the sweep row bound, unknown variants and unwritable outputs,
+# a line break in some of their paths (paths are relative to a scratch directory)
+_NUMBERS = st.integers(-2, 5).map(str) | st.sampled_from(["", "1_0", "\u0663", " 2", "x"]) | _BIG | _LONG \
+    | _BROKEN
 _ODD_RANGES = st.one_of(
     _NUMBERS,
     st.tuples(_NUMBERS, _NUMBERS).map("..".join),
@@ -1471,7 +1524,8 @@ _SMALL_RANGES = st.integers(1, 4).map(str) | st.builds(
     lambda lo, span: f"{lo}..{lo + span}", st.integers(0, 4), st.integers(0, 2))
 _ODD_VARIANTS = _VARIANTS | st.just("") | st.text(max_size=4)
 _UNWRITABLE = st.sampled_from(["missing/out"]
-                              + (["/dev/full"] if Path("/dev/full").exists() else []))
+                              + (["/dev/full"] if Path("/dev/full").exists() else [])) \
+    | _BROKEN.map("missing/{}".format)
 _OUTPUTS = st.sampled_from([None, "out"])
 _MAX_REPORTS = 50  # reports one sweep example may run, so the property stays fast
 
@@ -1491,10 +1545,13 @@ def _options(values: dict, workdir, output: str) -> list[str]:
 
 
 def _exit_code(argv) -> int:
-    """main's exit code on argv, after checking that no line it writes to stderr is over the
-    error-line bound."""
+    """main's exit code on argv, after checking that its stderr is empty or one error line within
+    the error-line bound, after argparse's usage where argparse writes its own."""
     _, err, code, _ = _run(main, argv)
-    assert max(map(len, err.splitlines()), default=0) <= ERROR_LINE_LIMIT, argv
+    *usage, line = err.splitlines() or [""]
+    assert all(u.startswith(("usage: toricvol", " ")) for u in usage), argv
+    assert err == "" or re.match(r"(toricvol[a-z ]*: )?error: ", line), argv
+    assert len(line) <= ERROR_LINE_LIMIT, argv
     return code
 
 
@@ -1512,19 +1569,22 @@ class TestExitContract:
     def workdir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("contract")
 
-    @given(doc=_DOCUMENTS, flag=_FLAGS, variant=st.none() | _VARIANTS)
-    @example(doc=b"\xff\xfe", flag=None, variant=None)
-    def test_every_document_exits_0_1_or_2(self, workdir, doc, flag, variant):
-        path = workdir / "doc.json"
-        path.write_bytes(doc)
-        svg = workdir / "out.svg"
+    @given(doc=_DOCUMENTS, flag=_FLAGS, variant=st.none() | _VARIANTS,
+           name=st.just("doc.json") | _BROKEN.map("missing/{}".format),
+           svg=st.just("out.svg") | _UNWRITABLE, extra=st.none() | _BROKEN)
+    @example(doc=b"\xff\xfe", flag=None, variant=None, name="doc.json", svg="out.svg", extra=None)
+    def test_every_document_exits_0_1_or_2(self, workdir, doc, flag, variant, name, svg, extra):
+        # the document is written at doc.json; any other name is a path that cannot be read
+        (workdir / "doc.json").write_bytes(doc)
+        path, svg = workdir / name, workdir / svg
         pre = ["--decomposition", variant] if variant is not None else []
         post = ["--flag", flag] if flag is not None else []
         runs = [["check", str(path)]]
         runs += [["report", str(path), "--format", f, *post] for f in ("text", "json", "csv")]
         runs += [["polytope", str(path), "--svg", str(svg), *post]]
         for argv in runs:
-            assert _exit_code(pre + argv) in (0, 1, 2), argv
+            argv = pre + argv + ([extra] if extra is not None else [])
+            assert _exit_code(argv) in (0, 1, 2), argv
 
     @given(data=st.data())
     def test_sweep_exits_0_1_or_2(self, workdir, data):

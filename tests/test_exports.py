@@ -4,7 +4,8 @@ definition: package code, a ``python`` block of README.md, or a benchmark script
 ``tests/conftest.py``, not in the package's API. And one module owns the lattice points of
 P_D: no other package module names the walk or the column cut. Only ``cli`` reads an
 integer from text: no other package module imports ``re``, and ``cli`` imports no private
-name from ``fan``."""
+name from ``fan``. Every span of the bench, read from ``bench/spans.py`` without importing it, names
+a function its package module defines, but for the two dead spans the bench has yet to re-point."""
 
 import ast
 import re
@@ -86,3 +87,17 @@ def test_cli_imports_no_private_name_from_fan():
                if isinstance(n, ast.ImportFrom) and n.module == "fan" for a in n.names
                if a.name.startswith("_")]
     assert not private, f"cli imports {private} from fan"
+
+
+# the spans whose functions the package no longer has (ROADMAP item 1a re-points them)
+DEAD_SPANS = {("toricvol.divisors", "cartier_data"), ("toricvol.divisors", "section_lattice_points")}
+
+
+def test_every_bench_span_names_a_package_function():
+    # a renamed layer function would otherwise only zero its layer metric
+    spans, = (stmt.value for stmt in parse(ROOT / "bench" / "spans.py").body
+              if isinstance(stmt, ast.Assign) and defines(stmt) == {"SPANS"})
+    unresolved = {(module, name) for module, name, _ in ast.literal_eval(spans)
+                  if not any(isinstance(stmt, ast.FunctionDef) and stmt.name == name
+                             for stmt in parse(PACKAGE / f"{module.removeprefix('toricvol.')}.py").body)}
+    assert unresolved == DEAD_SPANS
