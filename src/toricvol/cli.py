@@ -471,8 +471,11 @@ def _error_line(line: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage error line is cut as main's error line is; add_subparsers
-    makes the subcommands' parsers of this class too."""
+    """A parser that reads an option only as spelled, never a prefix of it, and cuts its usage
+    error line as main's; add_subparsers makes the subcommands' parsers of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -537,13 +540,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # A standard stream closed at start is None, and print(file=None) writes to stdout. A closed
+    # stdout becomes devnull opened for reading, so writing to it fails as writing to a closed
+    # descriptor does (EBADF); a closed stderr becomes devnull. closefd=False: neither is closed
+    # at exit, so no unclosed-file warning is written under -X dev.
+    if sys.stdout is None:
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w", closefd=False)
+    if sys.stderr is None:
+        sys.stderr = open(os.open(os.devnull, os.O_WRONLY), "w", closefd=False)
     try:
         code = main()
         sys.stdout.flush()
     except OSError as e:
         # stdout takes no more output: its reader has gone (a broken pipe,
-        # which needs no message) or its device is full. Send what is still
-        # buffered to devnull, so the flush at interpreter exit cannot fail again
+        # which needs no message), its device is full or it was closed. Send
+        # what is still buffered to devnull, so the flush at interpreter exit cannot fail again
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

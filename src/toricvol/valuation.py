@@ -10,10 +10,10 @@ the residue in the other coordinate. Any other uniformizer choice gives a
 different (equally valid) rank-2 valuation; the dual basis is fixed so
 every computation is canonical and reproducible.
 
-Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose
-keys are the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through
-``TFlag``, looks its chart up and explains a miss. The module holds the trivialization hull of
-every divisor and the level-m hull of the sections ``divisors._level_ends`` picks.
+Flags and charts are fan data, tabled once per fan in ``Fan2D.charts``, whose keys are
+the flags. ``flag_valuation`` reads a pair that is not a ``TFlag`` through ``TFlag``, looks
+its chart up and explains a miss. The trivialization hull of every divisor and the level-m
+hull of the sections ``divisors._level_ends`` picks value points by ``Rank2Valuation.value``.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ def trivialization_polytope(D: TorusDivisor, flag: TFlag) -> Polygon:
     the flag. For nef D the local equations are the vertices of P_D, so the area is the
     divisor polytope's; otherwise the hull is of the local equations alone.
     """
-    (r1, r2), (s1, s2), _, _ = flag_valuation(D.fan, flag)
-    return convex_hull_2d([(e1 * r1 + e2 * r2, e1 * s1 + e2 * s2) for e1, e2 in D.cocycle])
+    return convex_hull_2d(map(flag_valuation(D.fan, flag).value, D.cocycle))
 
 
 def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
@@ -64,5 +63,4 @@ def semigroup_level_hull(D: TorusDivisor, flag: TFlag, m: int) -> Polygon:
     k, ends = _level_ends(D, m)
     if not ends:
         raise ValueError(f"no sections at level {m}")
-    (r1, r2), (s1, s2), _, _ = w
-    return convex_hull_2d([(x * r1 + y * r2, x * s1 + y * s2) for x, y in ends]).divided(k)
+    return convex_hull_2d(map(w.value, ends)).divided(k)

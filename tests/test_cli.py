@@ -36,6 +36,7 @@ from toricvol import (
     hirzebruch_fan,
     okounkov_volume_report,
     projective_plane_fan,
+    semigroup_level_hull,
     standard_decomposition,
     star_subdivide,
 )
@@ -336,9 +337,11 @@ class TestReportTakesTheIntPaths:
 
     def test_flag_contribution_values_nothing_and_calls_no_cross(self, monkeypatch):
         # route 3 pairs the local equations with the rays inline: no chart
-        # value and no cross runs while a flag_contribution call runs
+        # value and no cross runs while a flag_contribution call runs; route 5
+        # and the level hull value their points through the chart's value
         import toricvol.fan as fan_module
         import toricvol.volume as volume
+        from toricvol.divisors import _level_ends
         D = deep_ample_instance(random.Random(64), 64)
         dec = standard_decomposition(D.fan, "successor")
         D.cocycle  # the local equations are built first
@@ -359,6 +362,17 @@ class TestReportTakesTheIntPaths:
         for flag in D.fan.charts:
             volume.flag_contribution(D, flag, dec)
         assert calls == []
+        # a report values each cone's local equation once, for route 5's hull
+        okounkov_volume_report(D, dec, TFlag(5, 4))
+        assert calls.count("value") == 64
+        # a level hull values each point _level_ends picks once: the cycle of a
+        # nef P_D, and column ends where P_D's denominator 3 does not divide m
+        F3 = TorusDivisor(hirzebruch_fan(3), (0, 1, 2, 0))
+        for E, m in [(D, 1), (F3, 1), (F3, 2), (F3, 3)]:
+            calls.clear()
+            semigroup_level_hull(E, TFlag(1, 0), m)
+            assert calls == ["value"] * len(_level_ends(E, m)[1])
+        calls.clear()
         # the spies fire: the oracle values three local equations, and the
         # package's cross is the spy
         reference_flag_contribution(D, TFlag(0, 0), dec)
@@ -1137,6 +1151,75 @@ class TestClosedStdout:
         assert proc.stderr.decode() == "error: cannot write stdout: No space left on device\n"
 
 
+def _entry_closed(fds, argv, stdout=subprocess.PIPE):
+    """The console entry run by the interpreter on argv, with the descriptors fds closed in the
+    child before it starts, as a shell's >&- or 2>&- closes them: (exit code, stdout, stderr),
+    b'' for a closed stream."""
+    src = str(Path(toricvol.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "from toricvol.cli import entry; entry()", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, preexec_fn=lambda: [os.close(fd) for fd in fds],
+        env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    return proc.returncode, proc.stdout or b"", proc.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child, POSIX only")
+class TestClosedStandardStreams:
+    """A stream closed at start is None in the interpreter: a command that writes to a closed
+    stdout exits 2 as a full one does, and a closed stderr changes no exit code. Each run is
+    compared with main's in-process run on the same argv."""
+
+    @pytest.fixture(autouse=True)
+    def docs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, l, b in (("f1.json", 1, 2), ("nef.json", 2, 1)):
+            assert main(["hirzebruch", "--l", str(l), "--a", "1", "--b", str(b), "--emit", name]) == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", "out"], 0),
+        (["sweep", "--l", "1..2", "--a", "0..1", "--b-extra", "1", "--csv", "out"], 1),
+        (["polytope", "f1.json", "--svg", "out"], 0),
+        (["polytope", "nef.json", "--svg", "out"], 1),
+        (["report", "missing.json"], 2),
+    ], ids=["emit", "csv", "svg", "svg-not-nef", "unreadable"])
+    def test_command_writing_no_stdout_keeps_its_exit_code(self, argv, code):
+        out = Path("out")
+        want_out, want_err, want_code, _ = _run(main, argv)
+        want = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        assert (want_out, want_code) == ("", code)
+        assert _entry_closed((1,), argv) == (code, b"", want_err.encode())
+        assert (out.read_text() if out.exists() else None) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "f1.json"], ["report", "nef.json", "--format", "json"], ["check", "f1.json"],
+        ["hirzebruch", "--l", "1", "--a", "1", "--b", "2"],
+        ["sweep", "--l", "1..3", "--a", "1..3", "--b-extra", "0..5"],
+    ], ids=["report", "report-not-ample", "check", "hirzebruch", "sweep"])
+    def test_command_writing_to_a_closed_stdout_exits_2(self, argv):
+        assert _entry_closed((1,), argv) == (2, b"", b"error: cannot write stdout: Bad file descriptor\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "missing.json"], ["polytope", "nef.json", "--svg", "out"], ["report"],
+        ["report", "f1.json", "--flag", "9,9"], ["--decomposition", "bogus", "check", "f1.json"],
+    ], ids=["unreadable", "svg-not-nef", "usage", "bad-flag", "bad-variant"])
+    def test_closed_stderr_changes_no_exit_code_and_writes_no_stdout(self, argv):
+        _, err, code, _ = _run(main, argv)
+        assert err and code in (1, 2)
+        assert _entry_closed((2,), argv) == (code, b"", b"")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    def test_full_stdout_with_a_closed_stderr_exits_2(self):
+        with open("/dev/full", "w") as full:
+            assert _entry_closed((2,), ["report", "f1.json"], stdout=full) == (2, b"", b"")
+
+    def test_both_closed(self):
+        assert _entry_closed((1, 2), ["report", "f1.json"])[0] == 2
+        assert _entry_closed((1, 2), ["hirzebruch", "--l", "1", "--a", "1", "--b", "2",
+                                      "--emit", "out"])[0] == 0
+        assert Path("out").read_text() == Path("f1.json").read_text()
+
+
 class TestSweepCommand:
     def test_single_cell_row(self, capsys):
         assert main(["sweep", "--l", "1", "--a", "1", "--b-extra", "1"]) == 0
@@ -1438,6 +1521,82 @@ class TestMainEntry:
         assert seen == [name]
 
 
+# one argv per parser that spells each of its long options but --help in full, as the
+# document f1.json in the working directory makes valid; "out" is the file one writes
+_FULL_SPELLINGS = {
+    "toricvol": ["--decomposition", "successor", "check", "f1.json"],
+    "check": ["check", "f1.json"],
+    "report": ["report", "f1.json", "--format", "json", "--flag", "2,1"],
+    "hirzebruch": ["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", "out"],
+    "sweep": ["sweep", "--l", "1", "--a", "1", "--b-extra", "1", "--csv", "out"],
+    "polytope": ["polytope", "f1.json", "--svg", "out", "--flag", "2,1"],
+}
+
+
+def _equals_form(argv: list[str]) -> list[str]:
+    """argv with each option and its value joined as --opt=value."""
+    out = []
+    for a in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += f"={a}"
+        else:
+            out.append(a)
+    return out
+
+
+def _short_spellings(command: str):
+    """Each argv that spells one long option of the command's parser, --help included, as a
+    proper prefix of three characters or more: in place, spaced and joined to its value where
+    it takes one, and --help's ahead of the command for the top parser, else at the end."""
+    argv = _FULL_SPELLINGS[command]
+    for name in {a for a in argv if a.startswith("--")} | {"--help"}:
+        for cut in (name[:k] for k in range(3, len(name))):
+            if name == "--help":
+                yield [cut, *argv] if command == "toricvol" else [*argv, cut]
+                continue
+            i = argv.index(name)
+            yield argv[:i] + [cut] + argv[i + 1:]
+            yield argv[:i] + [f"{cut}={argv[i + 1]}"] + argv[i + 2:]
+
+
+class TestOptionsReadAsSpelled:
+    """argparse reads a proper prefix of a long option as that option unless told not to,
+    so `sweep --b 3` would be `sweep --b-extra 3`. Every parser reads options only as spelled."""
+
+    @pytest.fixture(autouse=True)
+    def docs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["hirzebruch", "--l", "1", "--a", "1", "--b", "2", "--emit", "f1.json"]) == 0
+
+    def test_full_spellings_name_every_long_option(self):
+        import argparse
+
+        parser = build_parser()
+        sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, p in {"toricvol": parser, **sub.choices}.items():
+            spelled = {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+            assert spelled == {a for a in _FULL_SPELLINGS[command] if a.startswith("--")} | {"--help"}
+
+    @pytest.mark.parametrize("command", sorted(_FULL_SPELLINGS))
+    def test_full_spellings_run_in_both_forms(self, command):
+        argv = _FULL_SPELLINGS[command]
+        written = "out" if "out" in argv else None
+        spaced = _run(main, argv, written)
+        assert spaced[2] == 0 and spaced[1] == ""
+        assert _run(main, _equals_form(argv), written) == spaced
+
+    @pytest.mark.parametrize("command", sorted(_FULL_SPELLINGS))
+    def test_every_proper_prefix_exits_2_with_the_usage(self, command):
+        for argv in _short_spellings(command):
+            out, err, code, _ = _run(main, argv)
+            assert (code, out) == (2, ""), argv
+            *usage, line = err.splitlines()
+            assert usage and usage[0].startswith("usage: toricvol"), argv
+            assert all(u.startswith(" ") for u in usage[1:]), argv
+            assert re.match(r"toricvol[a-z ]*: error: ", line), argv
+            assert not Path("out").exists(), argv
+
+
 # ------------------------------------------------------- exit-code contract
 
 _SMALL = st.integers(-50, 50)
@@ -1528,6 +1687,8 @@ _UNWRITABLE = st.sampled_from(["missing/out"]
     | _BROKEN.map("missing/{}".format)
 _OUTPUTS = st.sampled_from([None, "out"])
 _MAX_REPORTS = 50  # reports one sweep example may run, so the property stays fast
+# the proper prefixes, of three characters or more, of the top parser's and hirzebruch's options
+_PREFIXES = [name[:k] for name in ("--decomposition", "--emit", "--help") for k in range(3, len(name))]
 
 
 def _odd_subset(draw, usual: dict, odd: dict) -> dict:
@@ -1612,4 +1773,8 @@ class TestExitContract:
         variant = data.draw(st.none() | _ODD_VARIANTS)
         pre = [] if variant is None else ["--decomposition", variant]
         argv = [*pre, "hirzebruch", *_options(values, workdir, "--emit")]
-        assert _exit_code(argv) in (0, 1, 2), argv
+        # a proper prefix of a long option is no option, whatever else the argv holds
+        cut = data.draw(st.none() | st.sampled_from(_PREFIXES))
+        if cut is not None:
+            argv.insert(data.draw(st.sampled_from([0, len(argv)])), cut)
+        assert _exit_code(argv) in ((0, 1, 2) if cut is None else (2,)), argv
