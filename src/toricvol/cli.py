@@ -470,12 +470,24 @@ def _error_line(line: str) -> str:
     return f"{line[:kept]}... ({len(line) - kept} characters left out)"
 
 
+class _StoreOnce(argparse.Action):
+    """store, but a second occurrence is a usage error; the dests given live on the namespace."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    """A parser that reads an option only as spelled, never a prefix of it, and cuts its usage
-    error line as main's; add_subparsers makes the subcommands' parsers of this class too."""
+    """A parser that reads an option only as spelled, never a prefix of it, and once only, and cuts
+    its usage error line as main's; add_subparsers makes the subcommands' parsers of this class too."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message):
         self.print_usage(sys.stderr)

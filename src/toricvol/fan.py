@@ -142,11 +142,6 @@ class Fan2D(_Checked, _Rays):
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cone(self, j: int) -> tuple[Vec, Vec]:
-        """The two spanning rays of maximal cone j, counterclockwise; j is read with ``operator.index``."""
-        n, j = len(self.rays), index(j)
-        return self.rays[j % n], self.rays[(j + 1) % n]
-
     @cached_property
     def charts(self) -> dict[TFlag, Rank2Valuation]:
         """The 2n flag charts in flag order: each cone's flag on its first ray, then
@@ -180,11 +175,10 @@ def projective_plane_fan() -> Fan2D:
 def star_subdivide(fan: Fan2D, j: int) -> Fan2D:
     """Insert the primitive ray u+v inside cone j (blowup of its fixed point);
     j is read with ``operator.index``, so a float raises TypeError."""
-    j = index(j) % fan.n_rays
-    u, v = fan.cone(j)
-    new_ray = (u[0] + v[0], u[1] + v[1])
     rays = list(fan.rays)
-    rays.insert(j + 1, new_ray)
+    j = index(j) % len(rays)
+    (u0, u1), (v0, v1) = rays[j], rays[(j + 1) % len(rays)]
+    rays.insert(j + 1, (u0 + v0, u1 + v1))
     return Fan2D(rays)
 
 

@@ -201,7 +201,8 @@ def chart_dual_basis(fan, j: int):
     other way around. Unique because the cone is unimodular: for column
     matrix A = [u v] with det 1, the inverse rows are (v2,-v1), (-u2,u1).
     """
-    u, v = fan.cone(j)
+    n = fan.n_rays
+    u, v = fan.rays[j % n], fan.rays[(j + 1) % n]
     return (v[1], -v[0]), (-u[1], u[0])
 
 
@@ -213,8 +214,9 @@ def reference_tflags(fan) -> list:
 
 def reference_chart(fan, flag) -> Rank2Valuation:
     """Reference chart of a flag, built on every call from the cone's dual basis."""
-    u, v = fan.cone(flag.cone)
-    m, mp = chart_dual_basis(fan, flag.cone)
+    j, n = flag.cone, fan.n_rays
+    u, v = fan.rays[j % n], fan.rays[(j + 1) % n]
+    m, mp = chart_dual_basis(fan, j)
     if flag.ray == flag.cone:
         return Rank2Valuation(u, v, m, mp)
     return Rank2Valuation(v, u, mp, m)

@@ -1596,6 +1596,24 @@ class TestOptionsReadAsSpelled:
             assert re.match(r"toricvol[a-z ]*: error: ", line), argv
             assert not Path("out").exists(), argv
 
+    @pytest.mark.parametrize("command", sorted(_FULL_SPELLINGS))
+    def test_every_option_given_twice_exits_2_with_the_usage(self, command):
+        # the second occurrence repeats the first's value, so only the repeat is wrong
+        argv = _FULL_SPELLINGS[command]
+        prog = "toricvol" if command == "toricvol" else f"toricvol {command}"
+        for name in (a for a in argv if a.startswith("--")):
+            i = argv.index(name)
+            spaced, joined = argv[i:i + 2], _equals_form(argv[i:i + 2])
+            for first, second in ((spaced, spaced), (joined, joined), (spaced, joined)):
+                twice = argv[:i] + first + second + argv[i + 2:]
+                out, err, code, _ = _run(main, twice)
+                assert (code, out) == (2, ""), twice
+                *usage, line = err.splitlines()
+                assert usage and usage[0].startswith("usage: toricvol"), twice
+                assert all(u.startswith(" ") for u in usage[1:]), twice
+                assert line == f"{prog}: error: argument {name}: given more than once", twice
+                assert len(line) <= ERROR_LINE_LIMIT and not Path("out").exists(), twice
+
 
 # ------------------------------------------------------- exit-code contract
 
@@ -1705,6 +1723,18 @@ def _options(values: dict, workdir, output: str) -> list[str]:
             for x in (name, str(workdir / value) if name == output else value)]
 
 
+def _argv(draw, pre: list[str], command: str, opts: list[str]) -> tuple[list[str], bool]:
+    """[*pre, command, *opts], where pre and opts are options each followed by its value, and
+    whether one of those options is given twice: in one draw of four it is, with its value,
+    right after the first time."""
+    argv = [*pre, command, *opts]
+    starts = [*range(0, len(pre), 2), *range(len(pre) + 1, len(argv), 2)]
+    if not starts or draw(st.integers(0, 3)) < 3:
+        return argv, False
+    i = draw(st.sampled_from(starts))
+    return argv[:i + 2] + argv[i:], True
+
+
 def _exit_code(argv) -> int:
     """main's exit code on argv, after checking that its stderr is empty or one error line within
     the error-line bound, after argparse's usage where argparse writes its own."""
@@ -1759,9 +1789,9 @@ class TestExitContract:
         assume(rows <= _MAX_REPORTS or rows > SWEEP_ROW_LIMIT)
         variant = data.draw(st.none() | _ODD_VARIANTS)
         pre = [] if variant is None else ["--decomposition", variant]
-        argv = [*pre, "sweep", *_options(values, workdir, "--csv")]
-        # a grid over the row bound exits 2 at once, whatever else is wrong with it
-        assert _exit_code(argv) in ((0, 1, 2) if rows <= _MAX_REPORTS else (2,)), argv
+        argv, twice = _argv(data.draw, pre, "sweep", _options(values, workdir, "--csv"))
+        # a grid over the row bound or an option given twice exits 2 at once, whatever else is wrong
+        assert _exit_code(argv) in ((0, 1, 2) if rows <= _MAX_REPORTS and not twice else (2,)), argv
 
     @given(data=st.data())
     def test_hirzebruch_exits_0_1_or_2(self, workdir, data):
@@ -1772,9 +1802,9 @@ class TestExitContract:
             {**dict.fromkeys(params, st.none() | _NUMBERS), "--emit": _UNWRITABLE})
         variant = data.draw(st.none() | _ODD_VARIANTS)
         pre = [] if variant is None else ["--decomposition", variant]
-        argv = [*pre, "hirzebruch", *_options(values, workdir, "--emit")]
+        argv, twice = _argv(data.draw, pre, "hirzebruch", _options(values, workdir, "--emit"))
         # a proper prefix of a long option is no option, whatever else the argv holds
         cut = data.draw(st.none() | st.sampled_from(_PREFIXES))
         if cut is not None:
             argv.insert(data.draw(st.sampled_from([0, len(argv)])), cut)
-        assert _exit_code(argv) in ((0, 1, 2) if cut is None else (2,)), argv
+        assert _exit_code(argv) in ((0, 1, 2) if cut is None and not twice else (2,)), argv

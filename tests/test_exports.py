@@ -50,7 +50,8 @@ def users() -> set[str]:
     for block in re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S):
         out |= reads(ast.parse(block))
     for path in (ROOT / "bench").glob("*.py"):
-        out |= reads(parse(path))
+        tree = parse(path)  # a name the script defines itself, as oracle.py its own cross, is no user
+        out |= reads(tree) - set().union(*map(defines, tree.body))
     return out
 
 

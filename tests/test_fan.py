@@ -22,8 +22,8 @@ from toricvol import (
     standard_decomposition,
     star_subdivide,
 )
-from conftest import (angle_winding, random_smooth_fan, reference_chart, reference_fan_violations,
-                      reference_tflags)
+from conftest import (angle_winding, deep_ample_instance, random_smooth_fan, reference_chart,
+                      reference_fan_violations, reference_tflags)
 
 
 @st.composite
@@ -255,7 +255,7 @@ class TestHirzebruch:
         fan = hirzebruch_fan(2)
         assert cross(fan.rays[1], fan.rays[2]) == 1
         for j in range(4):
-            assert cross(*fan.cone(j)) == 1
+            assert cross(fan.rays[j % 4], fan.rays[(j + 1) % 4]) == 1
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError, match="^l must be a positive integer, got 0$"):
@@ -338,7 +338,8 @@ class TestRayValuation:
     def test_monomial_order(self):
         fan = hirzebruch_fan(1)
         for flag, w in fan.charts.items():
-            u, v = fan.cone(flag.cone)
+            j, n = flag.cone, fan.n_rays
+            u, v = fan.rays[j % n], fan.rays[(j + 1) % n]
             other = v if flag.ray == flag.cone else u
             assert w.value((2, 1)) == (dot((2, 1), fan.rays[flag.ray]), dot((2, 1), other))
         assert fan.charts[TFlag(1, 1)].value((2, 1)) == (1, -1)
@@ -399,14 +400,20 @@ class TestStarSubdivide:
         fan = hirzebruch_fan(1)
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             star_subdivide(fan, j)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            fan.cone(j)
 
     def test_bool_cone_is_its_int(self):
         fan = hirzebruch_fan(1)
         assert star_subdivide(fan, True) == star_subdivide(fan, 1)
         assert star_subdivide(fan, False) == star_subdivide(fan, 0)
-        assert fan.cone(True) == fan.cone(1)
+
+    @pytest.mark.parametrize("fan", [projective_plane_fan(), hirzebruch_fan(1),
+                                     deep_ample_instance(random.Random(5), 16).fan],
+                             ids=["P2", "F1", "deep16"])
+    def test_cone_is_read_mod_n(self, fan):
+        # any int j names cone j mod n, negative or past the last cone
+        n = fan.n_rays
+        for j in range(-n, 2 * n + 1):
+            assert star_subdivide(fan, j) == star_subdivide(fan, j % n)
 
 
 class TestOrbitDecomposition:
